@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / covers, 1 negative answer, 2 unsupported or
 refused or unknown, 3 input error.  All results are JSON on stdout;
-``--pretty`` adds a human-readable summary on stderr.
+``--pretty`` indents it.
 """
 
 from __future__ import annotations
@@ -35,10 +35,17 @@ def _emit(data, pretty: bool) -> None:
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("COVERKIT_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    """--budget, else COVERKIT_BUDGET, else the default; at least 1."""
+    raw = args.budget if args.budget is not None else os.environ.get("COVERKIT_BUDGET")
+    if raw is None or raw == "":
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise GraphError(f"the node budget must be a positive integer, got {raw!r}")
+    return budget
 
 
 def cmd_classify(args) -> int:

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import matching as mt
-from .graphs import Graph, GraphError, IN, OUT, UND, is_connected, project
+from .graphs import Darts, Graph, GraphError, IN, OUT, UND, edge_darts, is_connected, vertex_darts
 from .partition import degree_partition
 
 DEFAULT_BUDGET = 1_000_000
@@ -34,6 +34,10 @@ class InternalCoverError(RuntimeError):
     """A constructed certificate failed verification; indicates a bug."""
 
 
+class NotExtendable(Exception):
+    """A vertex map that no edge map completes to a covering projection."""
+
+
 @dataclass
 class CoveringProjection:
     fv: dict[str, str]
@@ -45,7 +49,10 @@ class CoveringProjection:
     @classmethod
     def from_json(cls, text: str) -> "CoveringProjection":
         data = json.loads(text)
-        return cls(dict(data["fv"]), dict(data["fe"]))
+        maps = [data.get(key) if isinstance(data, dict) else None for key in ("fv", "fe")]
+        if not all(isinstance(m, dict) and all(isinstance(v, str) for v in m.values()) for m in maps):
+            raise GraphError('a certificate is a JSON object whose "fv" and "fe" map ids to ids')
+        return cls(dict(maps[0]), dict(maps[1]))
 
 
 @dataclass
@@ -110,72 +117,36 @@ def _candidates_for(e, fv, by) -> list[str]:
     return by.get((e.kind, a, x), [])
 
 
-def _dart_tags(e, v):
-    """(dtag, count) pairs contributed by edge e at endpoint v."""
-    if e.kind == "edge" or e.kind == "semi":
-        return ((UND, 1),)
-    if e.kind == "loop":
-        return ((UND, 2),)
-    if e.kind == "dloop":
-        return ((OUT, 1), (IN, 1))
-    tags = []
-    if e.tail == v:
-        tags.append((OUT, 1))
-    if e.head == v:
-        tags.append((IN, 1))
-    return tuple(tags)
+class _DartTables:
+    """The dart tables of a source g and a target h, walked once per call.
+
+    ``caps[x]`` holds the darts at target vertex x keyed (colour,
+    direction, other end); ``cross[u]`` the darts at source vertex u along
+    normal edges, keyed (colour, direction) and then by the other end.
+    """
+
+    def __init__(self, g: Graph, h: Graph):
+        # built per call and not kept on the graphs, to bound memory
+        self.g = {u: vertex_darts(g, u) for u in g.vertices()}
+        self.h = {x: vertex_darts(h, x) for x in h.vertices()}
+        self.caps = {
+            x: {(a, d, y): c for (a, d), to in t.ends.items() for y, c in to.items()}
+            for x, t in self.h.items()
+        }
+        self.cross = {}
+        for u, t in self.g.items():
+            normal = ((key, {w: c for w, c in to.items() if w != u}) for key, to in t.ends.items())
+            self.cross[u] = {key: to for key, to in normal if to}
 
 
-def _target_caps(h: Graph):
-    """Per target vertex: dart capacities keyed (colour, dtag, other-vertex),
-    plus separate semi/loop/directed-loop counts per colour."""
-    caps: dict[str, Counter] = {x: Counter() for x in h.vertices()}
-    semis: dict[str, Counter] = {x: Counter() for x in h.vertices()}
-    loops: dict[str, Counter] = {x: Counter() for x in h.vertices()}
-    dloops: dict[str, Counter] = {x: Counter() for x in h.vertices()}
-    for e in h.edges():
-        a = e.colour
-        if e.kind == "edge":
-            caps[e.u][(a, UND, e.v)] += 1
-            caps[e.v][(a, UND, e.u)] += 1
-        elif e.kind == "arc":
-            caps[e.tail][(a, OUT, e.head)] += 1
-            caps[e.head][(a, IN, e.tail)] += 1
-        elif e.kind == "loop":
-            caps[e.u][(a, UND, e.u)] += 2
-            loops[e.u][a] += 1
-        elif e.kind == "semi":
-            caps[e.u][(a, UND, e.u)] += 1
-            semis[e.u][a] += 1
-        elif e.kind == "dloop":
-            caps[e.u][(a, OUT, e.u)] += 1
-            caps[e.u][(a, IN, e.u)] += 1
-            dloops[e.u][a] += 1
-    return caps, semis, loops, dloops
-
-
-def _vertex_data(g: Graph):
-    """Per source vertex: normal-edge darts grouped by (colour, dtag) as
-    neighbour counters, plus semi/loop/directed-loop counts per colour."""
-    cross: dict[str, dict] = {u: {} for u in g.vertices()}
-    semis: dict[str, Counter] = {u: Counter() for u in g.vertices()}
-    loops: dict[str, Counter] = {u: Counter() for u in g.vertices()}
-    dloops: dict[str, Counter] = {u: Counter() for u in g.vertices()}
-    for e in g.edges():
-        a = e.colour
-        if e.kind == "edge":
-            cross[e.u].setdefault((a, UND), Counter())[e.v] += 1
-            cross[e.v].setdefault((a, UND), Counter())[e.u] += 1
-        elif e.kind == "arc":
-            cross[e.tail].setdefault((a, OUT), Counter())[e.head] += 1
-            cross[e.head].setdefault((a, IN), Counter())[e.tail] += 1
-        elif e.kind == "loop":
-            loops[e.u][a] += 1
-        elif e.kind == "semi":
-            semis[e.u][a] += 1
-        elif e.kind == "dloop":
-            dloops[e.u][a] += 1
-    return cross, semis, loops, dloops
+def _self_darts_fit(gu: Darts, hx: Darts) -> bool:
+    """u has at most as many semi-edges, loops and directed loops of every
+    colour as x."""
+    return all(
+        c <= have.get(a, 0)
+        for mine, have in ((gu.semis, hx.semis), (gu.loops, hx.loops), (gu.dloops, hx.dloops))
+        for a, c in mine.items()
+    )
 
 
 def fibre_sizes(h: Graph, fv: dict[str, str]) -> dict[str, int]:
@@ -215,11 +186,11 @@ def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
     for u in g.vertices():
         got: Counter = Counter()
         for e in g.incident(u):
-            for tag, cnt in _dart_tags(e, u):
+            for tag, cnt in edge_darts(e, u):
                 got[(f.fe[e.id], tag)] += cnt
         want: Counter = Counter()
         for e in h.incident(f.fv[u]):
-            for tag, cnt in _dart_tags(e, f.fv[u]):
+            for tag, cnt in edge_darts(e, f.fv[u]):
                 want[(e.id, tag)] += cnt
         if got != want:
             violations.append(f"local bijection broken at vertex {u}")
@@ -236,41 +207,36 @@ def is_degree_obedient(g: Graph, h: Graph, fv: dict[str, str]) -> bool:
     cross-fibre edge counts match the target multiplicities exactly, and
     within a fibre the semi-edge/loop budget t <= s, 2k + n + t = 2l + s
     holds per colour (analogously for directed colours)."""
-    caps, hsemis, hloops, hdloops = _target_caps(h)
-    cross, gsemis, gloops, gdloops = _vertex_data(g)
+    tables = _DartTables(g, h)
     for u in g.vertices():
         x = fv[u]
         if g.vertex_colour(u) != h.vertex_colour(x):
             return False
+        gu, hx, caps = tables.g[u], tables.h[x], tables.caps[x]
         per_target: dict = {}
-        for (a, d), ctr in cross[u].items():
-            for w, cnt in ctr.items():
+        for (a, d), to in tables.cross[u].items():
+            for w, cnt in to.items():
                 key = (a, d, fv[w])
                 per_target[key] = per_target.get(key, 0) + cnt
-        keys = set(per_target) | set(caps[x])
+        keys = set(per_target) | set(caps)
         for a, d, y in keys:
             n_cnt = per_target.get((a, d, y), 0)
-            cap = caps[x].get((a, d, y), 0)
             if y != x:
-                if n_cnt != cap:
+                if n_cnt != caps.get((a, d, y), 0):
                     return False
                 continue
             if d == UND:
-                t, k = gsemis[u][a], gloops[u][a]
-                s, l = hsemis[x][a], hloops[x][a]
+                t, k = gu.semis.get(a, 0), gu.loops.get(a, 0)
+                s, l = hx.semis.get(a, 0), hx.loops.get(a, 0)
                 if t > s or 2 * k + n_cnt + t != 2 * l + s:
                     return False
-            elif d == OUT:
-                if gdloops[u][a] + n_cnt != hdloops[x][a]:
-                    return False
-            else:
-                if gdloops[u][a] + n_cnt != hdloops[x][a]:
-                    return False
-        for a in set(gsemis[u]) | set(gloops[u]) | set(gdloops[u]):
+            elif gu.dloops.get(a, 0) + n_cnt != hx.dloops.get(a, 0):
+                return False
+        for a in set(gu.semis) | set(gu.loops) | set(gu.dloops):
             if (a, UND, x) in keys or (a, OUT, x) in keys or (a, IN, x) in keys:
                 continue
-            t, k, dl = gsemis[u][a], gloops[u][a], gdloops[u][a]
-            s, l, hd = hsemis[x][a], hloops[x][a], hdloops[x][a]
+            t, k, dl = gu.semis.get(a, 0), gu.loops.get(a, 0), gu.dloops.get(a, 0)
+            s, l, hd = hx.semis.get(a, 0), hx.loops.get(a, 0), hx.dloops.get(a, 0)
             if t or k:
                 if t > s or 2 * k + t != 2 * l + s:
                     return False
@@ -291,7 +257,7 @@ def _edge_map_search(g: Graph, h: Graph, fv: dict[str, str], budget_box) -> dict
     for v in g.vertices():
         x = fv[v]
         for e in h.incident(x):
-            for tag, cnt in _dart_tags(e, x):
+            for tag, cnt in edge_darts(e, x):
                 key = (v, e.id, tag)
                 capv[key] = capv.get(key, 0) + cnt
 
@@ -303,23 +269,11 @@ def _edge_map_search(g: Graph, h: Graph, fv: dict[str, str], budget_box) -> dict
             return None
         cand[e.id] = c
 
-    def consumption(e, he):
-        if e.kind == "edge":
-            return ((e.u, he, UND, 1), (e.v, he, UND, 1))
-        if e.kind == "loop":
-            return ((e.u, he, UND, 2),)
-        if e.kind == "semi":
-            return ((e.u, he, UND, 1),)
-        if e.kind == "dloop":
-            return ((e.u, he, OUT, 1), (e.u, he, IN, 1))
-        return ((e.tail, he, OUT, 1), (e.head, he, IN, 1))
+    darts = {e.id: [(v, tag, cnt) for v in e.ends for tag, cnt in edge_darts(e, v)] for e in edges}
 
     def feasible(e):
-        out = []
-        for he in cand[e.id]:
-            if all(capv.get((v, he2, tag), 0) >= cnt for v, he2, tag, cnt in consumption(e, he)):
-                out.append(he)
-        return out
+        return [he for he in cand[e.id]
+                if all(capv.get((v, he, tag), 0) >= cnt for v, tag, cnt in darts[e.id])]
 
     assignment: dict[str, str] = {}
     todo = set(range(len(edges)))
@@ -342,14 +296,14 @@ def _edge_map_search(g: Graph, h: Graph, fv: dict[str, str], budget_box) -> dict
         todo.discard(best)
         for he in best_f:
             budget_box[0] -= 1
-            for v, he2, tag, cnt in consumption(e, he):
-                capv[(v, he2, tag)] -= cnt
+            for v, tag, cnt in darts[e.id]:
+                capv[(v, he, tag)] -= cnt
             assignment[e.id] = he
             if rec():
                 return True
             del assignment[e.id]
-            for v, he2, tag, cnt in consumption(e, he):
-                capv[(v, he2, tag)] += cnt
+            for v, tag, cnt in darts[e.id]:
+                capv[(v, he, tag)] += cnt
         todo.add(best)
         return False
 
@@ -428,17 +382,13 @@ class _VertexSearch:
     """
 
     DECOMPOSE_MIN = 9
-    DECOMPOSE_CAP = 20_000
 
-    def __init__(self, g, h, domains, fibre_cap, budget_box, blocks=None, decompose=None,
-                 anchor_order=1):
-        self.g = g
-        self.h = h
+    def __init__(self, g, tables: _DartTables, domains, fibre_cap, budget_box, blocks=None,
+                 decompose=None, anchor_order=1):
         self.budget = budget_box
-        self.caps, self.hsemis, self.hloops, self.hdloops = _target_caps(h)
-        cross, gsemis, gloops, gdloops = _vertex_data(g)
-        self.cross = cross
-        self.gsemis, self.gloops, self.gdloops = gsemis, gloops, gdloops
+        self.darts = tables.g
+        self.caps = tables.caps
+        self.cross = cross = tables.cross
         self.fibre_cap = fibre_cap
         self.order = list(g.vertices())
         self.index = {u: i for i, u in enumerate(self.order)}
@@ -500,7 +450,8 @@ class _VertexSearch:
 
     def _try_assign(self, u, x):
         ops: list = []
-        dirty: set[str] = set()
+        # insertion-ordered, so propagation does not follow string hashing
+        dirty: dict[str, None] = {}
         failed = False
 
         def remove(w, y):
@@ -515,7 +466,7 @@ class _VertexSearch:
                 return
             for z in self.nbrs[w]:
                 if self.assign[z] is not None:
-                    dirty.add(z)
+                    dirty[z] = None
 
         self.assign[u] = x
         ops.append(("assign", u))
@@ -533,16 +484,9 @@ class _VertexSearch:
                             self._undo(ops)
                             return None
         # self darts (loops, semi-edges, directed loops)
-        for a, k in self.gloops[u].items():
-            if not self._bump(u, (a, UND, x), 2 * k, ops):
-                self._undo(ops)
-                return None
-        for a, t in self.gsemis[u].items():
-            if not self._bump(u, (a, UND, x), t, ops):
-                self._undo(ops)
-                return None
-        for a, dl in self.gdloops[u].items():
-            if not (self._bump(u, (a, OUT, x), dl, ops) and self._bump(u, (a, IN, x), dl, ops)):
+        for (a, d), to in self.darts[u].ends.items():
+            own = to.get(u)
+            if own and not self._bump(u, (a, d, x), own, ops):
                 self._undo(ops)
                 return None
         # darts towards assigned neighbours, both directions of bookkeeping
@@ -555,14 +499,14 @@ class _VertexSearch:
                 if not (self._bump(u, (a, d, y), cnt, ops) and self._bump(w, (a, dw, x), cnt, ops)):
                     self._undo(ops)
                     return None
-                dirty.add(w)
-        dirty.add(u)
+                dirty[w] = None
+        dirty[u] = None
         # counting propagation: for an assigned vertex and every image y,
         # the outstanding need must fit the unassigned neighbours that can
         # still take y; equality forces them, deficits fail, and a
         # neighbour whose multiplicity overshoots the need loses y
         while dirty and not failed:
-            a_vertex = dirty.pop()
+            a_vertex, _ = dirty.popitem()
             xa = self.assign[a_vertex]
             capa = self.caps[xa]
             useda = self.used[a_vertex]
@@ -757,119 +701,127 @@ class _VertexSearch:
 # the oracle -------------------------------------------------------------------
 
 
-def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], budget_box) -> dict[str, str] | None:
-    """Exact per-group edge assignment for a complete degree-obedient
-    vertex map.  Cross-fibre groups are regular bipartite and always
-    decompose; within-fibre groups over loop/semi-edge targets are decided
-    by an exact dart assignment (they can be genuinely hard)."""
+def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) -> dict[str, str]:
+    """Extend a degree-obedient vertex map to an edge map.
+
+    Edges are grouped by the target edges they may land on.  A group
+    between two fibres is a regular bipartite multigraph and peels into
+    one perfect matching per parallel target edge (Konig); the directed
+    edges inside a fibre peel into one cycle cover per directed loop; the
+    undirected edges inside a fibre over a vertex without semi-edges split
+    into one 2-factor per loop (Petersen).  A fibre over semi-edges goes to
+    ``semi_step(x, colour, verts, group, semi_ids, loop_ids)``, which
+    returns the images of the edges it places, or None; the edges it
+    leaves are 2-factorized over the loops it leaves free.  ``log``
+    receives one line per group.  Raises NotExtendable where the map does
+    not extend."""
     by = _h_edge_index(h)
-    fe: dict[str, str] = {}
-    pair_groups: dict = {}
+    log = log or (lambda msg: None)
+    fibres: dict[str, list[str]] = {}
+    for w, x in sorted(fv.items()):
+        fibres.setdefault(x, []).append(w)
+    pairs: dict = {}
     intra_und: dict = {}
     intra_dir: dict = {}
     for e in g.edges():
-        a = e.colour
-        if e.kind == "edge":
-            x, y = fv[e.u], fv[e.v]
-            if x != y:
-                pair_groups.setdefault(("edge", a, frozenset((x, y))), []).append(e)
-            else:
-                intra_und.setdefault((a, x), []).append(e)
-        elif e.kind == "arc":
-            x, y = fv[e.tail], fv[e.head]
-            if x != y:
-                pair_groups.setdefault(("arc", a, (x, y)), []).append(e)
-            else:
-                intra_dir.setdefault((a, x), []).append(e)
-        elif e.kind in ("loop", "semi"):
-            intra_und.setdefault((a, fv[e.u]), []).append(e)
+        x, y = fv[e.ends[0]], fv[e.ends[-1]]
+        if x != y:
+            loc = frozenset((x, y)) if e.kind == "edge" else (x, y)
+            pairs.setdefault((e.kind, e.colour, loc), []).append(e)
+        elif e.directed:
+            intra_dir.setdefault((e.colour, x), []).append(e)
         else:
-            intra_dir.setdefault((a, fv[e.u]), []).append(e)
+            intra_und.setdefault((e.colour, x), []).append(e)
+    fe: dict[str, str] = {}
 
-    for key in sorted(pair_groups, key=repr):
-        kind, a, loc = key
-        group = pair_groups[key]
-        h_ids = by.get(key, [])
+    def spread(h_ids, split, edges, what):
+        try:
+            parts = split(edges, len(h_ids))
+        except mt.MatchingError as exc:
+            raise NotExtendable(f"{what}: {exc}") from exc
+        for he, part in zip(h_ids, parts):
+            for eid in part:
+                fe[eid] = he
+
+    for key in sorted(pairs, key=repr):
+        kind, colour, loc = key
+        group, h_ids = pairs[key], by.get(key, [])
         if not h_ids:
-            return None
+            raise NotExtendable(f"no target edge for group {key}")
         if len(h_ids) == 1:
             for e in group:
                 fe[e.id] = h_ids[0]
+            log(f"forced {len(group)} edges onto {h_ids[0]}")
             continue
         if kind == "edge":
-            x = sorted(loc)[0]
-            items = [(e.id, e.u if fv[e.u] == x else e.v, e.v if fv[e.u] == x else e.u) for e in group]
+            x = min(loc)
+            items = [(e.id, ("L", e.u if fv[e.u] == x else e.v), ("R", e.v if fv[e.u] == x else e.u))
+                     for e in group]
         else:
-            items = [(e.id, e.tail, e.head) for e in group]
-        try:
-            parts = mt.bipartite_peel([(i, ("L", l), ("R", r)) for i, l, r in items], len(h_ids))
-        except mt.MatchingError:
-            return None
-        for he, part in zip(h_ids, parts):
-            for eid in part:
-                fe[eid] = he
+            items = [(e.id, ("L", e.tail), ("R", e.head)) for e in group]
+        spread(h_ids, mt.bipartite_peel, items, f"fibre-pair group {key} not factorizable")
+        log(f"factorized {len(group)} edges into {len(h_ids)} bundles at {key}")
 
-    for (a, x), group in sorted(intra_dir.items()):
-        h_ids = by.get(("dloop", a, x), [])
+    for (colour, x), group in sorted(intra_dir.items()):
+        h_ids = by.get(("dloop", colour, x), [])
         if not h_ids:
-            return None
-        items = []
-        for e in group:
-            t = e.tail
-            hd = e.head if e.kind == "arc" else e.tail
-            items.append((e.id, ("out", t), ("in", hd)))
-        try:
-            parts = mt.bipartite_peel(items, len(h_ids))
-        except mt.MatchingError:
-            return None
-        for he, part in zip(h_ids, parts):
-            for eid in part:
-                fe[eid] = he
+            raise NotExtendable(f"no directed loop target at {x} for colour {colour}")
+        if len({e.tail for e in group}) != len(fibres[x]):
+            raise NotExtendable(f"directed fibre at {x} has a vertex without out-darts")
+        spread(h_ids, mt.peel_cycle_covers, group, f"directed fibre at {x} not decomposable")
+        log(f"directed decomposition of {len(group)} arcs at fibre {x}")
 
-    for (a, x), group in sorted(intra_und.items()):
-        semi_ids = by.get(("semi", a, x), [])
-        loop_ids = by.get(("loop", a, x), [])
-        if not semi_ids and not loop_ids:
-            return None
-        if not semi_ids:
-            if any(e.kind == "semi" for e in group):
-                return None
+    for (colour, x), group in sorted(intra_und.items()):
+        semi_ids = by.get(("semi", colour, x), [])
+        loop_ids = by.get(("loop", colour, x), [])
+        verts = fibres[x]
+        free = loop_ids
+        if semi_ids:
+            placed = semi_step(x, colour, verts, group, semi_ids, loop_ids)
+            if placed is None:
+                raise NotExtendable(f"semi-edge class at fibre {x} colour {colour} does not extend")
+            fe.update(placed)
+            used = set(placed.values())
+            free = [he for he in loop_ids if he not in used]
+        elif any(e.kind == "semi" for e in group):
+            raise NotExtendable(f"semi-edge over a semi-free fibre {x}")
+        residual = [e for e in group if e.id not in fe]
+        if residual or free:
             sub = Graph("fibre")
-            verts = {w for w, img in fv.items() if img == x}
             for w in verts:
                 sub.add_vertex(w, "f")
-            for e in group:
-                sub.add_edge(e.kind, e.id, "c", *e.ends)
-            try:
-                factors = mt.two_factorization(sub, len(loop_ids))
-            except mt.MatchingError:
-                return None
-            for he, factor in zip(loop_ids, factors):
-                for eid in factor:
-                    fe[eid] = he
-            continue
-        # loop/semi mixture: exact dart assignment against a one-vertex target
+            for e in residual:
+                sub.add_edge(e.kind, e.id, colour, *e.ends)
+            spread(free, mt.two_factorization, sub, f"fibre at {x} not 2-factorizable")
+        log(f"fibre {x} colour {colour}: {len(group)} edges distributed")
+    return fe
+
+
+def _exact_semi_step(h: Graph, budget_box):
+    """The oracle's step for fibres over semi-edges: an exact dart
+    assignment against the one target vertex (these can be genuinely
+    hard)."""
+
+    def step(x, colour, verts, group, semi_ids, loop_ids):
         target = Graph("t")
         target.add_vertex("x", h.vertex_colour(x))
         for i, _ in enumerate(semi_ids):
-            target.add_edge("semi", f"s{i}", a, "x")
+            target.add_edge("semi", f"s{i}", colour, "x")
         for i, _ in enumerate(loop_ids):
-            target.add_edge("loop", f"l{i}", a, "x")
+            target.add_edge("loop", f"l{i}", colour, "x")
         sub = Graph("fibre")
-        verts = {w for w, img in fv.items() if img == x}
         for w in verts:
             sub.add_vertex(w, h.vertex_colour(x))
         for e in group:
-            sub.add_edge(e.kind, e.id, a, *e.ends)
-        sub_fv = {w: "x" for w in verts}
-        sub_fe = _edge_map_search(sub, target, sub_fv, budget_box)
+            sub.add_edge(e.kind, e.id, colour, *e.ends)
+        sub_fe = _edge_map_search(sub, target, {w: "x" for w in verts}, budget_box)
         if sub_fe is None:
             return None
         rename = {f"s{i}": he for i, he in enumerate(semi_ids)}
         rename.update({f"l{i}": he for i, he in enumerate(loop_ids)})
-        for eid, the in sub_fe.items():
-            fe[eid] = rename[the]
-    return fe
+        return {eid: rename[the] for eid, the in sub_fe.items()}
+
+    return step
 
 
 def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
@@ -891,17 +843,11 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
     for i in range(pg.k):
         if len(pg.blocks[i]) != r * len(ph.blocks[i]):
             return OracleResult("no")
-    _, hsemis, hloops, hdloops = _target_caps(h)
-    _, gsemis, gloops, gdloops = _vertex_data(g)
+    tables = _DartTables(g, h)
     domains = {}
     for i, block in enumerate(pg.blocks):
         for u in block:
-            dom = set()
-            for x in ph.blocks[i]:
-                if all(gsemis[u][a] <= hsemis[x][a] for a in gsemis[u]) and all(
-                    gloops[u][a] <= hloops[x][a] for a in gloops[u]
-                ) and all(gdloops[u][a] <= hdloops[x][a] for a in gdloops[u]):
-                    dom.add(x)
+            dom = {x for x in ph.blocks[i] if _self_darts_fit(tables.g[u], tables.h[x])}
             if not dom:
                 return OracleResult("no")
             domains[u] = dom
@@ -914,14 +860,15 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
             # fibre equality is implied for connected targets, so the caps
             # can go, which in turn lets the search decompose into
             # independent components
-            search = _VertexSearch(g, h, domains, None, budget_box, anchor_order=anchor_order)
+            search = _VertexSearch(g, tables, domains, None, budget_box, anchor_order=anchor_order)
         else:
-            search = _VertexSearch(g, h, domains, r, budget_box, blocks=pg.blocks,
+            search = _VertexSearch(g, tables, domains, r, budget_box, blocks=pg.blocks,
                                    decompose=False, anchor_order=anchor_order)
         try:
             for fv in search.solutions():
-                fe = _realize_edges(g, h, fv, budget_box)
-                if fe is None:
+                try:
+                    fe = _realize_edges(g, h, fv, _exact_semi_step(h, budget_box))
+                except NotExtendable:
                     continue
                 proj = CoveringProjection(fv, fe)
                 check = verify_cover(g, h, proj)
@@ -967,42 +914,26 @@ def partial_covers(g: Graph, h: Graph, fix: dict[str, str] | None = None,
     the edge map search is still run, but only the vertex map dict is
     yielded.  Raises BudgetExhausted when the node budget runs out.
     """
-    caps, hsemis, hloops, hdloops = _target_caps(h)
-    cross, gsemis, gloops, gdloops = _vertex_data(g)
+    tables = _DartTables(g, h)
     fix = fix or {}
     domains = {}
     for u in g.vertices():
-        dom = set()
-        for x in h.vertices():
-            if h.vertex_colour(x) != g.vertex_colour(u):
-                continue
-            if any(gsemis[u][a] > hsemis[x][a] for a in gsemis[u]):
-                continue
-            if any(gloops[u][a] > hloops[x][a] for a in gloops[u]):
-                continue
-            if any(gdloops[u][a] > hdloops[x][a] for a in gdloops[u]):
-                continue
-            ok = True
-            for (a, d), ctr in cross[u].items():
-                total = sum(ctr.values())
-                have = sum(c for (aa, dd, _), c in caps[x].items() if aa == a and dd == d)
-                own_extra = 0
-                if d == UND:
-                    own_extra = 2 * gloops[u][a] + gsemis[u][a]
-                elif d in (OUT, IN):
-                    own_extra = gdloops[u][a]
-                if total + own_extra > have:
-                    ok = False
-                    break
-            if ok:
-                dom.add(x)
+        gu = tables.g[u]
+        # room for every colour and direction of darts, and for the self darts
+        dom = {
+            x for x in h.vertices()
+            if h.vertex_colour(x) == g.vertex_colour(u)
+            and _self_darts_fit(gu, tables.h[x])
+            and all(sum(to.values()) <= sum(tables.h[x].ends.get(key, {}).values())
+                    for key, to in gu.ends.items())
+        }
         if u in fix:
             dom &= {fix[u]}
         if not dom:
             return
         domains[u] = dom
     budget_box = [budget]
-    search = _VertexSearch(g, h, domains, None, budget_box)
+    search = _VertexSearch(g, tables, domains, None, budget_box)
     for fv in search.solutions():
         fe = _edge_map_search(g, h, fv, budget_box)
         if fe is None:

@@ -16,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError, total_degree
+from .graphs import Graph, GraphError, degree, total_degree
 from .partition import degree_partition, is_balanced
 
 
@@ -277,20 +277,14 @@ def audit_variable_gadget(vg: VariableGadget) -> None:
     relative to its target block, every port misses exactly one edge of
     the bundle colour."""
     h = vg.target
-    target_deg: dict[tuple[str, str], int] = {}
-    for x in h.vertices():
-        for col in (ALPHA, BETA):
-            d = 0
-            for e in h.incident(x):
-                if e.colour != col:
-                    continue
-                d += 2 if e.kind == "loop" else 1
-            target_deg[(h.vertex_colour(x), col)] = d
+    target_deg = {
+        (h.vertex_colour(x), col): degree(h, x, col) for x in h.vertices() for col in (ALPHA, BETA)
+    }
     ports = set(vg.ports_a) | set(vg.ports_b)
     for v in vg.graph.vertices():
         vc = vg.graph.vertex_colour(v)
         for col in (ALPHA, BETA):
-            d = sum(1 for e in vg.graph.incident(v) if e.colour == col)
+            d = degree(vg.graph, v, col)
             want = target_deg.get((vc, col), 0)
             if v in ports and col == ALPHA:
                 if d != want - 1:
@@ -442,7 +436,7 @@ def directed_lift_wd(g: Graph, b: int, c: int) -> Graph:
     assert_simple(g)
     part_a, part_b = bipartition(g)
     for v in g.vertices():
-        d = sum(1 for e in g.incident(v))
+        d = total_degree(g, v)
         if d != b + c:
             raise GadgetError(f"vertex {v!r} has degree {d}, expected {b + c}")
     out = Graph(f"lift-{g.name}")

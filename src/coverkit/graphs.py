@@ -20,9 +20,8 @@ loops may share colours; edges, loops and semi-edges may share colours.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 UND = "u"
@@ -210,6 +209,76 @@ class Graph:
 # degrees and darts ------------------------------------------------------
 
 
+class Darts(NamedTuple):
+    """The darts at one vertex, from one walk over its incident edges.
+
+    ``ends`` maps (colour, direction) to the vertices the darts lead to,
+    with counts in order of first appearance: a loop leads back twice, a
+    semi-edge once, a directed loop once each way.  ``semis``, ``loops``
+    and ``dloops`` count those edges per colour.
+    """
+
+    ends: dict[tuple[str, str], dict[str, int]]
+    semis: dict[str, int]
+    loops: dict[str, int]
+    dloops: dict[str, int]
+
+
+def _add(ends: dict, key: tuple[str, str], w: str, k: int = 1) -> None:
+    inner = ends.get(key)
+    if inner is None:
+        ends[key] = {w: k}
+    else:
+        inner[w] = inner.get(w, 0) + k
+
+
+def edge_darts(e: Edge, v: str) -> tuple[tuple[str, int], ...]:
+    """(direction, count) pairs of the darts edge ``e`` has at endpoint ``v``."""
+    if e.kind == "edge" or e.kind == "semi":
+        return ((UND, 1),)
+    if e.kind == "loop":
+        return ((UND, 2),)
+    if e.kind == "dloop":
+        return ((OUT, 1), (IN, 1))
+    return ((OUT, 1),) if e.tail == v else ((IN, 1),)
+
+
+def vertex_darts(g: Graph, v: str) -> Darts:
+    """The one dart count of the package; every degree is read from it."""
+    ends: dict = {}
+    semis: dict[str, int] = {}
+    loops: dict[str, int] = {}
+    dloops: dict[str, int] = {}
+    for e in g.incident(v):
+        kind, colour = e.kind, e.colour
+        if kind == "edge":
+            a, b = e.ends
+            _add(ends, (colour, UND), b if a == v else a)
+        elif kind == "arc":
+            tail, head = e.ends
+            if tail == v:
+                _add(ends, (colour, OUT), head)
+            else:
+                _add(ends, (colour, IN), tail)
+        elif kind == "loop":
+            _add(ends, (colour, UND), v, 2)
+            loops[colour] = loops.get(colour, 0) + 1
+        elif kind == "semi":
+            _add(ends, (colour, UND), v)
+            semis[colour] = semis.get(colour, 0) + 1
+        else:
+            _add(ends, (colour, OUT), v)
+            _add(ends, (colour, IN), v)
+            dloops[colour] = dloops.get(colour, 0) + 1
+    return Darts(ends, semis, loops, dloops)
+
+
+def dart_counts(g: Graph, v: str) -> dict[tuple[str, str], dict[str, int]]:
+    """Per (colour, direction) counts of darts at ``v`` keyed by the vertex
+    they lead to; loops lead back to ``v`` twice, semi-edges once."""
+    return vertex_darts(g, v).ends
+
+
 def degree(g: Graph, v: str, colour: str, direction: str = UND) -> int:
     """The colour-degree of ``v``: semi-edges add 1, loops add 2, a directed
     loop adds 1 to both the in- and out-degree."""
@@ -217,68 +286,16 @@ def degree(g: Graph, v: str, colour: str, direction: str = UND) -> int:
         raise GraphError(f"unknown vertex {v!r}")
     if direction not in (UND, OUT, IN):
         raise GraphError(f"bad direction {direction!r}")
-    total = 0
-    for e in g.incident(v):
-        if e.colour != colour:
-            continue
-        if direction == UND:
-            if e.kind == "edge":
-                total += 1
-            elif e.kind == "loop":
-                total += 2
-            elif e.kind == "semi":
-                total += 1
-            elif e.directed:
-                raise GraphError(f"colour {colour!r} is directed; query In or Out")
-        else:
-            if e.kind == "dloop":
-                total += 1
-            elif e.kind == "arc":
-                if direction == OUT and e.tail == v:
-                    total += 1
-                if direction == IN and e.head == v:
-                    total += 1
-            else:
-                raise GraphError(f"colour {colour!r} is undirected; query Undirected")
-    return total
+    ends = vertex_darts(g, v).ends
+    if direction == UND and ((colour, OUT) in ends or (colour, IN) in ends):
+        raise GraphError(f"colour {colour!r} is directed; query In or Out")
+    if direction != UND and (colour, UND) in ends:
+        raise GraphError(f"colour {colour!r} is undirected; query Undirected")
+    return sum(ends.get((colour, direction), {}).values())
 
 
 def total_degree(g: Graph, v: str) -> int:
-    total = 0
-    for e in g.incident(v):
-        if e.kind in ("edge", "semi"):
-            total += 1
-        elif e.kind in ("loop", "dloop"):
-            total += 2
-        elif e.kind == "arc":
-            total += 1
-    return total
-
-
-def dart_counts(g: Graph, v: str) -> dict[tuple[str, str], Counter]:
-    """Per (colour, direction) counts of darts at ``v`` keyed by the vertex
-    they lead to; loops lead back to ``v`` twice, semi-edges once."""
-    out: dict[tuple[str, str], Counter] = {}
-
-    def bump(colour, dtag, target, k=1):
-        out.setdefault((colour, dtag), Counter())[target] += k
-
-    for e in g.incident(v):
-        if e.kind == "edge":
-            bump(e.colour, UND, e.other_end(v))
-        elif e.kind == "loop":
-            bump(e.colour, UND, v, 2)
-        elif e.kind == "semi":
-            bump(e.colour, UND, v)
-        elif e.kind == "dloop":
-            bump(e.colour, OUT, v)
-            bump(e.colour, IN, v)
-        elif e.kind == "arc":
-            if e.tail == v:
-                bump(e.colour, OUT, e.head)
-            if e.head == v:
-                bump(e.colour, IN, e.tail)
-    return out
+    return sum(sum(to.values()) for to in vertex_darts(g, v).ends.values())
 
 
 # textual format -----------------------------------------------------------
@@ -439,20 +456,13 @@ def classify_component_shape(g: Graph) -> str:
         raise GraphError("component shape needs a monochromatic graph")
     if any(e.directed for e in g.edges()):
         raise GraphError("component shape is defined for undirected graphs")
-    normal = {v: 0 for v in g.vertices()}
-    semis = {v: 0 for v in g.vertices()}
-    for e in g.edges():
-        if e.kind == "edge":
-            normal[e.u] += 1
-            normal[e.v] += 1
-        elif e.kind == "loop":
-            normal[e.u] += 2
-        elif e.kind == "semi":
-            semis[e.u] += 1
-    if any(normal[v] + semis[v] > 2 for v in g.vertices()):
+    darts = [vertex_darts(g, v) for v in g.vertices()]
+    semis = [sum(t.semis.values()) for t in darts]
+    normal = [sum(sum(to.values()) for to in t.ends.values()) - s for t, s in zip(darts, semis)]
+    if any(n + s > 2 for n, s in zip(normal, semis)):
         return OTHER
-    if all(normal[v] == 2 for v in g.vertices()) and not any(semis.values()):
+    if all(n == 2 for n in normal) and not any(semis):
         return EVEN_CYCLE if g.m % 2 == 0 else ODD_CYCLE
-    if any(normal[v] <= 1 for v in g.vertices()):
+    if any(n <= 1 for n in normal):
         return OPEN_PATH
     return OTHER

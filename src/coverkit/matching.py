@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import Graph, GraphError
+from .graphs import IN, OUT, UND, Graph, GraphError, total_degree, vertex_darts
 
 
 class MatchingError(GraphError):
@@ -208,7 +208,7 @@ def bipartite_k_factorization(g: Graph, k: int) -> list[list[str]]:
                 elif side[w] == side[v]:
                     raise MatchingError("graph is not bipartite")
     for v in g.vertices():
-        d = sum(1 for e in g.incident(v) if e.kind == "edge")
+        d = total_degree(g, v)
         if d != k:
             raise MatchingError(f"vertex {v!r} has degree {d}, expected {k}")
     items = []
@@ -263,17 +263,12 @@ def euler_orientation(edges: list[tuple[str, str, str]]) -> list[tuple[str, str,
 
 
 def _undirected_degree(g: Graph, v: str) -> int:
-    d = 0
-    for e in g.incident(v):
-        if e.kind == "edge":
-            d += 1
-        elif e.kind == "loop":
-            d += 2
-        elif e.kind == "semi":
-            raise MatchingError("semi-edges not allowed in factorization input")
-        else:
-            raise MatchingError("directed edges not allowed in 2-factorization input")
-    return d
+    darts = vertex_darts(g, v)
+    if darts.semis:
+        raise MatchingError("semi-edges not allowed in factorization input")
+    if any(d != UND for _, d in darts.ends):
+        raise MatchingError("directed edges not allowed in 2-factorization input")
+    return sum(sum(to.values()) for to in darts.ends.values())
 
 
 def two_factorization(g: Graph, k: int) -> list[list[str]]:
@@ -320,25 +315,18 @@ def directed_cycle_cover_decomposition(g: Graph, k: int) -> list[list[str]]:
     """Split a k-in-k-out-regular digraph (directed loops allowed) into k
     spanning collections of directed cycles."""
     for v in g.vertices():
-        din = dout = 0
-        for e in g.incident(v):
-            if e.kind == "dloop":
-                din += 1
-                dout += 1
-            elif e.kind == "arc":
-                if e.tail == v:
-                    dout += 1
-                if e.head == v:
-                    din += 1
-            else:
-                raise MatchingError("directed decomposition needs arcs and dloops only")
-        if din != k or dout != k:
-            raise MatchingError(f"vertex {v!r} is not {k}-in-{k}-out-regular")
+        ends = vertex_darts(g, v).ends
+        if any(d == UND for _, d in ends):
+            raise MatchingError("directed decomposition needs arcs and dloops only")
+        for direction in (OUT, IN):
+            if sum(sum(to.values()) for (_, d), to in ends.items() if d == direction) != k:
+                raise MatchingError(f"vertex {v!r} is not {k}-in-{k}-out-regular")
     if k == 0:
         return []
-    items = []
-    for e in g.edges():
-        t = e.tail
-        h = e.head if e.kind == "arc" else e.tail
-        items.append((e.id, ("out", t), ("in", h)))
-    return [sorted(m) for m in bipartite_peel(items, k)]
+    return peel_cycle_covers(list(g.edges()), k)
+
+
+def peel_cycle_covers(edges, k: int) -> list[list[str]]:
+    """Split arcs and directed loops, k out and k in at every vertex they
+    touch, into k cycle covers of those vertices."""
+    return bipartite_peel([(e.id, ("out", e.tail), ("in", e.head)) for e in edges], k)

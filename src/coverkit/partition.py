@@ -25,6 +25,7 @@ from .graphs import (
     is_connected,
     is_tree,
     total_degree,
+    vertex_darts,
 )
 
 
@@ -412,13 +413,6 @@ def is_balanced(h: Graph, part: Partition | None = None) -> bool:
         part, _ = degree_partition(h)
     for i in part.doublets():
         a, b = part.blocks[i]
-        counts = []
-        for w in (a, b):
-            c: dict[str, int] = {}
-            for e in h.incident(w):
-                if e.kind == "semi":
-                    c[e.colour] = c.get(e.colour, 0) + 1
-            counts.append(c)
-        if counts[0] != counts[1]:
+        if vertex_darts(h, a).semis != vertex_darts(h, b).semis:
             return False
     return True

@@ -24,9 +24,9 @@ from .classify import (
     block_shapes,
     classify_shape,
 )
-from .covers import CoveringProjection, InternalCoverError, verify_cover
+from .covers import CoveringProjection, InternalCoverError, NotExtendable, _realize_edges, verify_cover
 from .graphs import Graph, GraphError, classify_component_shape, components, is_connected, project
-from .graphs import EVEN_CYCLE, ODD_CYCLE, OPEN_PATH
+from .graphs import EVEN_CYCLE, IN, ODD_CYCLE, OPEN_PATH, OUT, UND, vertex_darts
 from .partition import Partition, degree_partition, normalize_colours
 from .twosat import TwoSat
 
@@ -79,15 +79,29 @@ class SolveResult:
 
 
 def _semis_at(g: Graph, v: str, colour: str) -> int:
-    return sum(1 for e in g.incident(v) if e.kind == "semi" and e.colour == colour)
-
-
-def _loops_at(g: Graph, v: str, colour: str, kind: str = "loop") -> int:
-    return sum(1 for e in g.incident(v) if e.kind == kind and e.colour == colour)
+    return vertex_darts(g, v).semis.get(colour, 0)
 
 
 def _block_subgraph(g: Graph, verts, colour: str) -> Graph:
     return project(g, vertices=verts, colours=[colour])
+
+
+def _record_semi_matching(fibre: Graph, bg: BlockGraph, i: int, subcase: str,
+                          trace: SolveTrace) -> bool:
+    """Over one semi-edge per target vertex: no vertex has two semi-edges,
+    and the vertices without one have a perfect matching, which is
+    recorded for edge completion."""
+    semis = {v: _semis_at(fibre, v, bg.colour) for v in fibre.vertices()}
+    if any(c >= 2 for c in semis.values()):
+        trace.step(bg.blocks, bg.colour, subcase, result="vertex with two semi-edges")
+        return False
+    matching = mt.general_perfect_matching(project(fibre, vertices=[v for v in semis if not semis[v]]))
+    if matching is None:
+        trace.step(bg.blocks, bg.colour, subcase, result="no perfect matching")
+        return False
+    trace.matchings[(i, bg.colour)] = matching
+    trace.step(bg.blocks, bg.colour, subcase, result="ok", matching_size=len(matching))
+    return True
 
 
 def check_singletons(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
@@ -109,17 +123,8 @@ def check_singletons(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
                 return False
             trace.step(bg.blocks, colour, "3C", result="ok")
         elif fam == "F" and params[0] == 1:
-            semi_verts = [v for v in fibre.vertices() if _semis_at(fibre, v, colour) > 0]
-            if any(_semis_at(fibre, v, colour) >= 2 for v in fibre.vertices()):
-                trace.step(bg.blocks, colour, "3B", result="vertex with two semi-edges")
+            if not _record_semi_matching(fibre, bg, i, "3B", trace):
                 return False
-            rest = project(fibre, vertices=[v for v in fibre.vertices() if v not in semi_verts])
-            matching = mt.general_perfect_matching(rest)
-            if matching is None:
-                trace.step(bg.blocks, colour, "3B", result="no perfect matching")
-                return False
-            trace.matchings[(i, colour)] = matching
-            trace.step(bg.blocks, colour, "3B", result="ok", matching_size=len(matching))
         elif fam == "F" and params == (2, 0):
             for comp in components(fibre):
                 shape = classify_component_shape(project(fibre, vertices=comp))
@@ -181,17 +186,8 @@ def preprocess_doublets(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
                         trace.units[v] = val
                 trace.step(bg.blocks, colour, "4B", result="ok")
             elif (k, q) == (1, 1) and l == 0:
-                if any(_semis_at(fibre, v, colour) >= 2 for v in fibre.vertices()):
-                    trace.step(bg.blocks, colour, "4C", result="vertex with two semi-edges")
+                if not _record_semi_matching(fibre, bg, i, "4C", trace):
                     return False
-                semi_verts = {v for v in fibre.vertices() if _semis_at(fibre, v, colour) > 0}
-                rest = project(fibre, vertices=[v for v in fibre.vertices() if v not in semi_verts])
-                matching = mt.general_perfect_matching(rest)
-                if matching is None:
-                    trace.step(bg.blocks, colour, "4C", result="no perfect matching")
-                    return False
-                trace.matchings[(i, colour)] = matching
-                trace.step(bg.blocks, colour, "4C", result="ok", matching_size=len(matching))
             elif (k, m, l, p, q) == (1, 0, 1, 0, 1):
                 if any(_semis_at(fibre, v, colour) >= 2 for v in fibre.vertices()):
                     trace.step(bg.blocks, colour, "4D", result="vertex with two semi-edges")
@@ -202,23 +198,16 @@ def preprocess_doublets(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
     return True
 
 
-def _neighbour_list(g: Graph, v: str, colour: str, direction: str | None = None) -> list[str]:
-    """Adjacent vertices with multiplicity; loops list the vertex itself
-    twice (directed loops once per direction)."""
+def _neighbour_list(g: Graph, v: str, colour: str, direction: str = UND) -> list[str]:
+    """Other ends of the normal edges, loops and directed loops at ``v``,
+    with multiplicity, grouped in order of first appearance (for the one-
+    and two-entry lists the clauses read, that is incidence order)."""
+    darts = vertex_darts(g, v)
     out = []
-    for e in g.incident(v):
-        if e.colour != colour:
-            continue
-        if e.kind == "edge" and direction is None:
-            out.append(e.other_end(v))
-        elif e.kind == "loop" and direction is None:
-            out.extend([v, v])
-        elif e.kind == "arc" and direction == "out" and e.tail == v:
-            out.append(e.head)
-        elif e.kind == "arc" and direction == "in" and e.head == v:
-            out.append(e.tail)
-        elif e.kind == "dloop" and direction in ("out", "in"):
-            out.append(v)
+    for w, cnt in darts.ends.get((colour, direction), {}).items():
+        if w == v and direction == UND:
+            cnt -= darts.semis.get(colour, 0)
+        out.extend([w] * cnt)
     return out
 
 
@@ -267,7 +256,7 @@ def build_2sat(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
                 m, l, _ = bg.shape.params
                 if (m, l) == (1, 1):
                     for v in fibre.vertices():
-                        for direction in ("out", "in"):
+                        for direction in (OUT, IN):
                             nbrs = _neighbour_list(fibre, v, colour, direction)
                             if len(nbrs) != 2:
                                 raise InternalCoverError("degree drift in subcase 5D")
@@ -332,195 +321,83 @@ def build_2sat(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
     return sat
 
 
-def _alternation_assignment(fibre: Graph, colour: str, semi_ids: list[str]) -> dict[str, str]:
+def _alternation_assignment(verts: list[str], group, semi_ids: list[str]) -> dict[str, str] | None:
     """Distribute the edges of a union of open paths and even cycles over
-    the two target semi-edges so images alternate at every vertex."""
+    the two target semi-edges so images alternate at every vertex; None
+    for any other shape."""
+    fibre = Graph("fibre")
+    for w in verts:
+        fibre.add_vertex(w, "f")
+    for e in group:
+        fibre.add_edge(e.kind, e.id, "c", *e.ends)
+    if any(e.kind == "loop" for e in group) or any(len(fibre.incident(v)) != 2 for v in verts):
+        return None
     s0, s1 = semi_ids
     fe: dict[str, str] = {}
     for comp in components(fibre):
-        sub = project(fibre, vertices=comp)
-        incid = {v: [e for e in sub.incident(v)] for v in comp}
-        start = None
-        for v in comp:
-            if any(e.kind == "semi" for e in incid[v]) or len(incid[v]) == 1:
-                start = v
-                break
-        toggle = 0
-        v = comp[0] if start is None else start
+        # a path starts at a semi-edge end; a cycle anywhere
+        start = next((v for v in comp if any(e.kind == "semi" for e in fibre.incident(v))), None)
+        v, toggle = (comp[0], 0) if start is None else (start, 1)
         if start is not None:
-            first_semi = next((e for e in sub.incident(v) if e.kind == "semi"), None)
-            if first_semi is not None:
-                fe[first_semi.id] = s0
-                toggle = 1
+            fe[next(e for e in fibre.incident(v) if e.kind == "semi").id] = s0
         while True:
-            pend = [e for e in sub.incident(v) if e.id not in fe]
-            if not pend:
+            e = next((e for e in fibre.incident(v) if e.id not in fe), None)
+            if e is None:
                 break
-            e = pend[0]
             fe[e.id] = s1 if toggle else s0
             toggle ^= 1
             if e.kind == "semi":
                 break
             v = e.other_end(v)
+        if start is None and toggle:
+            return None  # odd cycle
     return fe
+
+
+def _matching_semi_step(gn: Graph, matchings: dict):
+    """The solver's step for fibres over semi-edges.  Over one semi-edge it
+    takes the fibre's semi-edges plus a perfect matching of the other
+    vertices (recorded under (target vertex, colour), or found here); over
+    two semi-edges and no loop, alternating images."""
+
+    def step(x, colour, verts, group, semi_ids, loop_ids):
+        if len(semi_ids) == 2 and not loop_ids:
+            return _alternation_assignment(verts, group, semi_ids)
+        if len(semi_ids) != 1:
+            return None
+        semi_verts = {e.u for e in group if e.kind == "semi"}
+        matching = matchings.get((x, colour))
+        if matching is None:
+            rest = project(gn, vertices=[w for w in verts if w not in semi_verts], colours=[colour])
+            matching = mt.general_perfect_matching(rest) or []
+        else:
+            in_fibre = {e.id for e in group}
+            matching = [eid for eid in matching if eid in in_fibre]
+        placed = {e.id: semi_ids[0] for e in group if e.kind == "semi"}
+        covered = set(semi_verts)
+        for eid in matching:
+            placed[eid] = semi_ids[0]
+            covered.update(gn.edge(eid).ends)
+        return placed if covered == set(verts) else None
+
+    return step
 
 
 def complete_edge_mapping(gn: Graph, hn: Graph, fv: dict[str, str],
                           matchings: dict | None = None,
-                          ph: Partition | None = None,
                           trace: SolveTrace | None = None) -> dict[str, str]:
     """Extend a degree-obedient vertex mapping to a full edge mapping.
 
-    Forced where the target edge is unique; parallel bundles between two
-    fibres via bipartite factorization; loop bundles via 2-factorization;
-    semi-edge classes via the recorded (or recomputed) matchings and
-    alternation.  Inconsistencies raise InternalCoverError since they mean
-    the earlier phases let something slip."""
-    if ph is None:
-        ph, _ = degree_partition(hn)
-    matchings = matchings or {}
-    fe: dict[str, str] = {}
-    pair_groups: dict = {}
-    intra_und: dict = {}
-    intra_dir: dict = {}
-    for e in gn.edges():
-        if e.kind == "edge":
-            x, y = fv[e.u], fv[e.v]
-            if x != y:
-                pair_groups.setdefault(("edge", e.colour, frozenset((x, y))), []).append(e)
-            else:
-                intra_und.setdefault((e.colour, x), []).append(e)
-        elif e.kind == "arc":
-            x, y = fv[e.tail], fv[e.head]
-            if x != y:
-                pair_groups.setdefault(("arc", e.colour, (x, y)), []).append(e)
-            else:
-                intra_dir.setdefault((e.colour, x), []).append(e)
-        elif e.kind in ("loop", "semi"):
-            intra_und.setdefault((e.colour, fv[e.u]), []).append(e)
-        else:
-            intra_dir.setdefault((e.colour, fv[e.u]), []).append(e)
-
-    h_by: dict = {}
-    for e in hn.edges():
-        if e.kind == "edge":
-            h_by.setdefault(("edge", e.colour, frozenset(e.ends)), []).append(e.id)
-        elif e.kind == "arc":
-            h_by.setdefault(("arc", e.colour, (e.tail, e.head)), []).append(e.id)
-        else:
-            h_by.setdefault((e.kind, e.colour, e.u), []).append(e.id)
-    for ids in h_by.values():
-        ids.sort()
-
-    def log(msg):
-        if trace is not None:
-            trace.completion.append(msg)
-
-    for key in sorted(pair_groups, key=repr):
-        kind, colour, loc = key
-        group = pair_groups[key]
-        h_ids = h_by.get(key, [])
-        if not h_ids:
-            raise InternalCoverError(f"no target edge for group {key}")
-        if len(h_ids) == 1:
-            for e in group:
-                fe[e.id] = h_ids[0]
-            log(f"forced {len(group)} edges onto {h_ids[0]}")
-            continue
-        if kind == "edge":
-            x = sorted(loc)[0]
-            items = [
-                (e.id, ("L", e.u if fv[e.u] == x else e.v), ("R", e.v if fv[e.u] == x else e.u))
-                for e in group
-            ]
-        else:
-            items = [(e.id, ("L", e.tail), ("R", e.head)) for e in group]
-        try:
-            parts = mt.bipartite_peel(items, len(h_ids))
-        except mt.MatchingError as exc:
-            raise InternalCoverError(f"fibre-pair group {key} not factorizable: {exc}") from exc
-        for he, part in zip(h_ids, parts):
-            for eid in part:
-                fe[eid] = he
-        log(f"factorized {len(group)} edges into {len(h_ids)} bundles at {key}")
-
-    for (colour, x), group in sorted(intra_dir.items()):
-        h_ids = h_by.get(("dloop", colour, x), [])
-        if not h_ids:
-            raise InternalCoverError(f"no directed loop target at {x} for colour {colour}")
-        sub = Graph("fibre")
-        verts = sorted(w for w, img in fv.items() if img == x)
-        for w in verts:
-            sub.add_vertex(w, "f")
-        for e in group:
-            sub.add_edge(e.kind, e.id, colour, *e.ends)
-        try:
-            factors = mt.directed_cycle_cover_decomposition(sub, len(h_ids))
-        except mt.MatchingError as exc:
-            raise InternalCoverError(f"directed fibre at {x} not decomposable: {exc}") from exc
-        for he, factor in zip(h_ids, factors):
-            for eid in factor:
-                fe[eid] = he
-        log(f"directed decomposition of {len(group)} arcs at fibre {x}")
-
-    for (colour, x), group in sorted(intra_und.items()):
-        semi_ids = h_by.get(("semi", colour, x), [])
-        loop_ids = h_by.get(("loop", colour, x), [])
-        verts = sorted(w for w, img in fv.items() if img == x)
-        s = len(semi_ids)
-        if s == 0:
-            if any(e.kind == "semi" for e in group):
-                raise InternalCoverError(f"semi-edge over a semi-free fibre {x}")
-            residual = group
-        elif s == 1:
-            block_idx = ph.block_of[x]
-            rec = matchings.get((block_idx, colour))
-            g_semis = [e for e in group if e.kind == "semi"]
-            semi_verts = {e.u for e in g_semis}
-            if rec is None:
-                rest_vs = [w for w in verts if w not in semi_verts]
-                rest = project(gn, vertices=rest_vs, colours=[colour])
-                rec_local = mt.general_perfect_matching(rest)
-                if rec_local is None:
-                    raise InternalCoverError(f"no completion matching in fibre {x}")
-            else:
-                in_fibre = {e.id for e in group}
-                rec_local = [eid for eid in rec if eid in in_fibre]
-            for e in g_semis:
-                fe[e.id] = semi_ids[0]
-            for eid in rec_local:
-                fe[eid] = semi_ids[0]
-            covered = set(semi_verts)
-            for eid in rec_local:
-                covered.update(gn.edge(eid).ends)
-            if covered != set(verts):
-                raise InternalCoverError(f"semi-edge class does not span fibre {x}")
-            residual = [e for e in group if e.id not in fe]
-        elif s == 2 and not loop_ids:
-            fibre = Graph("fibre")
-            for w in verts:
-                fibre.add_vertex(w, "f")
-            for e in group:
-                fibre.add_edge(e.kind, e.id, colour, *e.ends)
-            fe.update(_alternation_assignment(fibre, colour, semi_ids))
-            residual = []
-        else:
-            raise InternalCoverError(f"unexpected semi-edge structure at fibre {x}")
-        if residual or loop_ids:
-            sub = Graph("fibre")
-            for w in verts:
-                sub.add_vertex(w, "f")
-            for e in residual:
-                sub.add_edge(e.kind, e.id, colour, *e.ends)
-            try:
-                factors = mt.two_factorization(sub, len(loop_ids))
-            except mt.MatchingError as exc:
-                raise InternalCoverError(f"fibre at {x} not 2-factorizable: {exc}") from exc
-            for he, factor in zip(loop_ids, factors):
-                for eid in factor:
-                    fe[eid] = he
-        log(f"fibre {x} colour {colour}: {len(group)} edges distributed")
-    return fe
+    Grouping, peeling and 2-factorization are shared with the oracle
+    (``covers._realize_edges``); fibres over semi-edges take the solver's
+    own step, with ``matchings`` keyed (target vertex, colour).  A map
+    that does not extend raises InternalCoverError, since it means the
+    earlier phases let something slip."""
+    log = trace.completion.append if trace is not None else None
+    try:
+        return _realize_edges(gn, hn, fv, _matching_semi_step(gn, matchings or {}), log)
+    except NotExtendable as exc:
+        raise InternalCoverError(str(exc)) from exc
 
 
 def companion_mapping(h: Graph, part: Partition, fv: dict[str, str]) -> dict[str, str]:
@@ -579,7 +456,8 @@ def solve_cover(g: Graph, h: Graph) -> SolveResult:
             b_i, c_i = target
             for u in block:
                 fv[u] = b_i if assignment.get(u, True) else c_i
-    fe = complete_edge_mapping(gn, hn, fv, trace.matchings, phn, trace)
+    matchings = {(x, c): ids for (i, c), ids in trace.matchings.items() for x in phn.blocks[i]}
+    fe = complete_edge_mapping(gn, hn, fv, matchings, trace)
     projection = CoveringProjection(fv, fe)
     check = verify_cover(g, h, projection)
     if not check.ok:

@@ -14,7 +14,6 @@ import random
 
 from coverkit import Graph
 from coverkit.graphs import IN, OUT, UND
-from coverkit.covers import _target_caps, _vertex_data  # noqa: the test suite peeks
 
 
 def _doublet(name, k, m, l, p, q, colour="e", vc="Q"):

@@ -125,3 +125,28 @@ def test_input_error(files, capsys, tmp_path):
     p.write_text("vertex before graph\n")
     code = main(["classify", str(p)])
     assert code == 3
+
+
+def test_verify_certificate_without_fv(files, capsys, tmp_path):
+    _, write = files
+    g = write("c4.graph", cycle(4))
+    h = write("w2.graph", two_vertex_w(0, 0, 2, 0, 0))
+    bad = tmp_path / "nofv.json"
+    bad.write_text(json.dumps({"fe": {"e0": "c0"}}))
+    assert main(["verify", g, h, str(bad)]) == 3
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+def test_oracle_rejects_negative_budget_flag(files, capsys):
+    _, write = files
+    c4, f20 = write("c4.graph", cycle(4)), write("f20.graph", one_vertex(semis=2))
+    assert main(["oracle", c4, f20, "--budget", "-5"]) == 3
+    assert "budget" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_oracle_rejects_non_integer_budget_env(files, capsys, monkeypatch):
+    _, write = files
+    c4, f20 = write("c4.graph", cycle(4)), write("f20.graph", one_vertex(semis=2))
+    monkeypatch.setenv("COVERKIT_BUDGET", "lots")
+    assert main(["oracle", c4, f20]) == 3
+    assert "budget" in json.loads(capsys.readouterr().err)["error"]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from coverkit import (
+    CoveringProjection,
     Graph,
     UnsupportedTarget,
     companion_mapping,
@@ -14,6 +15,7 @@ from coverkit import (
     verify_cover,
 )
 from coverkit.gadgets import fw_target, fw2_target
+from coverkit.covers import InternalCoverError
 from coverkit.solver import complete_edge_mapping
 
 from conftest import complete_graph, cycle, disjoint_union, one_vertex, path, two_vertex_w, two_vertex_wd
@@ -26,6 +28,18 @@ def test_solve_even_cycle_onto_double_edge():
     assert res.yes
     assert verify_cover(cycle(6), h, res.projection).ok
     assert solve_cover(cycle(5), h).status == "no"
+
+
+def test_completion_refuses_odd_cycle_over_two_semi_edges():
+    # a triangle has no alternating assignment onto two semi-edges, so the
+    # vertex map does not extend and completion must say so, not return
+    # a map that verify_cover rejects
+    f20 = one_vertex(semis=2)
+    with pytest.raises(InternalCoverError):
+        complete_edge_mapping(cycle(3), f20, {f"v{i}": "x" for i in range(3)})
+    fv = {f"v{i}": "x" for i in range(4)}
+    fe = complete_edge_mapping(cycle(4), f20, fv)
+    assert verify_cover(cycle(4), f20, CoveringProjection(fv, fe)).ok
 
 
 def test_solve_matrix_mismatch():
