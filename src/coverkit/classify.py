@@ -251,8 +251,7 @@ def verdict(h: Graph) -> Verdict:
         sizes = [len(part.blocks[i]) for i in oversized]
         return Verdict(UNSUPPORTED, f"degree partition has blocks of sizes {sizes}; only blocks of at most 2 are characterized")
     hn = normalize_colours(hr, part)
-    pn, _ = degree_partition(hn)
-    shapes = block_shapes(hn, pn)
+    shapes = block_shapes(hn, part)
     dangerous = None
     for bg in shapes:
         cls = classify_shape(bg.shape)

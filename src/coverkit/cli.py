@@ -1,8 +1,8 @@
 """Command-line front door.
 
 Exit codes: 0 success / covers, 1 negative answer, 2 unsupported or
-refused or unknown, 3 input error.  All results are JSON on stdout;
-``--pretty`` indents it.
+refused or unknown, 3 input error (a usage error included).  All results
+are JSON on stdout, errors JSON on stderr; ``--pretty`` indents results.
 """
 
 from __future__ import annotations
@@ -23,6 +23,14 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_REFUSED = 2
 EXIT_INPUT = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error: JSON on stderr, exit 3."""
+
+    def error(self, message):
+        print(json.dumps({"error": f"{self.prog}: {message}"}), file=sys.stderr)
+        sys.exit(EXIT_INPUT)
 
 
 def _load(path: str) -> Graph:
@@ -62,8 +70,7 @@ def cmd_classify(args) -> int:
         part, _ = degree_partition(hr)
         if all(len(b) <= 2 for b in part.blocks):
             hn = normalize_colours(hr, part)
-            pn, _ = degree_partition(hn)
-            for bg in block_shapes(hn, pn):
+            for bg in block_shapes(hn, part):
                 shapes.append({
                     "blocks": list(bg.blocks),
                     "colour": bg.colour,
@@ -231,7 +238,7 @@ def cmd_dot(args) -> int:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="coverkit", description="graph cover decision toolkit")
+    ap = _Parser(prog="coverkit", description="graph cover decision toolkit")
     ap.add_argument("--pretty", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 

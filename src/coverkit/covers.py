@@ -86,7 +86,7 @@ def _h_edge_index(h: Graph) -> dict:
     by: dict = {}
     for e in h.edges():
         if e.kind == "edge":
-            key = ("edge", e.colour, frozenset(e.ends))
+            key = ("edge", e.colour, tuple(sorted(e.ends)))
         elif e.kind == "arc":
             key = ("arc", e.colour, (e.tail, e.head))
         else:
@@ -107,7 +107,7 @@ def _candidates_for(e, fv, by) -> list[str]:
     if e.kind == "edge":
         y = fv[e.ends[1]]
         if x != y:
-            return by.get(("edge", a, frozenset((x, y))), [])
+            return by.get(("edge", a, (x, y) if x < y else (y, x)), [])
         return by.get(("loop", a, x), []) + by.get(("semi", a, x), [])
     if e.kind == "arc":
         y = fv[e.head]
@@ -726,7 +726,7 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
     for e in g.edges():
         x, y = fv[e.ends[0]], fv[e.ends[-1]]
         if x != y:
-            loc = frozenset((x, y)) if e.kind == "edge" else (x, y)
+            loc = (y, x) if e.kind == "edge" and y < x else (x, y)
             pairs.setdefault((e.kind, e.colour, loc), []).append(e)
         elif e.directed:
             intra_dir.setdefault((e.colour, x), []).append(e)
@@ -743,7 +743,7 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
             for eid in part:
                 fe[eid] = he
 
-    for key in sorted(pairs, key=repr):
+    for key in sorted(pairs):
         kind, colour, loc = key
         group, h_ids = pairs[key], by.get(key, [])
         if not h_ids:
@@ -754,7 +754,7 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
             log(f"forced {len(group)} edges onto {h_ids[0]}")
             continue
         if kind == "edge":
-            x = min(loc)
+            x = loc[0]
             items = [(e.id, ("L", e.u if fv[e.u] == x else e.v), ("R", e.v if fv[e.u] == x else e.u))
                      for e in group]
         else:
@@ -826,7 +826,9 @@ def _exact_semi_step(h: Graph, budget_box):
 
 def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Complete within budget: 'yes' with a verified certificate, 'no', or
-    'unknown' when the node budget ran out."""
+    'unknown' when the node budget ran out.  The budget must be at least 1."""
+    if budget < 1:
+        raise ValueError(f"the node budget must be at least 1, got {budget}")
     if h.n == 0:
         if g.n == 0:
             return OracleResult("yes", CoveringProjection({}, {}))

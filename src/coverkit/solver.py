@@ -419,8 +419,7 @@ def solve_cover(g: Graph, h: Graph) -> SolveResult:
     if any(len(b) > 2 for b in ph.blocks):
         raise UnsupportedTarget("target has a degree-partition block of more than 2 vertices")
     hn = normalize_colours(h, ph)
-    phn, _ = degree_partition(hn)
-    shapes = block_shapes(hn, phn)
+    shapes = block_shapes(hn, ph)
     for bg in shapes:
         cls = classify_shape(bg.shape)
         if cls != HARMLESS:
@@ -434,13 +433,13 @@ def solve_cover(g: Graph, h: Graph) -> SolveResult:
     trace.matrix_ok = True
     gn = normalize_colours(g, pg)
 
-    if not check_singletons(gn, hn, pg, phn, shapes, trace):
+    if not check_singletons(gn, hn, pg, ph, shapes, trace):
         trace.failure = "singleton block check failed"
         return SolveResult("no", None, trace)
-    if not preprocess_doublets(gn, hn, pg, phn, shapes, trace):
+    if not preprocess_doublets(gn, hn, pg, ph, shapes, trace):
         trace.failure = "doublet preprocessing failed"
         return SolveResult("no", None, trace)
-    sat = build_2sat(gn, hn, pg, phn, shapes, trace)
+    sat = build_2sat(gn, hn, pg, ph, shapes, trace)
     assignment = sat.solve()
     if assignment is None:
         trace.failure = "2-SAT unsatisfiable"
@@ -448,7 +447,7 @@ def solve_cover(g: Graph, h: Graph) -> SolveResult:
     trace.assignment = assignment
     fv: dict[str, str] = {}
     for i, block in enumerate(pg.blocks):
-        target = phn.blocks[i]
+        target = ph.blocks[i]
         if len(target) == 1:
             for u in block:
                 fv[u] = target[0]
@@ -456,7 +455,7 @@ def solve_cover(g: Graph, h: Graph) -> SolveResult:
             b_i, c_i = target
             for u in block:
                 fv[u] = b_i if assignment.get(u, True) else c_i
-    matchings = {(x, c): ids for (i, c), ids in trace.matchings.items() for x in phn.blocks[i]}
+    matchings = {(x, c): ids for (i, c), ids in trace.matchings.items() for x in ph.blocks[i]}
     fe = complete_edge_mapping(gn, hn, fv, matchings, trace)
     projection = CoveringProjection(fv, fe)
     check = verify_cover(g, h, projection)

@@ -73,6 +73,20 @@ def two_vertex_wd(m, l, colour="d", vc="n"):
     return g
 
 
+def looped_triangle_with_tails(*tails, colour="e", vc="n"):
+    """A triangle with a loop at ``v0``, plus one pendant path at ``v0`` per
+    entry of ``tails``, of that many vertices."""
+    g = cycle(3, colour, vc, name="tails")
+    g.add_edge("loop", "la", colour, "v0")
+    for t, length in enumerate(tails):
+        prev = "v0"
+        for i in range(length):
+            g.add_vertex(f"t{t}.{i}", vc)
+            g.add_edge("edge", f"q{t}.{i}", colour, prev, f"t{t}.{i}")
+            prev = f"t{t}.{i}"
+    return g
+
+
 def complete_graph(n, colour="e", vc="n"):
     g = Graph(f"k{n}")
     for i in range(n):

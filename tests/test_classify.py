@@ -11,7 +11,7 @@ from coverkit import (
 from coverkit.classify import DANGEROUS, HARMFUL, HARMLESS, NP_COMPLETE, POLYNOMIAL, UNSUPPORTED, ShapeError
 from coverkit.gadgets import fw2_target, fw_target, wd_target
 
-from conftest import complete_graph, cycle, one_vertex, two_vertex_w, two_vertex_wd
+from conftest import complete_graph, cycle, looped_triangle_with_tails, one_vertex, two_vertex_w, two_vertex_wd
 
 
 def test_recognize_single_vertex():
@@ -155,3 +155,10 @@ def test_classify_total_over_wider_sweep():
         assert classify_shape(SmallShape("W", (k, m, l, p, q))) in ("harmless", "harmful")
     for m, l in it.product(range(7), repeat=2):
         assert classify_shape(SmallShape("WD", (m, l, m))) in ("harmless", "harmful")
+
+
+@pytest.mark.parametrize("tails", [(5000,), (2500, 2500)], ids=["tadpole", "broom"])
+def test_verdict_deep_pending_trees(tails):
+    # pending trees deeper than the recursion limit prune like shallow ones
+    v = verdict(looped_triangle_with_tails(*tails))
+    assert v.kind == POLYNOMIAL

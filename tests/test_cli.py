@@ -5,7 +5,7 @@ import pytest
 from coverkit import serialize_graph
 from coverkit.cli import main
 
-from conftest import cycle, one_vertex, two_vertex_w
+from conftest import cycle, looped_triangle_with_tails, one_vertex, two_vertex_w
 
 
 @pytest.fixture()
@@ -150,3 +150,23 @@ def test_oracle_rejects_non_integer_budget_env(files, capsys, monkeypatch):
     monkeypatch.setenv("COVERKIT_BUDGET", "lots")
     assert main(["oracle", c4, f20]) == 3
     assert "budget" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_usage_error_is_an_input_error(files, capsys):
+    _, write = files
+    c4, f20 = write("c4.graph", cycle(4)), write("f20.graph", one_vertex(semis=2))
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", c4, f20, "--budget", "abc"])
+    assert exc.value.code == 3
+    assert "--budget" in json.loads(capsys.readouterr().err)["error"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
+def test_classify_deep_pending_tree(files, capsys):
+    _, write = files
+    h = write("tadpole.graph", looped_triangle_with_tails(5000))
+    code, out = run(capsys, "classify", h)
+    assert code == 0
+    assert out["verdict"] == "polynomial" and out["shapes"]

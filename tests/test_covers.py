@@ -89,6 +89,13 @@ def test_oracle_loops_vs_semis():
     assert oracle_cover(g, one_vertex(loops=1)).yes
 
 
+def test_oracle_rejects_budget_below_one():
+    with pytest.raises(ValueError):
+        oracle_cover(one_vertex(), one_vertex(), budget=-5)
+    with pytest.raises(ValueError):
+        oracle_cover(cycle(4), cycle(4), budget=0)
+
+
 def test_oracle_budget_unknown():
     res = oracle_cover(cycle(12), cycle(3), budget=2)
     assert res.status == "unknown"

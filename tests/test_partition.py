@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -14,9 +15,19 @@ from coverkit import (
     serialize_graph,
 )
 from coverkit.gadgets import limping_tripod
+from coverkit.graphs import dart_counts
 from coverkit.partition import is_equitable
 
-from conftest import complete_bipartite, complete_graph, cycle, one_vertex, random_multigraph, two_vertex_w
+from conftest import (
+    complete_bipartite,
+    complete_graph,
+    cycle,
+    looped_triangle_with_tails,
+    one_vertex,
+    path,
+    random_multigraph,
+    two_vertex_w,
+)
 
 
 def test_star_partition():
@@ -275,3 +286,134 @@ def test_reduction_invariance_with_arcs():
         assert want.yes == got.yes, trial
         agree += 1
     assert agree >= 40
+
+
+# the refinement against a round-by-round reference ---------------------------
+
+
+def reference_partition(g):
+    """Colour refinement that re-signs every vertex in every round: the
+    definition of the canonical degree partition, kept to check the
+    incremental one.  Returns (blocks, block_of, matrix entries)."""
+
+    def signature(v, block_of):
+        sig = []
+        for (colour, dtag), targets in dart_counts(g, v).items():
+            per_block = {}
+            for w, cnt in targets.items():
+                per_block[block_of[w]] = per_block.get(block_of[w], 0) + cnt
+            sig.extend((colour, dtag, b, cnt) for b, cnt in per_block.items())
+        return tuple(sorted(sig))
+
+    colours = sorted({g.vertex_colour(v) for v in g.vertices()})
+    blocks = [sorted(v for v in g.vertices() if g.vertex_colour(v) == c) for c in colours]
+    block_of = {v: i for i, b in enumerate(blocks) for v in b}
+    while True:
+        new_blocks = []
+        for block in blocks:
+            groups = {}
+            for v in block:
+                groups.setdefault(signature(v, block_of), []).append(v)
+            new_blocks.extend(sorted(groups[sig]) for sig in sorted(groups))
+        if len(new_blocks) == len(blocks):
+            break
+        blocks = new_blocks
+        block_of = {v: i for i, b in enumerate(blocks) for v in b}
+    entries = {}
+    for i, block in enumerate(blocks):
+        for (colour, dtag), targets in dart_counts(g, block[0]).items():
+            for w, cnt in targets.items():
+                key = (i, block_of[w], colour, dtag)
+                entries[key] = entries.get(key, 0) + cnt
+    return blocks, block_of, entries
+
+
+def assert_matches_reference(g):
+    part, matrix = degree_partition(g)
+    blocks, block_of, entries = reference_partition(g)
+    assert part.blocks == blocks
+    assert part.block_of == block_of
+    assert matrix.k == len(blocks) and matrix.entries == entries
+
+
+@st.composite
+def mixed_multigraphs(draw):
+    """Coloured mixed multigraphs with edges, arcs, loops, directed loops
+    and semi-edges; few vertex colours, so refinement has work to do."""
+    n = draw(st.integers(1, 10))
+    g = Graph("drawn")
+    for i in range(n):
+        g.add_vertex(f"v{i}", draw(st.sampled_from(("p", "p", "q"))))
+    slots = st.tuples(st.sampled_from(("edge", "edge", "arc", "loop", "dloop", "semi")),
+                      st.integers(0, n - 1), st.integers(0, n - 1), st.booleans())
+    for j, (kind, a, b, alt) in enumerate(draw(st.lists(slots, max_size=3 * n))):
+        if kind in ("edge", "arc"):
+            if a == b:
+                continue
+            g.add_edge(kind, f"e{j}", ("d", "c")[alt] if kind == "arc" else ("e", "f")[alt], f"v{a}", f"v{b}")
+        else:
+            g.add_edge(kind, f"e{j}", ("d", "c")[alt] if kind == "dloop" else ("e", "f")[alt], f"v{a}")
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_multigraphs(), st.randoms(use_true_random=False))
+def test_refinement_matches_reference_and_relabelling(g, rng):
+    assert_matches_reference(g)
+    names = g.vertices()
+    shuffled = names[:]
+    rng.shuffle(shuffled)
+    ren = dict(zip(names, shuffled))
+    g2 = Graph("relabelled")
+    for v in reversed(names):
+        g2.add_vertex(ren[v], g.vertex_colour(v))
+    for e in g.edges():
+        g2.add_edge(e.kind, e.id, e.colour, *[ren[w] for w in e.ends])
+    assert degree_partition(g2)[1] == degree_partition(g)[1]
+    assert_matches_reference(g2)
+
+
+def tadpole(cycle_length, tail):
+    g = cycle(cycle_length)
+    prev = "v0"
+    for i in range(tail):
+        g.add_vertex(f"t{i}", "n")
+        g.add_edge("edge", f"q{i}", "e", prev, f"t{i}")
+        prev = f"t{i}"
+    return g
+
+
+@pytest.mark.parametrize("g", [path(n) for n in (1, 2, 3, 4, 7, 8, 60, 301)]
+                         + [tadpole(5, 150), tadpole(4, 301), tadpole(7, 2)]
+                         + [looped_triangle_with_tails(40, 40), looped_triangle_with_tails(30, 61)],
+                         ids=lambda g: f"{g.name}-{g.n}")
+def test_refinement_matches_reference_on_long_chains(g):
+    # single-colour chains need about n/2 rounds, each splitting off a
+    # little: the case the incremental rounds are for
+    assert_matches_reference(g)
+
+
+def test_normalize_keeps_block_order_past_999_blocks():
+    # block colours b0..b1000 must sort in block order, else the
+    # normalized graph refines into a different order than its partition
+    g = Graph("coloured-path")
+    for i in range(1001):
+        g.add_vertex(f"v{i}", f"x{i}")
+    for i in range(1000):
+        g.add_edge("edge", f"e{i}", "e", f"v{i}", f"v{i + 1}")
+    part, _ = degree_partition(g)
+    assert part.k == 1001
+    assert degree_partition(normalize_colours(g, part))[0].blocks == part.blocks
+
+
+@pytest.mark.parametrize("tails", [(5000,), (2500, 2500)], ids=["tadpole", "broom"])
+def test_reduce_deep_pending_trees(tails):
+    # a pending path deeper than the recursion limit, and two equal deep
+    # branches whose codes must compare equal without nesting
+    g = looped_triangle_with_tails(*tails)
+    red, record = degree_adjust(g)
+    assert red.n == 1 and red.m == 2
+    assert len(json.loads(record.to_json())["subtrees"]) == max(tails)
+    twin = looped_triangle_with_tails(*tails)
+    red2, _ = degree_adjust(twin, record)
+    assert red2.vertex_colours() == red.vertex_colours()

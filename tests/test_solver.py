@@ -1,6 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import coverkit
 
 from coverkit import (
     CoveringProjection,
@@ -220,3 +226,49 @@ def test_solver_oracle_agreement_deep():
             assert res.yes == check.yes, (name, trial, g.n)
             if res.yes:
                 assert verify_cover(g, h, res.projection).ok
+
+
+def test_self_cover_with_more_than_999_blocks():
+    # 1001 singleton blocks: the normalized target must keep the block
+    # order of its partition, or completion finds no target edge
+    h = Graph("coloured-path")
+    for i in range(1001):
+        h.add_vertex(f"v{i}", f"x{i}")
+    for i in range(1000):
+        h.add_edge("edge", f"e{i}", "e", f"v{i}", f"v{i + 1}")
+    res = solve_cover(h.copy("g"), h)
+    assert res.yes
+    assert res.projection.fv == {v: v for v in h.vertices()}
+
+
+_COMPLETION_SCRIPT = """
+import json
+from coverkit import Graph, solve_cover
+h = Graph("w3")
+for x in "xy":
+    h.add_vertex(x, "n")
+for i in range(3):
+    h.add_edge("edge", f"c{i}", "e", "x", "y")
+g = Graph("lift")
+for i in range(4):
+    g.add_vertex(f"a{i}", "n")
+    g.add_vertex(f"b{i}", "n")
+for i in range(4):
+    for s in range(3):
+        g.add_edge("edge", f"e{i}{s}", "e", f"a{i}", f"b{(i + s) % 4}")
+res = solve_cover(g, h)
+print(json.dumps([res.trace.to_dict()["completion"], res.projection.to_json()]))
+"""
+
+
+def test_completion_trace_ignores_hash_seed():
+    # a 4-fold lift of a triple edge: one fibre-pair group, whose key the
+    # completion log prints
+    src = os.path.dirname(os.path.dirname(coverkit.__file__))
+    runs = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _COMPLETION_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        runs.append(json.loads(out))
+    assert runs[0][0] and all(run == runs[0] for run in runs)
