@@ -1,8 +1,9 @@
 """Command-line front door.
 
 Exit codes: 0 success / covers, 1 negative answer, 2 unsupported or
-refused or unknown, 3 input error (a usage error included).  All results
-are JSON on stdout, errors JSON on stderr; ``--pretty`` indents results.
+refused or unknown (an internal error included), 3 input error (a usage
+error included).  All results are JSON on stdout, errors JSON on stderr;
+``--pretty`` indents results.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import gadgets
 from .classify import block_shapes, classify_shape, verdict
@@ -298,6 +300,11 @@ def main(argv=None) -> int:
     except (GraphError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # a crash is no answer: it must not read as exit 1, "does not cover"
+        print(json.dumps({"error": f"internal error: {type(exc).__name__}: {exc}",
+                          "traceback": traceback.format_exc()}), file=sys.stderr)
+        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

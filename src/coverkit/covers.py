@@ -7,10 +7,11 @@ image vertex.  Semi-edges contribute one dart, loops two, directed loops
 one in- and one out-dart.  For disconnected targets all vertex fibres
 must additionally have the same size (equitable covers).
 
-The oracle here is the package's ground truth: a complete backtracking
+The oracle here is the package's ground truth: one complete backtracking
 search over block-respecting vertex maps with capacity propagation,
-followed by an exact per-fibre edge assignment.  It is deliberately
-independent of the polynomial solver's decision logic.
+followed by an exact per-fibre edge assignment, both drawing on one node
+budget.  It is deliberately independent of the polynomial solver's
+decision logic.
 """
 
 from __future__ import annotations
@@ -169,6 +170,8 @@ def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
             violations.append(f"vertex {v} maps to unknown vertex {f.fv[v]}")
         elif h.vertex_colour(f.fv[v]) != g.vertex_colour(v):
             violations.append(f"vertex {v} changes colour")
+    violations += [f"vertex map names {v}, which is not a vertex of the source" for v in f.fv
+                   if not g.has_vertex(v)]
     if violations:
         return VerifyResult(False, violations)
     if g.n == 0 and h.n > 0:
@@ -181,6 +184,8 @@ def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
             violations.append(f"edge {e.id} maps to unknown edge {f.fe[e.id]}")
         elif f.fe[e.id] not in _candidates_for(e, f.fv, by):
             violations.append(f"edge {e.id} -> {f.fe[e.id]} breaks colour or incidence")
+    violations += [f"edge map names {e}, which is not an edge of the source" for e in f.fe
+                   if not g.has_edge(e)]
     if violations:
         return VerifyResult(False, violations)
     for u in g.vertices():
@@ -194,6 +199,7 @@ def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
                 want[(e.id, tag)] += cnt
         if got != want:
             violations.append(f"local bijection broken at vertex {u}")
+    # every key of f.fv is a vertex of g here, so this counts g's vertices
     sizes = fibre_sizes(h, f.fv)
     if len(set(sizes.values())) > 1:
         violations.append(
@@ -279,10 +285,10 @@ def _edge_map_search(g: Graph, h: Graph, fv: dict[str, str], budget_box) -> dict
     todo = set(range(len(edges)))
 
     def rec():
-        if budget_box[0] <= 0:
-            raise BudgetExhausted()
         if not todo:
             return True
+        if budget_box[0] <= 0:
+            raise BudgetExhausted()
         best, best_f = None, None
         for i in list(todo):
             f = feasible(edges[i])
@@ -367,12 +373,14 @@ class _VertexSearch:
 
     Domains are supplied by the caller (block-restricted for the oracle,
     colour/degree-restricted for partial covers).  An optional fibre cap
-    enforces equitability; for connected targets the caller may drop it,
-    since a fully capacity-consistent assignment is automatically
-    equitable there.  Capacities mirror degree obedience: the darts a
-    vertex sends towards any fibre may never exceed the target's
-    multiplicities, and once a capacity is saturated the remaining
-    unassigned neighbours lose that image.
+    enforces equitability: at most ``fibre_cap`` vertices share an image,
+    and a full fibre drops that image from the domains of the unassigned
+    vertices in the same one of ``blocks``.  For connected targets the
+    caller drops the cap, since a fully capacity-consistent assignment is
+    automatically equitable there.  Capacities mirror degree obedience:
+    the darts a vertex sends towards any fibre may never exceed the
+    target's multiplicities, and once a capacity is saturated the
+    remaining unassigned neighbours lose that image.
 
     Without fibre caps all constraints are local (an edge, or a shared
     assigned neighbour), so when the residual constraint graph falls into
@@ -383,8 +391,7 @@ class _VertexSearch:
 
     DECOMPOSE_MIN = 9
 
-    def __init__(self, g, tables: _DartTables, domains, fibre_cap, budget_box, blocks=None,
-                 decompose=None, anchor_order=1):
+    def __init__(self, g, tables: _DartTables, domains, budget_box, fibre_cap=None, blocks=()):
         self.budget = budget_box
         self.darts = tables.g
         self.caps = tables.caps
@@ -396,32 +403,18 @@ class _VertexSearch:
         self.assign: dict[str, str | None] = {u: None for u in self.order}
         self.used: dict[str, Counter] = {u: Counter() for u in self.order}
         self.fibre: Counter = Counter()
-        self.blockmates = self._blockmates(blocks)
+        self.blockmates = {u: [w for w in block if w != u] for block in blocks for u in block}
         # locality bookkeeping: a recency stack plus touch counts keep the
         # search inside one gadget region until it is finished, which is
         # what makes clause/variable instances tractable
         self.touch: Counter = Counter()
         self.recent: list[str] = []
+        # descending names: on the hardness gadgets this order decides
+        # more instances within a budget than ascending or incidence order
         self.nbrs = {
-            u: sorted({w for ctr in cross[u].values() for w in ctr}, reverse=anchor_order < 0)
+            u: sorted({w for ctr in cross[u].values() for w in ctr}, reverse=True)
             for u in self.order
         }
-        self.decompose = (fibre_cap is None) if decompose is None else decompose
-
-    def _blockmates(self, blocks):
-        if blocks is not None:
-            mates = {}
-            for block in blocks:
-                for u in block:
-                    mates[u] = [w for w in block if w != u]
-            return mates
-        groups: dict[frozenset, list[str]] = {}
-        key_of = {}
-        for u in self.order:
-            key = frozenset(self.domains[u])
-            key_of[u] = key
-            groups.setdefault(key, []).append(u)
-        return {u: [w for w in groups[key_of[u]] if w != u] for u in self.order}
 
     # one undo log entry: ("dom", u, x) / ("used", u, key, delta) / ("fibre", x) / ("assign", u)
 
@@ -635,7 +628,7 @@ class _VertexSearch:
             return
         u = self._choose(todo)
         if (
-            self.decompose
+            self.fibre_cap is None
             and len(self.domains[u]) > 1
             and len(todo) >= self.DECOMPOSE_MIN
         ):
@@ -647,9 +640,9 @@ class _VertexSearch:
                 if done:
                     return
         for x in sorted(self.domains[u]):
-            self.budget[0] -= 1
             if self.budget[0] <= 0:
                 raise BudgetExhausted()
+            self.budget[0] -= 1
             ops = self._try_assign(u, x)
             if ops is None:
                 continue
@@ -853,54 +846,28 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
             if not dom:
                 return OracleResult("no")
             domains[u] = dom
-    connected = is_connected(h)
-
-    def run_pass(slice_budget, anchor_order):
-        # returns ("yes", proj) / ("no", None) / ("unknown", None)
-        budget_box = [slice_budget]
-        if connected:
-            # fibre equality is implied for connected targets, so the caps
-            # can go, which in turn lets the search decompose into
-            # independent components
-            search = _VertexSearch(g, tables, domains, None, budget_box, anchor_order=anchor_order)
-        else:
-            search = _VertexSearch(g, tables, domains, r, budget_box, blocks=pg.blocks,
-                                   decompose=False, anchor_order=anchor_order)
-        try:
-            for fv in search.solutions():
-                try:
-                    fe = _realize_edges(g, h, fv, _exact_semi_step(h, budget_box))
-                except NotExtendable:
-                    continue
-                proj = CoveringProjection(fv, fe)
-                check = verify_cover(g, h, proj)
-                if not check.ok:
-                    raise InternalCoverError(
-                        f"oracle built an invalid certificate: {check.violations}"
-                    )
-                return ("yes", proj, slice_budget - budget_box[0])
-            return ("no", None, slice_budget - budget_box[0])
-        except BudgetExhausted:
-            return ("unknown", None, slice_budget)
-
-    # a deterministic portfolio: the branching order that tames one gadget
-    # family can be hopeless on another, so probe both anchor orders with
-    # small slices of the budget before committing the rest
-    slices = [
-        (budget // 16, 1), (budget // 16, -1),
-        (budget * 3 // 16, 1), (budget * 3 // 16, -1),
-        (budget * 4 // 16, 1), (budget * 4 // 16, -1),
-    ]
-    slices = [(b, o) for b, o in slices if b > 0] or [(budget, 1)]
-    spent = 0
-    for slice_budget, order in slices:
-        status, proj, used = run_pass(slice_budget, order)
-        spent += used
-        if status == "yes":
-            return OracleResult("yes", proj, spent)
-        if status == "no":
-            return OracleResult("no", None, spent)
-    return OracleResult("unknown", None, budget)
+    budget_box = [budget]
+    if is_connected(h):
+        # fibre equality is implied for connected targets, so the caps can
+        # go, which in turn lets the search decompose into independent
+        # components
+        search = _VertexSearch(g, tables, domains, budget_box)
+    else:
+        search = _VertexSearch(g, tables, domains, budget_box, fibre_cap=r, blocks=pg.blocks)
+    try:
+        for fv in search.solutions():
+            try:
+                fe = _realize_edges(g, h, fv, _exact_semi_step(h, budget_box))
+            except NotExtendable:
+                continue
+            proj = CoveringProjection(fv, fe)
+            check = verify_cover(g, h, proj)
+            if not check.ok:
+                raise InternalCoverError(f"oracle built an invalid certificate: {check.violations}")
+            return OracleResult("yes", proj, budget - budget_box[0])
+        return OracleResult("no", None, budget - budget_box[0])
+    except BudgetExhausted:
+        return OracleResult("unknown", None, budget)
 
 
 # partial covering projections --------------------------------------------------
@@ -935,7 +902,7 @@ def partial_covers(g: Graph, h: Graph, fix: dict[str, str] | None = None,
             return
         domains[u] = dom
     budget_box = [budget]
-    search = _VertexSearch(g, tables, domains, None, budget_box)
+    search = _VertexSearch(g, tables, domains, budget_box)
     for fv in search.solutions():
         fe = _edge_map_search(g, h, fv, budget_box)
         if fe is None:

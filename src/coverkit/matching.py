@@ -136,23 +136,38 @@ def general_perfect_matching(g: Graph):
 
 
 def _kuhn(left, adj):
+    """A matching of every vertex of ``left``, or None: Kuhn's augmenting
+    paths, by a depth-first search that keeps its path on a list, so long
+    alternating paths need no recursion.  Visits ``adj[u]`` in order."""
     match_r: dict = {}
     match_l: dict = {}
 
-    def try_augment(u, seen):
-        for v in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match_r or try_augment(match_r[v], seen):
-                match_r[v] = u
-                match_l[u] = v
-                return True
+    def try_augment(root):
+        seen = set()
+        stack = [(root, iter(adj[root]))]
+        path: list = []  # path[i]: the right vertex stack[i] tries
+        while stack:
+            for v in stack[-1][1]:
+                if v in seen:
+                    continue
+                seen.add(v)
+                path.append(v)
+                if v not in match_r:
+                    for (u, _), w in zip(reversed(stack), reversed(path)):
+                        match_r[w] = u
+                        match_l[u] = w
+                    return True
+                stack.append((match_r[v], iter(adj[match_r[v]])))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
         return False
 
     for u in left:
         if u not in match_l:
-            if not try_augment(u, set()):
+            if not try_augment(u):
                 return None
     return match_l
 

@@ -137,6 +137,29 @@ def test_verify_certificate_without_fv(files, capsys, tmp_path):
     assert "error" in json.loads(capsys.readouterr().err)
 
 
+def test_verify_certificate_naming_unknown_vertex(capsys, tmp_path):
+    g = tmp_path / "g.graph"
+    g.write_text("graph g\nvertex a n\nloop m e a\n")
+    h = tmp_path / "h.graph"
+    h.write_text("graph h\nvertex x n\nloop l e x\n")
+    cert = tmp_path / "extra.json"
+    cert.write_text(json.dumps({"fv": {"a": "x", "zz": "nope"}, "fe": {"m": "l"}}))
+    code, out = run(capsys, "verify", str(g), str(h), str(cert))
+    assert code == 1
+    assert not out["valid"] and any("zz" in v for v in out["violations"])
+
+
+def test_internal_error_is_not_a_negative_answer(files, capsys, monkeypatch):
+    def crash(g, h):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("coverkit.cli.solve_cover", crash)
+    _, write = files
+    c4, w2 = write("c4.graph", cycle(4)), write("w2.graph", two_vertex_w(0, 0, 2, 0, 0))
+    assert main(["solve", c4, w2]) == 2
+    assert "boom" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_oracle_rejects_negative_budget_flag(files, capsys):
     _, write = files
     c4, f20 = write("c4.graph", cycle(4)), write("f20.graph", one_vertex(semis=2))

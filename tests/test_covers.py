@@ -65,6 +65,24 @@ def test_verify_colour_and_incidence():
     assert not res.ok
 
 
+@pytest.mark.parametrize("fv,fe,named", [
+    ({"a": "x", "zz": "nope"}, {"m": "l"}, "zz"),
+    ({"a": "x", "zz": "x"}, {"m": "l"}, "zz"),
+    ({"a": "x"}, {"m": "l", "mm": "l"}, "mm"),
+])
+def test_verify_reports_keys_outside_the_source(fv, fe, named):
+    g = Graph("g")
+    g.add_vertex("a", "n")
+    g.add_edge("loop", "m", "e", "a")
+    h = Graph("h")
+    h.add_vertex("x", "n")
+    h.add_edge("loop", "l", "e", "x")
+    assert verify_cover(g, h, CoveringProjection({"a": "x"}, {"m": "l"})).ok
+    res = verify_cover(g, h, CoveringProjection(fv, fe))
+    assert not res.ok
+    assert any(named in v for v in res.violations), res.violations
+
+
 def test_oracle_k4_covers_f11():
     res = oracle_cover(complete_graph(4), one_vertex(semis=1, loops=1))
     assert res.yes
@@ -99,7 +117,30 @@ def test_oracle_rejects_budget_below_one():
 def test_oracle_budget_unknown():
     res = oracle_cover(cycle(12), cycle(3), budget=2)
     assert res.status == "unknown"
+    assert res.nodes == 2
     assert oracle_cover(cycle(12), cycle(3)).yes
+
+
+@pytest.mark.parametrize("g,h", [
+    (one_vertex(), one_vertex()),
+    # the last nodes go to the exact edge assignment over the semi-edge
+    (complete_graph(4), one_vertex(semis=1, loops=1)),
+    (cycle(4), one_vertex(semis=2)),
+])
+def test_oracle_answers_within_the_nodes_it_reports(g, h):
+    full = oracle_cover(g, h)
+    assert full.yes
+    exact = oracle_cover(g, h, budget=full.nodes)
+    assert exact.yes and exact.nodes == full.nodes
+
+
+def test_oracle_decides_directed_lift_within_small_budget():
+    from coverkit.gadgets import bc_colouring_brute, directed_lift_wd, random_regular, wd_target
+
+    base, _ = random_regular("bipartite", 3, 7, seed=439499)
+    res = oracle_cover(directed_lift_wd(base, 2, 1), wd_target(2, 1), budget=2000)
+    assert res.status != "unknown"
+    assert res.yes == (bc_colouring_brute(base, 2, 1) is not None)
 
 
 def test_oracle_directed():

@@ -11,7 +11,7 @@ from coverkit import (
     general_perfect_matching,
     two_factorization,
 )
-from coverkit.matching import euler_orientation, maximum_matching
+from coverkit.matching import _kuhn, euler_orientation, maximum_matching
 
 from conftest import complete_bipartite, complete_graph, cycle, one_vertex, petersen
 
@@ -218,3 +218,36 @@ def test_directed_loops():
     g = one_vertex(dloops=3)
     covers = directed_cycle_cover_decomposition(g, 3)
     assert sorted(len(c) for c in covers) == [1, 1, 1]
+
+
+def kuhn_reference(left, adj):
+    """The recursive form of Kuhn's augmenting-path search."""
+    match_r, match_l = {}, {}
+
+    def try_augment(u, seen):
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                if v not in match_r or try_augment(match_r[v], seen):
+                    match_r[v] = u
+                    match_l[u] = v
+                    return True
+        return False
+
+    for u in left:
+        if u not in match_l and not try_augment(u, set()):
+            return None
+    return match_l
+
+
+def test_kuhn_matches_recursive_reference():
+    # the peels must pick the same matchings as the recursive search did
+    rng = random.Random(5)
+    for _ in range(2000):
+        nl, nr = rng.randrange(1, 7), rng.randrange(1, 7)
+        adj = {u: rng.sample(range(nr), rng.randrange(nr + 1)) for u in range(nl)}
+        want = kuhn_reference(list(range(nl)), adj)
+        got = _kuhn(list(range(nl)), adj)
+        assert got == want
+        if want is not None:
+            assert list(got.items()) == list(want.items())

@@ -241,6 +241,25 @@ def test_self_cover_with_more_than_999_blocks():
     assert res.projection.fv == {v: v for v in h.vertices()}
 
 
+def test_solve_long_alternating_paths():
+    # a 2-fold bipartite cycle over a double edge, its edges inserted so
+    # that the completion's matching search follows alternating paths
+    # about n long
+    n = 5000
+    g = Graph(f"bc{n}")
+    for i in range(n):
+        g.add_vertex(f"L{i}", "n")
+        g.add_vertex(f"R{i}", "n")
+    ends = [(i, i + 1) for i in range(n - 1)] + [(n - 1, n - 1)]
+    ends += [(i, i) for i in range(n - 1)] + [(n - 1, 0)]
+    for k, (i, j) in enumerate(ends):
+        g.add_edge("edge", f"e{k}", "e", f"L{i}", f"R{j}")
+    h = two_vertex_w(0, 0, 2, 0, 0)
+    res = solve_cover(g, h)
+    assert res.yes
+    assert verify_cover(g, h, res.projection).ok
+
+
 _COMPLETION_SCRIPT = """
 import json
 from coverkit import Graph, solve_cover
