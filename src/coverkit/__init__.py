@@ -7,6 +7,7 @@ from .graphs import (
     GraphError,
     ParseError,
     classify_component_shape,
+    component_shapes,
     components,
     degree,
     is_connected,

@@ -188,15 +188,19 @@ def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
                    if not g.has_edge(e)]
     if violations:
         return VerifyResult(False, violations)
+    wants: dict[str, Counter] = {}
     for u in g.vertices():
         got: Counter = Counter()
         for e in g.incident(u):
             for tag, cnt in edge_darts(e, u):
                 got[(f.fe[e.id], tag)] += cnt
-        want: Counter = Counter()
-        for e in h.incident(f.fv[u]):
-            for tag, cnt in edge_darts(e, f.fv[u]):
-                want[(e.id, tag)] += cnt
+        x = f.fv[u]
+        want = wants.get(x)
+        if want is None:
+            want = wants[x] = Counter()
+            for e in h.incident(x):
+                for tag, cnt in edge_darts(e, x):
+                    want[(e.id, tag)] += cnt
         if got != want:
             violations.append(f"local bijection broken at vertex {u}")
     # every key of f.fv is a vertex of g here, so this counts g's vertices

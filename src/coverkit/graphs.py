@@ -441,28 +441,67 @@ ODD_CYCLE = "odd_cycle"
 OTHER = "other"
 
 
-def classify_component_shape(g: Graph) -> str:
-    """Classify a connected monochromatic undirected graph.
+def component_shapes(g: Graph) -> list[tuple[list[str], str]]:
+    """The shape of every component of a monochromatic undirected graph.
 
-    Loops count as cycles of length 1 and a pair of parallel edges as a
-    cycle of length 2.  An open path may end in semi-edge stubs, so a lone
-    vertex with two semi-edges is an open path of length zero.
+    One walk over the incidences finds the components, in the order and
+    form of ``components``, and the dart counts that classify them.  Loops
+    count as cycles of length 1 and a pair of parallel edges as a cycle of
+    length 2.  An open path may end in semi-edge stubs, so a lone vertex
+    with two semi-edges is an open path of length zero.
     """
-    if g.n == 0:
-        raise GraphError("empty graph has no shape")
-    if not is_connected(g):
-        raise GraphError("component shape needs a connected graph")
     if len(g.edge_colours()) > 1:
         raise GraphError("component shape needs a monochromatic graph")
     if any(e.directed for e in g.edges()):
         raise GraphError("component shape is defined for undirected graphs")
-    darts = [vertex_darts(g, v) for v in g.vertices()]
-    semis = [sum(t.semis.values()) for t in darts]
-    normal = [sum(sum(to.values()) for to in t.ends.values()) - s for t, s in zip(darts, semis)]
-    if any(n + s > 2 for n, s in zip(normal, semis)):
-        return OTHER
-    if all(n == 2 for n in normal) and not any(semis):
-        return EVEN_CYCLE if g.m % 2 == 0 else ODD_CYCLE
-    if any(n <= 1 for n in normal):
-        return OPEN_PATH
-    return OTHER
+    seen: set[str] = set()
+    out = []
+    for start in g.vertices():
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, stack = [start], [start]
+        darts = 0  # normal darts: twice the edges and loops
+        fits, path_end = True, False
+        while stack:
+            v = stack.pop()
+            normal = semis = 0
+            for e in g.incident(v):
+                if e.kind == "edge":
+                    normal += 1
+                    a, w = e.ends
+                    if w == v:
+                        w = a
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+                        stack.append(w)
+                elif e.kind == "loop":
+                    normal += 2
+                else:
+                    semis += 1
+            darts += normal
+            fits = fits and normal + semis <= 2
+            path_end = path_end or normal <= 1
+        # with at most two darts everywhere and no path end, every vertex
+        # has two normal darts and no semi-edge: a cycle
+        if not fits:
+            shape = OTHER
+        elif path_end:
+            shape = OPEN_PATH
+        else:
+            shape = EVEN_CYCLE if darts % 4 == 0 else ODD_CYCLE
+        out.append((sorted(comp), shape))
+    out.sort()
+    return out
+
+
+def classify_component_shape(g: Graph) -> str:
+    """The shape of a connected monochromatic undirected graph; see
+    ``component_shapes``."""
+    if g.n == 0:
+        raise GraphError("empty graph has no shape")
+    shapes = component_shapes(g)
+    if len(shapes) != 1:
+        raise GraphError("component shape needs a connected graph")
+    return shapes[0][1]

@@ -40,6 +40,9 @@ class ReductionError(GraphError):
 class Partition:
     blocks: list[list[str]]
     block_of: dict[str, int]
+    # the graph degree_partition refined this partition from, checked by
+    # identity in normalize_colours; not settable through the constructor
+    _source: Graph | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -198,6 +201,7 @@ def degree_partition(g: Graph) -> tuple[Partition, RefinementMatrix]:
     blocks = [sorted(members[i]) for i in order]
     block_of = {v: i for i, b in enumerate(blocks) for v in b}
     part = Partition(blocks, block_of)
+    part._source = g
     entries: dict[tuple[int, int, str, str], int] = {}
     for i, block in enumerate(blocks):
         rep = block[0]
@@ -223,6 +227,12 @@ def normalize_colours(g: Graph, part: Partition) -> Graph:
     """Re-colour so blocks are distinguished by vertex colour and every edge
     colour lives within one block or between one block pair.
 
+    A partition that ``degree_partition`` returned for this very graph
+    object is equitable by construction and is used as it is.  Any other
+    partition, made by hand or refined from another graph, is checked
+    first: it must hold every vertex of g exactly once, ``block_of`` must
+    agree with ``blocks``, and it must be equitable; else GraphError.
+
     Interblock directed edges are de-oriented; the direction survives in
     the fresh colour name (tagged by the tail's block) so cover-equivalence
     is preserved.  Vertex and edge ids are untouched and the degree
@@ -230,8 +240,14 @@ def normalize_colours(g: Graph, part: Partition) -> Graph:
     instead of refining the result again.  Block colours are zero-padded
     to one width, so they sort in block order.
     """
-    if not is_equitable(g, part):
-        raise GraphError("partition is not equitable for this graph")
+    if part._source is not g:
+        members = [v for block in part.blocks for v in block]
+        if len(members) != g.n or set(members) != set(g.vertices()) or len(part.block_of) != g.n:
+            raise GraphError("partition does not hold every vertex of the graph exactly once")
+        if any(part.block_of.get(v) != i for i, block in enumerate(part.blocks) for v in block):
+            raise GraphError("partition's block_of disagrees with its blocks")
+        if not is_equitable(g, part):
+            raise GraphError("partition is not equitable for this graph")
     out = Graph(g.name)
     width = max(3, len(str(part.k - 1)))
     for v in g.vertices():

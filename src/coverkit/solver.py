@@ -25,7 +25,7 @@ from .classify import (
     classify_shape,
 )
 from .covers import CoveringProjection, InternalCoverError, NotExtendable, _realize_edges, verify_cover
-from .graphs import Graph, GraphError, classify_component_shape, components, is_connected, project
+from .graphs import Edge, Graph, GraphError, component_shapes, components, is_connected, project
 from .graphs import EVEN_CYCLE, IN, ODD_CYCLE, OPEN_PATH, OUT, UND, vertex_darts
 from .partition import Partition, degree_partition, normalize_colours
 from .twosat import TwoSat
@@ -82,8 +82,38 @@ def _semis_at(g: Graph, v: str, colour: str) -> int:
     return vertex_darts(g, v).semis.get(colour, 0)
 
 
-def _block_subgraph(g: Graph, verts, colour: str) -> Graph:
-    return project(g, vertices=verts, colours=[colour])
+def _fibre_index(gn: Graph, pg: Partition):
+    """``fibre(blocks, colour)``: the subgraph of a normalized source on
+    the given blocks and the edges of one colour, equal to ``project(gn,
+    vertices=blocks' members, colours=[colour])`` down to vertex and edge
+    order, and built at most once.
+
+    After ``normalize_colours`` every edge colour names its block or block
+    pair, so one pass over gn's edges groups every fibre's edges and one
+    pass over its vertices lists every block's members.  The fibres live
+    as long as the returned function.
+    """
+    names = gn.vertices()
+    members: list[list[int]] = [[] for _ in pg.blocks]
+    for k, v in enumerate(names):
+        members[pg.block_of[v]].append(k)
+    edges_of: dict[str, list[Edge]] = {}
+    for e in gn.edges():
+        edges_of.setdefault(e.colour, []).append(e)
+    built: dict = {}
+
+    def fibre(blocks, colour: str) -> Graph:
+        key = (tuple(blocks), colour)
+        sub = built.get(key)
+        if sub is None:
+            sub = built[key] = Graph(gn.name)
+            for k in sorted(k for i in key[0] for k in members[i]):
+                sub.add_vertex(names[k], gn.vertex_colour(names[k]))
+            for e in edges_of.get(colour, ()):
+                sub.add_edge(e.kind, e.id, e.colour, *e.ends)
+        return sub
+
+    return fibre
 
 
 def _record_semi_matching(fibre: Graph, bg: BlockGraph, i: int, subcase: str,
@@ -104,7 +134,7 @@ def _record_semi_matching(fibre: Graph, bg: BlockGraph, i: int, subcase: str,
     return True
 
 
-def check_singletons(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
+def check_singletons(fibres, hn: Graph, ph: Partition,
                      shapes: list[BlockGraph], trace: SolveTrace) -> bool:
     """Singleton target blocks: semi-edge budgets, component shapes for the
     two-semi-edge target, perfect matchings for the one-semi-edge target."""
@@ -116,7 +146,7 @@ def check_singletons(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
             continue
         colour = bg.colour
         fam, params = bg.shape.family, bg.shape.params
-        fibre = _block_subgraph(gn, pg.blocks[i], colour)
+        fibre = fibres(bg.blocks, colour)
         if fam == "FD" or (fam == "F" and params[0] == 0):
             if any(e.kind == "semi" for e in fibre.edges()):
                 trace.step(bg.blocks, colour, "3C", result="stray semi-edge")
@@ -126,8 +156,7 @@ def check_singletons(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
             if not _record_semi_matching(fibre, bg, i, "3B", trace):
                 return False
         elif fam == "F" and params == (2, 0):
-            for comp in components(fibre):
-                shape = classify_component_shape(project(fibre, vertices=comp))
+            for _, shape in component_shapes(fibre):
                 if shape not in (OPEN_PATH, EVEN_CYCLE):
                     trace.step(bg.blocks, colour, "3A", result=f"bad component ({shape})")
                     return False
@@ -137,7 +166,7 @@ def check_singletons(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
     return True
 
 
-def preprocess_doublets(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
+def preprocess_doublets(fibres, hn: Graph, ph: Partition,
                         shapes: list[BlockGraph], trace: SolveTrace) -> bool:
     """Doublet target blocks with semi-edges force vertex images; the
     semi-edge-free doublet shapes reject stray semi-edges outright."""
@@ -150,7 +179,7 @@ def preprocess_doublets(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
         colour = bg.colour
         fam = bg.shape.family
         hb, hc = ph.blocks[i]
-        fibre = _block_subgraph(gn, pg.blocks[i], colour)
+        fibre = fibres(bg.blocks, colour)
         if fam == "W":
             k, m, l, p, q = bg.shape.params
             target_semis = {x: _semis_at(hn, x, colour) for x in (hb, hc)}
@@ -161,8 +190,7 @@ def preprocess_doublets(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
                     return False
                 continue
             if (k, q) == (2, 2):
-                for comp in components(fibre):
-                    shape = classify_component_shape(project(fibre, vertices=comp))
+                for _, shape in component_shapes(fibre):
                     if shape == ODD_CYCLE:
                         trace.step(bg.blocks, colour, "4A", result="odd cycle component")
                         return False
@@ -170,8 +198,7 @@ def preprocess_doublets(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
             elif (k, m, l, p, q) == (2, 0, 0, 1, 0):
                 semi_side = hb if target_semis[hb] == 2 else hc
                 loop_side = hc if semi_side == hb else hb
-                for comp in components(fibre):
-                    shape = classify_component_shape(project(fibre, vertices=comp))
+                for comp, shape in component_shapes(fibre):
                     if shape == OPEN_PATH:
                         side = semi_side
                     elif shape == ODD_CYCLE:
@@ -211,7 +238,7 @@ def _neighbour_list(g: Graph, v: str, colour: str, direction: str = UND) -> list
     return out
 
 
-def build_2sat(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
+def build_2sat(fibres, hn: Graph, pg: Partition, ph: Partition,
                shapes: list[BlockGraph], trace: SolveTrace) -> TwoSat:
     """Emit the parity constraints of the harmless block graphs.
 
@@ -226,7 +253,7 @@ def build_2sat(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
             if len(ph.blocks[i]) != 2:
                 continue
             fam = bg.shape.family
-            fibre = _block_subgraph(gn, pg.blocks[i], colour)
+            fibre = fibres(bg.blocks, colour)
             if fam == "W":
                 k, m, l, p, q = bg.shape.params
                 if (k, m, l, p, q) == (1, 0, 1, 0, 1):
@@ -277,10 +304,10 @@ def build_2sat(gn: Graph, hn: Graph, pg: Partition, ph: Partition,
         else:
             i, j = bg.blocks
             fam = bg.shape.family
-            sub = project(gn, vertices=pg.blocks[i] + pg.blocks[j], colours=[colour])
             if fam == "FF":
                 trace.step(bg.blocks, colour, "6", note="forced at edge completion")
                 continue
+            sub = fibres(bg.blocks, colour)
             if fam == "FW":
                 if bg.shape.params[0] == 0:
                     continue
@@ -354,11 +381,12 @@ def _alternation_assignment(verts: list[str], group, semi_ids: list[str]) -> dic
     return fe
 
 
-def _matching_semi_step(gn: Graph, matchings: dict):
+def _matching_semi_step(matchings: dict):
     """The solver's step for fibres over semi-edges.  Over one semi-edge it
     takes the fibre's semi-edges plus a perfect matching of the other
-    vertices (recorded under (target vertex, colour), or found here); over
-    two semi-edges and no loop, alternating images."""
+    vertices (recorded under (target vertex, colour), or found here from
+    the fibre's own edges); over two semi-edges and no loop, alternating
+    images."""
 
     def step(x, colour, verts, group, semi_ids, loop_ids):
         if len(semi_ids) == 2 and not loop_ids:
@@ -366,18 +394,24 @@ def _matching_semi_step(gn: Graph, matchings: dict):
         if len(semi_ids) != 1:
             return None
         semi_verts = {e.u for e in group if e.kind == "semi"}
+        ends = {e.id: e.ends for e in group}
         matching = matchings.get((x, colour))
         if matching is None:
-            rest = project(gn, vertices=[w for w in verts if w not in semi_verts], colours=[colour])
+            rest = Graph("fibre")
+            for w in verts:
+                if w not in semi_verts:
+                    rest.add_vertex(w, "f")
+            for e in group:
+                if e.kind == "edge" and not semi_verts.intersection(e.ends):
+                    rest.add_edge("edge", e.id, colour, *e.ends)
             matching = mt.general_perfect_matching(rest) or []
         else:
-            in_fibre = {e.id for e in group}
-            matching = [eid for eid in matching if eid in in_fibre]
+            matching = [eid for eid in matching if eid in ends]
         placed = {e.id: semi_ids[0] for e in group if e.kind == "semi"}
         covered = set(semi_verts)
         for eid in matching:
             placed[eid] = semi_ids[0]
-            covered.update(gn.edge(eid).ends)
+            covered.update(ends[eid])
         return placed if covered == set(verts) else None
 
     return step
@@ -395,7 +429,7 @@ def complete_edge_mapping(gn: Graph, hn: Graph, fv: dict[str, str],
     earlier phases let something slip."""
     log = trace.completion.append if trace is not None else None
     try:
-        return _realize_edges(gn, hn, fv, _matching_semi_step(gn, matchings or {}), log)
+        return _realize_edges(gn, hn, fv, _matching_semi_step(matchings or {}), log)
     except NotExtendable as exc:
         raise InternalCoverError(str(exc)) from exc
 
@@ -432,14 +466,16 @@ def solve_cover(g: Graph, h: Graph) -> SolveResult:
         return SolveResult("no", None, trace)
     trace.matrix_ok = True
     gn = normalize_colours(g, pg)
+    fibres = _fibre_index(gn, pg)
 
-    if not check_singletons(gn, hn, pg, ph, shapes, trace):
+    if not check_singletons(fibres, hn, ph, shapes, trace):
         trace.failure = "singleton block check failed"
         return SolveResult("no", None, trace)
-    if not preprocess_doublets(gn, hn, pg, ph, shapes, trace):
+    if not preprocess_doublets(fibres, hn, ph, shapes, trace):
         trace.failure = "doublet preprocessing failed"
         return SolveResult("no", None, trace)
-    sat = build_2sat(gn, hn, pg, ph, shapes, trace)
+    sat = build_2sat(fibres, hn, pg, ph, shapes, trace)
+    del fibres  # completion needs no fibre; free them before it allocates
     assignment = sat.solve()
     if assignment is None:
         trace.failure = "2-SAT unsatisfiable"

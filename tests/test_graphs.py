@@ -6,13 +6,14 @@ from coverkit import (
     GraphError,
     ParseError,
     classify_component_shape,
+    component_shapes,
     components,
     degree,
     parse_graph,
     project,
     serialize_graph,
 )
-from coverkit.graphs import EVEN_CYCLE, ODD_CYCLE, OPEN_PATH, UND, IN, OUT
+from coverkit.graphs import EVEN_CYCLE, ODD_CYCLE, OPEN_PATH, OTHER, UND, IN, OUT, vertex_darts
 
 from conftest import complete_bipartite, cycle, disjoint_union, one_vertex, path, random_multigraph
 
@@ -162,3 +163,91 @@ def test_component_shapes():
     assert classify_component_shape(one_vertex(semis=2)) == OPEN_PATH
     with pytest.raises(GraphError):
         classify_component_shape(disjoint_union(cycle(3), cycle(3)))
+
+
+def reference_component_shape(g):
+    """The per-component shape rule as it stood before ``component_shapes``,
+    applied to one projected component."""
+    if g.n == 0:
+        raise GraphError("empty graph has no shape")
+    if len(components(g)) != 1:
+        raise GraphError("component shape needs a connected graph")
+    if len(g.edge_colours()) > 1:
+        raise GraphError("component shape needs a monochromatic graph")
+    if any(e.directed for e in g.edges()):
+        raise GraphError("component shape is defined for undirected graphs")
+    darts = [vertex_darts(g, v) for v in g.vertices()]
+    semis = [sum(t.semis.values()) for t in darts]
+    normal = [sum(sum(to.values()) for to in t.ends.values()) - s for t, s in zip(darts, semis)]
+    if any(n + s > 2 for n, s in zip(normal, semis)):
+        return OTHER
+    if all(n == 2 for n in normal) and not any(semis):
+        return EVEN_CYCLE if g.m % 2 == 0 else ODD_CYCLE
+    if any(n <= 1 for n in normal):
+        return OPEN_PATH
+    return OTHER
+
+
+@st.composite
+def monochromatic_multigraphs(draw):
+    """Disjoint unions of parts, each a path or cycle with optional extra
+    edges, loops and semi-edges, or a random multigraph."""
+    g = Graph("mono")
+    count = [0]
+
+    def add(kind, *ends):
+        count[0] += 1
+        g.add_edge(kind, f"e{count[0]}", "c", *ends)
+
+    for p in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 7))
+        names = [f"p{p}.{i}" for i in range(n)]
+        for v in names:
+            g.add_vertex(v, "n")
+        base = draw(st.sampled_from(("path", "cycle", "none")))
+        if base == "path":
+            for i in range(n - 1):
+                add("edge", names[i], names[i + 1])
+        elif base == "cycle" and n == 1:
+            add("loop", names[0])
+        elif base == "cycle":
+            for i in range(n):
+                add("edge", names[i], names[(i + 1) % n])
+        extras = draw(st.lists(st.tuples(st.sampled_from(("edge", "loop", "semi")),
+                                         st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+        for kind, a, b in extras:
+            if kind == "edge" and a != b:
+                add("edge", names[a], names[b])
+            elif kind != "edge":
+                add(kind, names[a])
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(monochromatic_multigraphs())
+def test_component_shapes_match_per_component_reference(g):
+    got = component_shapes(g)
+    assert [comp for comp, _ in got] == components(g)
+    for comp, shape in got:
+        sub = project(g, vertices=comp)
+        assert shape == reference_component_shape(sub)
+        assert classify_component_shape(sub) == shape
+
+
+def test_component_shapes_errors():
+    mixed = path(3)
+    mixed.add_edge("edge", "x", "f", "v0", "v2")
+    directed = Graph("d")
+    directed.add_vertex("a", "n")
+    directed.add_vertex("b", "n")
+    directed.add_edge("arc", "ab", "d", "a", "b")
+    for bad in (mixed, directed):
+        with pytest.raises(GraphError):
+            component_shapes(bad)
+        with pytest.raises(GraphError):
+            classify_component_shape(bad)
+    with pytest.raises(GraphError):
+        classify_component_shape(Graph("empty"))
+    assert component_shapes(Graph("empty")) == []
+    two = disjoint_union(cycle(3), path(2, semis=(True, True)))
+    assert [shape for _, shape in component_shapes(two)] == [ODD_CYCLE, OPEN_PATH]

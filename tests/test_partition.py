@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from coverkit import (
     Graph,
+    GraphError,
+    Partition,
     ReductionError,
     degree_adjust,
     degree_partition,
     is_balanced,
     normalize_colours,
+    parse_graph,
     reduce_pair,
     serialize_graph,
 )
@@ -111,6 +114,38 @@ def test_normalize_splits_colour_spanning_two_pairs():
     assert len(norm.edge_colours()) == 2
     part2, _ = degree_partition(norm)
     assert part2.blocks == part.blocks
+
+
+@pytest.mark.parametrize("part", [
+    Partition([["a"]], {"a": 0}),
+    Partition([["a", "b", "z"]], {"a": 0, "b": 0, "z": 0}),
+    Partition([["a"], ["a", "b"]], {"a": 0, "b": 1}),
+    Partition([["a", "b"]], {"a": 0, "b": 1}),
+], ids=["missing-vertex", "foreign-vertex", "repeated-vertex", "block-of-disagrees"])
+def test_normalize_rejects_partition_not_covering_the_graph(part):
+    g = parse_graph("graph g\nvertex a r\nvertex b r\nedge e c a b\n")
+    with pytest.raises(GraphError):
+        normalize_colours(g, part)
+
+
+def test_normalize_checks_every_partition_but_its_own():
+    g = path(3)
+    part, _ = degree_partition(g)
+    assert part.blocks == [["v0", "v2"], ["v1"]]
+    # by hand: the same blocks pass, a non-equitable split is refused
+    same = Partition([list(b) for b in part.blocks], dict(part.block_of))
+    assert same == part
+    assert list(normalize_colours(g, same).edges()) == list(normalize_colours(g, part).edges())
+    with pytest.raises(GraphError):
+        normalize_colours(g, Partition([["v0", "v1", "v2"]], {"v0": 0, "v1": 0, "v2": 0}))
+    # refined from another graph on the same vertex names: checked, refused
+    other = Graph("star")
+    for v in ("v0", "v1", "v2"):
+        other.add_vertex(v, "n")
+    other.add_edge("edge", "a", "e", "v0", "v1")
+    other.add_edge("edge", "b", "e", "v0", "v2")
+    with pytest.raises(GraphError):
+        normalize_colours(other, part)
 
 
 def test_normalize_deorients_interblock():

@@ -291,3 +291,26 @@ def test_completion_trace_ignores_hash_seed():
                              capture_output=True, text=True, check=True).stdout
         runs.append(json.loads(out))
     assert runs[0][0] and all(run == runs[0] for run in runs)
+
+
+@pytest.mark.parametrize("name", ["F(2,0)", "W(2,0,0,0,2)+hub", "W(2,0,0,1,0)+hub"])
+def test_graphs_built_per_solve_do_not_grow_with_the_fold(name, monkeypatch):
+    # every fibre is built once per (blocks, colour), not once per component
+    from test_covers import random_lift
+
+    h = dict(harmless_hosts())[name]
+    lifts = {k: random_lift(h, k, random.Random(5)) for k in (32, 64)}
+    built = [0]
+    init = coverkit.graphs.Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(coverkit.graphs.Graph, "__init__", counting_init)
+    counts = {}
+    for k, g in lifts.items():
+        built[0] = 0
+        assert solve_cover(g, h).yes
+        counts[k] = built[0]
+    assert counts[64] <= counts[32], counts
