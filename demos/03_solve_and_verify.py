@@ -35,6 +35,9 @@ for n in (6, 5):
         print("   vertex map:", res.projection.fv)
     else:
         print(f"  ({res.trace.failure})")
+        # "a != b": a and b map to different target vertices
+        cycle = res.trace.conflict
+        print("   odd cycle:", cycle[0][0], *(f"{'!=' if odd else '=='} {b}" for _, b, odd in cycle))
 
 print("\nsubcases taken:", [s["subcase"] for s in solve_cover(ring(6), h).trace.steps])
 

@@ -3,9 +3,10 @@
 Pipeline: degree partitions and refinement matrices must agree; singleton
 target blocks are checked directly (component shapes, perfect matchings,
 stray semi-edges); doublet blocks with semi-edges are preprocessed into
-forced assignments; the remaining freedom is a conjunction of parity
-constraints solved as 2-SAT; a satisfying assignment is then completed to
-an explicit edge mapping by matching and factorization.
+forced assignments; the remaining freedom is a system of parity
+constraints (same image, other image, forced image) solved by a parity
+union-find, whose odd cycle of constraints explains a "no"; a solution is
+then completed to an explicit edge mapping by matching and factorization.
 
 The solver refuses targets it is not specified for: disconnected ones,
 blocks of more than two vertices, and targets containing a dangerous or
@@ -44,6 +45,9 @@ class SolveTrace:
     assignment: dict[str, bool] | None = None
     completion: list[str] = field(default_factory=list)
     failure: str | None = None
+    # for a 2-SAT "no": an odd cycle of parity constraints (a, b, a != b),
+    # where True is the constant a forced image is a constraint against
+    conflict: list[tuple] | None = None
 
     def step(self, blocks, colour, subcase, **detail):
         """One entry per (block set, colour); a colour handled by both a
@@ -64,6 +68,8 @@ class SolveTrace:
             "assignment": self.assignment,
             "completion": self.completion,
             "failure": self.failure,
+            "conflict": None if self.conflict is None
+            else [[a, "!=" if odd else "==", b] for a, b, odd in self.conflict],
         }
 
 
@@ -134,8 +140,7 @@ def _record_semi_matching(fibre: Graph, bg: BlockGraph, i: int, subcase: str,
     return True
 
 
-def check_singletons(fibres, hn: Graph, ph: Partition,
-                     shapes: list[BlockGraph], trace: SolveTrace) -> bool:
+def check_singletons(fibres, ph: Partition, shapes: list[BlockGraph], trace: SolveTrace) -> bool:
     """Singleton target blocks: semi-edge budgets, component shapes for the
     two-semi-edge target, perfect matchings for the one-semi-edge target."""
     for bg in shapes:
@@ -468,7 +473,7 @@ def solve_cover(g: Graph, h: Graph) -> SolveResult:
     gn = normalize_colours(g, pg)
     fibres = _fibre_index(gn, pg)
 
-    if not check_singletons(fibres, hn, ph, shapes, trace):
+    if not check_singletons(fibres, ph, shapes, trace):
         trace.failure = "singleton block check failed"
         return SolveResult("no", None, trace)
     if not preprocess_doublets(fibres, hn, ph, shapes, trace):
@@ -479,6 +484,7 @@ def solve_cover(g: Graph, h: Graph) -> SolveResult:
     assignment = sat.solve()
     if assignment is None:
         trace.failure = "2-SAT unsatisfiable"
+        trace.conflict = sat.conflict
         return SolveResult("no", None, trace)
     trace.assignment = assignment
     fv: dict[str, str] = {}

@@ -1,10 +1,23 @@
-"""A small 2-SAT engine: implication graph plus Tarjan SCC condensation.
+"""The solver's parity constraints, solved by a union-find with parity bits.
 
-Every constraint the cover solver emits is an equivalence, an antivalence
-or a unit, each encoded as a pair of 2-clauses.  The engine stays a
-general 2-SAT solver anyway, which keeps degenerate emissions such as
-x <=> not x (from a vertex adjacent twice to the same neighbour) correct
-for free.
+Every constraint the cover solver emits is an equivalence (a == b), an
+antivalence (a != b) or a unit (a == value): an equation a xor b = parity
+over GF(2), with a unit read as an equation against a constant true node.
+A union-find that stores each node's parity to its parent solves such a
+system in near-linear time (Tarjan 1975).  Degenerate emissions such as
+x != x (from a vertex adjacent twice to the same neighbour) are simply
+contradictions.
+
+Certificates follow the assignment, so it is fixed by one rule: the
+constant is always a root, of two joined components the root that
+appeared first stays the root, and a variable is true iff its parity to
+its root is 0.  In a component no unit reaches, the variable that
+appeared first is therefore true.
+
+For a contradiction, ``conflict`` holds a witness: the accepted
+constraints form a spanning forest, and the forest path between the two
+ends of the first failing constraint, closed by that constraint, is a
+cycle whose parities sum to odd.
 """
 
 from __future__ import annotations
@@ -13,105 +26,82 @@ from __future__ import annotations
 class TwoSat:
     def __init__(self):
         self._index: dict[str, int] = {}
-        self._names: list[str] = []
+        self._nodes: list = [True]  # node 0: the constant units constrain
+        self._constraints: list[tuple[int, int, bool]] = []  # (a, b, a != b)
+        # the same constraints as 2-clauses, for size reports and cross-checks
         self.clauses: list[tuple[tuple[str, bool], tuple[str, bool]]] = []
+        # after an unsatisfiable solve(): [(a, b, a != b), ...], a closed walk
+        self.conflict: list[tuple] | None = None
 
-    def _var(self, name: str) -> int:
+    def _node(self, name: str) -> int:
         if name not in self._index:
-            self._index[name] = len(self._names)
-            self._names.append(name)
+            self._index[name] = len(self._nodes)
+            self._nodes.append(name)
         return self._index[name]
 
-    def add_clause(self, a: str, a_pos: bool, b: str, b_pos: bool) -> None:
-        self._var(a)
-        self._var(b)
-        self.clauses.append(((a, a_pos), (b, b_pos)))
-
     def add_equivalence(self, a: str, b: str) -> None:
-        self.add_clause(a, True, b, False)
-        self.add_clause(a, False, b, True)
+        self._constraints.append((self._node(a), self._node(b), False))
+        self.clauses += [((a, True), (b, False)), ((a, False), (b, True))]
 
     def add_antivalence(self, a: str, b: str) -> None:
-        self.add_clause(a, True, b, True)
-        self.add_clause(a, False, b, False)
+        self._constraints.append((self._node(a), self._node(b), True))
+        self.clauses += [((a, True), (b, True)), ((a, False), (b, False))]
 
     def add_unit(self, a: str, value: bool) -> None:
-        self.add_clause(a, value, a, value)
+        self._constraints.append((self._node(a), 0, not value))
+        self.clauses.append(((a, value), (a, value)))
 
     def variables(self) -> list[str]:
-        return list(self._names)
+        return self._nodes[1:]
 
     def solve(self) -> dict[str, bool] | None:
-        """A satisfying assignment, or None.  Variables mentioned only by
-        name (never in a clause) do not exist; add a trivial clause first."""
-        n = len(self._names)
-        if n == 0:
-            return {}
-        # literal node: 2*i for x_i true, 2*i+1 for x_i false
-        adj: list[list[int]] = [[] for _ in range(2 * n)]
+        """A satisfying assignment in order of first appearance, or None
+        with the witness in ``conflict``."""
+        parent = list(range(len(self._nodes)))
+        parity = [False] * len(parent)  # parity to parent
 
-        def node(var: int, pos: bool) -> int:
-            return 2 * var + (0 if pos else 1)
+        def find(x: int) -> tuple[int, bool]:
+            p = False
+            while parent[x] != x:  # path halving: skip to the grandparent
+                up = parent[x]
+                parity[x] ^= parity[up]
+                parent[x] = parent[up]
+                p ^= parity[x]
+                x = parent[x]
+            return x, p
 
-        for (a, ap), (b, bp) in self.clauses:
-            ia, ib = self._index[a], self._index[b]
-            adj[node(ia, not ap)].append(node(ib, bp))
-            adj[node(ib, not bp)].append(node(ia, ap))
-
-        comp = _tarjan_scc(adj)
-        out: dict[str, bool] = {}
-        for i, name in enumerate(self._names):
-            if comp[2 * i] == comp[2 * i + 1]:
-                return None
-            # Tarjan emits components in reverse topological order, so a
-            # smaller component id means later in topological order.
-            out[name] = comp[2 * i] < comp[2 * i + 1]
-        return out
-
-
-def _tarjan_scc(adj: list[list[int]]) -> list[int]:
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
+        forest: list[tuple[int, int, bool]] = []
+        self.conflict = None
+        for a, b, odd in self._constraints:
+            (ra, pa), (rb, pb) = find(a), find(b)
+            if ra == rb:
+                if pa ^ pb != odd:
+                    self.conflict = self._cycle(forest, a, b, odd)
+                    return None
                 continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-    return comp
+            if rb < ra:  # node numbers follow first appearance
+                ra, rb = rb, ra
+            parent[rb] = ra
+            parity[rb] = pa ^ pb ^ odd
+            forest.append((a, b, odd))
+        return {name: not find(x)[1] for x, name in enumerate(self._nodes) if x}
+
+    def _cycle(self, forest, a: int, b: int, odd: bool) -> list[tuple]:
+        """The forest path from a to b, then the constraint (b, a, odd)."""
+        adj: dict[int, list[tuple[int, bool]]] = {}
+        for x, y, p in forest:
+            adj.setdefault(x, []).append((y, p))
+            adj.setdefault(y, []).append((x, p))
+        back = {a: None}  # node -> the forest constraint it was reached by
+        todo = [a]
+        while b not in back:
+            x = todo.pop()
+            for y, p in adj.get(x, ()):
+                if y not in back:
+                    back[y] = (x, y, p)
+                    todo.append(y)
+        walk = [(b, a, odd)]
+        while walk[-1][0] != a:
+            walk.append(back[walk[-1][0]])
+        names = self._nodes
+        return [(names[x], names[y], p) for x, y, p in reversed(walk)]

@@ -175,3 +175,22 @@ def random_multigraph(n, extra_edges, seed, colours=("e",), vc="n", allow_semi=T
         eid += 1
         g.add_edge("loop", f"e{eid}", colours[0], verts[0])
     return g
+
+
+def assert_odd_cycle(conflict, clauses):
+    """``conflict`` is a closed walk of parity constraints (a, b, a != b),
+    each one written in ``clauses`` (True is the constant of a unit), whose
+    parities sum to odd: a witness that the constraints have no solution."""
+    assert conflict
+    starts = [a for a, _, _ in conflict]
+    assert [b for _, b, _ in conflict] == starts[1:] + starts[:1]
+    emitted = set(clauses)
+    for a, b, odd in conflict:
+        if a is True:
+            a, b = b, a
+        if b is True:
+            assert ((a, not odd), (a, not odd)) in emitted
+        else:
+            assert any({((u, True), (v, odd)), ((u, False), (v, not odd))} <= emitted
+                       for u, v in ((a, b), (b, a)))
+    assert sum(odd for _, _, odd in conflict) % 2 == 1

@@ -47,6 +47,20 @@ def test_solve_negative_and_refused(files, capsys):
     assert code == 2 and out["status"] == "refused"
 
 
+def test_solve_trace_names_the_odd_cycle(files, capsys, tmp_path):
+    _, write = files
+    c5 = write("c5.graph", cycle(5))
+    h = write("w2.graph", two_vertex_w(0, 0, 2, 0, 0))
+    trace = tmp_path / "trace.json"
+    code, out = run(capsys, "solve", c5, h, "--trace", str(trace))
+    assert code == 1 and out["failure"] == "2-SAT unsatisfiable"
+    conflict = json.loads(trace.read_text())["conflict"]
+    # the whole 5-cycle, one "other target vertex" constraint per edge
+    assert sorted(a for a, _, _ in conflict) == [f"v{i}" for i in range(5)]
+    assert [b for _, _, b in conflict] == [a for a, _, _ in conflict[1:] + conflict[:1]]
+    assert all(rel == "!=" for _, rel, _ in conflict)
+
+
 def test_verify_corrupted_map(files, capsys, tmp_path):
     _, write = files
     g = write("c4.graph", cycle(4))

@@ -24,7 +24,16 @@ from coverkit.gadgets import fw_target, fw2_target
 from coverkit.covers import InternalCoverError
 from coverkit.solver import complete_edge_mapping
 
-from conftest import complete_graph, cycle, disjoint_union, one_vertex, path, two_vertex_w, two_vertex_wd
+from conftest import (
+    assert_odd_cycle,
+    complete_graph,
+    cycle,
+    disjoint_union,
+    one_vertex,
+    path,
+    two_vertex_w,
+    two_vertex_wd,
+)
 from hosts import harmless_hosts, random_compatible_input
 
 
@@ -314,3 +323,43 @@ def test_graphs_built_per_solve_do_not_grow_with_the_fold(name, monkeypatch):
         assert solve_cover(g, h).yes
         counts[k] = built[0]
     assert counts[64] <= counts[32], counts
+
+
+# planted non-covers that pass the matrix test and fail only at 2-SAT
+
+
+def _six_cycle():
+    # a 6-cycle has no 4-fold structure over the 4-cycle K(2,2)
+    g = Graph("c6-ab")
+    for i in range(3):
+        g.add_vertex(f"a{i}", "A")
+    for i in range(3):
+        g.add_vertex(f"b{i}", "B")
+    for i in range(3):
+        g.add_edge("edge", f"e{i}", "e", f"a{i}", f"b{i}")
+        g.add_edge("edge", f"f{i}", "e", f"b{i}", f"a{(i + 1) % 3}")
+    return g
+
+
+def _parity_no_cases():
+    from test_covers import random_lift
+
+    yield pytest.param(cycle(5), two_vertex_w(0, 0, 2, 0, 0), id="C_5")
+    # a double edge: both darts would need the single crossing edge
+    planted = {"W(1,0,1,0,1)": two_vertex_w(0, 0, 2, 0, 0, vc="Q"), "WW(1,1)": _six_cycle()}
+    for name, small in planted.items():
+        h = dict(harmless_hosts())[name]
+        yield pytest.param(disjoint_union(random_lift(h, 6, random.Random(3)), small), h, id=name)
+
+
+@pytest.mark.parametrize("g,h", list(_parity_no_cases()))
+def test_parity_no_names_an_odd_cycle_of_emitted_constraints(g, h, monkeypatch):
+    built = []
+    emit = coverkit.solver.build_2sat
+    monkeypatch.setattr(coverkit.solver, "build_2sat", lambda *args: built.append(emit(*args)) or built[-1])
+    res = solve_cover(g, h)
+    assert res.status == "no" and res.trace.failure == "2-SAT unsatisfiable"
+    assert_odd_cycle(res.trace.conflict, built[0].clauses)
+    assert res.trace.to_dict()["conflict"] == [
+        [a, "!=" if odd else "==", b] for a, b, odd in res.trace.conflict
+    ]

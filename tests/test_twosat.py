@@ -3,6 +3,8 @@ import random
 
 from coverkit import TwoSat
 
+from conftest import assert_odd_cycle
+
 
 def brute_force(clauses, names):
     for bits in itertools.product((True, False), repeat=len(names)):
@@ -17,10 +19,30 @@ def check(sat):
     want = brute_force(sat.clauses, sat.variables())
     if want is None:
         assert got is None
+        assert_odd_cycle(sat.conflict, sat.clauses)
     else:
         assert got is not None
         for (a, ap), (b, bp) in sat.clauses:
             assert got[a] == ap or got[b] == bp
+    return got
+
+
+def random_system(rng, names, size):
+    """Equivalences, antivalences and units over ``names``; returns the
+    system and the variables each unit fixes."""
+    sat = TwoSat()
+    fixed = set()
+    for _ in range(size):
+        a, b = rng.choice(names), rng.choice(names)
+        kind = rng.randrange(3)
+        if kind == 0:
+            sat.add_equivalence(a, b)
+        elif kind == 1:
+            sat.add_antivalence(a, b)
+        else:
+            sat.add_unit(a, rng.random() < 0.5)
+            fixed.add(a)
+    return sat, fixed
 
 
 def test_antivalence():
@@ -35,6 +57,7 @@ def test_contradiction():
     sat.add_equivalence("x", "y")
     sat.add_antivalence("x", "y")
     assert sat.solve() is None
+    assert sat.conflict == [("x", "y", False), ("y", "x", True)]
 
 
 def test_units():
@@ -45,26 +68,48 @@ def test_units():
     assert got == {"x": True, "y": True}
     sat.add_unit("y", False)
     assert sat.solve() is None
+    # from the clashing unit back to the first one, through the constant
+    assert sat.conflict == [("y", "x", False), ("x", True, False), (True, "y", True)]
 
 
 def test_self_antivalence_unsat():
     sat = TwoSat()
     sat.add_antivalence("x", "x")
     assert sat.solve() is None
+    assert sat.conflict == [("x", "x", True)]
 
 
 def test_random_against_brute_force():
     rng = random.Random(42)
     names = [f"v{i}" for i in range(12)]
     for trial in range(300):
-        sat = TwoSat()
-        for _ in range(rng.randrange(1, 24)):
-            a, b = rng.choice(names), rng.choice(names)
-            kind = rng.randrange(3)
-            if kind == 0:
-                sat.add_equivalence(a, b)
-            elif kind == 1:
-                sat.add_antivalence(a, b)
-            else:
-                sat.add_clause(a, rng.random() < 0.5, b, rng.random() < 0.5)
+        sat, _ = random_system(rng, names, rng.randrange(1, 24))
         check(sat)
+
+
+def test_first_variable_of_a_free_component_is_true():
+    """The assignment rule certificates depend on: in every component of
+    the constraint graph that no unit reaches, the variable added first is
+    true (and the result lists variables in order of first appearance)."""
+    rng = random.Random(7)
+    names = [f"v{i}" for i in range(12)]
+    free_components = 0
+    for trial in range(300):
+        sat, fixed = random_system(rng, names, rng.randrange(1, 12))
+        got = check(sat)
+        if got is None:
+            continue
+        assert list(got) == sat.variables()
+        comp = {v: {v} for v in sat.variables()}
+        for (a, _), (b, _) in sat.clauses:
+            if comp[a] is not comp[b]:
+                merged = comp[a] | comp[b]
+                for v in merged:
+                    comp[v] = merged
+        for v in sat.variables():
+            members = comp[v]
+            first = next(w for w in sat.variables() if w in members)
+            if v == first and not members & fixed:
+                assert got[v] is True
+                free_components += 1
+    assert free_components >= 200
