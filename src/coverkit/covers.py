@@ -118,6 +118,38 @@ def _candidates_for(e, fv, by) -> list[str]:
     return by.get((e.kind, a, x), [])
 
 
+def _lands_on(e, he, fv) -> bool:
+    """Whether target edge ``he`` is among ``_candidates_for(e, fv, ·)``,
+    read off ``he`` itself: same colour, and a kind and ends that fit the
+    images of e's ends under the same folding rules."""
+    if he.colour != e.colour:
+        return False
+    x = fv[e.ends[0]]
+    if e.kind == "edge":
+        y = fv[e.ends[1]]
+        if x != y:
+            return he.kind == "edge" and (he.ends == (x, y) or he.ends == (y, x))
+        return (he.kind == "loop" or he.kind == "semi") and he.ends[0] == x
+    if e.kind == "arc":
+        y = fv[e.ends[1]]
+        if x != y:
+            return he.kind == "arc" and he.ends == (x, y)
+        return he.kind == "dloop" and he.ends[0] == x
+    return he.kind == e.kind and he.ends[0] == x
+
+
+def _dart_tally(edges, v: str, fe: dict[str, str] | None = None) -> dict:
+    """The darts of ``edges`` at ``v`` counted per (edge id, direction),
+    each id read through ``fe`` when it is given."""
+    tally: dict = {}
+    for e in edges:
+        eid = e.id if fe is None else fe[e.id]
+        for tag, cnt in edge_darts(e, v):
+            key = (eid, tag)
+            tally[key] = tally.get(key, 0) + cnt
+    return tally
+
+
 class _DartTables:
     """The dart tables of a source g and a target h, walked once per call.
 
@@ -176,32 +208,25 @@ def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
         return VerifyResult(False, violations)
     if g.n == 0 and h.n > 0:
         return VerifyResult(False, ["empty graph does not cover a non-empty graph"])
-    by = _h_edge_index(h)
+    fv, fe = f.fv, f.fe
     for e in g.edges():
-        if e.id not in f.fe:
+        if e.id not in fe:
             violations.append(f"edge {e.id} has no image")
-        elif not h.has_edge(f.fe[e.id]):
-            violations.append(f"edge {e.id} maps to unknown edge {f.fe[e.id]}")
-        elif f.fe[e.id] not in _candidates_for(e, f.fv, by):
-            violations.append(f"edge {e.id} -> {f.fe[e.id]} breaks colour or incidence")
-    violations += [f"edge map names {e}, which is not an edge of the source" for e in f.fe
+        elif not h.has_edge(fe[e.id]):
+            violations.append(f"edge {e.id} maps to unknown edge {fe[e.id]}")
+        elif not _lands_on(e, h.edge(fe[e.id]), fv):
+            violations.append(f"edge {e.id} -> {fe[e.id]} breaks colour or incidence")
+    violations += [f"edge map names {e}, which is not an edge of the source" for e in fe
                    if not g.has_edge(e)]
     if violations:
         return VerifyResult(False, violations)
-    wants: dict[str, Counter] = {}
+    wants: dict[str, dict] = {}
     for u in g.vertices():
-        got: Counter = Counter()
-        for e in g.incident(u):
-            for tag, cnt in edge_darts(e, u):
-                got[(f.fe[e.id], tag)] += cnt
-        x = f.fv[u]
+        x = fv[u]
         want = wants.get(x)
         if want is None:
-            want = wants[x] = Counter()
-            for e in h.incident(x):
-                for tag, cnt in edge_darts(e, x):
-                    want[(e.id, tag)] += cnt
-        if got != want:
+            want = wants[x] = _dart_tally(h.incident(x), x)
+        if _dart_tally(g.incident(u), u, fe) != want:
             violations.append(f"local bijection broken at vertex {u}")
     # every key of f.fv is a vertex of g here, so this counts g's vertices
     sizes = fibre_sizes(h, f.fv)
@@ -784,11 +809,8 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
             raise NotExtendable(f"semi-edge over a semi-free fibre {x}")
         residual = [e for e in group if e.id not in fe]
         if residual or free:
-            sub = Graph("fibre")
-            for w in verts:
-                sub.add_vertex(w, "f")
-            for e in residual:
-                sub.add_edge(e.kind, e.id, colour, *e.ends)
+            sub = Graph._derive("fibre", dict.fromkeys(verts, "f"))
+            sub._put(residual)
             spread(free, mt.two_factorization, sub, f"fibre at {x} not 2-factorizable")
         log(f"fibre {x} colour {colour}: {len(group)} edges distributed")
     return fe
@@ -806,11 +828,8 @@ def _exact_semi_step(h: Graph, budget_box):
             target.add_edge("semi", f"s{i}", colour, "x")
         for i, _ in enumerate(loop_ids):
             target.add_edge("loop", f"l{i}", colour, "x")
-        sub = Graph("fibre")
-        for w in verts:
-            sub.add_vertex(w, h.vertex_colour(x))
-        for e in group:
-            sub.add_edge(e.kind, e.id, colour, *e.ends)
+        sub = Graph._derive("fibre", dict.fromkeys(verts, h.vertex_colour(x)))
+        sub._put(group)
         sub_fe = _edge_map_search(sub, target, {w: "x" for w in verts}, budget_box)
         if sub_fe is None:
             return None

@@ -20,7 +20,6 @@ loops may share colours; edges, loops and semi-edges may share colours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -45,14 +44,37 @@ class ParseError(GraphError):
         self.line = line
 
 
-@dataclass(frozen=True)
 class Edge:
-    """One edge of any kind; ``ends`` has two entries for edge/arc, one otherwise."""
+    """One edge of any kind; ``ends`` has two entries for edge/arc, one otherwise.
 
-    id: str
-    kind: str
-    colour: str
-    ends: tuple[str, ...]
+    Edges are values: two edges with equal ``(id, kind, colour, ends)`` are
+    equal and hash alike, and nothing in the package changes an edge after
+    it is made.  So a graph derived from another (a copy, a projection, a
+    fibre) holds the very edge objects of the graph it came from, and a
+    recoloured graph holds new edges with the old ids and ends.  The class
+    keeps its fields in slots, which makes an edge cheap to build.
+    """
+
+    __slots__ = ("id", "kind", "colour", "ends")
+
+    def __init__(self, id: str, kind: str, colour: str, ends: tuple[str, ...]):
+        self.id = id
+        self.kind = kind
+        self.colour = colour
+        self.ends = ends
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Edge:
+            return NotImplemented
+        return (self.id, self.kind, self.colour, self.ends) == \
+            (other.id, other.kind, other.colour, other.ends)
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.kind, self.colour, self.ends))
+
+    def __repr__(self) -> str:
+        return (f"Edge(id={self.id!r}, kind={self.kind!r}, colour={self.colour!r}, "
+                f"ends={self.ends!r})")
 
     @property
     def directed(self) -> bool:
@@ -90,18 +112,49 @@ class Edge:
 class Graph:
     """A coloured mixed multigraph.
 
-    Construct with ``add_vertex``/``add_edge`` and treat as immutable
-    afterwards; every algorithm in the package assumes graphs do not
-    change under its feet, which makes concurrent reads safe.
+    There is one checked way in: ``add_vertex``/``add_edge`` (and
+    ``parse_graph``, which calls them) check every id, endpoint and kind,
+    and ``validate`` checks the colour namespaces.  Graphs derived from a
+    graph that passed those checks (``copy``, ``project``, colour
+    normalization, the solver's fibres) skip them: they start from
+    ``_derive`` with vertices of the source and insert the source's edges,
+    or recoloured copies with the same ids and ends, through ``_put``, in
+    the source's edge order, so incidence order is kept too.
+
+    Treat a graph as immutable once built; every algorithm in the package
+    assumes graphs do not change under its feet, which makes concurrent
+    reads safe.
     """
 
     def __init__(self, name: str = "g"):
         self.name = name
         self._vcolour: dict[str, str] = {}
         self._edges: dict[str, Edge] = {}
-        self._inc: dict[str, list[str]] = {}
+        # incident edges per vertex, in insertion order; an edge or arc
+        # appears at both ends, any other kind once
+        self._inc: dict[str, list[Edge]] = {}
 
     # construction -----------------------------------------------------
+
+    @classmethod
+    def _derive(cls, name: str, vcolour: dict[str, str]) -> "Graph":
+        """An edgeless graph on vertices already checked elsewhere; the new
+        graph owns ``vcolour``."""
+        g = cls(name)
+        g._vcolour = vcolour
+        g._inc = {v: [] for v in vcolour}
+        return g
+
+    def _put(self, edges: Iterable[Edge]) -> None:
+        """Insert edges whose ids are new here and whose ends are vertices
+        here, in order; the one insert primitive, with no checks of its own."""
+        store, inc = self._edges, self._inc
+        for e in edges:
+            store[e.id] = e
+            ends = e.ends
+            inc[ends[0]].append(e)
+            if len(ends) == 2:
+                inc[ends[1]].append(e)
 
     def add_vertex(self, v: str, colour: str) -> None:
         v, colour = str(v), str(colour)
@@ -134,10 +187,7 @@ class Graph:
             if w not in self._vcolour:
                 raise GraphError(f"edge {eid!r} references unknown vertex {w!r}")
         e = Edge(eid, kind, colour, ends)
-        self._edges[eid] = e
-        self._inc[ends[0]].append(eid)
-        if kind in _BINARY_KINDS:
-            self._inc[ends[1]].append(eid)
+        self._put((e,))
         return e
 
     # queries ------------------------------------------------------------
@@ -169,7 +219,7 @@ class Graph:
         return eid in self._edges
 
     def incident(self, v: str) -> list[Edge]:
-        return [self._edges[eid] for eid in self._inc[v]]
+        return list(self._inc[v])
 
     def vertex_colours(self) -> set[str]:
         return set(self._vcolour.values())
@@ -185,9 +235,11 @@ class Graph:
 
     def validate(self) -> None:
         """Check the colour-namespace discipline; construction checks the rest."""
-        vcols = self.vertex_colours()
-        dcols = self.directed_colours()
-        ucols = self.undirected_colours()
+        vcols = set(self._vcolour.values())
+        dcols: set[str] = set()
+        ucols: set[str] = set()
+        for e in self._edges.values():
+            (dcols if e.kind in _DIRECTED_KINDS else ucols).add(e.colour)
         for a, b, what in (
             (vcols, dcols, "vertex and directed edge"),
             (vcols, ucols, "vertex and undirected edge"),
@@ -198,11 +250,8 @@ class Graph:
                 raise GraphError(f"{what} colours must be disjoint, shared: {sorted(clash)}")
 
     def copy(self, name: str | None = None) -> "Graph":
-        g = Graph(name if name is not None else self.name)
-        for v, c in self._vcolour.items():
-            g.add_vertex(v, c)
-        for e in self._edges.values():
-            g.add_edge(e.kind, e.id, e.colour, *e.ends)
+        g = Graph._derive(name if name is not None else self.name, dict(self._vcolour))
+        g._put(self._edges.values())
         return g
 
 
@@ -249,7 +298,7 @@ def vertex_darts(g: Graph, v: str) -> Darts:
     semis: dict[str, int] = {}
     loops: dict[str, int] = {}
     dloops: dict[str, int] = {}
-    for e in g.incident(v):
+    for e in g._inc[v]:
         kind, colour = e.kind, e.colour
         if kind == "edge":
             a, b = e.ends
@@ -306,10 +355,9 @@ def parse_graph(text: str) -> Graph:
     g: Graph | None = None
     pending: list[tuple[int, tuple]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tok = raw.split("#", 1)[0].split()
+        if not tok:
             continue
-        tok = line.split()
         kw = tok[0]
         try:
             if kw == "graph":
@@ -378,15 +426,9 @@ def project(g: Graph, vertices: Iterable[str] | None = None, colours: Iterable[s
         if unknown:
             raise GraphError(f"unknown vertices in subset: {sorted(unknown)}")
     keep_c = None if colours is None else {str(c) for c in colours}
-    out = Graph(g.name)
-    for v in g.vertices():
-        if v in keep_v:
-            out.add_vertex(v, g.vertex_colour(v))
-    for e in g.edges():
-        if keep_c is not None and e.colour not in keep_c:
-            continue
-        if all(w in keep_v for w in e.ends):
-            out.add_edge(e.kind, e.id, e.colour, *e.ends)
+    out = Graph._derive(g.name, {v: c for v, c in g._vcolour.items() if v in keep_v})
+    out._put(e for e in g._edges.values()
+             if (keep_c is None or e.colour in keep_c) and all(w in keep_v for w in e.ends))
     return out
 
 
@@ -466,7 +508,7 @@ def component_shapes(g: Graph) -> list[tuple[list[str], str]]:
         while stack:
             v = stack.pop()
             normal = semis = 0
-            for e in g.incident(v):
+            for e in g._inc[v]:
                 if e.kind == "edge":
                     normal += 1
                     a, w = e.ends

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 from .graphs import (
+    Edge,
     Graph,
     GraphError,
     IN,
@@ -223,6 +224,16 @@ def is_equitable(g: Graph, part: Partition) -> bool:
     return True
 
 
+def _block_colour(kind: str, colour: str, bi: int, bj: int) -> tuple[str, str]:
+    """The kind and fresh colour of an edge from block bi to block bj."""
+    if bi == bj:
+        return kind, f"c{bi}.{bi}.{colour}"
+    lo, hi = min(bi, bj), max(bi, bj)
+    if kind == "arc":
+        return "edge", f"a{lo}.{hi}.{colour}.{'f' if bi == lo else 'b'}"
+    return kind, f"c{lo}.{hi}.{colour}"
+
+
 def normalize_colours(g: Graph, part: Partition) -> Graph:
     """Re-colour so blocks are distinguished by vertex colour and every edge
     colour lives within one block or between one block pair.
@@ -235,10 +246,13 @@ def normalize_colours(g: Graph, part: Partition) -> Graph:
 
     Interblock directed edges are de-oriented; the direction survives in
     the fresh colour name (tagged by the tail's block) so cover-equivalence
-    is preserved.  Vertex and edge ids are untouched and the degree
-    partition of the result equals ``part``, so callers reuse ``part``
-    instead of refining the result again.  Block colours are zero-padded
-    to one width, so they sort in block order.
+    is preserved.  Vertex colours start with ``b``, de-oriented arcs'
+    colours with ``a`` and all other edge colours with ``c``, so no fresh
+    colour can take another's name, whatever the input colours are called.
+    Vertex and edge ids and ends are untouched and the degree partition of
+    the result equals ``part``, so callers reuse ``part`` instead of
+    refining the result again.  Block colours are zero-padded to one
+    width, so they sort in block order.
     """
     if part._source is not g:
         members = [v for block in part.blocks for v in block]
@@ -248,22 +262,18 @@ def normalize_colours(g: Graph, part: Partition) -> Graph:
             raise GraphError("partition's block_of disagrees with its blocks")
         if not is_equitable(g, part):
             raise GraphError("partition is not equitable for this graph")
-    out = Graph(g.name)
     width = max(3, len(str(part.k - 1)))
-    for v in g.vertices():
-        out.add_vertex(v, f"b{part.block_of[v]:0{width}d}")
+    block_of = part.block_of
+    out = Graph._derive(g.name, {v: f"b{block_of[v]:0{width}d}" for v in g.vertices()})
+    names: dict[tuple, tuple[str, str]] = {}
+    recoloured = []
     for e in g.edges():
-        bi = part.block_of[e.ends[0]]
-        bj = part.block_of[e.ends[-1]]
-        if bi == bj:
-            out.add_edge(e.kind, e.id, f"c{bi}.{bi}.{e.colour}", *e.ends)
-        else:
-            lo, hi = min(bi, bj), max(bi, bj)
-            if e.kind == "arc":
-                tag = "f" if bi == lo else "b"
-                out.add_edge("edge", e.id, f"c{lo}.{hi}.{e.colour}.{tag}", *e.ends)
-            else:
-                out.add_edge(e.kind, e.id, f"c{lo}.{hi}.{e.colour}", *e.ends)
+        key = (e.kind, e.colour, block_of[e.ends[0]], block_of[e.ends[-1]])
+        named = names.get(key)
+        if named is None:
+            named = names[key] = _block_colour(*key)
+        recoloured.append(Edge(e.id, named[0], named[1], e.ends))
+    out._put(recoloured)
     out.validate()
     return out
 
@@ -380,13 +390,10 @@ def _prune_trees(g: Graph, record: ReductionRecord) -> Graph:
     if not core:
         raise ReductionError("graph reduced to nothing; was it a tree?")
     pruned = set(g.vertices()) - core
-    out = Graph(g.name)
-    for v in sorted(core):
-        code = _rooted_code(g, v, pruned, record)
-        out.add_vertex(v, record.tree_colour(code))
-    for e in g.edges():
-        if all(w in core for w in e.ends):
-            out.add_edge(e.kind, e.id, e.colour, *e.ends)
+    out = Graph._derive(
+        g.name, {v: record.tree_colour(_rooted_code(g, v, pruned, record)) for v in sorted(core)}
+    )
+    out._put(e for e in g.edges() if all(w in core for w in e.ends))
     return out
 
 

@@ -112,11 +112,9 @@ def _fibre_index(gn: Graph, pg: Partition):
         key = (tuple(blocks), colour)
         sub = built.get(key)
         if sub is None:
-            sub = built[key] = Graph(gn.name)
-            for k in sorted(k for i in key[0] for k in members[i]):
-                sub.add_vertex(names[k], gn.vertex_colour(names[k]))
-            for e in edges_of.get(colour, ()):
-                sub.add_edge(e.kind, e.id, e.colour, *e.ends)
+            verts = (names[k] for k in sorted(k for i in key[0] for k in members[i]))
+            sub = built[key] = Graph._derive(gn.name, {v: gn.vertex_colour(v) for v in verts})
+            sub._put(edges_of.get(colour, ()))
         return sub
 
     return fibre
@@ -357,11 +355,8 @@ def _alternation_assignment(verts: list[str], group, semi_ids: list[str]) -> dic
     """Distribute the edges of a union of open paths and even cycles over
     the two target semi-edges so images alternate at every vertex; None
     for any other shape."""
-    fibre = Graph("fibre")
-    for w in verts:
-        fibre.add_vertex(w, "f")
-    for e in group:
-        fibre.add_edge(e.kind, e.id, "c", *e.ends)
+    fibre = Graph._derive("fibre", dict.fromkeys(verts, "f"))
+    fibre._put(group)
     if any(e.kind == "loop" for e in group) or any(len(fibre.incident(v)) != 2 for v in verts):
         return None
     s0, s1 = semi_ids
@@ -402,13 +397,8 @@ def _matching_semi_step(matchings: dict):
         ends = {e.id: e.ends for e in group}
         matching = matchings.get((x, colour))
         if matching is None:
-            rest = Graph("fibre")
-            for w in verts:
-                if w not in semi_verts:
-                    rest.add_vertex(w, "f")
-            for e in group:
-                if e.kind == "edge" and not semi_verts.intersection(e.ends):
-                    rest.add_edge("edge", e.id, colour, *e.ends)
+            rest = Graph._derive("fibre", {w: "f" for w in verts if w not in semi_verts})
+            rest._put(e for e in group if e.kind == "edge" and not semi_verts.intersection(e.ends))
             matching = mt.general_perfect_matching(rest) or []
         else:
             matching = [eid for eid in matching if eid in ends]

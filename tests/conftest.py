@@ -194,3 +194,64 @@ def assert_odd_cycle(conflict, clauses):
             assert any({((u, True), (v, odd)), ((u, False), (v, not odd))} <= emitted
                        for u, v in ((a, b), (b, a)))
     assert sum(odd for _, _, odd in conflict) % 2 == 1
+
+
+def arc_beside_dotted_edge(arcs_first=True):
+    """A target with an interblock arc of colour ``a`` beside an edge of
+    colour ``a.f`` between the same two blocks, and its 2-fold lift with
+    the arc lines listed before or after the edge lines."""
+    h = Graph("h")
+    h.add_vertex("x", "X")
+    h.add_vertex("y", "Y")
+    h.add_edge("arc", "a", "a", "x", "y")
+    h.add_edge("edge", "b", "a.f", "x", "y")
+    g = Graph("g")
+    for v, c in (("x1", "X"), ("x2", "X"), ("y1", "Y"), ("y2", "Y")):
+        g.add_vertex(v, c)
+    arcs = [("arc", "a1", "a", "x1", "y1"), ("arc", "a2", "a", "x2", "y2")]
+    edges = [("edge", "b1", "a.f", "x1", "y1"), ("edge", "b2", "a.f", "x2", "y2")]
+    for line in arcs + edges if arcs_first else edges + arcs:
+        g.add_edge(*line)
+    return g, h
+
+
+def derived_graph_inputs():
+    """(label, graph) pairs to derive graphs from: every harmless host,
+    two seeded random lifts and a refinement-compatible random input of
+    each, random multigraphs with arcs, and the arc beside a dotted edge."""
+    from hosts import harmless_hosts, random_compatible_input
+    from test_covers import random_lift
+
+    for name, h in harmless_hosts():
+        yield name, h
+        for seed in (0, 1):
+            yield f"{name} lift {seed}", random_lift(h, 3, random.Random(seed))
+        yield f"{name} random", random_compatible_input(h, 2, seed=7)
+    for seed in range(4):
+        yield f"multigraph {seed}", random_multigraph(8, 10, seed, colours=("e", "f"), allow_arc=True)
+    for arcs_first in (True, False):
+        g, h = arc_beside_dotted_edge(arcs_first)
+        yield f"arc beside dotted edge {arcs_first}", g
+    yield "arc beside dotted edge target", h
+
+
+def rebuilt(name, vertices, edges):
+    """A graph built through the checked path: ``add_vertex`` for each
+    (id, colour) and ``add_edge`` for each edge, in the order given."""
+    g = Graph(name)
+    for v, colour in vertices:
+        g.add_vertex(v, colour)
+    for e in edges:
+        g.add_edge(e.kind, e.id, e.colour, *e.ends)
+    return g
+
+
+def assert_same_graph(got, want):
+    """Same name, vertex order and colours, edge order and fields, and
+    incidence order at every vertex."""
+    assert got.name == want.name
+    assert [(v, got.vertex_colour(v)) for v in got.vertices()] == \
+        [(v, want.vertex_colour(v)) for v in want.vertices()]
+    assert list(got.edges()) == list(want.edges())
+    for v in want.vertices():
+        assert got.incident(v) == want.incident(v), v

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,10 +10,12 @@ from coverkit import (
     naive_cover,
     oracle_cover,
     partial_covers,
+    solve_cover,
     verify_cover,
 )
 
 from conftest import (
+    arc_beside_dotted_edge,
     complete_graph,
     cycle,
     disjoint_union,
@@ -20,6 +23,7 @@ from conftest import (
     random_multigraph,
     two_vertex_w,
 )
+from hosts import harmless_hosts
 
 
 def w2_target():
@@ -321,6 +325,139 @@ def test_verify_catches_corrupted_certificates():
                 checked += 1
                 break
     assert checked >= 5
+
+
+def reference_verify(g, h, f):
+    """verify_cover checking edge images against an index of candidate
+    target edges: the reference for its direct edge-image checks."""
+    by = {}
+    for e in h.edges():
+        if e.kind == "edge":
+            key = ("edge", e.colour, tuple(sorted(e.ends)))
+        elif e.kind == "arc":
+            key = ("arc", e.colour, (e.tail, e.head))
+        else:
+            key = (e.kind, e.colour, e.u)
+        by.setdefault(key, []).append(e.id)
+
+    def candidates(e):
+        a, x, y = e.colour, f.fv[e.ends[0]], f.fv[e.ends[-1]]
+        if e.kind == "edge":
+            if x != y:
+                return by.get(("edge", a, tuple(sorted((x, y)))), [])
+            return by.get(("loop", a, x), []) + by.get(("semi", a, x), [])
+        if e.kind == "arc":
+            return by.get(("arc", a, (x, y)) if x != y else ("dloop", a, x), [])
+        return by.get((e.kind, a, x), [])
+
+    violations = []
+    for v in g.vertices():
+        if v not in f.fv:
+            violations.append(f"vertex {v} has no image")
+        elif not h.has_vertex(f.fv[v]):
+            violations.append(f"vertex {v} maps to unknown vertex {f.fv[v]}")
+        elif h.vertex_colour(f.fv[v]) != g.vertex_colour(v):
+            violations.append(f"vertex {v} changes colour")
+    violations += [f"vertex map names {v}, which is not a vertex of the source" for v in f.fv
+                   if not g.has_vertex(v)]
+    if violations:
+        return violations
+    for e in g.edges():
+        if e.id not in f.fe:
+            violations.append(f"edge {e.id} has no image")
+        elif not h.has_edge(f.fe[e.id]):
+            violations.append(f"edge {e.id} maps to unknown edge {f.fe[e.id]}")
+        elif f.fe[e.id] not in candidates(e):
+            violations.append(f"edge {e.id} -> {f.fe[e.id]} breaks colour or incidence")
+    violations += [f"edge map names {e}, which is not an edge of the source" for e in f.fe
+                   if not g.has_edge(e)]
+    if violations:
+        return violations
+
+    def darts(e, v, image):
+        if e.kind in ("edge", "semi"):
+            return [((image, "u"), 1)]
+        if e.kind == "loop":
+            return [((image, "u"), 2)]
+        if e.kind == "dloop":
+            return [((image, "o"), 1), ((image, "i"), 1)]
+        return [((image, "o" if e.tail == v else "i"), 1)]
+
+    for u in g.vertices():
+        got, want = Counter(), Counter()
+        for e in g.incident(u):
+            for key, cnt in darts(e, u, f.fe[e.id]):
+                got[key] += cnt
+        for e in h.incident(f.fv[u]):
+            for key, cnt in darts(e, f.fv[u], e.id):
+                want[key] += cnt
+        if got != want:
+            violations.append(f"local bijection broken at vertex {u}")
+    sizes = Counter(f.fv.values())
+    sizes.update({x: 0 for x in h.vertices()})
+    if len(set(sizes.values())) > 1:
+        violations.append("fibre sizes differ: " + ", ".join(f"{x}:{c}" for x, c in sorted(sizes.items())))
+    return violations
+
+
+def _tampered(g, h, f):
+    """(what, certificate) pairs, each changing one image of ``f``."""
+    fv, fe = f.fv, f.fe
+
+    def with_edge(eid, image):
+        return CoveringProjection(dict(fv), {**fe, eid: image})
+
+    for e in g.edges():
+        he = h.edge(fe[e.id])
+        for other in h.edges():
+            if other.colour != he.colour:
+                yield "wrong colour", with_edge(e.id, other.id)
+                break
+        if he.kind == "arc":
+            for other in h.edges():
+                if other.kind == "arc" and other.colour == he.colour and other.ends == he.ends[::-1]:
+                    yield "arc reversed", with_edge(e.id, other.id)
+                    break
+        if e.kind == "edge":
+            for other in h.edges():
+                if other.kind in ("loop", "semi") and other.colour == he.colour \
+                        and other.u not in (fv[e.u], fv[e.v]):
+                    yield "edge to a loop or semi-edge of another fibre", with_edge(e.id, other.id)
+                    break
+        if e.kind == "loop":
+            for other in h.edges():
+                if other.kind == "semi" and other.colour == he.colour and other.u == he.u:
+                    yield "loop to a semi-edge", with_edge(e.id, other.id)
+                    break
+    yield "unknown edge", with_edge(next(iter(fe)), "no-such-edge")
+    for u in g.vertices():
+        for x in h.vertices():
+            if x != fv[u] and h.vertex_colour(x) == h.vertex_colour(fv[u]):
+                yield "vertex moved", CoveringProjection({**fv, u: x}, dict(fe))
+                break
+
+
+def test_verify_tampered_certificates_like_the_candidate_index():
+    cases = []
+    for name, h in harmless_hosts():
+        for seed in (0, 1):
+            g = random_lift(h, 3, random.Random(seed))
+            cases.append((g, h, solve_cover(g, h).projection))
+    g, h = arc_beside_dotted_edge()
+    cases.append((g, h, oracle_cover(g, h).projection))
+    for seed in range(6):
+        h = random_multigraph(3, 3, seed, colours=("e", "f"), allow_arc=True)
+        g = random_lift(h, 2, random.Random(seed))
+        cases.append((g, h, oracle_cover(g, h).projection))
+    seen = Counter()
+    for g, h, f in cases:
+        assert verify_cover(g, h, f).ok and reference_verify(g, h, f) == []
+        for what, bad in _tampered(g, h, f):
+            res = verify_cover(g, h, bad)
+            assert not res.ok and res.violations, what
+            assert res.violations == reference_verify(g, h, bad), what
+            seen[what] += 1
+    assert len(seen) == 6 and min(seen.values()) >= 5, seen
 
 
 def test_partial_covers_budget():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,17 @@ from coverkit import (
 )
 from coverkit.graphs import EVEN_CYCLE, ODD_CYCLE, OPEN_PATH, OTHER, UND, IN, OUT, vertex_darts
 
-from conftest import complete_bipartite, cycle, disjoint_union, one_vertex, path, random_multigraph
+from conftest import (
+    assert_same_graph,
+    complete_bipartite,
+    cycle,
+    derived_graph_inputs,
+    disjoint_union,
+    one_vertex,
+    path,
+    random_multigraph,
+    rebuilt,
+)
 
 
 def test_parse_smallest():
@@ -48,6 +60,89 @@ def test_parse_errors():
     # colour discipline: directed and undirected colours must differ
     with pytest.raises(ParseError, match="disjoint"):
         parse_graph("graph g\nvertex 1 n\nvertex 2 n\nedge a c 1 2\narc b c 1 2\n")
+
+
+def test_edge_is_a_value():
+    from coverkit.graphs import Edge
+
+    a = Edge("e1", "edge", "c", ("u", "v"))
+    b = Edge("e1", "edge", "c", ("u", "v"))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1 and len({a, b}) == 1
+    for other in (Edge("e2", "edge", "c", ("u", "v")), Edge("e1", "arc", "c", ("u", "v")),
+                  Edge("e1", "edge", "d", ("u", "v")), Edge("e1", "edge", "c", ("v", "u"))):
+        assert a != other
+    assert a != ("e1", "edge", "c", ("u", "v")) and ("e1", "edge", "c", ("u", "v")) != a
+    assert a.u == a.tail == "u" and a.v == a.head == "v" and not a.directed
+    assert a.other_end("u") == "v" and a.other_end("v") == "u"
+    with pytest.raises(GraphError):
+        a.other_end("w")
+    s = Edge("s", "semi", "c", ("u",))
+    assert s.u == s.v == "u" and s.other_end("u") == "u"
+    assert Edge("d", "dloop", "c", ("u",)).directed
+    assert repr(a) == "Edge(id='e1', kind='edge', colour='c', ends=('u', 'v'))"
+    g = parse_graph("graph g\nvertex u n\nvertex v n\nedge e1 c u v\n")
+    assert g.edge("e1") == a and g.incident("u") == [a]
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda g: g.add_vertex("a", "n"), "duplicate vertex id 'a'"),
+    (lambda g: g.add_edge("edge", "e", "c", "a", "b"), "duplicate edge id 'e'"),
+    (lambda g: g.add_edge("wire", "f", "c", "a", "b"), "unknown edge kind 'wire'"),
+    (lambda g: g.add_edge("edge", "f", "c", "a"), "edge needs two endpoints"),
+    (lambda g: g.add_edge("edge", "f", "c", "a", "a"), r"edge 'f' must join two distinct vertices \(use loop\)"),
+    (lambda g: g.add_edge("arc", "f", "d", "a", "a"), r"directed loop must use dloop"),
+    (lambda g: g.add_edge("loop", "f", "c", "a", "b"), "loop has a single endpoint"),
+    (lambda g: g.add_edge("edge", "f", "c", "a", "z"), "edge 'f' references unknown vertex 'z'"),
+    (lambda g: g.add_edge("semi", "f", "c", "z"), "edge 'f' references unknown vertex 'z'"),
+], ids=["vertex-id", "edge-id", "kind", "one-end", "edge-u-u", "arc-u-u", "loop-two-ends", "unknown-end",
+        "unknown-semi-end"])
+def test_add_edge_rejections(build, match):
+    g = Graph("g")
+    g.add_vertex("a", "n")
+    g.add_vertex("b", "n")
+    g.add_edge("edge", "e", "c", "a", "b")
+    before = serialize_graph(g)
+    with pytest.raises(GraphError, match=match):
+        build(g)
+    assert serialize_graph(g) == before
+
+
+@pytest.mark.parametrize("text,match", [
+    ("vertex a n\n", "line 1: vertex before graph directive"),
+    ("graph g\ngraph h\n", "line 2: duplicate graph directive"),
+    ("graph g h\n", "line 1: graph directive takes one name"),
+    ("graph g\nvertex a\n", "line 2: vertex <id> <colour>"),
+    ("graph g\nvertex a n\nvertex a n\n", "line 3: duplicate vertex id 'a'"),
+    ("graph g\nvertex a n\nedge e c a\n", "line 3: edge <id> <colour> <u> <v>"),
+    ("graph g\nvertex a n\nsemi s c a a\n", "line 3: semi <id> <colour> <u>"),
+    ("graph g\nvertex a n\nvertex b n\nedge e c a b\nloop e c a\n", "line 5: duplicate edge id 'e'"),
+    ("graph g\nvertex a n\nedge e c a a\n", "line 3: edge 'e' must join two distinct vertices"),
+    ("graph g\nvertex a n\narc e d a a\n", "line 3: .*dloop"),
+    ("graph g\nvertex a n\nedge e c a b\n", "line 3: edge 'e' references unknown vertex 'b'"),
+    ("graph g\nwobble\n", "line 2: unknown directive 'wobble'"),
+    ("# nothing\n", "missing graph directive"),
+    ("graph g\nvertex a n\nloop l n a\n", r"vertex and undirected edge colours must be disjoint, shared: \['n'\]"),
+    ("graph g\nvertex a d\ndloop l d a\n", r"vertex and directed edge colours must be disjoint, shared: \['d'\]"),
+    ("graph g\nvertex a n\nvertex b n\nedge e c a b\narc f c a b\n",
+     r"directed and undirected edge colours must be disjoint, shared: \['c'\]"),
+], ids=["vertex-first", "two-graphs", "graph-arity", "vertex-arity", "vertex-id", "edge-arity", "semi-arity",
+        "edge-id", "edge-u-u", "arc-u-u", "unknown-end", "directive", "no-graph", "vertex-undirected",
+        "vertex-directed", "directed-undirected"])
+def test_parse_rejections(text, match):
+    with pytest.raises(ParseError, match=match):
+        parse_graph(text)
+
+
+def test_validate_reports_the_first_namespace_clash():
+    g = Graph("g")
+    g.add_vertex("a", "x")
+    g.add_vertex("b", "y")
+    g.add_edge("arc", "f", "x", "a", "b")
+    g.add_edge("edge", "e", "y", "a", "b")
+    g.add_edge("loop", "l", "x", "a")
+    with pytest.raises(GraphError, match=r"vertex and directed edge colours must be disjoint, shared: \['x'\]"):
+        g.validate()
 
 
 def test_roundtrip_identity():
@@ -135,6 +230,25 @@ def test_project_colour_filter():
     g.add_edge("edge", "c", "blue", "1", "2")
     only = project(g, colours=["blue"])
     assert only.m == 2 and only.n == 2
+
+
+def test_project_and_copy_equal_checked_rebuilds():
+    rng = random.Random(11)
+    for label, g in derived_graph_inputs():
+        verts = g.vertices()
+        colours = sorted(g.edge_colours())
+        subsets = [None, verts, rng.sample(verts, len(verts) // 2)]
+        for vs in subsets:
+            for cs in (None, colours, colours[:1]):
+                keep_v = set(verts if vs is None else vs)
+                keep_c = set(colours if cs is None else cs)
+                want = rebuilt(g.name, [(v, g.vertex_colour(v)) for v in verts if v in keep_v],
+                               [e for e in g.edges() if e.colour in keep_c and set(e.ends) <= keep_v])
+                assert_same_graph(project(g, vertices=vs, colours=cs), want)
+        want = rebuilt(g.name, [(v, g.vertex_colour(v)) for v in verts], g.edges())
+        assert_same_graph(g.copy(), want)
+        assert_same_graph(g.copy("renamed"), rebuilt("renamed", [(v, g.vertex_colour(v)) for v in verts],
+                                                     g.edges()))
 
 
 def test_components():

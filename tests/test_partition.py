@@ -22,13 +22,17 @@ from coverkit.graphs import dart_counts
 from coverkit.partition import is_equitable
 
 from conftest import (
+    arc_beside_dotted_edge,
+    assert_same_graph,
     complete_bipartite,
     complete_graph,
     cycle,
+    derived_graph_inputs,
     looped_triangle_with_tails,
     one_vertex,
     path,
     random_multigraph,
+    rebuilt,
     two_vertex_w,
 )
 
@@ -157,6 +161,62 @@ def test_normalize_deorients_interblock():
     norm = normalize_colours(g, part)
     (e,) = list(norm.edges())
     assert e.kind == "edge"
+
+
+def reference_normalize(g, part):
+    # the colour naming of normalize_colours, built through the checked path
+    width = max(3, len(str(part.k - 1)))
+    out = Graph(g.name)
+    for v in g.vertices():
+        out.add_vertex(v, f"b{part.block_of[v]:0{width}d}")
+    for e in g.edges():
+        bi, bj = part.block_of[e.ends[0]], part.block_of[e.ends[-1]]
+        lo, hi = min(bi, bj), max(bi, bj)
+        if bi != bj and e.kind == "arc":
+            out.add_edge("edge", e.id, f"a{lo}.{hi}.{e.colour}.{'f' if bi == lo else 'b'}", *e.ends)
+        else:
+            out.add_edge(e.kind, e.id, f"c{lo}.{hi}.{e.colour}", *e.ends)
+    out.validate()
+    return out
+
+
+def test_normalize_and_fibres_equal_checked_rebuilds():
+    from coverkit.solver import _fibre_index
+
+    arcs_between_blocks = 0
+    for label, g in derived_graph_inputs():
+        part, _ = degree_partition(g)
+        norm = normalize_colours(g, part)
+        assert_same_graph(norm, reference_normalize(g, part))
+        by_hand = Partition([list(b) for b in part.blocks], dict(part.block_of))
+        assert_same_graph(normalize_colours(g, by_hand), norm)
+        arcs_between_blocks += sum(e.kind == "arc" and part.block_of[e.u] != part.block_of[e.v]
+                                   for e in g.edges())
+        fibre = _fibre_index(norm, part)
+        for colour in sorted(norm.edge_colours()):
+            edges = [e for e in norm.edges() if e.colour == colour]
+            blocks = sorted({part.block_of[w] for e in edges for w in e.ends})
+            verts = [(v, norm.vertex_colour(v)) for v in norm.vertices() if part.block_of[v] in blocks]
+            want = rebuilt(norm.name, verts, edges)
+            assert_same_graph(fibre(blocks, colour), want)
+            assert fibre(blocks, colour) is fibre(blocks, colour)
+        # a block pair with no edges of the colour gives the bare vertices
+        if part.k >= 2:
+            verts = [(v, norm.vertex_colour(v)) for v in norm.vertices() if part.block_of[v] in (0, 1)]
+            assert_same_graph(fibre((0, 1), "no such colour"), rebuilt(norm.name, verts, []))
+    assert arcs_between_blocks >= 4
+
+
+@pytest.mark.parametrize("arcs_first", [True, False])
+def test_normalize_keeps_arc_and_dotted_edge_colours_apart(arcs_first):
+    # an arc of colour a and an edge of colour a.f between the same blocks
+    g, h = arc_beside_dotted_edge(arcs_first)
+    for graph in (g, h):
+        part, _ = degree_partition(graph)
+        norm = normalize_colours(graph, part)
+        colour = {e.id[0]: e.colour for e in norm.edges()}
+        assert colour["a"] != colour["b"]
+        assert len(norm.edge_colours()) == 2
 
 
 def test_reduce_theta_graph():

@@ -25,6 +25,7 @@ from coverkit.covers import InternalCoverError
 from coverkit.solver import complete_edge_mapping
 
 from conftest import (
+    arc_beside_dotted_edge,
     assert_odd_cycle,
     complete_graph,
     cycle,
@@ -55,6 +56,18 @@ def test_completion_refuses_odd_cycle_over_two_semi_edges():
     fv = {f"v{i}": "x" for i in range(4)}
     fe = complete_edge_mapping(cycle(4), f20, fv)
     assert verify_cover(cycle(4), f20, CoveringProjection(fv, fe)).ok
+
+
+@pytest.mark.parametrize("arcs_first", [True, False], ids=["arcs-first", "edges-first"])
+def test_solve_keeps_a_deoriented_arc_apart_from_a_dotted_colour(arcs_first):
+    # normalization once named the arc's colour a and the edge's colour a.f
+    # alike between the same blocks, so the two merged when the arcs came first
+    g, h = arc_beside_dotted_edge(arcs_first)
+    res = solve_cover(g, h)
+    assert res.yes
+    assert verify_cover(g, h, res.projection).ok
+    assert res.projection.fe == {"a1": "a", "a2": "a", "b1": "b", "b2": "b"}
+    assert oracle_cover(g, h).yes
 
 
 def test_solve_matrix_mismatch():
