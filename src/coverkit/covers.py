@@ -17,7 +17,7 @@ decision logic.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from . import matching as mt
@@ -25,6 +25,7 @@ from .graphs import Darts, Graph, GraphError, IN, OUT, UND, edge_darts, is_conne
 from .partition import degree_partition
 
 DEFAULT_BUDGET = 1_000_000
+_REVERSED = {UND: UND, OUT: IN, IN: OUT}
 
 
 class BudgetExhausted(Exception):
@@ -397,6 +398,11 @@ def naive_cover(g: Graph, h: Graph, node_limit: int = 5_000_000) -> CoveringProj
 # backtracking vertex-map search ----------------------------------------------
 
 
+# undo trail tags; every change the trail records commutes with the others
+# made since the same mark, so a trail can be undone in any order
+_DOM, _USED, _TOUCH, _FIBRE, _ASSIGN = range(5)
+
+
 class _VertexSearch:
     """Backtracking over vertex images with capacity propagation.
 
@@ -411,272 +417,378 @@ class _VertexSearch:
     target's multiplicities, and once a capacity is saturated the
     remaining unassigned neighbours lose that image.
 
+    Representation.  Source vertices are the ints 0..n-1 in
+    ``g.vertices()`` order and target vertices the ints 0..|h|-1 in
+    sorted-name order.  A domain is an int bitmask over target ids, so
+    walking its bits from low to high visits images in name order.  Every
+    (colour, direction) pair has a key id; ``caps[x]`` and ``used[u]`` are
+    flat lists indexed by key id * |h| + image, the darts target vertex x
+    has towards each image and the darts source vertex u already sends
+    there.  Each source vertex carries its rows once: self rows
+    (slot base, count) for its loops, semi-edges and directed loops, and
+    cross rows (slot base, reversed slot base, ((w, count), ...)) for its
+    darts towards other vertices.  The undo trail holds small tuples
+    tagged with ints.
+
+    Why the propagation order does not change the answer: every rule only
+    removes images, and what a rule removes from a domain it also removes
+    from any smaller one (or fails there), so the removals reach the same
+    fixpoint in any order.  The deficit test looks at the images some
+    unassigned neighbour held when its row's scan began, so an image all
+    neighbours lose during that scan fails the node at once, while one
+    lost before it is caught further down; for the oracle both are dead
+    ends, since its degrees are exact.  Images are visited in bit order
+    and dirty vertices last-in first-out, so the tree is the same under
+    every hash seed.
+
     Without fibre caps all constraints are local (an edge, or a shared
     assigned neighbour), so when the residual constraint graph falls into
     independent components each is solved on its own and the solutions
     are combined, instead of rediscovering one component's failures once
-    per assignment of the others.
+    per assignment of the others.  ``_branch`` carries the fact that its
+    scope is connected down the recursion and, after assigning u,
+    re-proves it locally (``_stays_connected``); only where that proof
+    fails does a branch point walk the whole scope (``_components``).
     """
 
     DECOMPOSE_MIN = 9
 
-    def __init__(self, g, tables: _DartTables, domains, budget_box, fibre_cap=None, blocks=()):
+    def __init__(self, tables: _DartTables, domains, budget_box, fibre_cap=None, blocks=()):
         self.budget = budget_box
-        self.darts = tables.g
-        self.caps = tables.caps
-        self.cross = cross = tables.cross
         self.fibre_cap = fibre_cap
-        self.order = list(g.vertices())
-        self.index = {u: i for i, u in enumerate(self.order)}
-        self.domains = {u: set(domains[u]) for u in self.order}
-        self.assign: dict[str, str | None] = {u: None for u in self.order}
-        self.used: dict[str, Counter] = {u: Counter() for u in self.order}
-        self.fibre: Counter = Counter()
-        self.blockmates = {u: [w for w in block if w != u] for block in blocks for u in block}
+        self.names = names = list(tables.g)
+        self.images = images = sorted(tables.h)
+        index = {u: i for i, u in enumerate(names)}
+        image = {x: i for i, x in enumerate(images)}
+        keys: dict = {}
+        for t in (*tables.g.values(), *tables.h.values()):
+            for a, d in t.ends:
+                keys.setdefault((a, d), len(keys))
+                keys.setdefault((a, _REVERSED[d]), len(keys))
+        nh = len(images)
+        self.caps = [[0] * (len(keys) * nh) for _ in images]
+        for x, t in tables.h.items():
+            row = self.caps[image[x]]
+            for key, to in t.ends.items():
+                for y, c in to.items():
+                    row[keys[key] * nh + image[y]] = c
+        self.used = [[0] * (len(keys) * nh) for _ in names]
+        self.self_rows = [
+            [(keys[key] * nh, to[u]) for key, to in tables.g[u].ends.items() if to.get(u)]
+            for u in names
+        ]
+        self.cross_rows = [
+            [(keys[(a, d)] * nh, keys[(a, _REVERSED[d])] * nh,
+              tuple((index[w], m) for w, m in to.items()))
+             for (a, d), to in tables.cross[u].items()]
+            for u in names
+        ]
+        self.domains = [sum(1 << image[x] for x in domains[u]) for u in names]
+        self.assign = [-1] * len(names)
+        self.fibre = [0] * nh
+        self.blockmates = [[] for _ in names]
+        for block in blocks:
+            for u in block:
+                self.blockmates[index[u]] = [index[w] for w in block if w != u]
         # locality bookkeeping: a recency stack plus touch counts keep the
         # search inside one gadget region until it is finished, which is
         # what makes clause/variable instances tractable
-        self.touch: Counter = Counter()
-        self.recent: list[str] = []
+        self.touch = [0] * len(names)
+        self.recent: list[int] = []
         # descending names: on the hardness gadgets this order decides
         # more instances within a budget than ascending or incidence order
-        self.nbrs = {
-            u: sorted({w for ctr in cross[u].values() for w in ctr}, reverse=True)
-            for u in self.order
-        }
-
-    # one undo log entry: ("dom", u, x) / ("used", u, key, delta) / ("fibre", x) / ("assign", u)
+        self.nbrs = [
+            [index[w] for w in sorted({w for to in tables.cross[u].values() for w in to},
+                                      reverse=True)]
+            for u in names
+        ]
 
     def _undo(self, ops):
-        for op in reversed(ops):
-            if op[0] == "dom":
-                self.domains[op[1]].add(op[2])
-            elif op[0] == "used":
-                self.used[op[1]][op[2]] -= op[3]
-            elif op[0] == "fibre":
+        domains, used, touch = self.domains, self.used, self.touch
+        for op in ops:
+            tag = op[0]
+            if tag == _DOM:
+                domains[op[1]] |= op[2]
+            elif tag == _USED:
+                used[op[1]][op[2]] -= op[3]
+            elif tag == _TOUCH:
+                for w in op[1]:
+                    touch[w] -= 1
+            elif tag == _FIBRE:
                 self.fibre[op[1]] -= 1
-            elif op[0] == "touch":
-                self.touch[op[1]] -= 1
             else:
-                self.assign[op[1]] = None
+                self.assign[op[1]] = -1
 
-    def _bump(self, a, key, delta, ops):
-        xa = self.assign[a]
-        cap = self.caps[xa].get(key, 0)
-        cur = self.used[a][key] + delta
-        if cur > cap:
+    def _remove(self, w, drop, ops, dirty) -> bool:
+        """Take the images ``drop`` (all in w's domain) out of it; False
+        when the domain runs empty.  w's assigned neighbours get dirty."""
+        left = self.domains[w] ^ drop
+        self.domains[w] = left
+        ops.append((_DOM, w, drop))
+        if not left:
             return False
-        self.used[a][key] = cur
-        ops.append(("used", a, key, delta))
+        assign = self.assign
+        for z in self.nbrs[w]:
+            if assign[z] >= 0:
+                dirty[z] = None
         return True
 
     def _try_assign(self, u, x):
+        """Assign image x to u and propagate: the undo trail, or None with
+        the state unchanged when propagation fails."""
         ops: list = []
-        # insertion-ordered, so propagation does not follow string hashing
-        dirty: dict[str, None] = {}
-        failed = False
+        if self._assign(u, x, ops):
+            return ops
+        self._undo(ops)
+        return None
 
-        def remove(w, y):
-            nonlocal failed
-            dom = self.domains[w]
-            if y not in dom:
-                return
-            dom.discard(y)
-            ops.append(("dom", w, y))
-            if not dom:
-                failed = True
-                return
-            for z in self.nbrs[w]:
-                if self.assign[z] is not None:
-                    dirty[z] = None
-
-        self.assign[u] = x
-        ops.append(("assign", u))
+    def _assign(self, u, x, ops) -> bool:
+        assign, domains, used, caps = self.assign, self.domains, self.used, self.caps
+        # insertion-ordered, and popped last-in first-out
+        dirty: dict[int, None] = {}
+        assign[u] = x
+        ops.append((_ASSIGN, u))
         if self.fibre_cap is not None:
             self.fibre[x] += 1
-            ops.append(("fibre", x))
+            ops.append((_FIBRE, x))
             if self.fibre[x] > self.fibre_cap:
-                self._undo(ops)
-                return None
+                return False
             if self.fibre[x] == self.fibre_cap:
+                bit = 1 << x
                 for w in self.blockmates[u]:
-                    if self.assign[w] is None:
-                        remove(w, x)
-                        if failed:
-                            self._undo(ops)
-                            return None
+                    if assign[w] < 0 and domains[w] & bit and not self._remove(w, bit, ops, dirty):
+                        return False
+        used_u, cap_x = used[u], caps[x]
         # self darts (loops, semi-edges, directed loops)
-        for (a, d), to in self.darts[u].ends.items():
-            own = to.get(u)
-            if own and not self._bump(u, (a, d, x), own, ops):
-                self._undo(ops)
-                return None
+        for base, own in self.self_rows[u]:
+            slot = base + x
+            now = used_u[slot] + own
+            if now > cap_x[slot]:
+                return False
+            used_u[slot] = now
+            ops.append((_USED, u, slot, own))
         # darts towards assigned neighbours, both directions of bookkeeping
-        for (a, d), ctr in self.cross[u].items():
-            for w, cnt in ctr.items():
-                y = self.assign[w]
-                if y is None:
+        for base, rbase, row in self.cross_rows[u]:
+            for w, m in row:
+                y = assign[w]
+                if y < 0:
                     continue
-                dw = UND if d == UND else (IN if d == OUT else OUT)
-                if not (self._bump(u, (a, d, y), cnt, ops) and self._bump(w, (a, dw, x), cnt, ops)):
-                    self._undo(ops)
-                    return None
+                slot, rslot = base + y, rbase + x
+                now = used_u[slot] + m
+                if now > cap_x[slot]:
+                    return False
+                used_u[slot] = now
+                ops.append((_USED, u, slot, m))
+                used_w = used[w]
+                now = used_w[rslot] + m
+                if now > caps[y][rslot]:
+                    return False
+                used_w[rslot] = now
+                ops.append((_USED, w, rslot, m))
                 dirty[w] = None
         dirty[u] = None
-        # counting propagation: for an assigned vertex and every image y,
-        # the outstanding need must fit the unassigned neighbours that can
-        # still take y; equality forces them, deficits fail, and a
-        # neighbour whose multiplicity overshoots the need loses y
-        while dirty and not failed:
-            a_vertex, _ = dirty.popitem()
-            xa = self.assign[a_vertex]
-            capa = self.caps[xa]
-            useda = self.used[a_vertex]
-            for (a, d), ctr in self.cross[a_vertex].items():
-                unassigned = [(w, m) for w, m in ctr.items() if self.assign[w] is None]
+        if not self._propagate(dirty, ops):
+            return False
+        # locality bookkeeping for the branching heuristic
+        nbrs = self.nbrs
+        touched = []
+        for w in nbrs[u]:
+            if assign[w] < 0:
+                touched.append(w)
+            for z in nbrs[w]:
+                if assign[z] < 0:
+                    touched.append(z)
+        touch = self.touch
+        for w in touched:
+            touch[w] += 1
+        self.recent += touched
+        ops.append((_TOUCH, touched))
+        return True
+
+    def _propagate(self, dirty, ops) -> bool:
+        """Counting propagation: for an assigned vertex and every image y,
+        the outstanding need must fit the unassigned neighbours that can
+        still take y; equality forces them, deficits fail, and a neighbour
+        whose multiplicity overshoots the need loses y."""
+        assign, domains = self.assign, self.domains
+        remove = self._remove
+        while dirty:
+            a = dirty.popitem()[0]
+            cap_a, used_a = self.caps[assign[a]], self.used[a]
+            for base, _, row in self.cross_rows[a]:
+                unassigned = [(w, m) for w, m in row if assign[w] < 0]
                 if not unassigned:
                     continue
-                targets = set()
+                targets = 0
                 for w, _ in unassigned:
-                    targets |= self.domains[w]
-                for y in targets:
-                    needed = capa.get((a, d, y), 0) - useda[(a, d, y)]
+                    targets |= domains[w]
+                while targets:
+                    bit = targets & -targets
+                    targets ^= bit
+                    slot = base + bit.bit_length() - 1
+                    needed = cap_a[slot] - used_a[slot]
                     avail = 0
                     holders = []
                     for w, m in unassigned:
-                        if y in self.domains[w]:
+                        if domains[w] & bit:
                             if m > needed:
-                                remove(w, y)
-                                if failed:
-                                    break
+                                if not remove(w, bit, ops, dirty):
+                                    return False
                             else:
                                 avail += m
                                 holders.append(w)
-                    if failed:
-                        break
                     if needed > avail:
-                        failed = True
-                        break
+                        return False
                     if needed and needed == avail:
                         for w in holders:
-                            if len(self.domains[w]) > 1:
-                                for y2 in [v for v in self.domains[w] if v != y]:
-                                    remove(w, y2)
-                                    if failed:
-                                        break
-                            if failed:
-                                break
-                    if failed:
-                        break
-                if failed:
-                    break
-        if failed:
-            self._undo(ops)
-            return None
-        # locality bookkeeping for the branching heuristic
-        for w in self.nbrs[u]:
-            if self.assign[w] is None:
-                self.touch[w] += 1
-                ops.append(("touch", w))
-                self.recent.append(w)
-            for z in self.nbrs[w]:
-                if self.assign[z] is None:
-                    self.touch[z] += 1
-                    ops.append(("touch", z))
-                    self.recent.append(z)
-        return ops
+                            if domains[w] != bit:
+                                remove(w, domains[w] ^ bit, ops, dirty)
+        return True
 
     def _choose(self, todo):
-        best, best_key = None, None
-        todo_set = None
+        domains, touch = self.domains, self.touch
+        # least domain, then most touched, then first in the scope
+        best, best_size, best_touch = -1, 0, 0
         for u in todo:
-            if self.assign[u] is not None:
-                continue
-            size = len(self.domains[u])
+            size = domains[u].bit_count()
             if size <= 1:
                 return u
-            key = (size, -self.touch[u], self.index[u])
-            if best_key is None or key < best_key:
-                best, best_key = u, key
+            if best < 0 or size < best_size or (size == best_size and touch[u] > best_touch):
+                best, best_size, best_touch = u, size, touch[u]
         # prefer finishing the region the search is already inside
-        while self.recent:
-            w = self.recent[-1]
-            if self.assign[w] is not None:
-                self.recent.pop()
+        recent = self.recent
+        while recent:
+            w = recent[-1]
+            # scopes are ascending id lists
+            at = bisect_left(todo, w)
+            if self.assign[w] >= 0 or at == len(todo) or todo[at] != w:
+                recent.pop()
                 continue
-            if todo_set is None:
-                todo_set = set(todo)
-            if w not in todo_set:
-                self.recent.pop()
-                continue
-            if len(self.domains[w]) == best_key[0]:
+            if domains[w].bit_count() == best_size:
                 return w
             break
         return best
 
     def _components(self, todo):
         """Partition unassigned vertices into groups with no constraint
-        between them: direct edges and shared assigned neighbours couple."""
-        todo_set = set(todo)
-        parent = {v: v for v in todo}
+        between them: direct edges and shared assigned neighbours couple.
+        Groups come in order of their least id, each in ascending order."""
+        assign, nbrs = self.assign, self.nbrs
+        left = set(todo)
+        anchors = set()
+        comps = []
+        for start in todo:
+            if start not in left:
+                continue
+            left.discard(start)
+            comp, stack = [start], [start]
+            while stack:
+                for w in nbrs[stack.pop()]:
+                    if w in left:
+                        left.discard(w)
+                        comp.append(w)
+                        stack.append(w)
+                    elif assign[w] >= 0 and w not in anchors:
+                        anchors.add(w)
+                        for z in nbrs[w]:
+                            if z in left:
+                                left.discard(z)
+                                comp.append(z)
+                                stack.append(z)
+            comp.sort()
+            comps.append(comp)
+        return comps
 
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
+    def _stays_connected(self, u) -> bool:
+        """Whether a connected scope is still connected now that u is
+        assigned.  Every coupling lost ran through u, to a vertex of one
+        of these groups: u's unassigned neighbours, which u now couples,
+        and the unassigned neighbours of each assigned neighbour of u.  If
+        shared members and direct edges join the groups, the rest of the
+        scope stays connected.  False means unproven, not split."""
+        assign, nbrs = self.assign, self.nbrs
+        groups = []
+        near = [w for w in nbrs[u] if assign[w] < 0]
+        if near:
+            groups.append(near)
+        for z in nbrs[u]:
+            if assign[z] >= 0:
+                group = [w for w in nbrs[z] if assign[w] < 0]
+                if group:
+                    groups.append(group)
+        if len(groups) < 2:
+            return True
+        root = list(range(len(groups)))
+        joins = 0
 
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+        def join(i, j):
+            nonlocal joins
+            while root[i] != i:
+                i = root[i]
+            while root[j] != j:
+                j = root[j]
+            if i != j:
+                root[max(i, j)] = min(i, j)
+                joins += 1
 
-        anchor: dict[str, str] = {}
-        for v in todo:
-            for w in self.nbrs[v]:
-                if w in todo_set:
-                    union(v, w)
-                elif self.assign[w] is not None:
-                    if w in anchor:
-                        union(v, anchor[w])
-                    else:
-                        anchor[w] = v
-        comps: dict[str, list[str]] = {}
-        for v in todo:
-            comps.setdefault(find(v), []).append(v)
-        return list(comps.values())
+        owner: dict[int, int] = {}
+        for i, group in enumerate(groups):
+            for w in group:
+                j = owner.setdefault(w, i)
+                if j != i:
+                    join(i, j)
+        for w, i in owner.items():
+            for z in nbrs[w]:
+                j = owner.get(z)
+                if j is not None:
+                    join(i, j)
+        return joins == len(groups) - 1
 
     def solutions(self):
-        for _ in self._branch(self.order):
-            yield dict(self.assign)
+        names, images = self.names, self.images
+        for _ in self._branch(range(len(names))):
+            yield {u: images[x] for u, x in zip(names, self.assign)}
 
-    def _branch(self, scope):
-        todo = [v for v in scope if self.assign[v] is None]
+    def _branch(self, scope, connected=False):
+        """Search the unassigned vertices of ``scope``; ``connected`` is
+        the proven fact that they form one component."""
+        assign = self.assign
+        todo = [v for v in scope if assign[v] < 0]
         if not todo:
             yield True
             return
         u = self._choose(todo)
+        dom = self.domains[u]
+        # only genuine branch points pay for the component check; unit
+        # propagation chains fall straight through
         if (
-            self.fibre_cap is None
-            and len(self.domains[u]) > 1
+            not connected
+            and self.fibre_cap is None
+            and dom & (dom - 1)
             and len(todo) >= self.DECOMPOSE_MIN
         ):
-            # only genuine branch points pay for the component check; unit
-            # propagation chains fall straight through
             comps = self._components(todo)
             if len(comps) > 1:
                 done = yield from self._branch_components(comps)
                 if done:
                     return
-        for x in sorted(self.domains[u]):
-            if self.budget[0] <= 0:
+            else:
+                connected = True
+        budget = self.budget
+        while dom:
+            bit = dom & -dom
+            dom ^= bit
+            if budget[0] <= 0:
                 raise BudgetExhausted()
-            self.budget[0] -= 1
-            ops = self._try_assign(u, x)
+            budget[0] -= 1
+            ops = self._try_assign(u, bit.bit_length() - 1)
             if ops is None:
                 continue
+            # no component check runs below DECOMPOSE_MIN, so the fact is
+            # not needed there
+            still = connected and (len(todo) <= self.DECOMPOSE_MIN or self._stays_connected(u))
             try:
-                yield from self._branch(todo)
+                yield from self._branch(todo, still)
             finally:
                 self._undo(ops)
 
@@ -687,25 +799,27 @@ class _VertexSearch:
         True without yielding), which is the point: its refutation is
         found once instead of once per assignment of the other
         components.  If every component is solvable, their first
-        solutions combine into one emitted assignment; should the caller
-        need further solutions, plain branching takes over (return value
-        False), which keeps the enumeration complete."""
-        first: list[dict] = []
+        solutions combine into one emitted assignment, applied in
+        vertex-name order; should the caller need further solutions,
+        plain branching takes over (return value False), which keeps the
+        enumeration complete."""
+        first: list[list] = []
         for comp in sorted(comps, key=len):
             sol = None
-            gen = self._branch(comp)
+            gen = self._branch(comp, True)
             for _ in gen:
-                sol = {v: self.assign[v] for v in comp}
+                sol = [(v, self.assign[v]) for v in comp]
                 break
             gen.close()
             if sol is None:
                 return True
             first.append(sol)
+        names = self.names
         opslist = []
         try:
             for comp_sol in first:
-                for v, x in sorted(comp_sol.items()):
-                    if self.assign[v] is not None:
+                for v, x in sorted(comp_sol, key=lambda vx: names[vx[0]]):
+                    if self.assign[v] >= 0:
                         continue
                     ops = self._try_assign(v, x)
                     if ops is None:
@@ -840,11 +954,16 @@ def _exact_semi_step(h: Graph, budget_box):
     return step
 
 
+def _check_budget(budget) -> None:
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise ValueError(f"the node budget must be an int of at least 1, got {budget!r}")
+
+
 def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Complete within budget: 'yes' with a verified certificate, 'no', or
-    'unknown' when the node budget ran out.  The budget must be at least 1."""
-    if budget < 1:
-        raise ValueError(f"the node budget must be at least 1, got {budget}")
+    'unknown' when the node budget ran out.  The budget must be an int of
+    at least 1 (ValueError otherwise)."""
+    _check_budget(budget)
     if h.n == 0:
         if g.n == 0:
             return OracleResult("yes", CoveringProjection({}, {}))
@@ -874,9 +993,9 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
         # fibre equality is implied for connected targets, so the caps can
         # go, which in turn lets the search decompose into independent
         # components
-        search = _VertexSearch(g, tables, domains, budget_box)
+        search = _VertexSearch(tables, domains, budget_box)
     else:
-        search = _VertexSearch(g, tables, domains, budget_box, fibre_cap=r, blocks=pg.blocks)
+        search = _VertexSearch(tables, domains, budget_box, fibre_cap=r, blocks=pg.blocks)
     try:
         for fv in search.solutions():
             try:
@@ -901,13 +1020,26 @@ def partial_covers(g: Graph, h: Graph, fix: dict[str, str] | None = None,
     """Enumerate partial covering projections: total colour-preserving maps
     whose edge assignment is locally injective around every vertex.
 
-    Yields CoveringProjection objects (one witness edge map per vertex
-    map).  ``fix`` pins chosen vertex images.  With ``vertex_maps_only``
-    the edge map search is still run, but only the vertex map dict is
-    yielded.  Raises BudgetExhausted when the node budget runs out.
+    Returns an iterator of CoveringProjection objects (one witness edge
+    map per vertex map).  ``fix`` pins chosen vertex images.  With
+    ``vertex_maps_only`` the edge map search is still run, but only the
+    vertex map dict is yielded.  Raises ValueError at once for a budget
+    that is not an int of at least 1, or a ``fix`` that names a vertex
+    outside g or an image outside h; the iterator raises BudgetExhausted
+    when the node budget runs out.
     """
-    tables = _DartTables(g, h)
+    _check_budget(budget)
     fix = fix or {}
+    for u, x in fix.items():
+        if not g.has_vertex(u):
+            raise ValueError(f"fix names {u!r}, which is not a vertex of the source")
+        if not h.has_vertex(x):
+            raise ValueError(f"fix maps {u!r} to {x!r}, which is not a vertex of the target")
+    return _partial_covers(g, h, fix, budget, vertex_maps_only)
+
+
+def _partial_covers(g: Graph, h: Graph, fix: dict[str, str], budget: int, vertex_maps_only: bool):
+    tables = _DartTables(g, h)
     domains = {}
     for u in g.vertices():
         gu = tables.g[u]
@@ -925,7 +1057,7 @@ def partial_covers(g: Graph, h: Graph, fix: dict[str, str] | None = None,
             return
         domains[u] = dom
     budget_box = [budget]
-    search = _VertexSearch(g, tables, domains, budget_box)
+    search = _VertexSearch(tables, domains, budget_box)
     for fv in search.solutions():
         fe = _edge_map_search(g, h, fv, budget_box)
         if fe is None:

@@ -23,13 +23,37 @@ cycle whose parities sum to odd.
 from __future__ import annotations
 
 
+class Clauses:
+    """The constraints of a TwoSat as 2-clauses, written out on iteration:
+    two per equivalence or antivalence, one (a, a) per unit.  ``len`` is a
+    counter, so reading the size costs nothing."""
+
+    def __init__(self, sat: "TwoSat"):
+        self._sat = sat
+        self.count = 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        names = self._sat._nodes
+        for a, b, odd in self._sat._constraints:
+            x = names[a]
+            if b == 0:  # a unit
+                yield (x, not odd), (x, not odd)
+            else:
+                y = names[b]
+                yield (x, True), (y, odd)
+                yield (x, False), (y, not odd)
+
+
 class TwoSat:
     def __init__(self):
         self._index: dict[str, int] = {}
         self._nodes: list = [True]  # node 0: the constant units constrain
         self._constraints: list[tuple[int, int, bool]] = []  # (a, b, a != b)
         # the same constraints as 2-clauses, for size reports and cross-checks
-        self.clauses: list[tuple[tuple[str, bool], tuple[str, bool]]] = []
+        self.clauses = Clauses(self)
         # after an unsatisfiable solve(): [(a, b, a != b), ...], a closed walk
         self.conflict: list[tuple] | None = None
 
@@ -41,15 +65,15 @@ class TwoSat:
 
     def add_equivalence(self, a: str, b: str) -> None:
         self._constraints.append((self._node(a), self._node(b), False))
-        self.clauses += [((a, True), (b, False)), ((a, False), (b, True))]
+        self.clauses.count += 2
 
     def add_antivalence(self, a: str, b: str) -> None:
         self._constraints.append((self._node(a), self._node(b), True))
-        self.clauses += [((a, True), (b, True)), ((a, False), (b, False))]
+        self.clauses.count += 2
 
     def add_unit(self, a: str, value: bool) -> None:
         self._constraints.append((self._node(a), 0, not value))
-        self.clauses.append(((a, value), (a, value)))
+        self.clauses.count += 1
 
     def variables(self) -> list[str]:
         return self._nodes[1:]

@@ -1,9 +1,15 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import coverkit
 from coverkit import (
+    BudgetExhausted,
     CoveringProjection,
     Graph,
     is_degree_obedient,
@@ -461,7 +467,6 @@ def test_verify_tampered_certificates_like_the_candidate_index():
 
 
 def test_partial_covers_budget():
-    from coverkit import BudgetExhausted
     from coverkit.gadgets import fw2_target, limping_tripod
 
     with pytest.raises(BudgetExhausted):
@@ -512,3 +517,132 @@ def test_oracle_vs_naive_bounded_exhaustive():
     assert checked >= 300
     # a universe without both answers cannot catch a one-sided oracle
     assert answers == {True, False}
+
+
+# the search tree, pinned --------------------------------------------------------
+
+
+def _formula_incidence(f):
+    """Clause vertices joined to their variables, without equalizer grids:
+    it covers ``fw_target(f.c)`` exactly when ``f`` is satisfiable."""
+    g = Graph("incidence")
+    for j, _ in enumerate(f.clauses):
+        g.add_vertex(f"z{j}", "n")
+    for x in f.variables:
+        g.add_vertex(x, "n")
+    for j, cl in enumerate(f.clauses):
+        for x in cl:
+            g.add_edge("edge", f"e{j}.{x}", "e", f"z{j}", x)
+    return g
+
+
+def _gphi(n_clauses, seed):
+    from coverkit.gadgets import build_gphi_fw, fw_target, random_formula
+
+    return build_gphi_fw(3, random_formula(3, n_clauses, 3, seed)), fw_target(3)
+
+
+def _gphi_beside_unsat_incidence(unsat_clauses, unsat_seed):
+    # a 3-clause gphi beside a small unsatisfiable component: the search
+    # splits into components and refutes the small one
+    from coverkit.gadgets import random_formula
+
+    g, h = _gphi(3, 0)
+    return disjoint_union(g, _formula_incidence(random_formula(3, unsat_clauses, 3, unsat_seed))), h
+
+
+def _wd_lift(seed, m):
+    from coverkit.gadgets import directed_lift_wd, random_regular, wd_target
+
+    base, _ = random_regular("bipartite", 3, m, seed=seed)
+    return directed_lift_wd(base, 2, 1), wd_target(2, 1)
+
+
+# (status, nodes) recorded before the search moved to integer ids and
+# bitmask domains; any change to branching, propagation or the split
+# check shows up here as a different node count
+PINNED_SEARCHES = [
+    ("gphi 3 clauses seed 0", lambda: _gphi(3, 0), 2000, ("yes", 117)),
+    ("gphi 4 clauses seed 3", lambda: _gphi(4, 3), 2000, ("yes", 156)),
+    ("gphi 4 clauses seed 1", lambda: _gphi(4, 1), 2000, ("yes", 662)),
+    ("gphi 8 clauses seed 0", lambda: _gphi(8, 0), 2000, ("yes", 382)),
+    ("gphi 4 clauses seed 0", lambda: _gphi(4, 0), 2000, ("unknown", 2000)),
+    ("gphi beside unsat 6/251", lambda: _gphi_beside_unsat_incidence(6, 251), 2000, ("no", 161)),
+    ("gphi beside unsat 8/31", lambda: _gphi_beside_unsat_incidence(8, 31), 2000, ("no", 303)),
+    ("wd lift seed 0", lambda: _wd_lift(0, 3), 2000, ("no", 272)),
+    ("wd lift seed 1", lambda: _wd_lift(1, 4), 2000, ("yes", 50)),
+    ("wd lift seed 3", lambda: _wd_lift(3, 4), 2000, ("yes", 121)),
+    ("wd lift seed 5", lambda: _wd_lift(5, 4), 2000, ("yes", 129)),
+    ("wd lift seed 439499", lambda: _wd_lift(439499, 7), 2000, ("no", 582)),
+    # disconnected targets: fibre caps instead of the split check
+    ("C6+C3+C3 over 2 C3", lambda: (disjoint_union(cycle(6), cycle(3), cycle(3)),
+                                    disjoint_union(cycle(3), cycle(3))), 10_000, ("yes", 12)),
+    ("C5+C7 over 2 C3", lambda: (disjoint_union(cycle(5), cycle(7)),
+                                 disjoint_union(cycle(3), cycle(3))), 10_000, ("no", 42)),
+    ("C12+C6 over 3 C3", lambda: (disjoint_union(cycle(12), cycle(6)),
+                                  disjoint_union(cycle(3), cycle(3), cycle(3))), 10_000, ("no", 99)),
+]
+
+
+@pytest.mark.parametrize("build,budget,want", [case[1:] for case in PINNED_SEARCHES],
+                         ids=[case[0] for case in PINNED_SEARCHES])
+def test_oracle_search_tree_is_pinned(build, budget, want):
+    g, h = build()
+    res = oracle_cover(g, h, budget=budget)
+    assert (res.status, res.nodes) == want
+
+
+def test_partial_covers_count_is_pinned():
+    from coverkit.gadgets import fw2_target, limping_tripod
+
+    assert sum(1 for _ in partial_covers(limping_tripod(), fw2_target())) == 6
+    assert sum(1 for _ in partial_covers(cycle(6), cycle(3))) == 6
+
+
+_ORACLE_SCRIPT = """
+import json
+from coverkit import oracle_cover
+from coverkit.gadgets import (build_gphi_fw, directed_lift_wd, fw_target, random_formula,
+                              random_regular, wd_target)
+base, _ = random_regular("bipartite", 3, 4, seed=3)
+cases = [(directed_lift_wd(base, 2, 1), wd_target(2, 1)),
+         (build_gphi_fw(3, random_formula(3, 4, 3, 1)), fw_target(3))]
+out = []
+for g, h in cases:
+    res = oracle_cover(g, h, budget=2000)
+    out.append([res.status, res.nodes, res.projection.to_json()])
+print(json.dumps(out))
+"""
+
+
+def test_oracle_nodes_and_certificates_ignore_hash_seed():
+    src = os.path.dirname(os.path.dirname(coverkit.__file__))
+    runs = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _ORACLE_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        runs.append(json.loads(out))
+    assert [status for status, _, _ in runs[0]] == ["yes", "yes"]
+    assert all(run == runs[0] for run in runs)
+
+
+# budgets and pinned images ------------------------------------------------------
+
+
+@pytest.mark.parametrize("budget", [0, -5, 2.5, 1.0, True, False, "10", None])
+def test_budgets_must_be_positive_ints(budget):
+    from coverkit.gadgets import fw2_target, limping_tripod
+
+    with pytest.raises(ValueError):
+        oracle_cover(cycle(4), cycle(4), budget=budget)
+    with pytest.raises(ValueError):
+        partial_covers(limping_tripod(), fw2_target(), budget=budget)
+
+
+def test_partial_covers_fix_must_name_vertices():
+    with pytest.raises(ValueError, match="zz"):
+        partial_covers(cycle(6), cycle(3), fix={"zz": "v0"})
+    with pytest.raises(ValueError, match="nowhere"):
+        partial_covers(cycle(6), cycle(3), fix={"v0": "nowhere"})
+    assert len(list(partial_covers(cycle(6), cycle(3), fix={"v0": "v1"}))) == 2

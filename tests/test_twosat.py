@@ -15,14 +15,17 @@ def brute_force(clauses, names):
 
 
 def check(sat):
+    # the clause view writes the clauses out on each pass and counts them
+    clauses = list(sat.clauses)
+    assert len(sat.clauses) == len(clauses)
     got = sat.solve()
-    want = brute_force(sat.clauses, sat.variables())
+    want = brute_force(clauses, sat.variables())
     if want is None:
         assert got is None
-        assert_odd_cycle(sat.conflict, sat.clauses)
+        assert_odd_cycle(sat.conflict, clauses)
     else:
         assert got is not None
-        for (a, ap), (b, bp) in sat.clauses:
+        for (a, ap), (b, bp) in clauses:
             assert got[a] == ap or got[b] == bp
     return got
 
