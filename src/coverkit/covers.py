@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from . import matching as mt
 from .graphs import Darts, Graph, GraphError, IN, OUT, UND, edge_darts, is_connected, vertex_darts
@@ -46,7 +47,18 @@ class CoveringProjection:
     fe: dict[str, str]
 
     def to_json(self) -> str:
-        return json.dumps({"fv": self.fv, "fe": self.fe}, indent=2, sort_keys=True)
+        """``json.dumps`` of both maps with ``indent=2, sort_keys=True``.
+        An indent makes json use its pure-Python encoder, so maps of
+        strings to strings are written here instead, each string through
+        json's C escaper, to the same bytes."""
+        enc = encode_basestring_ascii
+        try:
+            maps = [(name, ",\n    ".join([f"{enc(a)}: {enc(b)}" for a, b in sorted(m.items())]))
+                    for name, m in (("fe", self.fe), ("fv", self.fv))]
+        except TypeError:  # a key or an image that is not a string
+            return json.dumps({"fv": self.fv, "fe": self.fe}, indent=2, sort_keys=True)
+        return "{\n" + ",\n".join(f'  "{name}": {{\n    {rows}\n  }}' if rows else f'  "{name}": {{}}'
+                                   for name, rows in maps) + "\n}"
 
     @classmethod
     def from_json(cls, text: str) -> "CoveringProjection":
@@ -141,13 +153,24 @@ def _lands_on(e, he, fv) -> bool:
 
 def _dart_tally(edges, v: str, fe: dict[str, str] | None = None) -> dict:
     """The darts of ``edges`` at ``v`` counted per (edge id, direction),
-    each id read through ``fe`` when it is given."""
+    each id read through ``fe`` when it is given; the counts are those of
+    ``graphs.edge_darts``."""
     tally: dict = {}
     for e in edges:
         eid = e.id if fe is None else fe[e.id]
-        for tag, cnt in edge_darts(e, v):
-            key = (eid, tag)
-            tally[key] = tally.get(key, 0) + cnt
+        kind = e.kind
+        if kind == "arc":
+            key = (eid, OUT if e.ends[0] == v else IN)
+        elif kind == "dloop":
+            key = (eid, OUT)
+            tally[key] = tally.get(key, 0) + 1
+            key = (eid, IN)
+        else:
+            key = (eid, UND)
+            if kind == "loop":
+                tally[key] = tally.get(key, 0) + 2
+                continue
+        tally[key] = tally.get(key, 0) + 1
     return tally
 
 
@@ -226,8 +249,8 @@ def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
         x = fv[u]
         want = wants.get(x)
         if want is None:
-            want = wants[x] = _dart_tally(h.incident(x), x)
-        if _dart_tally(g.incident(u), u, fe) != want:
+            want = wants[x] = _dart_tally(h._inc[x], x)
+        if _dart_tally(g._inc[u], u, fe) != want:
             violations.append(f"local bijection broken at vertex {u}")
     # every key of f.fv is a vertex of g here, so this counts g's vertices
     sizes = fibre_sizes(h, f.fv)
@@ -407,15 +430,20 @@ class _VertexSearch:
     """Backtracking over vertex images with capacity propagation.
 
     Domains are supplied by the caller (block-restricted for the oracle,
-    colour/degree-restricted for partial covers).  An optional fibre cap
-    enforces equitability: at most ``fibre_cap`` vertices share an image,
-    and a full fibre drops that image from the domains of the unassigned
+    colour/degree-restricted for partial covers), and ``exact`` says
+    whether they are degree-exact: whether every dart of an image must be
+    the image of a dart, as in a cover (the oracle's domains), or may be
+    left unused, as in a partial cover.  An optional fibre cap enforces
+    equitability: at most ``fibre_cap`` vertices share an image, and a
+    full fibre drops that image from the domains of the unassigned
     vertices in the same one of ``blocks``.  For connected targets the
     caller drops the cap, since a fully capacity-consistent assignment is
     automatically equitable there.  Capacities mirror degree obedience:
     the darts a vertex sends towards any fibre may never exceed the
     target's multiplicities, and once a capacity is saturated the
-    remaining unassigned neighbours lose that image.
+    remaining unassigned neighbours lose that image.  Only for exact
+    domains must the capacities also fill up, which is what the deficit
+    and forcing rules of ``_propagate`` rely on.
 
     Representation.  Source vertices are the ints 0..n-1 in
     ``g.vertices()`` order and target vertices the ints 0..|h|-1 in
@@ -436,10 +464,9 @@ class _VertexSearch:
     fixpoint in any order.  The deficit test looks at the images some
     unassigned neighbour held when its row's scan began, so an image all
     neighbours lose during that scan fails the node at once, while one
-    lost before it is caught further down; for the oracle both are dead
-    ends, since its degrees are exact.  Images are visited in bit order
-    and dirty vertices last-in first-out, so the tree is the same under
-    every hash seed.
+    lost before it is caught further down; for exact domains both are
+    dead ends.  Images are visited in bit order and dirty vertices
+    last-in first-out, so the tree is the same under every hash seed.
 
     Without fibre caps all constraints are local (an edge, or a shared
     assigned neighbour), so when the residual constraint graph falls into
@@ -453,8 +480,9 @@ class _VertexSearch:
 
     DECOMPOSE_MIN = 9
 
-    def __init__(self, tables: _DartTables, domains, budget_box, fibre_cap=None, blocks=()):
+    def __init__(self, tables: _DartTables, domains, budget_box, exact, fibre_cap=None, blocks=()):
         self.budget = budget_box
+        self.exact = exact
         self.fibre_cap = fibre_cap
         self.names = names = list(tables.g)
         self.images = images = sorted(tables.h)
@@ -607,10 +635,11 @@ class _VertexSearch:
 
     def _propagate(self, dirty, ops) -> bool:
         """Counting propagation: for an assigned vertex and every image y,
-        the outstanding need must fit the unassigned neighbours that can
-        still take y; equality forces them, deficits fail, and a neighbour
-        whose multiplicity overshoots the need loses y."""
-        assign, domains = self.assign, self.domains
+        a neighbour whose multiplicity overshoots the outstanding need
+        loses y.  With exact domains the need must also fit the unassigned
+        neighbours that can still take y: equality forces them and
+        deficits fail."""
+        assign, domains, exact = self.assign, self.domains, self.exact
         remove = self._remove
         while dirty:
             a = dirty.popitem()[0]
@@ -637,6 +666,8 @@ class _VertexSearch:
                             else:
                                 avail += m
                                 holders.append(w)
+                    if not exact:
+                        continue
                     if needed > avail:
                         return False
                     if needed and needed == avail:
@@ -993,9 +1024,9 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
         # fibre equality is implied for connected targets, so the caps can
         # go, which in turn lets the search decompose into independent
         # components
-        search = _VertexSearch(tables, domains, budget_box)
+        search = _VertexSearch(tables, domains, budget_box, exact=True)
     else:
-        search = _VertexSearch(tables, domains, budget_box, fibre_cap=r, blocks=pg.blocks)
+        search = _VertexSearch(tables, domains, budget_box, exact=True, fibre_cap=r, blocks=pg.blocks)
     try:
         for fv in search.solutions():
             try:
@@ -1057,7 +1088,8 @@ def _partial_covers(g: Graph, h: Graph, fix: dict[str, str], budget: int, vertex
             return
         domains[u] = dom
     budget_box = [budget]
-    search = _VertexSearch(tables, domains, budget_box)
+    # a partial cover may leave target darts unused
+    search = _VertexSearch(tables, domains, budget_box, exact=False)
     for fv in search.solutions():
         fe = _edge_map_search(g, h, fv, budget_box)
         if fe is None:

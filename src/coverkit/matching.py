@@ -41,8 +41,8 @@ def _lca(match, base, p, a, b):
 
 def _mark_path(match, base, p, blossom, v, b, child):
     while base[v] != b:
-        blossom[base[v]] = True
-        blossom[base[match[v]]] = True
+        blossom.add(base[v])
+        blossom.add(base[match[v]])
         p[v] = child
         child = match[v]
         v = p[match[v]]
@@ -64,6 +64,9 @@ def _find_path(n, adj, match, root):
     base = list(range(n))
     used[root] = True
     q = deque([root])
+    # the tree's vertices: a blossom holds only these, so shrinking one
+    # relabels them alone, in ascending order as a scan over all n would
+    reached = [root]
     while q:
         v = q.popleft()
         for to in adj[v]:
@@ -71,15 +74,14 @@ def _find_path(n, adj, match, root):
                 continue
             if to == root or (match[to] != -1 and p[match[to]] != -1):
                 curbase = _lca(match, base, p, v, to)
-                blossom = [False] * n
+                blossom: set[int] = set()
                 _mark_path(match, base, p, blossom, v, curbase, to)
                 _mark_path(match, base, p, blossom, to, curbase, v)
-                for i in range(n):
-                    if blossom[base[i]]:
-                        base[i] = curbase
-                        if not used[i]:
-                            used[i] = True
-                            q.append(i)
+                for i in sorted(i for i in reached if base[i] in blossom):
+                    base[i] = curbase
+                    if not used[i]:
+                        used[i] = True
+                        q.append(i)
             elif p[to] == -1:
                 p[to] = v
                 if match[to] == -1:
@@ -87,6 +89,7 @@ def _find_path(n, adj, match, root):
                     return True
                 used[match[to]] = True
                 q.append(match[to])
+                reached += (to, match[to])
     return False
 
 
@@ -176,7 +179,9 @@ def bipartite_peel(items: list[tuple[str, object, object]], k: int) -> list[list
     """Split edges (eid, left, right) into k perfect matchings.
 
     Every left and right vertex must be covered by each matching; raises
-    MatchingError when some round has no perfect matching.
+    MatchingError when some round has no perfect matching.  A last round
+    whose edges already form one perfect matching takes them as they are,
+    which is the matching the augmenting-path search would return.
     """
     remaining: dict[tuple[object, object], list[str]] = {}
     lefts, rights = set(), set()
@@ -184,13 +189,19 @@ def bipartite_peel(items: list[tuple[str, object, object]], k: int) -> list[list
         remaining.setdefault((l, r), []).append(eid)
         lefts.add(l)
         rights.add(r)
+    order = sorted(lefts, key=str)
     out = []
     for rnd in range(k):
+        if rnd == k - 1:
+            last = _perfect_remainder(remaining, len(lefts), len(rights))
+            if last is not None:
+                out.append(last)
+                return out
         adj = {l: [] for l in lefts}
         for (l, r), ids in remaining.items():
             if ids:
                 adj[l].append(r)
-        match = _kuhn(sorted(lefts, key=str), adj)
+        match = _kuhn(order, adj)
         if match is None or len(match) != len(lefts) or len(set(match.values())) != len(rights):
             raise MatchingError(f"no perfect matching in peeling round {rnd}")
         chosen = []
@@ -201,6 +212,25 @@ def bipartite_peel(items: list[tuple[str, object, object]], k: int) -> list[list
     if any(ids for ids in remaining.values()):
         raise MatchingError("edges left over after peeling; graph was not k-regular")
     return out
+
+
+def _perfect_remainder(remaining, n_left: int, n_right: int) -> list[str] | None:
+    """The sorted ids of the edges left in ``remaining`` when they meet
+    every left and every right vertex exactly once, else None."""
+    seen_l, seen_r = set(), set()
+    ids_left = []
+    for (l, r), ids in remaining.items():
+        if not ids:
+            continue
+        if len(ids) > 1 or l in seen_l or r in seen_r:
+            return None
+        seen_l.add(l)
+        seen_r.add(r)
+        ids_left.append(ids[0])
+    if len(seen_l) != n_left or len(seen_r) != n_right:
+        return None
+    ids_left.sort()
+    return ids_left
 
 
 def bipartite_k_factorization(g: Graph, k: int) -> list[list[str]]:
@@ -294,6 +324,9 @@ def two_factorization(g: Graph, k: int) -> list[list[str]]:
             raise MatchingError(f"vertex {v!r} is not {2 * k}-regular")
     if k == 0:
         return []
+    if k == 1:
+        # a 2-regular graph is its own 2-factor
+        return [sorted(e.id for e in g.edges())]
     factors: list[list[str]] = [[] for _ in range(k)]
     comp_of: dict[str, int] = {}
     comps: list[list[tuple[str, str, str]]] = []

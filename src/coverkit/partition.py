@@ -72,19 +72,59 @@ class RefinementMatrix:
         )
 
 
+def _darts(g: Graph, v: str) -> list[tuple[str, str, str, int]]:
+    """(colour, direction, other end, count) for the darts of each edge at
+    v, in incidence order, with the dart rules of graphs.vertex_darts: a
+    loop leads back twice, a semi-edge once, a directed loop once each way."""
+    out = []
+    for e in g._inc[v]:
+        kind = e.kind
+        if kind == "edge":
+            a, b = e.ends
+            out.append((e.colour, UND, b if a == v else a, 1))
+        elif kind == "arc":
+            tail, head = e.ends
+            out.append((e.colour, OUT, head, 1) if tail == v else (e.colour, IN, tail, 1))
+        elif kind == "loop":
+            out.append((e.colour, UND, v, 2))
+        elif kind == "semi":
+            out.append((e.colour, UND, v, 1))
+        else:
+            out.append((e.colour, OUT, v, 1))
+            out.append((e.colour, IN, v, 1))
+    return out
+
+
 def _signature(g: Graph, v: str, block_of: dict[str, int], pos) -> tuple:
     # The darts of v counted per (colour, direction, block position); the
-    # block of w sits at position pos[block_of[w]].
-    sig = []
-    for (colour, dtag), targets in dart_counts(g, v).items():
-        per_block: dict[int, int] = {}
-        for w, cnt in targets.items():
-            b = pos[block_of[w]]
-            per_block[b] = per_block.get(b, 0) + cnt
-        for b, cnt in per_block.items():
-            sig.append((colour, dtag, b, cnt))
-    sig.sort()
-    return tuple(sig)
+    # block of w sits at position pos[block_of[w]].  The hottest walk of
+    # the refinement, so it reads the incidences itself, with the rules of
+    # _darts, rather than through a list of darts.
+    counts: dict[tuple, int] = {}
+    here = pos[block_of[v]]
+    for e in g._inc[v]:
+        kind = e.kind
+        if kind == "edge":
+            a, b = e.ends
+            key = (e.colour, UND, pos[block_of[b if a == v else a]])
+        elif kind == "arc":
+            tail, head = e.ends
+            if tail == v:
+                key = (e.colour, OUT, pos[block_of[head]])
+            else:
+                key = (e.colour, IN, pos[block_of[tail]])
+        elif kind == "loop":
+            key = (e.colour, UND, here)
+            counts[key] = counts.get(key, 0) + 2
+            continue
+        elif kind == "semi":
+            key = (e.colour, UND, here)
+        else:
+            key = (e.colour, IN, here)
+            counts[key] = counts.get(key, 0) + 1
+            key = (e.colour, OUT, here)
+        counts[key] = counts.get(key, 0) + 1
+    return tuple(sorted([(colour, dtag, b, cnt) for (colour, dtag, b), cnt in counts.items()]))
 
 
 def degree_partition(g: Graph) -> tuple[Partition, RefinementMatrix]:
@@ -151,14 +191,13 @@ def degree_partition(g: Graph) -> tuple[Partition, RefinementMatrix]:
                 if i == largest:
                     continue
                 for u in members[i]:
-                    for (colour, dtag), targets in dart_counts(g, u).items():
+                    for colour, dtag, v, cnt in _darts(g, u):
                         key = (colour, dtag, i)
-                        for v, cnt in targets.items():
-                            acc = counts.get(v)
-                            if acc is None:
-                                counts[v] = {key: cnt}
-                            else:
-                                acc[key] = acc.get(key, 0) + cnt
+                        acc = counts.get(v)
+                        if acc is None:
+                            counts[v] = {key: cnt}
+                        else:
+                            acc[key] = acc.get(key, 0) + cnt
         by_block: dict[int, dict[tuple, list[str]]] = {}
         for v, acc in counts.items():
             by_block.setdefault(block_of[v], {}).setdefault(tuple(sorted(acc.items())), []).append(v)
@@ -264,7 +303,8 @@ def normalize_colours(g: Graph, part: Partition) -> Graph:
             raise GraphError("partition is not equitable for this graph")
     width = max(3, len(str(part.k - 1)))
     block_of = part.block_of
-    out = Graph._derive(g.name, {v: f"b{block_of[v]:0{width}d}" for v in g.vertices()})
+    block_colour = [f"b{i:0{width}d}" for i in range(part.k)]
+    out = Graph._derive(g.name, {v: block_colour[block_of[v]] for v in g.vertices()})
     names: dict[tuple, tuple[str, str]] = {}
     recoloured = []
     for e in g.edges():

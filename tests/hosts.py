@@ -266,3 +266,44 @@ def random_compatible_input(h: Graph, r: int, seed: int) -> Graph:
             for u, v in zip(outs, ins):
                 g.add_edge("arc", fresh(), colour, u, v)
     return g
+
+
+def random_lift(h: Graph, r: int, seed: int) -> Graph:
+    """A random r-fold cover of ``h`` with shuffled vertex and edge order.
+
+    Each normal edge or arc lifts to a random perfect matching between
+    the two fibres, each loop or directed loop to a random permutation of
+    its fibre (fixed points stay loops), and each semi-edge to a random
+    involution that fixes a quarter of the fibre, so fibres over
+    semi-edges need a matching to be completed.
+    """
+    rng = random.Random(seed)
+    order = [(x, i) for x in h.vertices() for i in range(r)]
+    rng.shuffle(order)
+    name = {key: f"v{k}" for k, key in enumerate(order)}
+    edges: list[tuple] = []
+    for e in h.edges():
+        x = e.ends[0]
+        perm = list(range(r))
+        rng.shuffle(perm)
+        if e.kind in ("edge", "arc"):
+            edges += [(e.kind, e.colour, name[x, i], name[e.ends[1], perm[i]]) for i in range(r)]
+        elif e.kind in ("loop", "dloop"):
+            normal = "edge" if e.kind == "loop" else "arc"
+            for i in range(r):
+                if perm[i] == i:
+                    edges.append((e.kind, e.colour, name[x, i]))
+                else:
+                    edges.append((normal, e.colour, name[x, i], name[x, perm[i]]))
+        else:
+            paired = 2 * ((3 * r) // 8)
+            for a, b in zip(perm[0:paired:2], perm[1:paired:2]):
+                edges.append(("edge", e.colour, name[x, a], name[x, b]))
+            edges += [("semi", e.colour, name[x, i]) for i in perm[paired:]]
+    rng.shuffle(edges)
+    g = Graph(f"lift{r}-{h.name}")
+    for key in order:
+        g.add_vertex(name[key], h.vertex_colour(key[0]))
+    for k, (kind, colour, *ends) in enumerate(edges):
+        g.add_edge(kind, f"e{k}", colour, *ends)
+    return g

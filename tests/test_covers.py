@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -20,12 +21,16 @@ from coverkit import (
     verify_cover,
 )
 
+from coverkit.covers import _candidates_for, _h_edge_index
+from coverkit.graphs import edge_darts
+
 from conftest import (
     arc_beside_dotted_edge,
     complete_graph,
     cycle,
     disjoint_union,
     one_vertex,
+    path,
     random_multigraph,
     two_vertex_w,
 )
@@ -646,3 +651,98 @@ def test_partial_covers_fix_must_name_vertices():
     with pytest.raises(ValueError, match="nowhere"):
         partial_covers(cycle(6), cycle(3), fix={"v0": "nowhere"})
     assert len(list(partial_covers(cycle(6), cycle(3), fix={"v0": "v1"}))) == 2
+
+
+# partial covers against brute force ------------------------------------------
+
+
+def brute_partial_vertex_maps(g, h):
+    """Every colour-preserving vertex map that some colour-preserving edge
+    map makes locally injective: the darts of the edges at each vertex
+    land on distinct darts at its image."""
+    room = {x: Counter() for x in h.vertices()}
+    for x in h.vertices():
+        for e in h.incident(x):
+            for tag, cnt in edge_darts(e, x):
+                room[x][e.id, tag] += cnt
+    by = _h_edge_index(h)
+    names = g.vertices()
+    choices = [[x for x in h.vertices() if h.vertex_colour(x) == g.vertex_colour(u)] for u in names]
+    found = set()
+    for images in itertools.product(*choices):
+        fv = dict(zip(names, images))
+        edges = list(g.edges())
+        for fe in itertools.product(*(_candidates_for(e, fv, by) for e in edges)):
+            used = {u: Counter() for u in names}
+            for e, he in zip(edges, fe):
+                for u in set(e.ends):
+                    for tag, cnt in edge_darts(e, u):
+                        used[u][he, tag] += cnt
+            if all(c <= room[fv[u]][key] for u in names for key, c in used[u].items()):
+                found.add(images)
+                break
+    return found
+
+
+def small_partial_pairs():
+    from coverkit.gadgets import fw2_target, limping_tripod
+
+    yield path(2), cycle(3)
+    yield path(3), cycle(4)
+    yield path(4), cycle(3)
+    yield cycle(6), cycle(3)
+    yield cycle(3), cycle(6)
+    yield path(3, semis=(True, False)), one_vertex(semis=1, loops=1)
+    yield path(3), two_vertex_w(1, 0, 1, 0, 1)
+    yield cycle(4), two_vertex_w(0, 1, 1, 1, 0)
+    yield limping_tripod(), fw2_target()
+    for seed in range(12):
+        yield (random_multigraph(3, 1, seed, colours=("e", "f")),
+               random_multigraph(3, 6, 100 + seed, colours=("e", "f")))
+
+
+def test_partial_covers_the_edge_into_the_triangle():
+    # the deficit and forcing rules of covers would prune all of these:
+    # a partial cover may leave target darts unused
+    assert len(list(partial_covers(path(2), cycle(3), vertex_maps_only=True))) == 6
+    assert len(list(partial_covers(path(3), cycle(4), vertex_maps_only=True))) == 8
+
+
+def test_partial_covers_match_brute_force():
+    answers = Counter()
+    for g, h in small_partial_pairs():
+        names = g.vertices()
+        got = [tuple(fv[u] for u in names) for fv in partial_covers(g, h, vertex_maps_only=True)]
+        want = brute_partial_vertex_maps(g, h)
+        assert len(got) == len(set(got)), (g.name, h.name)
+        assert set(got) == want, (g.name, h.name)
+        answers[bool(want)] += 1
+        for proj in partial_covers(g, h):
+            assert tuple(proj.fv[u] for u in names) in want
+    assert answers[True] >= 15 and answers[False] >= 4
+
+
+# certificate JSON --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fv, fe", [
+    ({}, {}),
+    ({"v": "x"}, {}),
+    ({}, {"e": "c"}),
+    ({"b": "y", "a": "x", "ä": "☃"}, {"e\"q": "c\\d", "tab\t": "nl\n", "\x00\x1f": "\x7f "}),
+    ({"𝔘": "x", "u": "𝔵"}, {"e10": "c", "e9": "c", "E": "c"}),
+])
+def test_certificate_json_is_what_json_writes(fv, fe):
+    proj = CoveringProjection(fv, fe)
+    text = proj.to_json()
+    assert text == json.dumps({"fv": fv, "fe": fe}, indent=2, sort_keys=True)
+    assert CoveringProjection.from_json(text) == proj
+
+
+def test_certificate_json_of_maps_that_are_not_strings():
+    # whatever is not a map of strings to strings goes through json itself
+    for fv, fe in (({1: "x"}, {}), ({"v": 1}, {}), ({}, {"e": None}), ({True: "x"}, {"e": 2.5})):
+        assert CoveringProjection(fv, fe).to_json() == \
+            json.dumps({"fv": fv, "fe": fe}, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        CoveringProjection({1: "x", "v": "y"}, {}).to_json()

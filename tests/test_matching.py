@@ -1,4 +1,5 @@
 import random
+from collections import Counter, deque
 
 import networkx as nx
 import pytest
@@ -11,7 +12,18 @@ from coverkit import (
     general_perfect_matching,
     two_factorization,
 )
-from coverkit.matching import _kuhn, euler_orientation, maximum_matching
+from coverkit.graphs import components
+from coverkit.matching import (
+    _augment,
+    _kuhn,
+    _lca,
+    _mark_path,
+    _undirected_degree,
+    bipartite_peel,
+    euler_orientation,
+    maximum_matching,
+    peel_cycle_covers,
+)
 
 from conftest import complete_bipartite, complete_graph, cycle, one_vertex, petersen
 
@@ -251,3 +263,183 @@ def test_kuhn_matches_recursive_reference():
         assert got == want
         if want is not None:
             assert list(got.items()) == list(want.items())
+
+
+# the fast paths against the general routines they skip ------------------------
+
+
+def find_path_reference(n, adj, match, root):
+    """The blossom search relabelling all n vertices at every shrink;
+    returns whether it augmented and how many blossoms it shrank."""
+    used, p, base = [False] * n, [-1] * n, list(range(n))
+    used[root] = True
+    q = deque([root])
+    shrunk = 0
+    while q:
+        v = q.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and p[match[to]] != -1):
+                curbase = _lca(match, base, p, v, to)
+                blossom = set()
+                _mark_path(match, base, p, blossom, v, curbase, to)
+                _mark_path(match, base, p, blossom, to, curbase, v)
+                shrunk += 1
+                for i in range(n):
+                    if base[i] in blossom:
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = True
+                            q.append(i)
+            elif p[to] == -1:
+                p[to] = v
+                if match[to] == -1:
+                    _augment(match, p, to)
+                    return True, shrunk
+                used[match[to]] = True
+                q.append(match[to])
+    return False, shrunk
+
+
+def test_maximum_matching_matches_full_relabelling():
+    # same mate array as the search that relabels every vertex per blossom
+    rng = random.Random(11)
+    shrunk = 0
+    for _ in range(1500):
+        n = rng.randrange(2, 16)
+        adj = [set() for _ in range(n)]
+        for _ in range(rng.randrange(n, 3 * n)):
+            i, j = rng.sample(range(n), 2)
+            adj[i].add(j)
+            adj[j].add(i)
+        want = [-1] * n
+        for v in range(n):
+            if want[v] == -1:
+                shrunk += find_path_reference(n, adj, want, v)[1]
+        assert maximum_matching(n, adj) == want
+    assert shrunk > 1000
+
+
+def peel_reference(items, k):
+    """``bipartite_peel`` running the augmenting-path search in every round."""
+    remaining, lefts, rights = {}, set(), set()
+    for eid, l, r in items:
+        remaining.setdefault((l, r), []).append(eid)
+        lefts.add(l)
+        rights.add(r)
+    out = []
+    for rnd in range(k):
+        adj = {l: [] for l in lefts}
+        for (l, r), ids in remaining.items():
+            if ids:
+                adj[l].append(r)
+        match = _kuhn(sorted(lefts, key=str), adj)
+        if match is None or len(match) != len(lefts) or len(set(match.values())) != len(rights):
+            raise MatchingError(f"no perfect matching in peeling round {rnd}")
+        out.append(sorted(remaining[(l, r)].pop() for l, r in match.items()))
+    if any(ids for ids in remaining.values()):
+        raise MatchingError("edges left over after peeling; graph was not k-regular")
+    return out
+
+
+def two_factorization_reference(g, k):
+    """``two_factorization`` orienting and peeling for every k."""
+    for v in g.vertices():
+        if _undirected_degree(g, v) != 2 * k:
+            raise MatchingError(f"vertex {v!r} is not {2 * k}-regular")
+    if k == 0:
+        return []
+    factors = [[] for _ in range(k)]
+    for comp in components(g):
+        inside = set(comp)
+        edges = [(e.id, e.u, e.v) for e in g.edges() if e.u in inside]
+        if edges:
+            items = [(eid, ("out", t), ("in", h)) for eid, t, h in euler_orientation(edges)]
+            for i, matching in enumerate(peel_reference(items, k)):
+                factors[i].extend(matching)
+    return [sorted(f) for f in factors]
+
+
+def outcome(split, *args):
+    try:
+        return split(*args)
+    except MatchingError as exc:
+        return str(exc)
+
+
+def regular_bipartite_items(rng, n, k):
+    # k random perfect matchings on n + n vertices, parallel edges allowed
+    items = []
+    for rnd in range(k):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        items += [(f"e{rnd}.{i}", f"L{i}", f"R{perm[i]}") for i in range(n)]
+    rng.shuffle(items)
+    return items
+
+
+def test_peels_match_the_general_routines():
+    rng = random.Random(13)
+    errors = Counter()
+    for trial in range(600):
+        k, n = rng.randrange(1, 5), rng.randrange(1, 7)
+        items = regular_bipartite_items(rng, n, k)
+        # break regularity three ways: the remainder then is not 1-regular
+        if trial % 4 == 1:
+            eid, l, _ = items.pop(rng.randrange(len(items)))
+            items.append((eid, l, f"R{rng.randrange(n)}"))
+        elif trial % 4 == 2:
+            items.pop(rng.randrange(len(items)))
+        elif trial % 4 == 3:
+            items.append(("extra", f"L{rng.randrange(n)}", f"R{rng.randrange(n)}"))
+        want = outcome(peel_reference, items, k)
+        assert outcome(bipartite_peel, items, k) == want
+        if isinstance(want, str):
+            errors[want.split(" round")[0].split(";")[0]] += 1
+        # arcs and directed loops of a k-in-k-out digraph on the same pairs
+        arcs = Graph("arcs")
+        for i in range(n):
+            arcs.add_vertex(f"v{i}", "n")
+        for eid, l, r in items:
+            tail, head = f"v{l[1:]}", f"v{r[1:]}"
+            if tail == head:
+                arcs.add_edge("dloop", eid, "d", tail)
+            else:
+                arcs.add_edge("arc", eid, "d", tail, head)
+        cycle_items = [(e.id, ("out", e.tail), ("in", e.head)) for e in arcs.edges()]
+        assert outcome(peel_cycle_covers, list(arcs.edges()), k) == \
+            outcome(peel_reference, cycle_items, k)
+    # both errors occur, the leftover one only past the fast last round
+    assert errors["no perfect matching in peeling"] > 20
+    assert errors["edges left over after peeling"] > 20
+
+
+def test_peel_raises_where_the_last_round_is_not_one_regular():
+    # L0 has two edges and R0 one: the search matches and leaves e2 over
+    items = [("e1", "L0", "R0"), ("e2", "L0", "R1"), ("e3", "L1", "R1")]
+    with pytest.raises(MatchingError, match="edges left over after peeling"):
+        bipartite_peel(items, 1)
+    with pytest.raises(MatchingError, match="no perfect matching in peeling round 1"):
+        bipartite_peel([("e1", "L0", "R0"), ("e2", "L1", "R0"), ("e3", "L0", "R1")], 2)
+    assert bipartite_peel([], 1) == [[]] == peel_reference([], 1)
+
+
+def test_two_factorization_matches_the_general_routine():
+    rng = random.Random(17)
+    for trial in range(300):
+        k, n = rng.randrange(1, 5), rng.randrange(1, 8)
+        g = Graph("cfg")
+        for i in range(n):
+            g.add_vertex(f"v{i}", "n")
+        stubs = [v for v in g.vertices() for _ in range(2 * k)]
+        if trial % 4 == 3:
+            stubs = stubs[2:]  # one vertex short of 2k
+        rng.shuffle(stubs)
+        for idx in range(0, len(stubs), 2):
+            a, b = stubs[idx], stubs[idx + 1]
+            if a == b:
+                g.add_edge("loop", f"e{idx}", "e", a)
+            else:
+                g.add_edge("edge", f"e{idx}", "e", a, b)
+        assert outcome(two_factorization, g, k) == outcome(two_factorization_reference, g, k)

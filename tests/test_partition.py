@@ -19,7 +19,7 @@ from coverkit import (
 )
 from coverkit.gadgets import limping_tripod
 from coverkit.graphs import dart_counts
-from coverkit.partition import is_equitable
+from coverkit.partition import _darts, _signature, is_equitable
 
 from conftest import (
     arc_beside_dotted_edge,
@@ -512,3 +512,55 @@ def test_reduce_deep_pending_trees(tails):
     twin = looped_triangle_with_tails(*tails)
     red2, _ = degree_adjust(twin, record)
     assert red2.vertex_colours() == red.vertex_colours()
+
+
+# direct vertex signing against the dart-count walk it replaced ----------------
+
+
+def signature_reference(g, v, block_of, pos):
+    """``_signature`` as it read ``dart_counts``."""
+    sig = []
+    for (colour, dtag), targets in dart_counts(g, v).items():
+        per_block = {}
+        for w, cnt in targets.items():
+            b = pos[block_of[w]]
+            per_block[b] = per_block.get(b, 0) + cnt
+        sig.extend((colour, dtag, b, cnt) for b, cnt in per_block.items())
+    return tuple(sorted(sig))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_multigraphs(), st.randoms(use_true_random=False))
+def test_signature_and_darts_match_the_dart_counts(g, rng):
+    # blocks drawn at random, and positions a random permutation of them,
+    # so that the count per block position is what is compared
+    k = rng.randrange(1, 4)
+    block_of = {v: rng.randrange(k) for v in g.vertices()}
+    pos = list(range(k))
+    rng.shuffle(pos)
+    for v in g.vertices():
+        assert _signature(g, v, block_of, pos) == signature_reference(g, v, block_of, pos)
+        grouped = {}
+        for colour, dtag, w, cnt in _darts(g, v):
+            to = grouped.setdefault((colour, dtag), {})
+            to[w] = to.get(w, 0) + cnt
+        assert grouped == dart_counts(g, v)
+
+
+def test_signature_counts_every_edge_kind():
+    # u has an edge, arcs both ways, a loop, a directed loop and a semi-edge
+    g = Graph("kinds")
+    for v in ("u", "w", "z"):
+        g.add_vertex(v, "n")
+    g.add_edge("edge", "e", "a", "u", "w")
+    g.add_edge("arc", "out", "d", "u", "w")
+    g.add_edge("arc", "in", "d", "z", "u")
+    g.add_edge("loop", "l", "a", "u")
+    g.add_edge("dloop", "dl", "d", "u")
+    g.add_edge("semi", "s", "a", "u")
+    block_of = {"u": 0, "w": 1, "z": 1}
+    want = (("a", "u", 0, 3), ("a", "u", 1, 1), ("d", "i", 0, 1), ("d", "i", 1, 1),
+            ("d", "o", 0, 1), ("d", "o", 1, 1))
+    assert _signature(g, "u", block_of, [0, 1]) == want
+    assert _signature(g, "u", block_of, [0, 1]) == signature_reference(g, "u", block_of, [0, 1])
+    assert _signature(g, "u", block_of, [1, 0]) == signature_reference(g, "u", block_of, [1, 0])

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -376,3 +378,28 @@ def test_parity_no_names_an_odd_cycle_of_emitted_constraints(g, h, monkeypatch):
     assert res.trace.to_dict()["conflict"] == [
         [a, "!=" if odd else "==", b] for a, b, odd in res.trace.conflict
     ]
+
+
+# recorded before the solver's fast paths (direct vertex signing, forced
+# factor rounds, tree-only blossom relabelling, encoded certificates)
+_PINNED_SOLVES = "b9739cc5c3398e29e683e940c8df8e777f1a468d12f15a4e193a7c417c470635"
+
+
+def test_solver_certificates_and_traces_are_pinned():
+    # fixed-seed lifts (yes) and refinement-compatible inputs (mostly no)
+    # of every harmless host at folds 4 and 8: one digest over the input
+    # names, the certificates' JSON and the traces' JSON
+    from hosts import random_lift
+
+    digest = hashlib.sha256()
+    answers = Counter()
+    for _, h in harmless_hosts():
+        for r in (4, 8):
+            for g in (random_lift(h, r, r), random_compatible_input(h, r, r)):
+                res = solve_cover(g, h)
+                answers[res.status] += 1
+                digest.update(g.name.encode())
+                digest.update((res.projection.to_json() if res.yes else "null").encode())
+                digest.update(json.dumps(res.trace.to_dict()).encode())
+    assert answers == {"yes": 79, "no": 41}
+    assert digest.hexdigest() == _PINNED_SOLVES
