@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from contextlib import closing
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from . import matching as mt
-from .graphs import Darts, Graph, GraphError, IN, OUT, UND, edge_darts, is_connected, vertex_darts
+from .graphs import Darts, Graph, GraphError, IN, OUT, UND, darts, is_connected, vertex_darts
 from .partition import degree_partition
 
 DEFAULT_BUDGET = 1_000_000
@@ -151,26 +152,13 @@ def _lands_on(e, he, fv) -> bool:
     return he.kind == e.kind and he.ends[0] == x
 
 
-def _dart_tally(edges, v: str, fe: dict[str, str] | None = None) -> dict:
-    """The darts of ``edges`` at ``v`` counted per (edge id, direction),
-    each id read through ``fe`` when it is given; the counts are those of
-    ``graphs.edge_darts``."""
+def _dart_tally(g: Graph, v: str, fe: dict[str, str] | None = None) -> dict:
+    """The ``darts`` of ``v`` counted per (edge id, direction), each id
+    read through ``fe`` when it is given."""
     tally: dict = {}
-    for e in edges:
-        eid = e.id if fe is None else fe[e.id]
-        kind = e.kind
-        if kind == "arc":
-            key = (eid, OUT if e.ends[0] == v else IN)
-        elif kind == "dloop":
-            key = (eid, OUT)
-            tally[key] = tally.get(key, 0) + 1
-            key = (eid, IN)
-        else:
-            key = (eid, UND)
-            if kind == "loop":
-                tally[key] = tally.get(key, 0) + 2
-                continue
-        tally[key] = tally.get(key, 0) + 1
+    for e, d, _, c in darts(g, v):
+        key = (e.id if fe is None else fe[e.id], d)
+        tally[key] = tally.get(key, 0) + c
     return tally
 
 
@@ -249,8 +237,8 @@ def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
         x = fv[u]
         want = wants.get(x)
         if want is None:
-            want = wants[x] = _dart_tally(h._inc[x], x)
-        if _dart_tally(g._inc[u], u, fe) != want:
+            want = wants[x] = _dart_tally(h, x)
+        if _dart_tally(g, u, fe) != want:
             violations.append(f"local bijection broken at vertex {u}")
     # every key of f.fv is a vertex of g here, so this counts g's vertices
     sizes = fibre_sizes(h, f.fv)
@@ -313,12 +301,12 @@ def _edge_map_search(g: Graph, h: Graph, fv: dict[str, str], budget_box) -> dict
     capacities.  Local bijectivity then follows wherever degrees are full."""
     by = _h_edge_index(h)
     capv: dict = {}
+    need: dict[str, list] = {e.id: [] for e in g.edges()}
     for v in g.vertices():
-        x = fv[v]
-        for e in h.incident(x):
-            for tag, cnt in edge_darts(e, x):
-                key = (v, e.id, tag)
-                capv[key] = capv.get(key, 0) + cnt
+        for (he, tag), cnt in _dart_tally(h, fv[v]).items():
+            capv[v, he, tag] = cnt
+        for e, tag, _, cnt in darts(g, v):
+            need[e.id].append((v, tag, cnt))
 
     edges = list(g.edges())
     cand = {}
@@ -328,18 +316,16 @@ def _edge_map_search(g: Graph, h: Graph, fv: dict[str, str], budget_box) -> dict
             return None
         cand[e.id] = c
 
-    darts = {e.id: [(v, tag, cnt) for v in e.ends for tag, cnt in edge_darts(e, v)] for e in edges}
-
     def feasible(e):
         return [he for he in cand[e.id]
-                if all(capv.get((v, he, tag), 0) >= cnt for v, tag, cnt in darts[e.id])]
+                if all(capv.get((v, he, tag), 0) >= cnt for v, tag, cnt in need[e.id])]
 
     assignment: dict[str, str] = {}
     todo = set(range(len(edges)))
-
-    def rec():
-        if not todo:
-            return True
+    # one frame per edge placed: its index, its feasible images and the
+    # position of the image it holds, so the depth needs no call stack
+    stack: list[list] = []
+    while todo:
         if budget_box[0] <= 0:
             raise BudgetExhausted()
         best, best_f = None, None
@@ -347,28 +333,35 @@ def _edge_map_search(g: Graph, h: Graph, fv: dict[str, str], budget_box) -> dict
             f = feasible(edges[i])
             if best_f is None or len(f) < len(best_f):
                 best, best_f = i, f
-                if not f:
-                    return False
-                if len(f) == 1:
+                if len(f) <= 1:
                     break
-        e = edges[best]
-        todo.discard(best)
-        for he in best_f:
-            budget_box[0] -= 1
-            for v, tag, cnt in darts[e.id]:
-                capv[(v, he, tag)] -= cnt
-            assignment[e.id] = he
-            if rec():
-                return True
-            del assignment[e.id]
-            for v, tag, cnt in darts[e.id]:
-                capv[(v, he, tag)] += cnt
-        todo.add(best)
-        return False
-
-    if rec():
-        return dict(assignment)
-    return None
+        if best_f:
+            todo.discard(best)
+            stack.append([best, best_f, -1])
+        # move the innermost edge with an image left on to that image;
+        # an edge without one goes back to todo
+        while stack:
+            frame = stack[-1]
+            i, images, at = frame
+            eid = edges[i].id
+            if at >= 0:
+                del assignment[eid]
+                for v, tag, cnt in need[eid]:
+                    capv[(v, images[at], tag)] += cnt
+            at += 1
+            if at < len(images):
+                frame[2] = at
+                he = images[at]
+                budget_box[0] -= 1
+                for v, tag, cnt in need[eid]:
+                    capv[(v, he, tag)] -= cnt
+                assignment[eid] = he
+                break
+            stack.pop()
+            todo.add(i)
+        else:
+            return None
+    return dict(assignment)
 
 
 # naive exhaustive search (test oracle for the oracle) -------------------------
@@ -792,6 +785,7 @@ class _VertexSearch:
         dom = self.domains[u]
         # only genuine branch points pay for the component check; unit
         # propagation chains fall straight through
+        combined = None
         if (
             not connected
             and self.fibre_cap is None
@@ -800,8 +794,8 @@ class _VertexSearch:
         ):
             comps = self._components(todo)
             if len(comps) > 1:
-                done = yield from self._branch_components(comps)
-                if done:
+                combined = yield from self._branch_components(comps)
+                if combined is None:
                     return
             else:
                 connected = True
@@ -819,7 +813,14 @@ class _VertexSearch:
             # not needed there
             still = connected and (len(todo) <= self.DECOMPOSE_MIN or self._stays_connected(u))
             try:
-                yield from self._branch(todo, still)
+                if combined is None:
+                    yield from self._branch(todo, still)
+                else:
+                    # the combined assignment was yielded already
+                    with closing(self._branch(todo, still)) as below:
+                        for _ in below:
+                            if any(assign[v] != x for v, x in combined):
+                                yield True
             finally:
                 self._undo(ops)
 
@@ -827,13 +828,14 @@ class _VertexSearch:
         """Solve independent components separately.
 
         Any infeasible component kills the whole node at once (returns
-        True without yielding), which is the point: its refutation is
+        None without yielding), which is the point: its refutation is
         found once instead of once per assignment of the other
         components.  If every component is solvable, their first
         solutions combine into one emitted assignment, applied in
         vertex-name order; should the caller need further solutions,
-        plain branching takes over (return value False), which keeps the
-        enumeration complete."""
+        plain branching takes over, which keeps the enumeration complete.
+        The combined assignment is returned as (vertex, image) pairs, so
+        that the plain branching skips it instead of yielding it again."""
         first: list[list] = []
         for comp in sorted(comps, key=len):
             sol = None
@@ -843,7 +845,7 @@ class _VertexSearch:
                 break
             gen.close()
             if sol is None:
-                return True
+                return None
             first.append(sol)
         names = self.names
         opslist = []
@@ -862,7 +864,7 @@ class _VertexSearch:
         finally:
             for ops in reversed(opslist):
                 self._undo(ops)
-        return False
+        return [vx for comp_sol in first for vx in comp_sol]
 
 
 # the oracle -------------------------------------------------------------------
@@ -963,24 +965,13 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
 
 def _exact_semi_step(h: Graph, budget_box):
     """The oracle's step for fibres over semi-edges: an exact dart
-    assignment against the one target vertex (these can be genuinely
-    hard)."""
+    assignment of the fibre's edges onto the loops and semi-edges at its
+    image (these can be genuinely hard)."""
 
     def step(x, colour, verts, group, semi_ids, loop_ids):
-        target = Graph("t")
-        target.add_vertex("x", h.vertex_colour(x))
-        for i, _ in enumerate(semi_ids):
-            target.add_edge("semi", f"s{i}", colour, "x")
-        for i, _ in enumerate(loop_ids):
-            target.add_edge("loop", f"l{i}", colour, "x")
         sub = Graph._derive("fibre", dict.fromkeys(verts, h.vertex_colour(x)))
         sub._put(group)
-        sub_fe = _edge_map_search(sub, target, {w: "x" for w in verts}, budget_box)
-        if sub_fe is None:
-            return None
-        rename = {f"s{i}": he for i, he in enumerate(semi_ids)}
-        rename.update({f"l{i}": he for i, he in enumerate(loop_ids)})
-        return {eid: rename[the] for eid, the in sub_fe.items()}
+        return _edge_map_search(sub, h, dict.fromkeys(verts, x), budget_box)
 
     return step
 

@@ -13,6 +13,11 @@ Edge kinds (also the keywords of the textual format):
   dloop  directed loop (contributes 1 to in- and 1 to out-degree)
   semi   semi-edge, a dangling half edge (contributes 1 to the degree)
 
+Darts: a covering projection is a local bijection on darts, and
+``darts(g, v)`` is the one place that turns the edges at a vertex into
+their darts; every degree, dart count and dart tally of the package reads
+it, and only this module reads a graph's incidence lists.
+
 Colour discipline: vertex colours, directed edge colours and undirected
 edge colours come from pairwise disjoint namespaces.  Arcs and directed
 loops may share colours; edges, loops and semi-edges may share colours.
@@ -259,7 +264,7 @@ class Graph:
 
 
 class Darts(NamedTuple):
-    """The darts at one vertex, from one walk over its incident edges.
+    """The darts at one vertex, ``darts`` grouped by ``vertex_darts``.
 
     ``ends`` maps (colour, direction) to the vertices the darts lead to,
     with counts in order of first appearance: a loop leads back twice, a
@@ -273,53 +278,48 @@ class Darts(NamedTuple):
     dloops: dict[str, int]
 
 
-def _add(ends: dict, key: tuple[str, str], w: str, k: int = 1) -> None:
-    inner = ends.get(key)
-    if inner is None:
-        ends[key] = {w: k}
-    else:
-        inner[w] = inner.get(w, 0) + k
-
-
-def edge_darts(e: Edge, v: str) -> tuple[tuple[str, int], ...]:
-    """(direction, count) pairs of the darts edge ``e`` has at endpoint ``v``."""
-    if e.kind == "edge" or e.kind == "semi":
-        return ((UND, 1),)
-    if e.kind == "loop":
-        return ((UND, 2),)
-    if e.kind == "dloop":
-        return ((OUT, 1), (IN, 1))
-    return ((OUT, 1),) if e.tail == v else ((IN, 1),)
+def darts(g: Graph, v: str) -> list[tuple[Edge, str, str, int]]:
+    """The dart rule of the package: one (edge, direction, other end,
+    count) per edge at ``v`` and direction of its darts there, in incidence
+    order.  An edge leads once to its other end and an arc once out to its
+    head or in from its tail; a loop leads back twice, a semi-edge once, a
+    directed loop once out and then once in.  Every dart count and degree
+    is read from this list."""
+    out = []
+    for e in g._inc[v]:
+        kind = e.kind
+        if kind == "edge":
+            a, b = e.ends
+            out.append((e, UND, b if a == v else a, 1))
+        elif kind == "arc":
+            tail, head = e.ends
+            out.append((e, OUT, head, 1) if tail == v else (e, IN, tail, 1))
+        elif kind == "loop":
+            out.append((e, UND, v, 2))
+        elif kind == "semi":
+            out.append((e, UND, v, 1))
+        else:
+            out.append((e, OUT, v, 1))
+            out.append((e, IN, v, 1))
+    return out
 
 
 def vertex_darts(g: Graph, v: str) -> Darts:
-    """The one dart count of the package; every degree is read from it."""
+    """The darts of ``darts`` grouped by colour, direction and other end."""
     ends: dict = {}
-    semis: dict[str, int] = {}
-    loops: dict[str, int] = {}
-    dloops: dict[str, int] = {}
-    for e in g._inc[v]:
-        kind, colour = e.kind, e.colour
-        if kind == "edge":
-            a, b = e.ends
-            _add(ends, (colour, UND), b if a == v else a)
-        elif kind == "arc":
-            tail, head = e.ends
-            if tail == v:
-                _add(ends, (colour, OUT), head)
-            else:
-                _add(ends, (colour, IN), tail)
-        elif kind == "loop":
-            _add(ends, (colour, UND), v, 2)
-            loops[colour] = loops.get(colour, 0) + 1
-        elif kind == "semi":
-            _add(ends, (colour, UND), v)
-            semis[colour] = semis.get(colour, 0) + 1
+    per_kind: dict[str, dict[str, int]] = {"semi": {}, "loop": {}, "dloop": {}}
+    for e, d, w, c in darts(g, v):
+        colour, kind = e.colour, e.kind
+        inner = ends.get((colour, d))
+        if inner is None:
+            ends[colour, d] = {w: c}
         else:
-            _add(ends, (colour, OUT), v)
-            _add(ends, (colour, IN), v)
-            dloops[colour] = dloops.get(colour, 0) + 1
-    return Darts(ends, semis, loops, dloops)
+            inner[w] = inner.get(w, 0) + c
+        # one count per loop, semi-edge and directed loop, the last at its out-dart
+        if kind in per_kind and d != IN:
+            tally = per_kind[kind]
+            tally[colour] = tally.get(colour, 0) + 1
+    return Darts(ends, per_kind["semi"], per_kind["loop"], per_kind["dloop"])
 
 
 def dart_counts(g: Graph, v: str) -> dict[tuple[str, str], dict[str, int]]:
@@ -486,8 +486,8 @@ OTHER = "other"
 def component_shapes(g: Graph) -> list[tuple[list[str], str]]:
     """The shape of every component of a monochromatic undirected graph.
 
-    One walk over the incidences finds the components, in the order and
-    form of ``components``, and the dart counts that classify them.  Loops
+    One walk over the darts finds the components, in the order and form
+    of ``components``, and the dart counts that classify them.  Loops
     count as cycles of length 1 and a pair of parallel edges as a cycle of
     length 2.  An open path may end in semi-edge stubs, so a lone vertex
     with two semi-edges is an open path of length zero.
@@ -503,26 +503,21 @@ def component_shapes(g: Graph) -> list[tuple[list[str], str]]:
             continue
         seen.add(start)
         comp, stack = [start], [start]
-        darts = 0  # normal darts: twice the edges and loops
+        normals = 0  # normal darts: twice the edges and loops
         fits, path_end = True, False
         while stack:
             v = stack.pop()
             normal = semis = 0
-            for e in g._inc[v]:
-                if e.kind == "edge":
-                    normal += 1
-                    a, w = e.ends
-                    if w == v:
-                        w = a
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        stack.append(w)
-                elif e.kind == "loop":
-                    normal += 2
-                else:
+            for e, _, w, c in darts(g, v):
+                if e.kind == "semi":
                     semis += 1
-            darts += normal
+                    continue
+                normal += c
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+            normals += normal
             fits = fits and normal + semis <= 2
             path_end = path_end or normal <= 1
         # with at most two darts everywhere and no path end, every vertex
@@ -532,7 +527,7 @@ def component_shapes(g: Graph) -> list[tuple[list[str], str]]:
         elif path_end:
             shape = OPEN_PATH
         else:
-            shape = EVEN_CYCLE if darts % 4 == 0 else ODD_CYCLE
+            shape = EVEN_CYCLE if normals % 4 == 0 else ODD_CYCLE
         out.append((sorted(comp), shape))
     out.sort()
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import IN, OUT, UND, Graph, GraphError, total_degree, vertex_darts
+from .graphs import IN, OUT, UND, Graph, GraphError, darts, total_degree
 
 
 class MatchingError(GraphError):
@@ -308,12 +308,12 @@ def euler_orientation(edges: list[tuple[str, str, str]]) -> list[tuple[str, str,
 
 
 def _undirected_degree(g: Graph, v: str) -> int:
-    darts = vertex_darts(g, v)
-    if darts.semis:
+    at = darts(g, v)
+    if any(e.kind == "semi" for e, _, _, _ in at):
         raise MatchingError("semi-edges not allowed in factorization input")
-    if any(d != UND for _, d in darts.ends):
+    if any(d != UND for _, d, _, _ in at):
         raise MatchingError("directed edges not allowed in 2-factorization input")
-    return sum(sum(to.values()) for to in darts.ends.values())
+    return sum(c for _, _, _, c in at)
 
 
 def two_factorization(g: Graph, k: int) -> list[list[str]]:
@@ -363,11 +363,11 @@ def directed_cycle_cover_decomposition(g: Graph, k: int) -> list[list[str]]:
     """Split a k-in-k-out-regular digraph (directed loops allowed) into k
     spanning collections of directed cycles."""
     for v in g.vertices():
-        ends = vertex_darts(g, v).ends
-        if any(d == UND for _, d in ends):
+        at = darts(g, v)
+        if any(d == UND for _, d, _, _ in at):
             raise MatchingError("directed decomposition needs arcs and dloops only")
         for direction in (OUT, IN):
-            if sum(sum(to.values()) for (_, d), to in ends.items() if d == direction) != k:
+            if sum(c for _, d, _, c in at if d == direction) != k:
                 raise MatchingError(f"vertex {v!r} is not {k}-in-{k}-out-regular")
     if k == 0:
         return []

@@ -26,6 +26,7 @@ from .graphs import (
     UND,
     components,
     dart_counts,
+    darts,
     is_connected,
     is_tree,
     total_degree,
@@ -72,58 +73,13 @@ class RefinementMatrix:
         )
 
 
-def _darts(g: Graph, v: str) -> list[tuple[str, str, str, int]]:
-    """(colour, direction, other end, count) for the darts of each edge at
-    v, in incidence order, with the dart rules of graphs.vertex_darts: a
-    loop leads back twice, a semi-edge once, a directed loop once each way."""
-    out = []
-    for e in g._inc[v]:
-        kind = e.kind
-        if kind == "edge":
-            a, b = e.ends
-            out.append((e.colour, UND, b if a == v else a, 1))
-        elif kind == "arc":
-            tail, head = e.ends
-            out.append((e.colour, OUT, head, 1) if tail == v else (e.colour, IN, tail, 1))
-        elif kind == "loop":
-            out.append((e.colour, UND, v, 2))
-        elif kind == "semi":
-            out.append((e.colour, UND, v, 1))
-        else:
-            out.append((e.colour, OUT, v, 1))
-            out.append((e.colour, IN, v, 1))
-    return out
-
-
 def _signature(g: Graph, v: str, block_of: dict[str, int], pos) -> tuple:
     # The darts of v counted per (colour, direction, block position); the
-    # block of w sits at position pos[block_of[w]].  The hottest walk of
-    # the refinement, so it reads the incidences itself, with the rules of
-    # _darts, rather than through a list of darts.
+    # block of w sits at position pos[block_of[w]].
     counts: dict[tuple, int] = {}
-    here = pos[block_of[v]]
-    for e in g._inc[v]:
-        kind = e.kind
-        if kind == "edge":
-            a, b = e.ends
-            key = (e.colour, UND, pos[block_of[b if a == v else a]])
-        elif kind == "arc":
-            tail, head = e.ends
-            if tail == v:
-                key = (e.colour, OUT, pos[block_of[head]])
-            else:
-                key = (e.colour, IN, pos[block_of[tail]])
-        elif kind == "loop":
-            key = (e.colour, UND, here)
-            counts[key] = counts.get(key, 0) + 2
-            continue
-        elif kind == "semi":
-            key = (e.colour, UND, here)
-        else:
-            key = (e.colour, IN, here)
-            counts[key] = counts.get(key, 0) + 1
-            key = (e.colour, OUT, here)
-        counts[key] = counts.get(key, 0) + 1
+    for e, d, w, c in darts(g, v):
+        key = (e.colour, d, pos[block_of[w]])
+        counts[key] = counts.get(key, 0) + c
     return tuple(sorted([(colour, dtag, b, cnt) for (colour, dtag, b), cnt in counts.items()]))
 
 
@@ -191,8 +147,8 @@ def degree_partition(g: Graph) -> tuple[Partition, RefinementMatrix]:
                 if i == largest:
                     continue
                 for u in members[i]:
-                    for colour, dtag, v, cnt in _darts(g, u):
-                        key = (colour, dtag, i)
+                    for e, dtag, v, cnt in darts(g, u):
+                        key = (e.colour, dtag, i)
                         acc = counts.get(v)
                         if acc is None:
                             counts[v] = {key: cnt}

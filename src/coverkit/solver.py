@@ -27,7 +27,7 @@ from .classify import (
 )
 from .covers import CoveringProjection, InternalCoverError, NotExtendable, _realize_edges, verify_cover
 from .graphs import Edge, Graph, GraphError, component_shapes, components, is_connected, project
-from .graphs import EVEN_CYCLE, IN, ODD_CYCLE, OPEN_PATH, OUT, UND, vertex_darts
+from .graphs import EVEN_CYCLE, IN, ODD_CYCLE, OPEN_PATH, OUT, UND, darts
 from .partition import Partition, degree_partition, normalize_colours
 from .twosat import TwoSat
 
@@ -85,7 +85,7 @@ class SolveResult:
 
 
 def _semis_at(g: Graph, v: str, colour: str) -> int:
-    return vertex_darts(g, v).semis.get(colour, 0)
+    return sum(1 for e, _, _, _ in darts(g, v) if e.kind == "semi" and e.colour == colour)
 
 
 def _fibre_index(gn: Graph, pg: Partition):
@@ -230,14 +230,11 @@ def preprocess_doublets(fibres, hn: Graph, ph: Partition,
 
 def _neighbour_list(g: Graph, v: str, colour: str, direction: str = UND) -> list[str]:
     """Other ends of the normal edges, loops and directed loops at ``v``,
-    with multiplicity, grouped in order of first appearance (for the one-
-    and two-entry lists the clauses read, that is incidence order)."""
-    darts = vertex_darts(g, v)
+    with multiplicity, in incidence order."""
     out = []
-    for w, cnt in darts.ends.get((colour, direction), {}).items():
-        if w == v and direction == UND:
-            cnt -= darts.semis.get(colour, 0)
-        out.extend([w] * cnt)
+    for e, d, w, cnt in darts(g, v):
+        if d == direction and e.colour == colour and e.kind != "semi":
+            out.extend([w] * cnt)
     return out
 
 

@@ -22,7 +22,6 @@ from coverkit import (
 )
 
 from coverkit.covers import _candidates_for, _h_edge_index
-from coverkit.graphs import edge_darts
 
 from conftest import (
     arc_beside_dotted_edge,
@@ -147,6 +146,24 @@ def test_oracle_answers_within_the_nodes_it_reports(g, h):
     assert full.yes
     exact = oracle_cover(g, h, budget=full.nodes)
     assert exact.yes and exact.nodes == full.nodes
+
+
+def test_oracle_semi_step_deeper_than_the_recursion_limit():
+    # every vertex of a 700-cycle with a parallel edge on every other cycle
+    # edge has three darts, as the target's loop and semi-edge do; the
+    # exact edge assignment over the semi-edge places 1050 edges one by one
+    n = 700
+    g = Graph("c700")
+    for i in range(n):
+        g.add_vertex(f"v{i}", "n")
+    for i in range(n):
+        g.add_edge("edge", f"e{i}", "e", f"v{i}", f"v{(i + 1) % n}")
+        if i % 2 == 0:
+            g.add_edge("edge", f"p{i}", "e", f"v{i}", f"v{(i + 1) % n}")
+    h = one_vertex(semis=1, loops=1)
+    res = oracle_cover(g, h)
+    assert (res.status, res.nodes) == ("yes", n + g.m)
+    assert verify_cover(g, h, res.projection).ok
 
 
 def test_oracle_decides_directed_lift_within_small_budget():
@@ -338,6 +355,19 @@ def test_verify_catches_corrupted_certificates():
     assert checked >= 5
 
 
+def edge_darts(e, v):
+    """(direction, count) of the darts of edge e at its end v: the dart
+    rule written out again for the references below, independent of
+    ``graphs.darts``."""
+    if e.kind in ("edge", "semi"):
+        return [("u", 1)]
+    if e.kind == "loop":
+        return [("u", 2)]
+    if e.kind == "dloop":
+        return [("o", 1), ("i", 1)]
+    return [("o" if e.tail == v else "i", 1)]
+
+
 def reference_verify(g, h, f):
     """verify_cover checking edge images against an index of candidate
     target edges: the reference for its direct edge-image checks."""
@@ -386,13 +416,7 @@ def reference_verify(g, h, f):
         return violations
 
     def darts(e, v, image):
-        if e.kind in ("edge", "semi"):
-            return [((image, "u"), 1)]
-        if e.kind == "loop":
-            return [((image, "u"), 2)]
-        if e.kind == "dloop":
-            return [((image, "o"), 1), ((image, "i"), 1)]
-        return [((image, "o" if e.tail == v else "i"), 1)]
+        return [((image, tag), cnt) for tag, cnt in edge_darts(e, v)]
 
     for u in g.vertices():
         got, want = Counter(), Counter()
@@ -696,6 +720,9 @@ def small_partial_pairs():
     yield path(3), two_vertex_w(1, 0, 1, 0, 1)
     yield cycle(4), two_vertex_w(0, 1, 1, 1, 0)
     yield limping_tripod(), fw2_target()
+    # ten vertices, so the search splits the two paths into components and
+    # combines their first maps, which the branching after must not repeat
+    yield disjoint_union(path(5), path(5)), cycle(3)
     for seed in range(12):
         yield (random_multigraph(3, 1, seed, colours=("e", "f")),
                random_multigraph(3, 6, 100 + seed, colours=("e", "f")))
@@ -714,8 +741,8 @@ def test_partial_covers_match_brute_force():
         names = g.vertices()
         got = [tuple(fv[u] for u in names) for fv in partial_covers(g, h, vertex_maps_only=True)]
         want = brute_partial_vertex_maps(g, h)
-        assert len(got) == len(set(got)), (g.name, h.name)
-        assert set(got) == want, (g.name, h.name)
+        # every map once
+        assert Counter(got) == Counter(want), (g.name, h.name)
         answers[bool(want)] += 1
         for proj in partial_covers(g, h):
             assert tuple(proj.fv[u] for u in names) in want

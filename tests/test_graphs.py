@@ -15,7 +15,7 @@ from coverkit import (
     project,
     serialize_graph,
 )
-from coverkit.graphs import EVEN_CYCLE, ODD_CYCLE, OPEN_PATH, OTHER, UND, IN, OUT, vertex_darts
+from coverkit.graphs import EVEN_CYCLE, ODD_CYCLE, OPEN_PATH, OTHER, UND, IN, OUT, darts, vertex_darts
 
 from conftest import (
     assert_same_graph,
@@ -185,6 +185,28 @@ def test_degree_directed():
     assert degree(g, "x", "d", IN) == 1
     with pytest.raises(GraphError):
         degree(g, "x", "d", UND)
+
+
+def test_darts_of_every_edge_kind():
+    # u has an edge, arcs both ways, a loop, a directed loop and a semi-edge
+    g = Graph("kinds")
+    for v in ("u", "w", "z"):
+        g.add_vertex(v, "n")
+    g.add_edge("edge", "e", "a", "u", "w")
+    g.add_edge("arc", "out", "d", "u", "w")
+    g.add_edge("arc", "in", "d", "z", "u")
+    g.add_edge("loop", "l", "a", "u")
+    g.add_edge("dloop", "dl", "d", "u")
+    g.add_edge("semi", "s", "a", "u")
+    got = [(e.id, d, w, c) for e, d, w, c in darts(g, "u")]
+    assert got == [("e", "u", "w", 1), ("out", "o", "w", 1), ("in", "i", "z", 1),
+                   ("l", "u", "u", 2), ("dl", "o", "u", 1), ("dl", "i", "u", 1),
+                   ("s", "u", "u", 1)]
+    assert [(e.id, d, w, c) for e, d, w, c in darts(g, "w")] == \
+        [("e", "u", "u", 1), ("out", "i", "u", 1)]
+    assert [(e.id, d, w, c) for e, d, w, c in darts(g, "z")] == [("in", "o", "u", 1)]
+    # every tuple carries the edge itself
+    assert all(e is g.edge(e.id) for e, _, _, _ in darts(g, "u"))
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,8 +18,8 @@ from coverkit import (
     serialize_graph,
 )
 from coverkit.gadgets import limping_tripod
-from coverkit.graphs import dart_counts
-from coverkit.partition import _darts, _signature, is_equitable
+from coverkit.graphs import dart_counts, darts
+from coverkit.partition import _signature, is_equitable
 
 from conftest import (
     arc_beside_dotted_edge,
@@ -541,8 +541,8 @@ def test_signature_and_darts_match_the_dart_counts(g, rng):
     for v in g.vertices():
         assert _signature(g, v, block_of, pos) == signature_reference(g, v, block_of, pos)
         grouped = {}
-        for colour, dtag, w, cnt in _darts(g, v):
-            to = grouped.setdefault((colour, dtag), {})
+        for e, dtag, w, cnt in darts(g, v):
+            to = grouped.setdefault((e.colour, dtag), {})
             to[w] = to.get(w, 0) + cnt
         assert grouped == dart_counts(g, v)
 
