@@ -29,7 +29,8 @@ for seed in (0, 1):
     sat = brute_force_formula(f) is not None
     g = build_gphi_fw(3, f)
     res = oracle_cover(g, fw_target(3), budget=4_000_000)
-    print(f"  formula seed {seed}: satisfiable={sat}, {g.n}-vertex instance covers: {res.status}")
+    print(f"  formula seed {seed}: satisfiable={sat}, {g.n}-vertex instance covers: {res.status}"
+          f" ({res.reason}, {res.nodes} nodes)")
 
 print("\nthe directed lift ties covering to (2,1)-colourability:")
 for m, seed in ((3, 0), (3, 1), (4, 0), (4, 1)):
@@ -37,4 +38,5 @@ for m, seed in ((3, 0), (3, 1), (4, 0), (4, 1)):
     lift = directed_lift_wd(base, 2, 1)
     colourable = bc_colouring_brute(base, 2, 1) is not None
     res = oracle_cover(lift, wd_target(2, 1), budget=2_000_000)
-    print(f"  {base.n}-vertex base, seed {seed}: colourable={colourable}, lift covers: {res.status}")
+    print(f"  {base.n}-vertex base, seed {seed}: colourable={colourable}, lift covers: {res.status}"
+          f" ({res.reason}, {res.nodes} nodes)")

@@ -17,8 +17,6 @@ decision logic.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
-from contextlib import closing
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -81,9 +79,18 @@ class VerifyResult:
 
 @dataclass
 class OracleResult:
+    """An oracle answer.  ``reason`` names the check that settled it:
+    ``partition`` (block counts or refinement matrices differ), ``fold``
+    (the vertex counts admit no whole fold of at least 1), ``block sizes``
+    (a block's size is not the fold times its target block's), ``self
+    darts`` (some vertex fits no image's loops, semi-edges and directed
+    loops), ``search`` (the search tree holds no cover), ``budget`` (the
+    node budget ran out: "unknown") or ``cover`` (a verified "yes")."""
+
     status: str  # "yes" | "no" | "unknown"
     projection: CoveringProjection | None = None
     nodes: int = 0
+    reason: str = ""
 
     @property
     def yes(self) -> bool:
@@ -417,6 +424,11 @@ def naive_cover(g: Graph, h: Graph, node_limit: int = 5_000_000) -> CoveringProj
 # undo trail tags; every change the trail records commutes with the others
 # made since the same mark, so a trail can be undone in any order
 _DOM, _USED, _TOUCH, _FIBRE, _ASSIGN = range(5)
+# stack frame tags of _VertexSearch.solutions
+_NODE, _SPLIT = range(2)
+# where _VertexSearch._deliver leaves a solution when no split frame takes
+# it: with the caller, or dropped by a node that emitted it already
+_CALLER, _SKIPPED = -1, -2
 
 
 class _VertexSearch:
@@ -465,10 +477,43 @@ class _VertexSearch:
     assigned neighbour), so when the residual constraint graph falls into
     independent components each is solved on its own and the solutions
     are combined, instead of rediscovering one component's failures once
-    per assignment of the others.  ``_branch`` carries the fact that its
-    scope is connected down the recursion and, after assigning u,
-    re-proves it locally (``_stays_connected``); only where that proof
-    fails does a branch point walk the whole scope (``_components``).
+    per assignment of the others.  A node carries the fact that its scope
+    is connected down to its children and, after assigning u, re-proves
+    it locally (``_stays_connected``); only where that proof fails does a
+    later branch point walk the scope (``_components``).
+
+    Scopes hold only unassigned vertices.  Between a node and its child
+    only the branching vertex is assigned (propagation narrows domains
+    but assigns nothing), so a child's scope is its parent's less that
+    vertex and is handed down, not rebuilt: every vertex is labelled with
+    the innermost scope it belongs to, and a scope counts its unassigned
+    vertices, in total and per domain size, and keeps the set of those
+    with one image left.  Assigning, removing images and undoing keep
+    these up to date where they happen, so choosing the branching vertex
+    reads them instead of scanning the scope.  Only the component walk,
+    and the rare choice that neither a one-image vertex nor the recency
+    stack settles, go over the scope's member list.  A component is a
+    scope of its own while it is searched alone, and its vertices go back
+    to the enclosing scope when that search ends.
+
+    The depth of the search needs no call stack: ``solutions`` keeps one
+    frame per branch point, holding the vertex, the images it has left to
+    try and the trail of the image it holds, and one frame per split into
+    components.  A solution found at the top of the stack travels down it
+    as a yielded solution travels up nested generators: a split frame
+    takes it as its component's first solution, a node that has emitted
+    a combined solution drops that same assignment, and otherwise the
+    caller receives it.
+
+    Why the tree is that of the plain recursive search, one nested
+    generator per branch point rescanning its scope at every node (kept
+    as the reference in tests/test_search_reference.py): the stack visits
+    nodes in the same depth-first order, every node chooses its vertex by
+    the same rule (least domain; then the first one-image vertex in id
+    order, or the recency stack's vertex when its domain is least, or
+    else the most touched and then least id), components come in the same
+    order with their vertices ascending, and every budget charge, trail
+    entry and recency entry is made at the same step.
     """
 
     DECOMPOSE_MIN = 9
@@ -523,31 +568,97 @@ class _VertexSearch:
                                       reverse=True)]
             for u in names
         ]
+        # the vertices an assignment touches: each neighbour, then that
+        # neighbour's own neighbours
+        self.near = [[z for w in nbrs for z in (w, *self.nbrs[w])] for nbrs in self.nbrs]
+        # scopes, innermost last: each vertex's scope, and per scope its
+        # members in ascending order, its unassigned count, its unassigned
+        # count per domain size and its unassigned one-image vertices
+        self.scope = [0] * len(names)
+        self.members: list[list[int]] = []
+        self.left: list[int] = []
+        self.sizes: list[list[int]] = []
+        self.ones: list[set[int]] = []
+        self._open(list(range(len(names))))
+
+    def _open(self, members) -> int:
+        """Make the unassigned vertices ``members`` a scope of their own."""
+        s = len(self.members)
+        scope, domains = self.scope, self.domains
+        sizes = [0] * (len(self.images) + 1)
+        ones = set()
+        for v in members:
+            scope[v] = s
+            size = domains[v].bit_count()
+            sizes[size] += 1
+            if size == 1:
+                ones.add(v)
+        self.members.append(members)
+        self.left.append(len(members))
+        self.sizes.append(sizes)
+        self.ones.append(ones)
+        return s
+
+    def _close(self, outer) -> None:
+        """Give the innermost scope's vertices back to scope ``outer``."""
+        scope = self.scope
+        for v in self.members.pop():
+            scope[v] = outer
+        self.left.pop()
+        self.sizes.pop()
+        self.ones.pop()
 
     def _undo(self, ops):
         domains, used, touch = self.domains, self.used, self.touch
         for op in ops:
             tag = op[0]
-            if tag == _DOM:
-                domains[op[1]] |= op[2]
-            elif tag == _USED:
+            # in order of frequency
+            if tag == _USED:
                 used[op[1]][op[2]] -= op[3]
+            elif tag == _DOM:
+                w = op[1]
+                dom = domains[w]
+                domains[w] = full = dom | op[2]
+                # _remove counts no domain it leaves empty
+                if dom:
+                    s = self.scope[w]
+                    sizes = self.sizes[s]
+                    size = dom.bit_count()
+                    sizes[size] -= 1
+                    sizes[full.bit_count()] += 1
+                    if size == 1:
+                        self.ones[s].discard(w)
+            elif tag == _ASSIGN:
+                u = op[1]
+                self.assign[u] = -1
+                s = self.scope[u]
+                self.left[s] += 1
+                size = domains[u].bit_count()
+                self.sizes[s][size] += 1
+                if size == 1:
+                    self.ones[s].add(u)
             elif tag == _TOUCH:
                 for w in op[1]:
                     touch[w] -= 1
-            elif tag == _FIBRE:
-                self.fibre[op[1]] -= 1
             else:
-                self.assign[op[1]] = -1
+                self.fibre[op[1]] -= 1
 
     def _remove(self, w, drop, ops, dirty) -> bool:
         """Take the images ``drop`` (all in w's domain) out of it; False
         when the domain runs empty.  w's assigned neighbours get dirty."""
-        left = self.domains[w] ^ drop
+        dom = self.domains[w]
+        left = dom ^ drop
         self.domains[w] = left
         ops.append((_DOM, w, drop))
         if not left:
             return False
+        s = self.scope[w]
+        sizes = self.sizes[s]
+        sizes[dom.bit_count()] -= 1
+        size = left.bit_count()
+        sizes[size] += 1
+        if size == 1:
+            self.ones[s].add(w)
         assign = self.assign
         for z in self.nbrs[w]:
             if assign[z] >= 0:
@@ -569,6 +680,12 @@ class _VertexSearch:
         dirty: dict[int, None] = {}
         assign[u] = x
         ops.append((_ASSIGN, u))
+        s = self.scope[u]
+        self.left[s] -= 1
+        size = domains[u].bit_count()
+        self.sizes[s][size] -= 1
+        if size == 1:
+            self.ones[s].discard(u)
         if self.fibre_cap is not None:
             self.fibre[x] += 1
             ops.append((_FIBRE, x))
@@ -611,14 +728,7 @@ class _VertexSearch:
         if not self._propagate(dirty, ops):
             return False
         # locality bookkeeping for the branching heuristic
-        nbrs = self.nbrs
-        touched = []
-        for w in nbrs[u]:
-            if assign[w] < 0:
-                touched.append(w)
-            for z in nbrs[w]:
-                if assign[z] < 0:
-                    touched.append(z)
+        touched = [z for z in self.near[u] if assign[z] < 0]
         touch = self.touch
         for w in touched:
             touch[w] += 1
@@ -631,94 +741,105 @@ class _VertexSearch:
         a neighbour whose multiplicity overshoots the outstanding need
         loses y.  With exact domains the need must also fit the unassigned
         neighbours that can still take y: equality forces them and
-        deficits fail."""
+        deficits fail.  Rows are scanned where they lie; no assignment
+        changes during propagation, so the unassigned entries of a row
+        are the same on every scan."""
         assign, domains, exact = self.assign, self.domains, self.exact
+        caps, used, cross_rows = self.caps, self.used, self.cross_rows
         remove = self._remove
         while dirty:
             a = dirty.popitem()[0]
-            cap_a, used_a = self.caps[assign[a]], self.used[a]
-            for base, _, row in self.cross_rows[a]:
-                unassigned = [(w, m) for w, m in row if assign[w] < 0]
-                if not unassigned:
-                    continue
+            cap_a, used_a = caps[assign[a]], used[a]
+            for base, _, row in cross_rows[a]:
+                # an unassigned vertex never has an empty domain here
                 targets = 0
-                for w, _ in unassigned:
-                    targets |= domains[w]
+                for w, _ in row:
+                    if assign[w] < 0:
+                        targets |= domains[w]
                 while targets:
                     bit = targets & -targets
                     targets ^= bit
                     slot = base + bit.bit_length() - 1
                     needed = cap_a[slot] - used_a[slot]
                     avail = 0
-                    holders = []
-                    for w, m in unassigned:
-                        if domains[w] & bit:
+                    for w, m in row:
+                        if assign[w] < 0 and domains[w] & bit:
                             if m > needed:
                                 if not remove(w, bit, ops, dirty):
                                     return False
                             else:
                                 avail += m
-                                holders.append(w)
                     if not exact:
                         continue
                     if needed > avail:
                         return False
                     if needed and needed == avail:
-                        for w in holders:
-                            if domains[w] != bit:
+                        # the neighbours still holding y are the ones counted
+                        for w, _ in row:
+                            if assign[w] < 0 and domains[w] & bit and domains[w] != bit:
                                 remove(w, domains[w] ^ bit, ops, dirty)
         return True
 
-    def _choose(self, todo):
-        domains, touch = self.domains, self.touch
-        # least domain, then most touched, then first in the scope
-        best, best_size, best_touch = -1, 0, 0
-        for u in todo:
-            size = domains[u].bit_count()
-            if size <= 1:
-                return u
-            if best < 0 or size < best_size or (size == best_size and touch[u] > best_touch):
-                best, best_size, best_touch = u, size, touch[u]
+    def _choose(self, s):
+        """The branching vertex of scope s: least domain; the first
+        one-image vertex, or the vertex the search touched last when its
+        domain is least, or else the most touched, then the first."""
+        ones = self.ones[s]
+        if ones:
+            return min(ones)
+        sizes = self.sizes[s]
+        least = 2
+        while not sizes[least]:
+            least += 1
         # prefer finishing the region the search is already inside
-        recent = self.recent
+        assign, domains, scope, recent = self.assign, self.domains, self.scope, self.recent
         while recent:
             w = recent[-1]
-            # scopes are ascending id lists
-            at = bisect_left(todo, w)
-            if self.assign[w] >= 0 or at == len(todo) or todo[at] != w:
+            if assign[w] >= 0 or scope[w] != s:
                 recent.pop()
                 continue
-            if domains[w].bit_count() == best_size:
+            if domains[w].bit_count() == least:
                 return w
             break
+        touch = self.touch
+        best, best_touch = -1, -1
+        for v in self.members[s]:
+            if assign[v] < 0 and touch[v] > best_touch and domains[v].bit_count() == least:
+                best, best_touch = v, touch[v]
         return best
 
-    def _components(self, todo):
-        """Partition unassigned vertices into groups with no constraint
-        between them: direct edges and shared assigned neighbours couple.
-        Groups come in order of their least id, each in ascending order."""
-        assign, nbrs = self.assign, self.nbrs
-        left = set(todo)
-        anchors = set()
+    def _components(self, s):
+        """Partition the unassigned vertices of scope s into groups with no
+        constraint between them: direct edges and shared assigned
+        neighbours couple.  Groups come in order of their least id, each
+        in ascending order."""
+        assign, nbrs, scope = self.assign, self.nbrs, self.scope
+        # scope vertices already in a group, and assigned neighbours whose
+        # own neighbours were added
+        seen = set()
         comps = []
-        for start in todo:
-            if start not in left:
+        for start in self.members[s]:
+            if assign[start] >= 0 or start in seen:
                 continue
-            left.discard(start)
+            seen.add(start)
             comp, stack = [start], [start]
             while stack:
                 for w in nbrs[stack.pop()]:
-                    if w in left:
-                        left.discard(w)
-                        comp.append(w)
-                        stack.append(w)
-                    elif assign[w] >= 0 and w not in anchors:
-                        anchors.add(w)
-                        for z in nbrs[w]:
-                            if z in left:
-                                left.discard(z)
-                                comp.append(z)
-                                stack.append(z)
+                    if w in seen:
+                        continue
+                    if assign[w] < 0:
+                        if scope[w] == s:
+                            seen.add(w)
+                            comp.append(w)
+                            stack.append(w)
+                        continue
+                    # an assigned neighbour couples all of its own
+                    seen.add(w)
+                    for z in nbrs[w]:
+                        if z not in seen and assign[z] < 0 and scope[z] == s:
+                            seen.add(z)
+                            comp.append(z)
+                            stack.append(z)
             comp.sort()
             comps.append(comp)
         return comps
@@ -769,102 +890,141 @@ class _VertexSearch:
         return joins == len(groups) - 1
 
     def solutions(self):
+        """Yield every solution as a map of source to target names.
+
+        A node frame is [_NODE, u, images left, connected, combined, trail,
+        scope size, scope]: the trail is that of u's current image, and
+        combined the (vertex, image) pairs of a combined solution the node
+        emitted before branching, which it must not emit again.  A split
+        frame is [_SPLIT, components, index, first solutions, trails,
+        scope]: it searches its components one at a time, each in a scope
+        of its own, up to a first solution, and then applies them together
+        (trails) and emits the result as its node's."""
         names, images = self.names, self.images
-        for _ in self._branch(range(len(names))):
-            yield {u: images[x] for u, x in zip(names, self.assign)}
-
-    def _branch(self, scope, connected=False):
-        """Search the unassigned vertices of ``scope``; ``connected`` is
-        the proven fact that they form one component."""
-        assign = self.assign
-        todo = [v for v in scope if assign[v] < 0]
-        if not todo:
-            yield True
-            return
-        u = self._choose(todo)
-        dom = self.domains[u]
-        # only genuine branch points pay for the component check; unit
-        # propagation chains fall straight through
-        combined = None
-        if (
-            not connected
-            and self.fibre_cap is None
-            and dom & (dom - 1)
-            and len(todo) >= self.DECOMPOSE_MIN
-        ):
-            comps = self._components(todo)
-            if len(comps) > 1:
-                combined = yield from self._branch_components(comps)
-                if combined is None:
-                    return
-            else:
-                connected = True
-        budget = self.budget
-        while dom:
-            bit = dom & -dom
-            dom ^= bit
-            if budget[0] <= 0:
-                raise BudgetExhausted()
-            budget[0] -= 1
-            ops = self._try_assign(u, bit.bit_length() - 1)
-            if ops is None:
-                continue
-            # no component check runs below DECOMPOSE_MIN, so the fact is
-            # not needed there
-            still = connected and (len(todo) <= self.DECOMPOSE_MIN or self._stays_connected(u))
-            try:
-                if combined is None:
-                    yield from self._branch(todo, still)
-                else:
-                    # the combined assignment was yielded already
-                    with closing(self._branch(todo, still)) as below:
-                        for _ in below:
-                            if any(assign[v] != x for v, x in combined):
-                                yield True
-            finally:
-                self._undo(ops)
-
-    def _branch_components(self, comps):
-        """Solve independent components separately.
-
-        Any infeasible component kills the whole node at once (returns
-        None without yielding), which is the point: its refutation is
-        found once instead of once per assignment of the other
-        components.  If every component is solvable, their first
-        solutions combine into one emitted assignment, applied in
-        vertex-name order; should the caller need further solutions,
-        plain branching takes over, which keeps the enumeration complete.
-        The combined assignment is returned as (vertex, image) pairs, so
-        that the plain branching skips it instead of yielding it again."""
-        first: list[list] = []
-        for comp in sorted(comps, key=len):
-            sol = None
-            gen = self._branch(comp, True)
-            for _ in gen:
-                sol = [(v, self.assign[v]) for v in comp]
-                break
-            gen.close()
-            if sol is None:
-                return None
-            first.append(sol)
-        names = self.names
-        opslist = []
-        try:
-            for comp_sol in first:
-                for v, x in sorted(comp_sol, key=lambda vx: names[vx[0]]):
-                    if self.assign[v] >= 0:
+        assign, domains, left = self.assign, self.domains, self.left
+        budget, undo, try_assign = self.budget, self._undo, self._try_assign
+        decompose = self.fibre_cap is None
+        stack: list[list] = []
+        enter = (0, False)  # the scope and fact of a node to visit next
+        while True:
+            if enter is not None:
+                s, connected = enter
+                enter = None
+                size = left[s]
+                if not size:
+                    # every vertex of the scope is assigned: a solution
+                    at = len(stack)
+                    while True:
+                        at = self._deliver(stack, at)
+                        if at == _CALLER:
+                            yield {u: images[x] for u, x in zip(names, assign)}
+                            break
+                        if at == _SKIPPED:
+                            break
+                        enter = self._collect(stack, at)
+                        if enter is not None:
+                            break
+                    if enter is not None:
                         continue
-                    ops = self._try_assign(v, x)
-                    if ops is None:
-                        raise InternalCoverError(
-                            "independent component solutions failed to recombine"
-                        )
-                    opslist.append(ops)
-            yield True
-        finally:
-            for ops in reversed(opslist):
-                self._undo(ops)
-        return [vx for comp_sol in first for vx in comp_sol]
+                else:
+                    u = self._choose(s)
+                    dom = domains[u]
+                    frame = [_NODE, u, dom, connected, None, None, size, s]
+                    stack.append(frame)
+                    # only genuine branch points pay for the component
+                    # check; unit propagation chains fall straight through
+                    if (not connected and decompose and dom & (dom - 1)
+                            and size >= self.DECOMPOSE_MIN):
+                        comps = self._components(s)
+                        if len(comps) > 1:
+                            comps.sort(key=len)
+                            stack.append([_SPLIT, comps, 0, [], None, s])
+                            enter = (self._open(comps[0]), True)
+                            continue
+                        frame[3] = True
+            # resume the top frame
+            if not stack:
+                return
+            frame = stack[-1]
+            if frame[0] == _SPLIT:
+                stack.pop()
+                if frame[4] is None:
+                    # a component without a solution: its node has none
+                    self._close(frame[5])
+                    stack.pop()
+                else:
+                    for ops in reversed(frame[4]):
+                        undo(ops)
+                    stack[-1][4] = [vx for sol in frame[3] for vx in sol]
+                continue
+            _, u, dom, connected, _, ops, size, s = frame
+            if ops is not None:
+                undo(ops)
+                frame[5] = None
+            while dom:
+                bit = dom & -dom
+                dom ^= bit
+                if budget[0] <= 0:
+                    raise BudgetExhausted()
+                budget[0] -= 1
+                ops = try_assign(u, bit.bit_length() - 1)
+                if ops is None:
+                    continue
+                frame[2] = dom
+                frame[5] = ops
+                # no component check runs below DECOMPOSE_MIN, so the fact
+                # is not needed there
+                enter = (s, connected and (size <= self.DECOMPOSE_MIN or self._stays_connected(u)))
+                break
+            else:
+                stack.pop()
+
+    def _deliver(self, stack, at):
+        """Carry a solution emitted above ``stack[at - 1]`` down the stack:
+        the index of the split frame that takes it, _SKIPPED when a node
+        emitted that assignment already, or _CALLER."""
+        assign = self.assign
+        for i in range(at - 1, -1, -1):
+            frame = stack[i]
+            if frame[0] == _SPLIT:
+                return i
+            combined = frame[4]
+            if combined is not None and all(assign[v] == x for v, x in combined):
+                return _SKIPPED
+        return _CALLER
+
+    def _collect(self, stack, at):
+        """Split frame ``stack[at]`` takes the solution of its current
+        component: everything above it is undone, and the next component
+        is opened, whose (scope, fact) is returned.  After the last one
+        the first solutions are applied together, in vertex-name order per
+        component, and None is returned: the combined solution is then
+        carried down from the split frame itself."""
+        split = stack[at]
+        _, comps, i, first, _, s = split
+        first.append([(v, self.assign[v]) for v in comps[i]])
+        for frame in reversed(stack[at + 1:]):
+            if frame[0] == _NODE:
+                if frame[5] is not None:
+                    self._undo(frame[5])
+            else:
+                for ops in reversed(frame[4]):
+                    self._undo(ops)
+        del stack[at + 1:]
+        self._close(s)
+        i += 1
+        split[2] = i
+        if i < len(comps):
+            return self._open(comps[i]), True
+        names = self.names
+        applied = split[4] = []
+        for sol in first:
+            for v, x in sorted(sol, key=lambda vx: names[vx[0]]):
+                ops = self._try_assign(v, x)
+                if ops is None:
+                    raise InternalCoverError("independent component solutions failed to recombine")
+                applied.append(ops)
+        return None
 
 
 # the oracle -------------------------------------------------------------------
@@ -986,29 +1146,27 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
     'unknown' when the node budget ran out.  The budget must be an int of
     at least 1 (ValueError otherwise)."""
     _check_budget(budget)
-    if h.n == 0:
-        if g.n == 0:
-            return OracleResult("yes", CoveringProjection({}, {}))
-        return OracleResult("no")
-    if g.n == 0:
-        return OracleResult("no")
+    if g.n == 0 or h.n == 0:
+        if g.n == h.n:
+            return OracleResult("yes", CoveringProjection({}, {}), reason="cover")
+        return OracleResult("no", reason="fold")
     pg, mg = degree_partition(g)
     ph, mh = degree_partition(h)
     if pg.k != ph.k or mg != mh:
-        return OracleResult("no")
+        return OracleResult("no", reason="partition")
     if g.n % h.n != 0:
-        return OracleResult("no")
+        return OracleResult("no", reason="fold")
     r = g.n // h.n
     for i in range(pg.k):
         if len(pg.blocks[i]) != r * len(ph.blocks[i]):
-            return OracleResult("no")
+            return OracleResult("no", reason="block sizes")
     tables = _DartTables(g, h)
     domains = {}
     for i, block in enumerate(pg.blocks):
         for u in block:
             dom = {x for x in ph.blocks[i] if _self_darts_fit(tables.g[u], tables.h[x])}
             if not dom:
-                return OracleResult("no")
+                return OracleResult("no", reason="self darts")
             domains[u] = dom
     budget_box = [budget]
     if is_connected(h):
@@ -1028,10 +1186,10 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
             check = verify_cover(g, h, proj)
             if not check.ok:
                 raise InternalCoverError(f"oracle built an invalid certificate: {check.violations}")
-            return OracleResult("yes", proj, budget - budget_box[0])
-        return OracleResult("no", None, budget - budget_box[0])
+            return OracleResult("yes", proj, budget - budget_box[0], "cover")
+        return OracleResult("no", None, budget - budget_box[0], "search")
     except BudgetExhausted:
-        return OracleResult("unknown", None, budget)
+        return OracleResult("unknown", None, budget, "budget")
 
 
 # partial covering projections --------------------------------------------------

@@ -110,6 +110,17 @@ def test_oracle_exit_codes(files, capsys, tmp_path, monkeypatch):
     assert code == 2  # unknown under a starvation budget
 
 
+def test_oracle_json_names_its_reason(files, capsys):
+    _, write = files
+    c3, c4, c6 = (write(f"c{n}.graph", cycle(n)) for n in (3, 4, 6))
+    code, out = run(capsys, "oracle", c6, c3)
+    assert (code, out["status"], out["reason"]) == (0, "yes", "cover")
+    code, out = run(capsys, "oracle", c4, c3)
+    assert (code, out["status"], out["reason"]) == (1, "no", "fold")
+    code, out = run(capsys, "oracle", write("c12.graph", cycle(12)), c3, "--budget", "2")
+    assert (code, out["status"], out["reason"], out["nodes"]) == (2, "unknown", "budget", 2)
+
+
 def test_partition_and_reduce(files, capsys):
     from coverkit.gadgets import fw2_target
 

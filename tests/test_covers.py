@@ -166,6 +166,49 @@ def test_oracle_semi_step_deeper_than_the_recursion_limit():
     assert verify_cover(g, h, res.projection).ok
 
 
+def test_oracle_search_deeper_than_the_recursion_limit():
+    # the search keeps one frame per branch point on a list of its own,
+    # so its depth does not meet the interpreter's recursion limit
+    g, h = cycle(1500), cycle(3)
+    assert sys.getrecursionlimit() < g.n
+    res = oracle_cover(g, h)
+    assert (res.status, res.nodes) == ("yes", 1500)
+    assert verify_cover(g, h, res.projection).ok
+
+
+def test_partial_covers_deeper_than_the_recursion_limit():
+    g, h = path(1500), cycle(3)
+    assert sys.getrecursionlimit() < g.n
+    fv = next(partial_covers(g, h, vertex_maps_only=True))
+    # locally injective into a triangle: neighbours land on distinct
+    # images, and so do the two neighbours of a vertex
+    images = [fv[u] for u in g.vertices()]
+    assert len(images) == g.n and set(images) <= set(h.vertices())
+    assert all(a != b for a, b in zip(images, images[1:]))
+    assert all(a != c for a, c in zip(images, images[2:]))
+
+
+@pytest.mark.parametrize("g,h,budget,status,reason", [
+    (cycle(4), complete_graph(4), 100, "no", "partition"),
+    (cycle(5), cycle(3), 100, "no", "fold"),
+    (Graph("empty"), one_vertex(loops=1), 100, "no", "fold"),
+    # a nine-cycle and a triangle of another colour over two triangles:
+    # the e-block is 9 vertices where the fold of 2 asks for 6
+    (disjoint_union(cycle(9), cycle(3, colour="f")),
+     disjoint_union(cycle(3), cycle(3, colour="f")), 100, "no", "block sizes"),
+    (one_vertex(loops=1), one_vertex(semis=2), 100, "no", "self darts"),
+    (disjoint_union(cycle(5), cycle(7)), disjoint_union(cycle(3), cycle(3)), 10_000, "no", "search"),
+    (cycle(12), cycle(3), 2, "unknown", "budget"),
+    (cycle(6), cycle(3), 100, "yes", "cover"),
+    (Graph("empty"), Graph("empty"), 100, "yes", "cover"),
+])
+def test_oracle_names_the_check_that_settled_it(g, h, budget, status, reason):
+    res = oracle_cover(g, h, budget=budget)
+    assert (res.status, res.reason) == (status, reason)
+    # only the search spends nodes
+    assert (res.nodes > 0) == (reason in ("search", "budget", "cover") and g.n > 0)
+
+
 def test_oracle_decides_directed_lift_within_small_budget():
     from coverkit.gadgets import bc_colouring_brute, directed_lift_wd, random_regular, wd_target
 
