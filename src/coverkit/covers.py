@@ -422,13 +422,10 @@ def naive_cover(g: Graph, h: Graph, node_limit: int = 5_000_000) -> CoveringProj
 
 
 # undo trail tags; every change the trail records commutes with the others
-# made since the same mark, so a trail can be undone in any order
+# made since the same mark (a scope's counts move each domain from the size
+# it has to the size it gets, empty included), so a trail can be undone in
+# any order
 _DOM, _USED, _TOUCH, _FIBRE, _ASSIGN = range(5)
-# stack frame tags of _VertexSearch.solutions
-_NODE, _SPLIT = range(2)
-# where _VertexSearch._deliver leaves a solution when no split frame takes
-# it: with the caller, or dropped by a node that emitted it already
-_CALLER, _SKIPPED = -1, -2
 
 
 class _VertexSearch:
@@ -489,18 +486,20 @@ class _VertexSearch:
     the innermost scope it belongs to, and a scope counts its unassigned
     vertices, in total and per domain size, and keeps the set of those
     with one image left.  Assigning, removing images and undoing keep
-    these up to date where they happen, so choosing the branching vertex
+    these up to date where they happen, each moving a domain from the
+    size it has to the size it gets (a domain a failing propagation
+    empties counts under size 0), so choosing the branching vertex
     reads them instead of scanning the scope.  Only the component walk,
     and the rare choice that neither a one-image vertex nor the recency
     stack settles, go over the scope's member list.  A component is a
     scope of its own while it is searched alone, and its vertices go back
     to the enclosing scope when that search ends.
 
-    The depth of the search needs no call stack: ``solutions`` keeps one
-    frame per branch point, holding the vertex, the images it has left to
-    try and the trail of the image it holds, and one frame per split into
+    The depth of the search needs no call stack: ``solutions`` keeps a
+    _Node per branch point, holding the vertex, the images it has left to
+    try and the trail of the image it holds, and a _Split per split into
     components.  A solution found at the top of the stack travels down it
-    as a yielded solution travels up nested generators: a split frame
+    as a yielded solution travels up nested generators: a split
     takes it as its component's first solution, a node that has emitted
     a combined solution drops that same assignment, and otherwise the
     caller receives it.
@@ -608,6 +607,17 @@ class _VertexSearch:
         self.sizes.pop()
         self.ones.pop()
 
+    def _resize(self, w, old, new) -> None:
+        """Count the unassigned vertex w's domain under its new size."""
+        s = self.scope[w]
+        sizes = self.sizes[s]
+        sizes[old] -= 1
+        sizes[new] += 1
+        if old == 1:
+            self.ones[s].discard(w)
+        if new == 1:
+            self.ones[s].add(w)
+
     def _undo(self, ops):
         domains, used, touch = self.domains, self.used, self.touch
         for op in ops:
@@ -619,15 +629,7 @@ class _VertexSearch:
                 w = op[1]
                 dom = domains[w]
                 domains[w] = full = dom | op[2]
-                # _remove counts no domain it leaves empty
-                if dom:
-                    s = self.scope[w]
-                    sizes = self.sizes[s]
-                    size = dom.bit_count()
-                    sizes[size] -= 1
-                    sizes[full.bit_count()] += 1
-                    if size == 1:
-                        self.ones[s].discard(w)
+                self._resize(w, dom.bit_count(), full.bit_count())
             elif tag == _ASSIGN:
                 u = op[1]
                 self.assign[u] = -1
@@ -650,15 +652,9 @@ class _VertexSearch:
         left = dom ^ drop
         self.domains[w] = left
         ops.append((_DOM, w, drop))
+        self._resize(w, dom.bit_count(), left.bit_count())
         if not left:
             return False
-        s = self.scope[w]
-        sizes = self.sizes[s]
-        sizes[dom.bit_count()] -= 1
-        size = left.bit_count()
-        sizes[size] += 1
-        if size == 1:
-            self.ones[s].add(w)
         assign = self.assign
         for z in self.nbrs[w]:
             if assign[z] >= 0:
@@ -892,19 +888,13 @@ class _VertexSearch:
     def solutions(self):
         """Yield every solution as a map of source to target names.
 
-        A node frame is [_NODE, u, images left, connected, combined, trail,
-        scope size, scope]: the trail is that of u's current image, and
-        combined the (vertex, image) pairs of a combined solution the node
-        emitted before branching, which it must not emit again.  A split
-        frame is [_SPLIT, components, index, first solutions, trails,
-        scope]: it searches its components one at a time, each in a scope
-        of its own, up to a first solution, and then applies them together
-        (trails) and emits the result as its node's."""
+        The stack holds a _Node per branch point and a _Split per split
+        into components; see those classes."""
         names, images = self.names, self.images
         assign, domains, left = self.assign, self.domains, self.left
         budget, undo, try_assign = self.budget, self._undo, self._try_assign
         decompose = self.fibre_cap is None
-        stack: list[list] = []
+        stack: list = []
         enter = (0, False)  # the scope and fact of a node to visit next
         while True:
             if enter is not None:
@@ -916,10 +906,11 @@ class _VertexSearch:
                     at = len(stack)
                     while True:
                         at = self._deliver(stack, at)
-                        if at == _CALLER:
+                        if at < 0:
                             yield {u: images[x] for u, x in zip(names, assign)}
                             break
-                        if at == _SKIPPED:
+                        if type(stack[at]) is _Node:
+                            # that node emitted this assignment already
                             break
                         enter = self._collect(stack, at)
                         if enter is not None:
@@ -929,8 +920,8 @@ class _VertexSearch:
                 else:
                     u = self._choose(s)
                     dom = domains[u]
-                    frame = [_NODE, u, dom, connected, None, None, size, s]
-                    stack.append(frame)
+                    node = _Node(u, dom, connected, size, s)
+                    stack.append(node)
                     # only genuine branch points pay for the component
                     # check; unit propagation chains fall straight through
                     if (not connected and decompose and dom & (dom - 1)
@@ -938,29 +929,29 @@ class _VertexSearch:
                         comps = self._components(s)
                         if len(comps) > 1:
                             comps.sort(key=len)
-                            stack.append([_SPLIT, comps, 0, [], None, s])
+                            stack.append(_Split(comps, s))
                             enter = (self._open(comps[0]), True)
                             continue
-                        frame[3] = True
+                        node.connected = True
             # resume the top frame
             if not stack:
                 return
             frame = stack[-1]
-            if frame[0] == _SPLIT:
+            if type(frame) is _Split:
                 stack.pop()
-                if frame[4] is None:
+                if frame.trails is None:
                     # a component without a solution: its node has none
-                    self._close(frame[5])
+                    self._close(frame.scope)
                     stack.pop()
                 else:
-                    for ops in reversed(frame[4]):
+                    for ops in reversed(frame.trails):
                         undo(ops)
-                    stack[-1][4] = [vx for sol in frame[3] for vx in sol]
+                    stack[-1].combined = [vx for sol in frame.first for vx in sol]
                 continue
-            _, u, dom, connected, _, ops, size, s = frame
-            if ops is not None:
-                undo(ops)
-                frame[5] = None
+            if frame.trail is not None:
+                undo(frame.trail)
+                frame.trail = None
+            u, dom = frame.u, frame.dom
             while dom:
                 bit = dom & -dom
                 dom ^= bit
@@ -970,61 +961,97 @@ class _VertexSearch:
                 ops = try_assign(u, bit.bit_length() - 1)
                 if ops is None:
                     continue
-                frame[2] = dom
-                frame[5] = ops
+                frame.dom = dom
+                frame.trail = ops
                 # no component check runs below DECOMPOSE_MIN, so the fact
                 # is not needed there
-                enter = (s, connected and (size <= self.DECOMPOSE_MIN or self._stays_connected(u)))
+                enter = (frame.scope, frame.connected
+                         and (frame.size <= self.DECOMPOSE_MIN or self._stays_connected(u)))
                 break
             else:
                 stack.pop()
 
-    def _deliver(self, stack, at):
+    def _deliver(self, stack, at) -> int:
         """Carry a solution emitted above ``stack[at - 1]`` down the stack:
-        the index of the split frame that takes it, _SKIPPED when a node
-        emitted that assignment already, or _CALLER."""
+        the index of the frame that takes it, a _Split or a _Node that
+        emitted that assignment already, or -1 for the caller."""
         assign = self.assign
         for i in range(at - 1, -1, -1):
             frame = stack[i]
-            if frame[0] == _SPLIT:
+            if type(frame) is _Split:
                 return i
-            combined = frame[4]
+            combined = frame.combined
             if combined is not None and all(assign[v] == x for v, x in combined):
-                return _SKIPPED
-        return _CALLER
+                return i
+        return -1
 
     def _collect(self, stack, at):
-        """Split frame ``stack[at]`` takes the solution of its current
+        """The _Split ``stack[at]`` takes the solution of its current
         component: everything above it is undone, and the next component
         is opened, whose (scope, fact) is returned.  After the last one
         the first solutions are applied together, in vertex-name order per
         component, and None is returned: the combined solution is then
-        carried down from the split frame itself."""
+        carried down from the split itself."""
         split = stack[at]
-        _, comps, i, first, _, s = split
-        first.append([(v, self.assign[v]) for v in comps[i]])
+        comps = split.comps
+        split.first.append([(v, self.assign[v]) for v in comps[split.index]])
         for frame in reversed(stack[at + 1:]):
-            if frame[0] == _NODE:
-                if frame[5] is not None:
-                    self._undo(frame[5])
-            else:
-                for ops in reversed(frame[4]):
+            if type(frame) is _Split:
+                for ops in reversed(frame.trails):
                     self._undo(ops)
+            elif frame.trail is not None:
+                self._undo(frame.trail)
         del stack[at + 1:]
-        self._close(s)
-        i += 1
-        split[2] = i
-        if i < len(comps):
-            return self._open(comps[i]), True
+        self._close(split.scope)
+        split.index += 1
+        if split.index < len(comps):
+            return self._open(comps[split.index]), True
         names = self.names
-        applied = split[4] = []
-        for sol in first:
+        split.trails = []
+        for sol in split.first:
             for v, x in sorted(sol, key=lambda vx: names[vx[0]]):
                 ops = self._try_assign(v, x)
                 if ops is None:
                     raise InternalCoverError("independent component solutions failed to recombine")
-                applied.append(ops)
+                split.trails.append(ops)
         return None
+
+
+class _Node:
+    """A branch point of _VertexSearch.solutions: vertex u of scope
+    ``scope``, which had ``size`` unassigned vertices and is ``connected``
+    or not proven so, tries the images left in ``dom``.  ``trail`` undoes
+    the image u holds, and ``combined`` holds the (vertex, image) pairs of
+    a combined solution the node emitted before branching, which it must
+    not emit again."""
+
+    __slots__ = ("u", "dom", "connected", "size", "scope", "trail", "combined")
+
+    def __init__(self, u, dom, connected, size, scope):
+        self.u = u
+        self.dom = dom
+        self.connected = connected
+        self.size = size
+        self.scope = scope
+        self.trail = None
+        self.combined = None
+
+
+class _Split:
+    """The split of the scope ``scope`` of the _Node below it into
+    components ``comps``: each is searched in a scope of its own up to a
+    first solution (``first``), ``index`` the one being searched; then
+    the first solutions are applied together (``trails``, None until
+    then) and emitted as the node's."""
+
+    __slots__ = ("comps", "index", "first", "trails", "scope")
+
+    def __init__(self, comps, scope):
+        self.comps = comps
+        self.index = 0
+        self.first = []
+        self.trails = None
+        self.scope = scope
 
 
 # the oracle -------------------------------------------------------------------

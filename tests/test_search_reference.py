@@ -15,7 +15,7 @@ from contextlib import closing
 from coverkit import Graph, covers, oracle_cover, partial_covers, verify_cover
 from coverkit.covers import _REVERSED, BudgetExhausted, InternalCoverError, _DartTables
 
-from conftest import disjoint_union
+from conftest import complete_bipartite, complete_graph, cycle, disjoint_union, petersen
 from hosts import harmless_hosts, random_compatible_input, random_lift
 
 
@@ -522,10 +522,60 @@ def switched(g, rng):
     return out
 
 
+def two_coloured(name, n, edges):
+    """A target on vertices x0..x{n-1} with the edges (colour, i, j)."""
+    h = Graph(name)
+    for i in range(n):
+        h.add_vertex(f"x{i}", "n")
+    for k, (colour, i, j) in enumerate(edges):
+        h.add_edge("edge", f"e{k}", colour, f"x{i}", f"x{j}")
+    return h
+
+
+def single_block_targets():
+    """Vertex-transitive targets: their partition has one block, so the
+    oracle's domains start with every target vertex (3 to 10 images)."""
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    return [
+        complete_graph(4),
+        cycle(3),
+        petersen(),
+        complete_bipartite(3, 3),
+        # K4 with one perfect matching in a second colour
+        two_coloured("k4m", 4, [("f" if {i, j} in ({0, 1}, {2, 3}) else "e", i, j) for i, j in k4]),
+        # a triangle with every side doubled in a second colour
+        two_coloured("tri2", 3, [(c, i, (i + 1) % 3) for i in range(3) for c in "ef"]),
+    ]
+
+
+def rewired(h, r, rng):
+    """r copies of every vertex of h (whose edges are all plain edges),
+    each colour's edges then paired at random: the per-colour degrees of
+    an r-fold lift, but seldom a lift, so most answers are "no" or
+    "unknown" after a deep search."""
+    g = Graph(f"{h.name}-rewired")
+    for v in h.vertices():
+        for i in range(r):
+            g.add_vertex(f"{v}.{i}", h.vertex_colour(v))
+    ids = itertools.count()
+    for colour in sorted({e.colour for e in h.edges()}):
+        stubs = [f"{end}.{i}" for e in h.edges() if e.colour == colour for end in e.ends for i in range(r)]
+        while True:
+            rng.shuffle(stubs)
+            ends = list(zip(stubs[::2], stubs[1::2]))
+            if all(a != b for a, b in ends):
+                break
+        for a, b in ends:
+            g.add_edge("edge", f"r{next(ids)}", colour, a, b)
+    return g
+
+
 def reference_pairs():
     """Sources over connected targets (lifts, lifts with two edges
     switched, and unions of two lifts, which make the search split), and
-    over disconnected targets, which take the fibre-cap path."""
+    over disconnected targets, which take the fibre-cap path; then
+    sources over single-block targets, where domains hold three or more
+    images and forcing can take several at once."""
     rng = random.Random(2026)
     for t in range(60):
         h = random_target(rng, rng.randrange(1, 5), f"h{t}")
@@ -549,6 +599,12 @@ def reference_pairs():
     from coverkit.gadgets import build_gphi_fw, fw_target, random_formula
 
     yield build_gphi_fw(3, random_formula(3, 4, 3, 0)), fw_target(3)
+    for h in single_block_targets() * 10:
+        seed = rng.randrange(10**6)
+        yield random_lift(h, rng.randrange(2, 5), seed), h
+        yield switched(random_lift(h, rng.randrange(2, 5), seed + 1), rng), h
+        yield rewired(h, rng.randrange(2, 5), rng), h
+        yield rewired(h, rng.randrange(2, 5), rng), h
 
 
 def observe(g, h):
@@ -566,10 +622,26 @@ def observe(g, h):
     return (res.status, res.nodes, res.reason, cert), maps, ended
 
 
+def scope_counts(search):
+    """The innermost scope's counts as the search keeps them, and as a
+    recount of its unassigned vertices gives them."""
+    s = len(search.members) - 1
+    sizes, ones = [0] * (len(search.images) + 1), set()
+    for v, x in enumerate(search.assign):
+        if x < 0 and search.scope[v] == s:
+            size = search.domains[v].bit_count()
+            sizes[size] += 1
+            if size == 1:
+                ones.add(v)
+    kept = (search.left[s], search.sizes[s], search.ones[s])
+    return kept, (sum(sizes), sizes, ones)
+
+
 def test_search_matches_its_recursive_reference(monkeypatch):
-    seen = {"split": 0, "fibre cap": 0, "kinds": set()}
+    seen = {"split": 0, "fibre cap": 0, "kinds": set(), "forced": 0, "forced then emptied": 0}
     search = covers._VertexSearch
     components, init = search._components, search.__init__
+    remove, try_assign = search._remove, search._try_assign
 
     def counting_components(self, s):
         comps = components(self, s)
@@ -580,8 +652,24 @@ def test_search_matches_its_recursive_reference(monkeypatch):
         seen["fibre cap"] += fibre_cap is not None
         init(self, tables, domains, budget_box, exact, fibre_cap, blocks)
 
+    def counting_remove(self, w, drop, ops, dirty):
+        # a removal of two or more images is one the forcing rule made
+        seen["forced"] += drop.bit_count() >= 2
+        kept = remove(self, w, drop, ops, dirty)
+        if not kept and any(op[0] == _DOM and op[1] == w and op[2].bit_count() >= 2 for op in ops):
+            seen["forced then emptied"] += 1
+        return kept
+
+    def checked_try_assign(self, u, x):
+        ops = try_assign(self, u, x)
+        kept, recount = scope_counts(self)
+        assert kept == recount, (u, x, ops is not None)
+        return ops
+
     monkeypatch.setattr(search, "_components", counting_components)
     monkeypatch.setattr(search, "__init__", counting_init)
+    monkeypatch.setattr(search, "_remove", counting_remove)
+    monkeypatch.setattr(search, "_try_assign", checked_try_assign)
     answers = {}
     pairs = 0
     for g, h in reference_pairs():
@@ -601,3 +689,22 @@ def test_search_matches_its_recursive_reference(monkeypatch):
     assert set(answers) == {"yes", "no", "unknown"}, answers
     # the search split into components, and ran with fibre caps
     assert seen["split"] >= 50 and seen["fibre cap"] >= 50, seen
+    # forcing took several images at once, and a forced domain then ran
+    # empty in the same propagation, whose trail was undone
+    assert seen["forced"] >= 4000 and seen["forced then emptied"] >= 15, seen
+
+
+def test_scope_counts_hold_whatever_order_a_trail_is_undone():
+    # a forced domain emptied in the same trail: {x0..x3} to {x3}, then {}
+    g, h = random_lift(complete_graph(4), 2, 0), complete_graph(4)
+    domains = {u: set(h.vertices()) for u in g.vertices()}
+    for order in (list, reversed):
+        search = covers._VertexSearch(_DartTables(g, h), domains, [10], exact=True)
+        _, before = scope_counts(search)
+        ops = []
+        assert search._remove(0, 0b0111, ops, {})
+        assert 0 in search.ones[0]
+        assert not search._remove(0, 0b1000, ops, {})
+        search._undo(order(ops))
+        kept, recount = scope_counts(search)
+        assert kept == recount == before and search.domains[0] == 0b1111
