@@ -6,6 +6,7 @@ from .graphs import (
     Graph,
     GraphError,
     ParseError,
+    bipartition,
     classify_component_shape,
     component_shapes,
     components,

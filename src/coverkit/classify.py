@@ -96,8 +96,6 @@ def recognize_shape(g: Graph, blocks, colour: str) -> SmallShape:
             semis = sum(1 for e in edges if e.kind == "semi")
             loops = sum(1 for e in edges if e.kind == "loop")
             dloops = sum(1 for e in edges if e.kind == "dloop")
-            if any(e.kind in ("edge", "arc") for e in edges):
-                raise ShapeError("normal edge on a singleton block")
             if dloops and (semis or loops):
                 raise ShapeError("mixed directed and undirected edges in one colour")
             if dloops:

@@ -172,19 +172,14 @@ def _dart_tally(g: Graph, v: str, fe: dict[str, str] | None = None) -> dict:
 class _DartTables:
     """The dart tables of a source g and a target h, walked once per call.
 
-    ``caps[x]`` holds the darts at target vertex x keyed (colour,
-    direction, other end); ``cross[u]`` the darts at source vertex u along
-    normal edges, keyed (colour, direction) and then by the other end.
+    ``cross[u]`` holds the darts at source vertex u along normal edges,
+    keyed (colour, direction) and then by the other end.
     """
 
     def __init__(self, g: Graph, h: Graph):
         # built per call and not kept on the graphs, to bound memory
         self.g = {u: vertex_darts(g, u) for u in g.vertices()}
         self.h = {x: vertex_darts(h, x) for x in h.vertices()}
-        self.caps = {
-            x: {(a, d, y): c for (a, d), to in t.ends.items() for y, c in to.items()}
-            for x, t in self.h.items()
-        }
         self.cross = {}
         for u, t in self.g.items():
             normal = ((key, {w: c for w, c in to.items() if w != u}) for key, to in t.ends.items())
@@ -262,11 +257,16 @@ def is_degree_obedient(g: Graph, h: Graph, fv: dict[str, str]) -> bool:
     within a fibre the semi-edge/loop budget t <= s, 2k + n + t = 2l + s
     holds per colour (analogously for directed colours)."""
     tables = _DartTables(g, h)
+    # the darts at each target vertex keyed (colour, direction, other end)
+    caps_of = {
+        x: {(a, d, y): c for (a, d), to in t.ends.items() for y, c in to.items()}
+        for x, t in tables.h.items()
+    }
     for u in g.vertices():
         x = fv[u]
         if g.vertex_colour(u) != h.vertex_colour(x):
             return False
-        gu, hx, caps = tables.g[u], tables.h[x], tables.caps[x]
+        gu, hx, caps = tables.g[u], tables.h[x], caps_of[x]
         per_target: dict = {}
         for (a, d), to in tables.cross[u].items():
             for w, cnt in to.items():

@@ -16,7 +16,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError, degree, total_degree
+from .graphs import Graph, GraphError, bipartition, degree, is_connected, total_degree
 from .partition import degree_partition, is_balanced
 
 
@@ -407,34 +407,15 @@ def wd_target(b: int, c: int) -> Graph:
     return h
 
 
-def bipartition(g: Graph) -> tuple[set[str], set[str]]:
-    side: dict[str, int] = {}
-    for start in g.vertices():
-        if start in side:
-            continue
-        side[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for e in g.incident(v):
-                if len(e.ends) != 2:
-                    raise GadgetError("bipartition needs normal edges only")
-                w = e.other_end(v)
-                if w not in side:
-                    side[w] = 1 - side[v]
-                    stack.append(w)
-                elif side[w] == side[v]:
-                    raise GadgetError("graph is not bipartite")
-    return ({v for v, s in side.items() if s == 0}, {v for v, s in side.items() if s == 1})
-
-
 def directed_lift_wd(g: Graph, b: int, c: int) -> Graph:
     """Four-layer directed lift of a simple (b+c)-regular bipartite graph;
     the lift covers the two-vertex directed target exactly when the input
     has a colouring with b same-coloured and c cross-coloured neighbours
     per vertex."""
     assert_simple(g)
-    part_a, part_b = bipartition(g)
+    side = bipartition(g)
+    if side is None:
+        raise GadgetError("graph is not bipartite")
     for v in g.vertices():
         d = total_degree(g, v)
         if d != b + c:
@@ -445,7 +426,7 @@ def directed_lift_wd(g: Graph, b: int, c: int) -> Graph:
     for v in g.vertices():
         out.add_vertex(f"~{v}", "n")
     for e in g.edges():
-        u, v = (e.u, e.v) if e.u in part_a else (e.v, e.u)
+        u, v = (e.u, e.v) if side[e.u] == 0 else (e.v, e.u)
         out.add_edge("arc", f"{e.id}.1", "d", u, v)
         out.add_edge("arc", f"{e.id}.2", "d", v, f"~{u}")
         out.add_edge("arc", f"{e.id}.3", "d", f"~{u}", f"~{v}")
@@ -640,8 +621,6 @@ def garbage_lift(g_prime: Graph, h: Graph, h_prime: Graph, m: int | None = None)
         raise GadgetError("target blocks must carry distinct vertex colours")
     if not is_balanced(h_prime):
         raise GadgetError("the block graph must be balanced")
-    from .graphs import is_connected
-
     if not is_connected(h_prime):
         # With a disconnected block graph, a cover of the full target can
         # distribute fibres across copies so that no single copy covers
@@ -720,12 +699,9 @@ def garbage_lift(g_prime: Graph, h: Graph, h_prime: Graph, m: int | None = None)
             block = part.blocks[i]
             members = sorted(by_colour[colour_of_block[i]])
             if len(block) == 1:
-                x0 = block[0]
                 semis = sum(1 for e in edges if e.kind == "semi")
                 loops = sum(1 for e in edges if e.kind == "loop")
                 dloops = sum(1 for e in edges if e.kind == "dloop")
-                if any(e.kind in ("edge", "arc") for e in edges):
-                    raise GadgetError("normal edge inside a singleton block")
                 for x in members:
                     if semis + loops:
                         add_edges(colour, pool("A", x).take(semis + 2 * loops), (1, x), (1, x))

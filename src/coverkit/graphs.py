@@ -15,8 +15,10 @@ Edge kinds (also the keywords of the textual format):
 
 Darts: a covering projection is a local bijection on darts, and
 ``darts(g, v)`` is the one place that turns the edges at a vertex into
-their darts; every degree, dart count and dart tally of the package reads
-it, and only this module reads a graph's incidence lists.
+their darts; every degree, dart count, dart tally and walk of the package
+reads it, and only this module reads a graph's incidence lists.  The
+component split (``components``) and the 2-colouring (``bipartition``)
+live here too, once each.
 
 Colour discipline: vertex colours, directed edge colours and undirected
 edge colours come from pairwise disjoint namespaces.  Arcs and directed
@@ -469,12 +471,40 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_tree(g: Graph) -> bool:
-    """Connected, no loops, no semi-edges, no parallel/opposite pairs, no cycles."""
-    if g.n == 0 or not is_connected(g):
+    """Connected, no loops, no semi-edges, no parallel/opposite pairs, no
+    cycles.  The counts and edge kinds decide most graphs, so only a graph
+    with n - 1 normal edges is walked."""
+    if g.n == 0 or g.m != g.n - 1:
         return False
     if any(e.kind in ("loop", "dloop", "semi") for e in g.edges()):
         return False
-    return g.m == g.n - 1
+    return is_connected(g)
+
+
+def bipartition(g: Graph) -> dict[str, int] | None:
+    """A 2-colouring under all edges regardless of direction: side 0 or 1
+    per vertex, the first vertex of every component on side 0, or None
+    when an odd cycle (a loop included) joins two vertices of one side.
+    Semi-edges join nothing."""
+    side: dict[str, int] = {}
+    for start in g.vertices():
+        if start in side:
+            continue
+        side[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            other = 1 - side[v]
+            for e, _, w, _ in darts(g, v):
+                if e.kind == "semi":
+                    continue
+                s = side.get(w)
+                if s is None:
+                    side[w] = other
+                    stack.append(w)
+                elif s != other:
+                    return None
+    return side
 
 
 OPEN_PATH = "open_path"

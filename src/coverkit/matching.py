@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import IN, OUT, UND, Graph, GraphError, darts, total_degree
+from .graphs import IN, OUT, UND, Graph, GraphError, bipartition, components, darts, total_degree
 
 
 class MatchingError(GraphError):
@@ -237,21 +237,9 @@ def bipartite_k_factorization(g: Graph, k: int) -> list[list[str]]:
     """Decompose a k-regular bipartite multigraph into k perfect matchings."""
     if any(e.kind != "edge" for e in g.edges()):
         raise MatchingError("k-factorization needs undirected normal edges only")
-    side: dict[str, int] = {}
-    for comp_start in g.vertices():
-        if comp_start in side:
-            continue
-        side[comp_start] = 0
-        q = deque([comp_start])
-        while q:
-            v = q.popleft()
-            for e in g.incident(v):
-                w = e.other_end(v)
-                if w not in side:
-                    side[w] = 1 - side[v]
-                    q.append(w)
-                elif side[w] == side[v]:
-                    raise MatchingError("graph is not bipartite")
+    side = bipartition(g)
+    if side is None:
+        raise MatchingError("graph is not bipartite")
     for v in g.vertices():
         d = total_degree(g, v)
         if d != k:
@@ -328,27 +316,11 @@ def two_factorization(g: Graph, k: int) -> list[list[str]]:
         # a 2-regular graph is its own 2-factor
         return [sorted(e.id for e in g.edges())]
     factors: list[list[str]] = [[] for _ in range(k)]
-    comp_of: dict[str, int] = {}
-    comps: list[list[tuple[str, str, str]]] = []
-    for v in g.vertices():
-        if v in comp_of:
-            continue
-        ci = len(comps)
-        comps.append([])
-        comp_of[v] = ci
-        q = deque([v])
-        while q:
-            x = q.popleft()
-            for e in g.incident(x):
-                w = e.other_end(x)
-                if w not in comp_of:
-                    comp_of[w] = ci
-                    q.append(w)
-    seen_e: set[str] = set()
+    parts = components(g)
+    comp_of = {v: i for i, comp in enumerate(parts) for v in comp}
+    comps: list[list[tuple[str, str, str]]] = [[] for _ in parts]
     for e in g.edges():
-        if e.id not in seen_e:
-            seen_e.add(e.id)
-            comps[comp_of[e.u]].append((e.id, e.u, e.ends[-1] if len(e.ends) == 2 else e.u))
+        comps[comp_of[e.u]].append((e.id, e.u, e.v))
     for comp_edges in comps:
         if not comp_edges:
             continue

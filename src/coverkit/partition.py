@@ -24,7 +24,6 @@ from .graphs import (
     IN,
     OUT,
     UND,
-    components,
     dart_counts,
     darts,
     is_connected,
@@ -49,9 +48,6 @@ class Partition:
     @property
     def k(self) -> int:
         return len(self.blocks)
-
-    def singletons(self) -> list[int]:
-        return [i for i, b in enumerate(self.blocks) if len(b) == 1]
 
     def doublets(self) -> list[int]:
         return [i for i, b in enumerate(self.blocks) if len(b) == 2]
@@ -319,32 +315,28 @@ class ReductionRecord:
 
 def _core_vertices(g: Graph) -> set[str]:
     # Vertices on cycles, carrying semi-edges, or on paths connecting those:
-    # iteratively delete degree-1 vertices without semi-edges.
-    deg = {v: 0 for v in g.vertices()}
-    semi = {v: False for v in g.vertices()}
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertices()}
-    for e in g.edges():
-        if e.kind == "semi":
-            semi[e.u] = True
-            deg[e.u] += 1
-        elif e.kind in ("loop", "dloop"):
-            deg[e.u] += 2
-        else:
-            deg[e.ends[0]] += 1
-            deg[e.ends[1]] += 1
-            adj[e.ends[0]].append((e.ends[1], e.id))
-            adj[e.ends[1]].append((e.ends[0], e.id))
-    alive = set(g.vertices())
-    queue = [v for v in alive if deg[v] <= 1 and not semi[v]]
+    # iteratively delete vertices of degree at most 1 without semi-edges.
+    deg: dict[str, int] = {}
+    nbrs: dict[str, list[str]] = {}
+    semi: set[str] = set()
+    for v in g.vertices():
+        at = darts(g, v)
+        deg[v] = sum(c for _, _, _, c in at)
+        # only a normal edge leads to another vertex
+        nbrs[v] = [w for _, _, w, _ in at if w != v]
+        if any(e.kind == "semi" for e, _, _, _ in at):
+            semi.add(v)
+    alive = set(deg)
+    queue = [v for v in alive if deg[v] <= 1 and v not in semi]
     while queue:
         v = queue.pop()
         if v not in alive:
             continue
         alive.discard(v)
-        for w, _ in adj[v]:
+        for w in nbrs[v]:
             if w in alive:
                 deg[w] -= 1
-                if deg[w] <= 1 and not semi[w]:
+                if deg[w] <= 1 and w not in semi:
                     queue.append(w)
     return alive
 
@@ -361,17 +353,12 @@ def _rooted_code(g: Graph, root: str, branch: set[str], record: ReductionRecord)
         v, parent = stack.pop()
         preorder.append(v)
         kids = children[v] = []
-        for e in g.incident(v):
-            if len(e.ends) != 2:
-                continue
-            w = e.other_end(v)
+        for e, d, w, _ in darts(g, v):
+            # only the root, which is not in branch, can have a dart that
+            # leads back to itself
             if w == parent or w not in branch:
                 continue
-            if e.kind == "arc":
-                rel = OUT if e.tail == v else IN
-            else:
-                rel = UND
-            kids.append((e.colour, rel, w))
+            kids.append((e.colour, d, w))
             stack.append((w, v))
     ids: dict[str, int] = {}
     for v in reversed(preorder):
@@ -393,7 +380,10 @@ def _prune_trees(g: Graph, record: ReductionRecord) -> Graph:
     return out
 
 
-def _chain_walks(g: Graph):
+_STEP = {OUT: 1, IN: -1, UND: 0}
+
+
+def _chain_walks(g: Graph, branch: set[str]):
     """Decompose all edges into maximal chains through degree-2 vertices.
 
     Yields 5-tuples (kind, u, w, seq, edge_ids) where kind is 'open'
@@ -401,53 +391,42 @@ def _chain_walks(g: Graph):
     branch vertex, covers loops) or 'semi' (chain running into a
     semi-edge).  seq is the colour pattern along the walk: entries
     ('e', colour, dir) and ('v', colour) with dir in {-1, 0, 1} relative
-    to the walk direction.  Assumes some vertex has total degree > 2.
+    to the walk direction.  ``branch`` holds the vertices of total degree
+    above 2, and must not be empty.
     """
-    branch = {v for v in g.vertices() if total_degree(g, v) > 2}
     seen: set[frozenset] = set()
 
-    def walk(start, first_edge):
+    def walk(start, e, d, w):
         seq: list[tuple] = []
-        ids = [first_edge.id]
-        v, e = start, first_edge
+        ids = []
         while True:
-            if e.kind == "arc":
-                seq.append(("e", e.colour, 1 if e.tail == v else -1))
-            else:
-                seq.append(("e", e.colour, 0))
-            w = e.other_end(v)
+            ids.append(e.id)
+            seq.append(("e", e.colour, _STEP[d]))
             if w in branch:
                 return ("closed" if w == start else "open", start, w, seq, ids)
             seq.append(("v", g.vertex_colour(w)))
-            nxt = [f for f in g.incident(w) if f.id != e.id]
+            nxt = [dart for dart in darts(g, w) if dart[0].id != e.id]
             if len(nxt) != 1:
                 raise ReductionError(f"vertex {w!r} is not on a clean chain")
-            f = nxt[0]
-            if f.kind == "semi":
-                ids.append(f.id)
+            e, d, x, _ = nxt[0]
+            if e.kind == "semi":
+                ids.append(e.id)
                 return ("semi", start, w, seq, ids)
-            ids.append(f.id)
-            v, e = w, f
+            w = x
 
     for u in sorted(branch):
-        for e in sorted(g.incident(u), key=lambda e: e.id):
-            if e.kind == "semi":
-                key = frozenset([e.id])
-                if key not in seen:
-                    seen.add(key)
-                    yield ("semi", u, u, [], [e.id])
-            elif e.kind in ("loop", "dloop"):
-                key = frozenset([e.id])
-                if key not in seen:
-                    seen.add(key)
-                    d = 0 if e.kind == "loop" else 1
-                    yield ("closed", u, u, [("e", e.colour, d)], [e.id])
+        for e, d, w, _ in sorted(darts(g, u), key=lambda dart: dart[0].id):
+            if w != u:
+                item = walk(u, e, d, w)
+            elif e.kind == "semi":
+                item = ("semi", u, u, [], [e.id])
             else:
-                item = walk(u, e)
-                key = frozenset(item[4])
-                if key not in seen:
-                    seen.add(key)
-                    yield item
+                # a directed loop's in-dart follows its out-dart, and is seen
+                item = ("closed", u, u, [("e", e.colour, _STEP[d])], [e.id])
+            key = frozenset(item[4])
+            if key not in seen:
+                seen.add(key)
+                yield item
 
 
 def _flip(seq):
@@ -501,14 +480,14 @@ def degree_adjust(g: Graph, record: ReductionRecord | None = None) -> tuple[Grap
     if is_tree(g):
         raise ReductionError("reduction is undefined for trees")
     g1 = _prune_trees(g, record)
-    if all(total_degree(g1, v) <= 2 for v in g1.vertices()):
+    branch = {v for v in g1.vertices() if total_degree(g1, v) > 2}
+    if not branch:
         return g1, record
     out = Graph(g.name)
-    branch = {v for v in g1.vertices() if total_degree(g1, v) > 2}
     for v in sorted(branch):
         out.add_vertex(v, g1.vertex_colour(v))
     counter = 0
-    for item in _chain_walks(g1):
+    for item in _chain_walks(g1, branch):
         counter += 1
         eid = f"r{counter}"
         kind = item[0]

@@ -354,25 +354,27 @@ def _alternation_assignment(verts: list[str], group, semi_ids: list[str]) -> dic
     for any other shape."""
     fibre = Graph._derive("fibre", dict.fromkeys(verts, "f"))
     fibre._put(group)
-    if any(e.kind == "loop" for e in group) or any(len(fibre.incident(v)) != 2 for v in verts):
+    at = {v: darts(fibre, v) for v in verts}
+    if any(e.kind == "loop" for e in group) or any(len(ds) != 2 for ds in at.values()):
         return None
     s0, s1 = semi_ids
     fe: dict[str, str] = {}
     for comp in components(fibre):
         # a path starts at a semi-edge end; a cycle anywhere
-        start = next((v for v in comp if any(e.kind == "semi" for e in fibre.incident(v))), None)
+        start = next((v for v in comp if any(e.kind == "semi" for e, _, _, _ in at[v])), None)
         v, toggle = (comp[0], 0) if start is None else (start, 1)
         if start is not None:
-            fe[next(e for e in fibre.incident(v) if e.kind == "semi").id] = s0
+            fe[next(e for e, _, _, _ in at[v] if e.kind == "semi").id] = s0
         while True:
-            e = next((e for e in fibre.incident(v) if e.id not in fe), None)
-            if e is None:
+            dart = next((dart for dart in at[v] if dart[0].id not in fe), None)
+            if dart is None:
                 break
+            e, _, w, _ = dart
             fe[e.id] = s1 if toggle else s0
             toggle ^= 1
             if e.kind == "semi":
                 break
-            v = e.other_end(v)
+            v = w
         if start is None and toggle:
             return None  # odd cycle
     return fe

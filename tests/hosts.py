@@ -150,6 +150,24 @@ def harmless_hosts(max_param: int = 2) -> list[tuple[str, Graph]]:
     return hosts
 
 
+def crossed_ww_host() -> Graph:
+    """WW(1,0) on the crossed pairing: blocks {a, b} and {c, d} with the
+    bundle edges a-d and b-c, so the first vertices of the two blocks are
+    not joined and the solver's WW(b,0) constraints are antivalences.  One
+    edge inside each doublet, in a colour of its own, connects the host.
+    It stays out of ``harmless_hosts``, whose draws other tests pin."""
+    g = Graph("ww10-crossed")
+    for v in ("a", "b"):
+        g.add_vertex(v, "A")
+    for v in ("c", "d"):
+        g.add_vertex(v, "B")
+    g.add_edge("edge", "ad", "e", "a", "d")
+    g.add_edge("edge", "bc", "e", "b", "c")
+    g.add_edge("edge", "ab", "f", "a", "b")
+    g.add_edge("edge", "cd", "g", "c", "d")
+    return g
+
+
 def random_compatible_input(h: Graph, r: int, seed: int) -> Graph:
     """A random multigraph whose degree partition and refinement matrix
     equal the target's.

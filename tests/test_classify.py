@@ -48,6 +48,43 @@ def test_recognize_irregular_rejected():
         recognize_shape(g_bad, [["x", "y"]], "e")
 
 
+def _block_graph(vertices, edges):
+    # built without validate(), so one colour may mix edge kinds
+    g = Graph("malformed")
+    for v in vertices:
+        g.add_vertex(v, "n")
+    for kind, colour, *ends in edges:
+        g.add_edge(kind, f"e{g.m}", colour, *ends)
+    return g
+
+
+@pytest.mark.parametrize("vertices,edges,blocks,match", [
+    pytest.param("xy", [("edge", "e", "x", "y")], [["x"]], "leaves the given blocks",
+                 id="edge at a singleton block"),
+    pytest.param("xyz", [], [["x", "y", "z"]], "at most 2 vertices", id="three-vertex block"),
+    pytest.param("xyz", [], [["x"], ["y"], ["z"]], "one or two blocks", id="three blocks"),
+    pytest.param("x", [("semi", "e", "x"), ("dloop", "e", "x")], [["x"]], "mixed directed",
+                 id="singleton mixing kinds"),
+    pytest.param("xy", [("arc", "e", "x", "y"), ("arc", "e", "y", "x"), ("semi", "e", "x")],
+                 [["x", "y"]], "mixed directed", id="doublet mixing kinds"),
+    pytest.param("xy", [("arc", "e", "x", "y")], [["x", "y"]], "irregular directed",
+                 id="doublet one arc"),
+    pytest.param("xy", [("semi", "e", "x")], [["x", "y"]], "irregular uniblock",
+                 id="doublet one semi-edge"),
+    pytest.param("xy", [("loop", "e", "x"), ("edge", "e", "x", "y")], [["x"], ["y"]],
+                 "undirected normal edges only", id="interblock loop"),
+    pytest.param(["x1", "x2", "y"], [("edge", "e", "x1", "x2"), ("edge", "e", "x1", "y")],
+                 [["x1", "x2"], ["y"]], "does not cross", id="interblock edge inside a block"),
+    pytest.param("axy", [("edge", "e", "a", "x"), ("edge", "e", "a", "x"), ("edge", "e", "a", "y")],
+                 [["a"], ["x", "y"]], "hub degrees differ", id="uneven hub bundles"),
+    pytest.param(["x1", "x2", "y1", "y2"], [("edge", "e", "x1", "y1")],
+                 [["x1", "x2"], ["y1", "y2"]], "outside the WW family", id="lone doublet edge"),
+])
+def test_recognize_rejects_malformed_block_graphs(vertices, edges, blocks, match):
+    with pytest.raises(ShapeError, match=match):
+        recognize_shape(_block_graph(vertices, edges), blocks, "e")
+
+
 def test_recognize_ww():
     g = Graph("ww")
     for v in ("x1", "x2"):

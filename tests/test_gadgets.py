@@ -283,38 +283,69 @@ def test_deprime_equivalence():
             assert want.yes == got.yes, (k, seed)
 
 
-def toy_host_pair():
+# one colour "m" that the block graph lacks, of each kind garbage_lift wires
+# in its own way: (kind, ends) per edge of the target
+MISSING_COLOURS = {
+    "hub semi-edge": [("semi", "a")],
+    "hub loop": [("loop", "a")],
+    "hub directed loop": [("dloop", "a")],
+    "doublet semi-edges": [("semi", "x"), ("semi", "y")],
+    "doublet loops": [("loop", "x"), ("loop", "y")],
+    "doublet edge": [("edge", "x", "y")],
+    "doublet arcs": [("arc", "x", "y"), ("arc", "y", "x")],
+    "doublet directed loops": [("dloop", "x"), ("dloop", "y")],
+    "FF": [("edge", "a", "b")],
+    # WW(1,1); the lift pairs the two doublet blocks' instance vertices in
+    # sorted order, which a cover need not respect when b != c
+    "WW": [("edge", "x", "z"), ("edge", "y", "w"), ("edge", "x", "w"), ("edge", "y", "z")],
+}
+
+
+def toy_host_pair(missing=None):
     """A two-block host with two parallel hub-bundle colours and loops on
     the doublet; the block graph keeps one bundle colour and the loops, so
-    it is connected, spanning and balanced."""
+    it is connected, spanning and balanced.
+
+    ``missing`` names an entry of MISSING_COLOURS to add to the host only.
+    FF brings a second hub b and WW a second doublet {z, w}; both host and
+    block graph join it to the rest by a bundle of colour k."""
     h = Graph("toy-host")
-    h.add_vertex("a", "H")
-    h.add_vertex("x", "Q")
-    h.add_vertex("y", "Q")
-    h.add_edge("edge", "e1", "e", "a", "x")
-    h.add_edge("edge", "e2", "e", "a", "y")
-    h.add_edge("edge", "d1", "e2", "a", "x")
-    h.add_edge("edge", "d2", "e2", "a", "y")
-    h.add_edge("loop", "f1", "f", "x")
-    h.add_edge("loop", "f2", "f", "y")
     hp = Graph("toy-blockgraph")
-    hp.add_vertex("a", "H")
-    hp.add_vertex("x", "Q")
-    hp.add_vertex("y", "Q")
-    hp.add_edge("edge", "d1", "e2", "a", "x")
-    hp.add_edge("edge", "d2", "e2", "a", "y")
-    hp.add_edge("loop", "f1", "f", "x")
-    hp.add_edge("loop", "f2", "f", "y")
+    for g in (h, hp):
+        g.add_vertex("a", "H")
+        g.add_vertex("x", "Q")
+        g.add_vertex("y", "Q")
+        if g is h:
+            g.add_edge("edge", "e1", "e", "a", "x")
+            g.add_edge("edge", "e2", "e", "a", "y")
+        g.add_edge("edge", "d1", "e2", "a", "x")
+        g.add_edge("edge", "d2", "e2", "a", "y")
+        g.add_edge("loop", "f1", "f", "x")
+        g.add_edge("loop", "f2", "f", "y")
+        if missing == "FF":
+            g.add_vertex("b", "K")
+            g.add_edge("edge", "k1", "k", "b", "x")
+            g.add_edge("edge", "k2", "k", "b", "y")
+        elif missing == "WW":
+            g.add_vertex("z", "R")
+            g.add_vertex("w", "R")
+            g.add_edge("edge", "k1", "k", "a", "z")
+            g.add_edge("edge", "k2", "k", "a", "w")
+    for i, (kind, *ends) in enumerate(MISSING_COLOURS.get(missing, [])):
+        h.add_edge(kind, f"m{i}", "m", *ends)
     return h, hp
 
 
-def random_blockgraph_instance(r, seed, split):
+def random_blockgraph_instance(r, seed, split, missing=None):
     """A simple instance of the connected block graph: bundle-colour
     cherries plus loop-colour rings on the doublet vertices.
 
     Loop-colour rings force their vertices onto a single target vertex,
     cherries force their two ends apart.  Two rings, one per cherry side,
     give a covering instance; one ring through everything cannot cover.
+    With ``missing`` FF, each of r second hubs joins one vertex of each
+    cherry side by a k-colour cherry; with WW, each hub gets a k-colour
+    cherry to two vertices of the second doublet.
     """
     rng = random.Random(seed)
     g = Graph(f"bg{seed}")
@@ -335,6 +366,22 @@ def random_blockgraph_instance(r, seed, split):
         g.add_edge("edge", f"c{eid}", "e2", hub, order[2 * i + 1])
         left.append(order[2 * i])
         right.append(order[2 * i + 1])
+    cherries = []
+    if missing == "FF":
+        ends = rng.sample(right, r)
+        for i in range(r):
+            g.add_vertex(f"b{i}", "K")
+            cherries.append((f"b{i}", left[i], ends[i]))
+    elif missing == "WW":
+        for i, hub in enumerate(hubs):
+            g.add_vertex(f"z{2 * i}", "R")
+            g.add_vertex(f"z{2 * i + 1}", "R")
+            cherries.append((hub, f"z{2 * i}", f"z{2 * i + 1}"))
+    for hub, u, v in cherries:
+        eid += 1
+        g.add_edge("edge", f"c{eid}", "k", hub, u)
+        eid += 1
+        g.add_edge("edge", f"c{eid}", "k", hub, v)
     rings = [left, right] if split else [qs[:]]
     for ring in rings:
         rng.shuffle(ring)
@@ -370,17 +417,24 @@ def test_spanning_lift():
         spanning_lift(bad, h, hp_only_q)
 
 
-def test_garbage_lift_structure_and_equivalence():
-    h, hp = toy_host_pair()
+@pytest.mark.parametrize("missing", [None, *MISSING_COLOURS],
+                         ids=["toy", *(name.replace(" ", "-") for name in MISSING_COLOURS)])
+def test_garbage_lift_structure_and_equivalence(missing):
+    h, hp = toy_host_pair(missing)
+    # the least even m above the target's maximum degree
+    d_max = max(total_degree(h, v) for v in h.vertices())
+    m = d_max + 2 - d_max % 2
     seen = set()
     for seed in range(6):
-        g = random_blockgraph_instance(3, seed=seed, split=seed % 2 == 0)
-        out = garbage_lift(g, h, hp, m=6)
-        assert out.n == 12 * g.n
+        g = random_blockgraph_instance(3, seed=seed, split=seed % 2 == 0, missing=missing)
+        out = garbage_lift(g, h, hp, m=m)
+        assert out.n == 2 * m * g.n
         want = oracle_cover(g, hp, budget=500_000)
         got = oracle_cover(out, h, budget=4_000_000)
         assert want.status in ("yes", "no") and got.status in ("yes", "no")
         assert want.yes == got.yes, seed
+        if got.yes:
+            assert verify_cover(out, h, got.projection).ok
         seen.add(want.yes)
     assert seen == {True, False}
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from coverkit import (
     Graph,
     GraphError,
     ParseError,
+    bipartition,
     classify_component_shape,
     component_shapes,
     components,
@@ -279,6 +281,45 @@ def test_components():
     assert len(components(two)) == 2
     # semi-edges do not connect
     assert len(components(one_vertex(semis=2))) == 1
+
+
+def test_bipartition():
+    assert bipartition(cycle(6)) == {f"v{i}": i % 2 for i in range(6)}
+    assert bipartition(cycle(5)) is None
+    # a loop or directed loop is an odd cycle; a semi-edge joins nothing
+    assert bipartition(one_vertex(loops=1)) is None
+    assert bipartition(one_vertex(dloops=1)) is None
+    assert bipartition(one_vertex(semis=2)) == {"x": 0}
+    # arcs join regardless of direction, and each component starts on side 0
+    g = Graph("arcs")
+    for v in "abcd":
+        g.add_vertex(v, "n")
+    g.add_edge("arc", "ab", "d", "a", "b")
+    g.add_edge("arc", "cb", "d", "c", "b")
+    assert bipartition(g) == {"a": 0, "b": 1, "c": 0, "d": 0}
+    g.add_edge("arc", "ca", "d", "c", "a")
+    assert bipartition(g) is None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bipartition_against_every_two_colouring(seed):
+    # the one 2-colouring with the first vertex of every component on side
+    # 0, found by trying them all; loops and directed loops rule out all
+    loops = seed % 4 == 0
+    parts = [random_multigraph(4, seed % 3, seed, allow_loop=loops, allow_arc=True)]
+    if seed % 2:
+        parts.append(random_multigraph(3, 1, seed + 100, allow_loop=loops, allow_arc=True))
+    g = disjoint_union(*parts)
+    verts = g.vertices()
+    joined = [(e.ends[0], e.ends[-1]) for e in g.edges() if e.kind != "semi"]
+    firsts = [min(comp, key=verts.index) for comp in components(g)]
+    valid = []
+    for bits in itertools.product((0, 1), repeat=len(verts)):
+        side = dict(zip(verts, bits))
+        if all(side[v] == 0 for v in firsts) and all(side[a] != side[b] for a, b in joined):
+            valid.append(side)
+    assert len(valid) <= 1
+    assert bipartition(g) == (valid[0] if valid else None)
 
 
 def test_component_shapes():

@@ -37,7 +37,7 @@ from conftest import (
     two_vertex_w,
     two_vertex_wd,
 )
-from hosts import harmless_hosts, random_compatible_input
+from hosts import crossed_ww_host, harmless_hosts, random_compatible_input
 
 
 def test_solve_even_cycle_onto_double_edge():
@@ -233,6 +233,55 @@ def test_forced_units_for_semis_and_loops():
                 if any(e.kind == "semi" for e in host.incident(x))}
     assert fv["a"] in semis_at and fv["c"] not in semis_at
     assert oracle_cover(g, host).yes
+
+    # two such colours on one doublet with their sides swapped: colour e
+    # has its semi-edges at x and its loop at y, colour g the other way
+    # round.  A source vertex with two semi-edges of each colour is an
+    # open path in both, so e forces it onto x and g onto y.
+    host = _doublet("w20010-swapped", 2, 0, 0, 1, 0)
+    host.add_edge("loop", "gx", "g", "x")
+    host.add_edge("semi", "gy0", "g", "y")
+    host.add_edge("semi", "gy1", "g", "y")
+    host = _with_hub(host)
+    g = Graph("conflict")
+    for v in ("h1", "h2"):
+        g.add_vertex(v, "H")
+    for v in ("a", "b", "c", "d"):
+        g.add_vertex(v, "Q")
+    for v in ("a", "c"):
+        for colour in ("e", "g"):
+            g.add_edge("semi", f"{v}{colour}0", colour, v)
+            g.add_edge("semi", f"{v}{colour}1", colour, v)
+    for v in ("b", "d"):
+        for colour in ("e", "g"):
+            g.add_edge("loop", f"{v}{colour}", colour, v)
+    for i, (hub, v) in enumerate((("h1", "a"), ("h1", "b"), ("h2", "c"), ("h2", "d"))):
+        g.add_edge("edge", f"f{i}", "f", hub, v)
+    res = solve_cover(g, host)
+    assert res.status == "no" and res.trace.failure == "doublet preprocessing failed"
+    assert res.trace.steps[-1]["subcase"] == "4B"
+    assert res.trace.steps[-1]["result"] == "conflicting forced images"
+    assert oracle_cover(g, host).no
+
+
+def test_crossed_ww_bundle_emits_antivalences_and_agrees_with_the_oracle():
+    from hosts import random_lift
+
+    h = crossed_ww_host()
+    answers = Counter()
+    for seed in range(60):
+        for g in (random_lift(h, 2 + seed % 5, seed), random_compatible_input(h, 1 + seed % 4, seed)):
+            res = solve_cover(g, h)
+            check = oracle_cover(g, h, budget=400_000)
+            assert check.status in ("yes", "no")
+            assert res.yes == check.yes, (g.name, res.status, check.status)
+            answers[res.status] += 1
+            if res.yes:
+                assert verify_cover(g, h, res.projection).ok
+                # the bundle joins a to d: a vertex over a meets one over d
+                assert any(step["subcase"] == "5G" and step.get("parallel") is False
+                           for step in res.trace.steps)
+    assert answers["yes"] and answers["no"]
 
 
 def test_solver_oracle_agreement_deep():
