@@ -89,7 +89,7 @@ inst.add_edge("edge", "r0", "f", "q0", "q1")
 inst.add_edge("edge", "r1", "f", "q0", "q1")
 
 try:
-    garbage_lift(inst, host, blockgraph, m=6)
+    garbage_lift(inst, host, blockgraph)
 except Exception as exc:
     print("a non-simple instance is refused by the garbage lift:", exc)
 
@@ -111,7 +111,7 @@ for ring in (ring_l, ring_r):
 
 print("block-graph instance covers the block graph:",
       oracle_cover(inst2, blockgraph).status)
-full = garbage_lift(inst2, host, blockgraph, m=6)
+full = garbage_lift(inst2, host, blockgraph)
 print(f"garbage-collected completion has {full.n} vertices and covers the "
       f"full host: {oracle_cover(full, host, budget=4_000_000).status}")
 

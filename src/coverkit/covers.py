@@ -374,7 +374,11 @@ def _edge_map_search(g: Graph, h: Graph, fv: dict[str, str], budget_box) -> dict
 # naive exhaustive search (test oracle for the oracle) -------------------------
 
 
-def naive_cover(g: Graph, h: Graph, node_limit: int = 5_000_000) -> CoveringProjection | None:
+# edge maps naive_cover tries before it gives up with BudgetExhausted
+NAIVE_NODE_LIMIT = 5_000_000
+
+
+def naive_cover(g: Graph, h: Graph) -> CoveringProjection | None:
     """Brute force over all colour-preserving vertex maps and all
     compatible edge maps, filtered by verify_cover.  Deliberately free of
     any pruning cleverness; only usable for very small graphs."""
@@ -410,7 +414,7 @@ def naive_cover(g: Graph, h: Graph, node_limit: int = 5_000_000) -> CoveringProj
             continue
         for fe_combo in itertools.product(*cand_lists):
             work += 1
-            if work > node_limit:
+            if work > NAIVE_NODE_LIMIT:
                 raise BudgetExhausted("naive search too large")
             f = CoveringProjection(fv, dict(zip(eids, fe_combo)))
             if verify_cover(g, h, f).ok:

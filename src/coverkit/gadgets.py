@@ -598,7 +598,7 @@ class _Pool:
         return out
 
 
-def garbage_lift(g_prime: Graph, h: Graph, h_prime: Graph, m: int | None = None) -> Graph:
+def garbage_lift(g_prime: Graph, h: Graph, h_prime: Graph) -> Graph:
     """Complete an instance of a balanced spanning block graph to an
     instance of the full target.
 
@@ -606,8 +606,14 @@ def garbage_lift(g_prime: Graph, h: Graph, h_prime: Graph, m: int | None = None)
     every colour the block graph lacks out of pools of disjoint perfect
     matchings, so that a covering projection of the block graph (plus its
     vertex-swapped companion on the second row) extends to the whole
-    target.  m must be even and exceed the maximum total degree of the
-    target.
+    target.  m is computed: the least even number above the maximum total
+    degree of the target.
+
+    A missing WW(b,c) colour with b != c is refused (GadgetError).  Its
+    wiring pairs the two doublet blocks' instance vertices in sorted
+    order, and a cover of the block graph need not map paired vertices to
+    the sides the b-bundles join; only with b = c does every alignment
+    extend.
     """
     assert_simple(g_prime)
     part, _ = degree_partition(h)
@@ -627,10 +633,7 @@ def garbage_lift(g_prime: Graph, h: Graph, h_prime: Graph, m: int | None = None)
         # the block graph equitably, and the equivalence genuinely fails.
         raise GadgetError("the block graph must be connected")
     d_max = max(total_degree(h, v) for v in h.vertices())
-    if m is None:
-        m = d_max + 2 if d_max % 2 == 0 else d_max + 1
-    if m % 2 != 0 or m <= d_max:
-        raise GadgetError(f"m must be even and exceed the maximum degree {d_max}")
+    m = d_max + 2 - d_max % 2
     missing = sorted(h.edge_colours() - h_prime.edge_colours())
 
     # instance blocks by vertex colour; check the shared ratio
@@ -763,6 +766,10 @@ def garbage_lift(g_prime: Graph, h: Graph, h_prime: Graph, m: int | None = None)
             else:
                 b = sum(1 for e in edges if set(e.ends) == {bi[0], bj[0]})
                 c = sum(1 for e in edges if set(e.ends) == {bi[0], bj[1]})
+                if b != c:
+                    raise GadgetError(f"missing colour {colour} is WW({max(b, c)},{min(b, c)}); "
+                                      "pairing instance vertices in sorted order keeps the "
+                                      "cover equivalence only for WW(b,b)")
                 for x, y in zip(mi, mj):
                     if b:
                         add_edges(colour, pool("D", frozenset((x, y))).take(b), (1, x), (1, y))

@@ -322,8 +322,6 @@ def two_factorization(g: Graph, k: int) -> list[list[str]]:
     for e in g.edges():
         comps[comp_of[e.u]].append((e.id, e.u, e.v))
     for comp_edges in comps:
-        if not comp_edges:
-            continue
         oriented = euler_orientation(comp_edges)
         items = [(eid, ("out", t), ("in", h)) for eid, t, h in oriented]
         for i, matching in enumerate(bipartite_peel(items, k)):

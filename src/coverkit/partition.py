@@ -61,13 +61,6 @@ class RefinementMatrix:
     def get(self, i: int, j: int, colour: str, direction: str = UND) -> int:
         return self.entries.get((i, j, colour, direction), 0)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RefinementMatrix)
-            and self.k == other.k
-            and self.entries == other.entries
-        )
-
 
 def _signature(g: Graph, v: str, block_of: dict[str, int], pos) -> tuple:
     # The darts of v counted per (colour, direction, block position); the

@@ -22,6 +22,7 @@ from .classify import (
     DANGEROUS,
     HARMLESS,
     BlockGraph,
+    SmallShape,
     block_shapes,
     classify_shape,
 )
@@ -185,9 +186,9 @@ def preprocess_doublets(fibres, hn: Graph, ph: Partition,
         fibre = fibres(bg.blocks, colour)
         if fam == "W":
             k, m, l, p, q = bg.shape.params
-            target_semis = {x: _semis_at(hn, x, colour) for x in (hb, hc)}
-            if max(target_semis.values()) == 0:
+            if k == 0:
                 # doublet analogue of Subcase 3C: no semi-edge may appear
+                # (recognize_shape orders the parameters so that k >= q)
                 if any(e.kind == "semi" for e in fibre.edges()):
                     trace.step(bg.blocks, colour, "5A" if l == 0 else "5B", result="stray semi-edge")
                     return False
@@ -199,7 +200,7 @@ def preprocess_doublets(fibres, hn: Graph, ph: Partition,
                         return False
                 trace.step(bg.blocks, colour, "4A", result="ok")
             elif (k, m, l, p, q) == (2, 0, 0, 1, 0):
-                semi_side = hb if target_semis[hb] == 2 else hc
+                semi_side = hb if _semis_at(hn, hb, colour) == 2 else hc
                 loop_side = hc if semi_side == hb else hb
                 for comp, shape in component_shapes(fibre):
                     if shape == OPEN_PATH:
@@ -238,111 +239,85 @@ def _neighbour_list(g: Graph, v: str, colour: str, direction: str = UND) -> list
     return out
 
 
+def _bundle_parity(sat: TwoSat, ends, bundled: bool) -> None:
+    """The two ends of each edge or arc take the same image, or opposite
+    images across a bundle.  A loop or directed loop (one end) across a
+    bundle is then a contradiction, x != x."""
+    for pair in ends:
+        if len(pair) == 2:
+            (sat.add_antivalence if bundled else sat.add_equivalence)(*pair)
+        elif bundled:
+            sat.add_antivalence(pair[0], pair[0])
+
+
+def _neighbours_apart(sat: TwoSat, g: Graph, verts, colour: str, directions, subcase: str) -> None:
+    """The two neighbours of each listed vertex in each direction take
+    opposite images.  In 5C a vertex may instead have one neighbour and a
+    semi-edge; it takes the image opposite that neighbour."""
+    for v in verts:
+        for direction in directions:
+            nbrs = _neighbour_list(g, v, colour, direction)
+            if len(nbrs) == 1 and subcase == "5C":
+                sat.add_antivalence(v, nbrs[0])
+            elif len(nbrs) == 2:
+                sat.add_antivalence(nbrs[0], nbrs[1])
+            else:
+                raise InternalCoverError(f"degree drift in subcase {subcase}")
+
+
+# the harmless shapes whose subcase emits through the neighbours-apart rule
+_NEIGHBOURS_APART = {
+    SmallShape("W", (1, 0, 1, 0, 1)): "5C",
+    SmallShape("WD", (1, 1, 1)): "5D",
+    SmallShape("FW", (1,)): "5E",
+    SmallShape("WW", (1, 1)): "5F",
+}
+
+
 def build_2sat(fibres, hn: Graph, pg: Partition, ph: Partition,
                shapes: list[BlockGraph], trace: SolveTrace) -> TwoSat:
     """Emit the parity constraints of the harmless block graphs.
+
+    Every subcase emits through one of two rules.  Bundle parity serves
+    5A (no bundle) and 5B (a bundle between the doublet's two vertices)
+    for W and WD, and 5G, whose pairs are the edges' ends in block order
+    and whose bundle crosses the two doublets when no edge joins their
+    first vertices.  Neighbours apart serves 5C, 5D (out- and
+    in-neighbours), 5E (the hub block's vertices) and 5F.  FF is forced
+    at edge completion, and singleton-block shapes emit nothing.
 
     Truth convention: the variable of a doublet-block vertex is true when
     it maps onto the lexicographically first target vertex of its block.
     """
     sat = TwoSat()
     for bg in shapes:
-        colour = bg.colour
-        if len(bg.blocks) == 1:
-            i = bg.blocks[0]
-            if len(ph.blocks[i]) != 2:
-                continue
-            fam = bg.shape.family
-            fibre = fibres(bg.blocks, colour)
-            if fam == "W":
-                k, m, l, p, q = bg.shape.params
-                if (k, m, l, p, q) == (1, 0, 1, 0, 1):
-                    for v in fibre.vertices():
-                        nbrs = _neighbour_list(fibre, v, colour)
-                        if len(nbrs) == 1:
-                            sat.add_antivalence(v, nbrs[0])
-                        elif len(nbrs) == 2:
-                            sat.add_antivalence(nbrs[0], nbrs[1])
-                        else:
-                            raise InternalCoverError("degree drift in subcase 5C")
-                    trace.step(bg.blocks, colour, "5C", clauses=len(sat.clauses))
-                elif l == 0:
-                    for e in fibre.edges():
-                        if e.kind == "edge":
-                            sat.add_equivalence(e.u, e.v)
-                    trace.step(bg.blocks, colour, "5A", clauses=len(sat.clauses))
-                else:
-                    # connected bipartite uniblock graph: l-bundle between the two
-                    for e in fibre.edges():
-                        if e.kind == "edge":
-                            sat.add_antivalence(e.u, e.v)
-                        elif e.kind == "loop":
-                            sat.add_antivalence(e.u, e.u)
-                    trace.step(bg.blocks, colour, "5B", clauses=len(sat.clauses))
-            elif fam == "WD":
-                m, l, _ = bg.shape.params
-                if (m, l) == (1, 1):
-                    for v in fibre.vertices():
-                        for direction in (OUT, IN):
-                            nbrs = _neighbour_list(fibre, v, colour, direction)
-                            if len(nbrs) != 2:
-                                raise InternalCoverError("degree drift in subcase 5D")
-                            sat.add_antivalence(nbrs[0], nbrs[1])
-                    trace.step(bg.blocks, colour, "5D", clauses=len(sat.clauses))
-                elif l == 0:
-                    for e in fibre.edges():
-                        if e.kind == "arc":
-                            sat.add_equivalence(e.tail, e.head)
-                    trace.step(bg.blocks, colour, "5A", clauses=len(sat.clauses))
-                else:
-                    for e in fibre.edges():
-                        if e.kind == "arc":
-                            sat.add_antivalence(e.tail, e.head)
-                        elif e.kind == "dloop":
-                            sat.add_antivalence(e.u, e.u)
-                    trace.step(bg.blocks, colour, "5B", clauses=len(sat.clauses))
-        else:
+        fam, params, colour = bg.shape.family, bg.shape.params, bg.colour
+        if fam in ("F", "FD"):
+            continue
+        if fam == "FF":
+            trace.step(bg.blocks, colour, "6", note="forced at edge completion")
+            continue
+        g = fibres(bg.blocks, colour)
+        detail = {}
+        subcase = _NEIGHBOURS_APART.get(bg.shape)
+        if subcase is not None:
+            hub = min(bg.blocks, key=lambda i: len(ph.blocks[i]))  # 5E's singleton block
+            verts = pg.blocks[hub] if fam == "FW" else g.vertices()
+            _neighbours_apart(sat, g, verts, colour, (OUT, IN) if fam == "WD" else (UND,), subcase)
+        elif fam in ("W", "WD"):
+            bundled = params[2 if fam == "W" else 1] > 0
+            subcase = "5B" if bundled else "5A"
+            _bundle_parity(sat, (e.ends for e in g.edges() if e.kind != "semi"), bundled)
+        elif fam == "WW" and params[1] == 0:
             i, j = bg.blocks
-            fam = bg.shape.family
-            if fam == "FF":
-                trace.step(bg.blocks, colour, "6", note="forced at edge completion")
-                continue
-            sub = fibres(bg.blocks, colour)
-            if fam == "FW":
-                if bg.shape.params[0] == 0:
-                    continue
-                if bg.shape.params[0] != 1:
-                    raise InternalCoverError(f"interblock shape {bg.shape} is not harmless")
-                hub_block = i if len(ph.blocks[i]) == 1 else j
-                for v in pg.blocks[hub_block]:
-                    nbrs = _neighbour_list(sub, v, colour)
-                    if len(nbrs) != 2:
-                        raise InternalCoverError("degree drift in subcase 5E")
-                    sat.add_antivalence(nbrs[0], nbrs[1])
-                trace.step(bg.blocks, colour, "5E", clauses=len(sat.clauses))
-            elif fam == "WW":
-                hi, lo = bg.shape.params
-                if (hi, lo) == (1, 1):
-                    for v in sub.vertices():
-                        nbrs = _neighbour_list(sub, v, colour)
-                        if len(nbrs) != 2:
-                            raise InternalCoverError("degree drift in subcase 5F")
-                        sat.add_antivalence(nbrs[0], nbrs[1])
-                    trace.step(bg.blocks, colour, "5F", clauses=len(sat.clauses))
-                elif lo == 0:
-                    bi, bj = ph.blocks[i][0], ph.blocks[j][0]
-                    parallel = any(
-                        e.colour == colour and set(e.ends) == {bi, bj} for e in hn.edges()
-                    )
-                    for e in sub.edges():
-                        u, v = (e.u, e.v) if pg.block_of[e.u] == i else (e.v, e.u)
-                        if parallel:
-                            sat.add_equivalence(u, v)
-                        else:
-                            sat.add_antivalence(u, v)
-                    trace.step(bg.blocks, colour, "5G", parallel=parallel, clauses=len(sat.clauses))
-                else:
-                    raise InternalCoverError(f"interblock shape {bg.shape} is not harmless")
+            bi, bj = ph.blocks[i][0], ph.blocks[j][0]
+            parallel = any(e.colour == colour and set(e.ends) == {bi, bj} for e in hn.edges())
+            subcase, detail = "5G", {"parallel": parallel}
+            _bundle_parity(sat, (sorted(e.ends, key=pg.block_of.__getitem__) for e in g.edges()),
+                           not parallel)
+        else:
+            raise InternalCoverError(f"block graph {bg.shape} is not harmless")
+        trace.step(bg.blocks, colour, subcase, **detail, clauses=len(sat.clauses))
     for v, val in trace.units.items():
         sat.add_unit(v, val)
     return sat

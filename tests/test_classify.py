@@ -143,6 +143,17 @@ def test_verdict_trees_paths_cycles():
     assert verdict(path(4, semis=(True, True))).kind == POLYNOMIAL
 
 
+def test_verdict_plain_tadpole_reduces_to_a_cycle():
+    # a triangle with a pendant path: neither a tree nor of maximum degree
+    # 2, but the reduction folds the tail away
+    h = cycle(3, name="tadpole")
+    for i, prev in enumerate(["v0", "t0"]):
+        h.add_vertex(f"t{i}", "n")
+        h.add_edge("edge", f"te{i}", "e", prev, f"t{i}")
+    v = verdict(h)
+    assert (v.kind, v.reason) == (POLYNOMIAL, "reduced target is a path or cycle")
+
+
 def test_verdict_harmless_host():
     h = two_vertex_w(0, 0, 2, 0, 0)
     assert verdict(h).kind == POLYNOMIAL

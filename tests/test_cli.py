@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from coverkit import serialize_graph
+from coverkit import Graph, parse_graph, reduce_pair, serialize_graph
 from coverkit.cli import main
+from coverkit.gadgets import Formula
 
 from conftest import cycle, looped_triangle_with_tails, one_vertex, two_vertex_w
 
@@ -143,6 +144,64 @@ def test_gen_and_dot(files, capsys, tmp_path):
     assert main(["dot", str(path)]) == 0
     out = capsys.readouterr().out
     assert "graph" in out and "--" in out
+
+
+GEN_GRAPHS = ["tripod", "fw2", "c0", "ck", "dk", "b1", "target", "gphi", "fwtarget",
+              "wdtarget", "wdlift", "regular"]
+
+
+@pytest.mark.parametrize("name", GEN_GRAPHS)
+def test_gen_graph_reads_back(name, capsys, tmp_path):
+    path = tmp_path / f"{name}.graph"
+    assert main(["gen", name, "-o", str(path)]) == 0
+    text = path.read_text()
+    g = parse_graph(text)
+    assert g.n > 0 and serialize_graph(g) == text
+
+
+def test_gen_formula_reads_back_and_feeds_gadgets(capsys, tmp_path):
+    # the default formula suits the variable gadgets' composer (2-in-4);
+    # G_phi for c = 3 takes one in which each variable occurs 3 times
+    for gadget, flags in (("c0", []), ("gphi", ["--c", "3", "--clauses", "3", "--k", "3"])):
+        path = tmp_path / f"{gadget}.json"
+        assert main(["gen", "formula", *flags, "-o", str(path)]) == 0
+        f = Formula.from_json(path.read_text())
+        assert f.c == (3 if flags else 2) and f.clauses
+        code, out = run(capsys, "gen", gadget, *flags[:2], "--formula", str(path))
+        assert code == 0 and parse_graph(out).n > 0, gadget
+    code, out = run(capsys, "gen", "formula")
+    assert code == 0 and Formula.from_json(json.dumps(out)).c == 2
+
+
+def test_dot_every_edge_kind(files, capsys):
+    _, write = files
+    g = Graph("kinds")
+    for v in ("a", "b"):
+        g.add_vertex(v, "n")
+    g.add_edge("edge", "e", "e", "a", "b")
+    g.add_edge("arc", "r", "d", "a", "b")
+    g.add_edge("loop", "l", "e", "a")
+    g.add_edge("dloop", "dl", "d", "b")
+    g.add_edge("semi", "s", "e", "b")
+    code, out = run(capsys, "dot", write("kinds.graph", g))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == 'graph "kinds" {' and lines[-1] == "}"
+    body = " ".join(lines)
+    assert '"a" -- "b" [color=' in body
+    assert '"a" -- "b" [color=black, dir=forward];' in body
+    assert '"a" -- "a" [color=' in body
+    assert '"b" -- "b" [color=black, dir=forward];' in body
+    assert '"__stub1" [style=invis, shape=point];' in body and '"b" -- "__stub1"' in body
+
+
+def test_reduce_pair_of_graphs(files, capsys):
+    _, write = files
+    g, h = looped_triangle_with_tails(2, 2), looped_triangle_with_tails(1)
+    code, out = run(capsys, "reduce", write("g.graph", g), write("h.graph", h))
+    assert code == 0 and set(out) == {"g", "h", "record"}
+    gr, hr, _ = reduce_pair(g, h)
+    assert (out["g"], out["h"]) == (serialize_graph(gr), serialize_graph(hr))
 
 
 def test_input_error(files, capsys, tmp_path):

@@ -264,6 +264,35 @@ def test_degree_obedient_examples():
     assert not is_degree_obedient(complete_graph(4), f20, fv3)
 
 
+def _directed_cycle(n):
+    g = Graph(f"dc{n}")
+    for i in range(n):
+        g.add_vertex(f"v{i}", "n")
+    for i in range(n):
+        g.add_edge("arc", f"a{i}", "d", f"v{i}", f"v{(i + 1) % n}")
+    return g
+
+
+def test_degree_obedient_directed_loops():
+    d1, d2 = one_vertex(dloops=1), one_vertex(dloops=2)
+    assert is_degree_obedient(one_vertex(dloops=1), d1, {"x": "x"})
+    assert not is_degree_obedient(one_vertex(dloops=2), d1, {"x": "x"})
+    onto_x = {f"v{i}": "x" for i in range(3)}
+    assert is_degree_obedient(_directed_cycle(3), d1, onto_x)
+    assert not is_degree_obedient(_directed_cycle(3), d2, onto_x)
+
+
+def test_degree_obedient_colours_only_self_darts_carry():
+    # the target has one semi-edge of colour s; a source colour that only
+    # self darts carry must be one the target vertex carries too
+    h = one_vertex(semis=1, colour="s")
+    assert is_degree_obedient(one_vertex(semis=1, colour="s"), h, {"x": "x"})
+    for kind in ("loop", "dloop"):
+        g = one_vertex(semis=1, colour="s")
+        g.add_edge(kind, "extra", "a", "x")
+        assert not is_degree_obedient(g, h, {"x": "x"}), kind
+
+
 def test_oracle_matches_naive_on_random_pairs():
     rng = random.Random(77)
     agree = 0

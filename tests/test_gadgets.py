@@ -299,6 +299,8 @@ MISSING_COLOURS = {
     # sorted order, which a cover need not respect when b != c
     "WW": [("edge", "x", "z"), ("edge", "y", "w"), ("edge", "x", "w"), ("edge", "y", "z")],
 }
+# WW(1,0), which garbage_lift refuses
+UNEQUAL_WW = [("edge", "x", "z"), ("edge", "y", "w")]
 
 
 def toy_host_pair(missing=None):
@@ -306,9 +308,10 @@ def toy_host_pair(missing=None):
     the doublet; the block graph keeps one bundle colour and the loops, so
     it is connected, spanning and balanced.
 
-    ``missing`` names an entry of MISSING_COLOURS to add to the host only.
-    FF brings a second hub b and WW a second doublet {z, w}; both host and
-    block graph join it to the rest by a bundle of colour k."""
+    ``missing`` names an entry of MISSING_COLOURS, or "WW(1,0)" for
+    UNEQUAL_WW, to add to the host only.  FF brings a second hub b and
+    either WW a second doublet {z, w}; both host and block graph join it
+    to the rest by a bundle of colour k."""
     h = Graph("toy-host")
     hp = Graph("toy-blockgraph")
     for g in (h, hp):
@@ -326,12 +329,12 @@ def toy_host_pair(missing=None):
             g.add_vertex("b", "K")
             g.add_edge("edge", "k1", "k", "b", "x")
             g.add_edge("edge", "k2", "k", "b", "y")
-        elif missing == "WW":
+        elif missing in ("WW", "WW(1,0)"):
             g.add_vertex("z", "R")
             g.add_vertex("w", "R")
             g.add_edge("edge", "k1", "k", "a", "z")
             g.add_edge("edge", "k2", "k", "a", "w")
-    for i, (kind, *ends) in enumerate(MISSING_COLOURS.get(missing, [])):
+    for i, (kind, *ends) in enumerate({**MISSING_COLOURS, "WW(1,0)": UNEQUAL_WW}.get(missing, [])):
         h.add_edge(kind, f"m{i}", "m", *ends)
     return h, hp
 
@@ -427,7 +430,7 @@ def test_garbage_lift_structure_and_equivalence(missing):
     seen = set()
     for seed in range(6):
         g = random_blockgraph_instance(3, seed=seed, split=seed % 2 == 0, missing=missing)
-        out = garbage_lift(g, h, hp, m=m)
+        out = garbage_lift(g, h, hp)
         assert out.n == 2 * m * g.n
         want = oracle_cover(g, hp, budget=500_000)
         got = oracle_cover(out, h, budget=4_000_000)
@@ -449,7 +452,18 @@ def test_garbage_lift_rejects_disconnected_blockgraph():
     hp.add_edge("loop", "f2", "f", "y")
     g = random_blockgraph_instance(2, seed=0, split=False)
     with pytest.raises(GadgetError, match="connected"):
-        garbage_lift(g, h, hp, m=6)
+        garbage_lift(g, h, hp)
+
+
+def test_garbage_lift_refuses_unequal_ww():
+    # the instance covers the block graph, but its lift need not cover the
+    # host: the lift joins vertices paired in sorted order, whatever sides
+    # the cover gives them
+    h, hp = toy_host_pair("WW(1,0)")
+    g = random_blockgraph_instance(3, seed=0, split=True, missing="WW")
+    assert oracle_cover(g, hp, budget=500_000).yes
+    with pytest.raises(GadgetError, match=r"WW\(1,0\)"):
+        garbage_lift(g, h, hp)
 
 
 def test_one_factorization():

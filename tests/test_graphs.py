@@ -17,7 +17,7 @@ from coverkit import (
     project,
     serialize_graph,
 )
-from coverkit.graphs import EVEN_CYCLE, ODD_CYCLE, OPEN_PATH, OTHER, UND, IN, OUT, darts, vertex_darts
+from coverkit.graphs import EVEN_CYCLE, ODD_CYCLE, OPEN_PATH, OTHER, UND, IN, OUT, darts, is_tree, vertex_darts
 
 from conftest import (
     assert_same_graph,
@@ -428,3 +428,16 @@ def test_component_shapes_errors():
     assert component_shapes(Graph("empty")) == []
     two = disjoint_union(cycle(3), path(2, semis=(True, True)))
     assert [shape for _, shape in component_shapes(two)] == [ODD_CYCLE, OPEN_PATH]
+
+
+def test_is_tree_rejects_loops_and_semis_among_n_minus_1_edges():
+    looped = path(2)
+    looped.add_vertex("w", "n")
+    looped.add_edge("loop", "l", "e", "w")
+    semi = Graph("semi")
+    semi.add_vertex("a", "n")
+    semi.add_vertex("b", "n")
+    semi.add_edge("semi", "s", "e", "a")
+    for g in (looped, semi):
+        assert g.m == g.n - 1 and not is_tree(g)
+    assert is_tree(path(3))

@@ -47,6 +47,12 @@ def test_star_partition():
     assert matrix.get(leaf_block, centre_block, "e") == 1
 
 
+def test_degree_partition_of_empty_graph():
+    part, matrix = degree_partition(Graph("empty"))
+    assert (part.blocks, part.block_of, part.k) == ([], {}, 0)
+    assert (matrix.k, matrix.entries) == (0, {})
+
+
 def test_cycle_partition():
     part, matrix = degree_partition(cycle(6))
     assert part.k == 1
