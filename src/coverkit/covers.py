@@ -186,6 +186,25 @@ class _DartTables:
             self.cross[u] = {key: to for key, to in normal if to}
 
 
+def _twin_classes(g: Graph, tables: _DartTables) -> list[list[str]]:
+    """The source vertices that share a vertex colour, their semi-edge,
+    loop and directed-loop counts and ``cross`` (every (colour,
+    direction) with its other ends and counts), in classes of two or more
+    in ``g.vertices()`` order.  Equal ``cross`` rules out an edge between
+    twins, so swapping two of them is an automorphism of g.  A vertex
+    without cross darts joins no class: nothing would keep it in its
+    twins' component when the search splits."""
+    classes: dict = {}
+    for u, t in tables.g.items():
+        cross = tables.cross[u]
+        if cross:
+            key = (g.vertex_colour(u),
+                   *(frozenset(counts.items()) for counts in (t.semis, t.loops, t.dloops)),
+                   frozenset((k, frozenset(to.items())) for k, to in cross.items()))
+            classes.setdefault(key, []).append(u)
+    return [members for members in classes.values() if len(members) > 1]
+
+
 def _self_darts_fit(gu: Darts, hx: Darts) -> bool:
     """u has at most as many semi-edges, loops and directed loops of every
     colour as x."""
@@ -474,14 +493,30 @@ class _VertexSearch:
     dead ends.  Images are visited in bit order and dirty vertices
     last-in first-out, so the tree is the same under every hash seed.
 
+    Twins.  ``twins`` holds classes of source vertices with the same
+    colour, self darts and cross darts (``_twin_classes``).  Swapping two
+    twins is an automorphism of the source, so it turns every cover into
+    a cover, and every cover can be permuted into one whose images do not
+    decrease along each class in id order (a lex-leader constraint); the
+    search looks only for those.  When u takes image x, the unassigned
+    twins after u, up to the next assigned one, lose the images below x,
+    and those before u the images above it, so any two neighbours along a
+    class are ordered once the second of them is assigned.  Twins share
+    a neighbour, so the order couples no vertices that the component
+    split keeps apart.  Only the oracle passes classes: it asks whether a
+    cover exists, while ``partial_covers`` enumerates vertex maps and must
+    see each of them.
+
     Without fibre caps all constraints are local (an edge, or a shared
     assigned neighbour), so when the residual constraint graph falls into
     independent components each is solved on its own and the solutions
     are combined, instead of rediscovering one component's failures once
-    per assignment of the others.  A node carries the fact that its scope
-    is connected down to its children and, after assigning u, re-proves
-    it locally (``_stays_connected``); only where that proof fails does a
-    later branch point walk the scope (``_components``).
+    per assignment of the others.  Each component's solution propagated
+    as it was found, so combining only binds the images (``_bind``).  A
+    node carries the fact that its scope is connected down to its
+    children and, after assigning u, re-proves it locally
+    (``_stays_connected``); only where that proof fails does a later
+    branch point walk the scope (``_components``).
 
     Scopes hold only unassigned vertices.  Between a node and its child
     only the branching vertex is assigned (propagation narrows domains
@@ -516,12 +551,16 @@ class _VertexSearch:
     order, or the recency stack's vertex when its domain is least, or
     else the most touched and then least id), components come in the same
     order with their vertices ascending, and every budget charge, trail
-    entry and recency entry is made at the same step.
+    entry and recency entry is made at the same step.  Undoing an
+    assignment cuts the recency stack back to its length before it, so the
+    stack holds at most the entries of the assignments on the current
+    path.
     """
 
     DECOMPOSE_MIN = 9
 
-    def __init__(self, tables: _DartTables, domains, budget_box, exact, fibre_cap=None, blocks=()):
+    def __init__(self, tables: _DartTables, domains, budget_box, exact, fibre_cap=None, blocks=(),
+                 twins=()):
         self.budget = budget_box
         self.exact = exact
         self.fibre_cap = fibre_cap
@@ -559,6 +598,13 @@ class _VertexSearch:
         for block in blocks:
             for u in block:
                 self.blockmates[index[u]] = [index[w] for w in block if w != u]
+        # each twin's neighbours along its class, -1 at either end
+        self.before = [-1] * len(names)
+        self.after = [-1] * len(names)
+        for members in twins:
+            chain = sorted(index[u] for u in members)
+            for a, b in zip(chain, chain[1:]):
+                self.after[a], self.before[b] = b, a
         # locality bookkeeping: a recency stack plus touch counts keep the
         # search inside one gadget region until it is finished, which is
         # what makes clause/variable instances tractable
@@ -646,6 +692,8 @@ class _VertexSearch:
             elif tag == _TOUCH:
                 for w in op[1]:
                     touch[w] -= 1
+                # what the assignment pushed, and whatever came after it
+                del self.recent[op[2]:]
             else:
                 self.fibre[op[1]] -= 1
 
@@ -675,6 +723,27 @@ class _VertexSearch:
         return None
 
     def _assign(self, u, x, ops) -> bool:
+        """Bind u to x, order u's twins around x, and propagate."""
+        dirty = self._bind(u, x, ops)
+        if dirty is None:
+            return False
+        assign, domains, remove = self.assign, self.domains, self._remove
+        # twins after u lose the images below x, twins before u those above
+        # it, up to the next assigned twin either way
+        bit = 1 << x
+        for chain, drop in ((self.after, bit - 1), (self.before, -(bit << 1))):
+            w = chain[u]
+            while w >= 0 and assign[w] < 0:
+                lose = domains[w] & drop
+                if lose and not remove(w, lose, ops, dirty):
+                    return False
+                w = chain[w]
+        return self._propagate(dirty, ops)
+
+    def _bind(self, u, x, ops):
+        """Give u the image x and count its darts: the vertices to
+        propagate from, or None when a fibre or a capacity overflows or a
+        full fibre empties a domain."""
         assign, domains, used, caps = self.assign, self.domains, self.used, self.caps
         # insertion-ordered, and popped last-in first-out
         dirty: dict[int, None] = {}
@@ -690,19 +759,19 @@ class _VertexSearch:
             self.fibre[x] += 1
             ops.append((_FIBRE, x))
             if self.fibre[x] > self.fibre_cap:
-                return False
+                return None
             if self.fibre[x] == self.fibre_cap:
                 bit = 1 << x
                 for w in self.blockmates[u]:
                     if assign[w] < 0 and domains[w] & bit and not self._remove(w, bit, ops, dirty):
-                        return False
+                        return None
         used_u, cap_x = used[u], caps[x]
         # self darts (loops, semi-edges, directed loops)
         for base, own in self.self_rows[u]:
             slot = base + x
             now = used_u[slot] + own
             if now > cap_x[slot]:
-                return False
+                return None
             used_u[slot] = now
             ops.append((_USED, u, slot, own))
         # darts towards assigned neighbours, both directions of bookkeeping
@@ -714,27 +783,26 @@ class _VertexSearch:
                 slot, rslot = base + y, rbase + x
                 now = used_u[slot] + m
                 if now > cap_x[slot]:
-                    return False
+                    return None
                 used_u[slot] = now
                 ops.append((_USED, u, slot, m))
                 used_w = used[w]
                 now = used_w[rslot] + m
                 if now > caps[y][rslot]:
-                    return False
+                    return None
                 used_w[rslot] = now
                 ops.append((_USED, w, rslot, m))
                 dirty[w] = None
         dirty[u] = None
-        if not self._propagate(dirty, ops):
-            return False
-        # locality bookkeeping for the branching heuristic
+        # locality bookkeeping for the branching heuristic; propagation
+        # assigns nothing, so it does not change who is touched
         touched = [z for z in self.near[u] if assign[z] < 0]
-        touch = self.touch
+        touch, recent = self.touch, self.recent
         for w in touched:
             touch[w] += 1
-        self.recent += touched
-        ops.append((_TOUCH, touched))
-        return True
+        ops.append((_TOUCH, touched, len(recent)))
+        recent += touched
+        return dirty
 
     def _propagate(self, dirty, ops) -> bool:
         """Counting propagation: for an assigned vertex and every image y,
@@ -943,13 +1011,12 @@ class _VertexSearch:
             frame = stack[-1]
             if type(frame) is _Split:
                 stack.pop()
-                if frame.trails is None:
+                if frame.trail is None:
                     # a component without a solution: its node has none
                     self._close(frame.scope)
                     stack.pop()
                 else:
-                    for ops in reversed(frame.trails):
-                        undo(ops)
+                    undo(frame.trail)
                     stack[-1].combined = [vx for sol in frame.first for vx in sol]
                 continue
             if frame.trail is not None:
@@ -1000,10 +1067,7 @@ class _VertexSearch:
         comps = split.comps
         split.first.append([(v, self.assign[v]) for v in comps[split.index]])
         for frame in reversed(stack[at + 1:]):
-            if type(frame) is _Split:
-                for ops in reversed(frame.trails):
-                    self._undo(ops)
-            elif frame.trail is not None:
+            if frame.trail is not None:
                 self._undo(frame.trail)
         del stack[at + 1:]
         self._close(split.scope)
@@ -1011,13 +1075,14 @@ class _VertexSearch:
         if split.index < len(comps):
             return self._open(comps[split.index]), True
         names = self.names
-        split.trails = []
+        # each component's solution propagated when it was found, so the
+        # images are only bound: the state is undone, or read through
+        # ``assign`` alone, before the search looks at it again
+        split.trail = ops = []
         for sol in split.first:
             for v, x in sorted(sol, key=lambda vx: names[vx[0]]):
-                ops = self._try_assign(v, x)
-                if ops is None:
+                if self._bind(v, x, ops) is None:
                     raise InternalCoverError("independent component solutions failed to recombine")
-                split.trails.append(ops)
         return None
 
 
@@ -1045,16 +1110,16 @@ class _Split:
     """The split of the scope ``scope`` of the _Node below it into
     components ``comps``: each is searched in a scope of its own up to a
     first solution (``first``), ``index`` the one being searched; then
-    the first solutions are applied together (``trails``, None until
-    then) and emitted as the node's."""
+    the first solutions are bound together (``trail``, None until then)
+    and emitted as the node's."""
 
-    __slots__ = ("comps", "index", "first", "trails", "scope")
+    __slots__ = ("comps", "index", "first", "trail", "scope")
 
     def __init__(self, comps, scope):
         self.comps = comps
         self.index = 0
         self.first = []
-        self.trails = None
+        self.trail = None
         self.scope = scope
 
 
@@ -1200,13 +1265,15 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
                 return OracleResult("no", reason="self darts")
             domains[u] = dom
     budget_box = [budget]
+    twins = _twin_classes(g, tables)
     if is_connected(h):
         # fibre equality is implied for connected targets, so the caps can
         # go, which in turn lets the search decompose into independent
         # components
-        search = _VertexSearch(tables, domains, budget_box, exact=True)
+        search = _VertexSearch(tables, domains, budget_box, exact=True, twins=twins)
     else:
-        search = _VertexSearch(tables, domains, budget_box, exact=True, fibre_cap=r, blocks=pg.blocks)
+        search = _VertexSearch(tables, domains, budget_box, exact=True, fibre_cap=r, blocks=pg.blocks,
+                               twins=twins)
     try:
         for fv in search.solutions():
             try:

@@ -1,4 +1,5 @@
-"""Harmless target hosts and refinement-compatible random inputs.
+"""Harmless target hosts, refinement-compatible random inputs, random
+lifts and edge switches.
 
 Hosts are connected targets with blocks of at most two vertices whose
 block graphs are all harmless; disconnected doublet shapes are embedded
@@ -10,6 +11,7 @@ the degree partition outright.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from coverkit import Graph
@@ -325,3 +327,25 @@ def random_lift(h: Graph, r: int, seed: int) -> Graph:
     for k, (kind, colour, *ends) in enumerate(edges):
         g.add_edge(kind, f"e{k}", colour, *ends)
     return g
+
+
+def switched(g, rng):
+    """g with the far ends of two edges of one kind and colour swapped,
+    which keeps every vertex's dart counts; g itself when none fit."""
+    pairs = [(a, b) for a, b in itertools.combinations(list(g.edges()), 2)
+             if a.kind == b.kind and a.kind in ("edge", "arc") and a.colour == b.colour
+             and len({*a.ends, *b.ends}) == 4]
+    if not pairs:
+        return g
+    a, b = rng.choice(pairs)
+    out = Graph(f"{g.name}-switched")
+    for v in g.vertices():
+        out.add_vertex(v, g.vertex_colour(v))
+    for e in g.edges():
+        ends = e.ends
+        if e is a:
+            ends = (a.ends[0], b.ends[1])
+        elif e is b:
+            ends = (b.ends[0], a.ends[1])
+        out.add_edge(e.kind, e.id, e.colour, *ends)
+    return out

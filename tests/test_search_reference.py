@@ -16,7 +16,7 @@ from coverkit import Graph, covers, oracle_cover, partial_covers, verify_cover
 from coverkit.covers import _REVERSED, BudgetExhausted, InternalCoverError, _DartTables
 
 from conftest import complete_bipartite, complete_graph, cycle, disjoint_union, petersen
-from hosts import harmless_hosts, random_compatible_input, random_lift
+from hosts import harmless_hosts, random_compatible_input, random_lift, switched
 
 
 # undo trail tags; every change the trail records commutes with the others
@@ -74,11 +74,18 @@ class ReferenceVertexSearch:
     scope is connected down the recursion and, after assigning u,
     re-proves it locally (``_stays_connected``); only where that proof
     fails does a branch point walk the whole scope (``_components``).
+
+    ``twins`` holds classes of interchangeable source vertices: when u
+    takes image x, the unassigned twins after u in id order, up to the
+    next assigned one, lose the images below x, and those before u the
+    images above it.  Undoing an assignment cuts the recency stack back
+    to its length before it.
     """
 
     DECOMPOSE_MIN = 9
 
-    def __init__(self, tables: _DartTables, domains, budget_box, exact, fibre_cap=None, blocks=()):
+    def __init__(self, tables: _DartTables, domains, budget_box, exact, fibre_cap=None, blocks=(),
+                 twins=()):
         self.budget = budget_box
         self.exact = exact
         self.fibre_cap = fibre_cap
@@ -116,6 +123,8 @@ class ReferenceVertexSearch:
         for block in blocks:
             for u in block:
                 self.blockmates[index[u]] = [index[w] for w in block if w != u]
+        # each class of twins in ascending id order
+        self.twins = [sorted(index[u] for u in members) for members in twins]
         # locality bookkeeping: a recency stack plus touch counts keep the
         # search inside one gadget region until it is finished, which is
         # what makes clause/variable instances tractable
@@ -140,6 +149,7 @@ class ReferenceVertexSearch:
             elif tag == _TOUCH:
                 for w in op[1]:
                     touch[w] -= 1
+                del self.recent[op[2]:]
             elif tag == _FIBRE:
                 self.fibre[op[1]] -= 1
             else:
@@ -213,6 +223,20 @@ class ReferenceVertexSearch:
                 ops.append((_USED, w, rslot, m))
                 dirty[w] = None
         dirty[u] = None
+        # the images of u's class do not decrease along it
+        for chain in self.twins:
+            if u not in chain:
+                continue
+            at = chain.index(u)
+            sides = ((chain[at + 1:], lambda y: y >= x), (reversed(chain[:at]), lambda y: y <= x))
+            for side, keep in sides:
+                for w in side:
+                    if assign[w] >= 0:
+                        break
+                    lose = sum(1 << y for y in range(len(self.images))
+                               if domains[w] >> y & 1 and not keep(y))
+                    if lose and not self._remove(w, lose, ops, dirty):
+                        return False
         if not self._propagate(dirty, ops):
             return False
         # locality bookkeeping for the branching heuristic
@@ -227,8 +251,8 @@ class ReferenceVertexSearch:
         touch = self.touch
         for w in touched:
             touch[w] += 1
+        ops.append((_TOUCH, touched, len(self.recent)))
         self.recent += touched
-        ops.append((_TOUCH, touched))
         return True
 
     def _propagate(self, dirty, ops) -> bool:
@@ -500,28 +524,6 @@ def random_target(rng, n, name):
     return h
 
 
-def switched(g, rng):
-    """g with the far ends of two edges of one kind and colour swapped,
-    which keeps every vertex's dart counts; g itself when none fit."""
-    pairs = [(a, b) for a, b in itertools.combinations(list(g.edges()), 2)
-             if a.kind == b.kind and a.kind in ("edge", "arc") and a.colour == b.colour
-             and len({*a.ends, *b.ends}) == 4]
-    if not pairs:
-        return g
-    a, b = rng.choice(pairs)
-    out = Graph(f"{g.name}-switched")
-    for v in g.vertices():
-        out.add_vertex(v, g.vertex_colour(v))
-    for e in g.edges():
-        ends = e.ends
-        if e is a:
-            ends = (a.ends[0], b.ends[1])
-        elif e is b:
-            ends = (b.ends[0], a.ends[1])
-        out.add_edge(e.kind, e.id, e.colour, *ends)
-    return out
-
-
 def two_coloured(name, n, edges):
     """A target on vertices x0..x{n-1} with the edges (colour, i, j)."""
     h = Graph(name)
@@ -638,7 +640,8 @@ def scope_counts(search):
 
 
 def test_search_matches_its_recursive_reference(monkeypatch):
-    seen = {"split": 0, "fibre cap": 0, "kinds": set(), "forced": 0, "forced then emptied": 0}
+    seen = {"split": 0, "fibre cap": 0, "twins": 0, "kinds": set(), "forced": 0,
+            "forced then emptied": 0}
     search = covers._VertexSearch
     components, init = search._components, search.__init__
     remove, try_assign = search._remove, search._try_assign
@@ -648,9 +651,10 @@ def test_search_matches_its_recursive_reference(monkeypatch):
         seen["split"] += len(comps) > 1
         return comps
 
-    def counting_init(self, tables, domains, budget_box, exact, fibre_cap=None, blocks=()):
+    def counting_init(self, tables, domains, budget_box, exact, fibre_cap=None, blocks=(), twins=()):
         seen["fibre cap"] += fibre_cap is not None
-        init(self, tables, domains, budget_box, exact, fibre_cap, blocks)
+        seen["twins"] += bool(twins)
+        init(self, tables, domains, budget_box, exact, fibre_cap, blocks, twins)
 
     def counting_remove(self, w, drop, ops, dirty):
         # a removal of two or more images is one the forcing rule made
@@ -687,8 +691,9 @@ def test_search_matches_its_recursive_reference(monkeypatch):
     assert pairs >= 300
     assert seen["kinds"] == {"edge", "arc", "loop", "dloop", "semi"}
     assert set(answers) == {"yes", "no", "unknown"}, answers
-    # the search split into components, and ran with fibre caps
-    assert seen["split"] >= 50 and seen["fibre cap"] >= 50, seen
+    # the search split into components, ran with fibre caps and ordered
+    # twins
+    assert seen["split"] >= 50 and seen["fibre cap"] >= 50 and seen["twins"] >= 50, seen
     # forcing took several images at once, and a forced domain then ran
     # empty in the same propagation, whose trail was undone
     assert seen["forced"] >= 4000 and seen["forced then emptied"] >= 15, seen
