@@ -20,7 +20,7 @@ from coverkit.gadgets import (
 
 lt = limping_tripod()
 h = fw2_target()
-pairs = sorted({(fv["u"], fv["v"]) for fv in partial_covers(lt, h, vertex_maps_only=True)})
+pairs = sorted({(p.fv["u"], p.fv["v"]) for p in partial_covers(lt, h)})
 print("the tripod's pendant vertices always share an image:", pairs)
 
 print("\nexactly-3-in-6 clause graphs against the 3-bundle hub:")

@@ -56,6 +56,8 @@ class Verdict:
     kind: str
     reason: str
     witness: BlockGraph | None = None
+    # the graph the verdict read: the target, or its degree-adjusted reduction
+    graph: Graph | None = None
 
 
 class ShapeError(GraphError):
@@ -239,22 +241,23 @@ def verdict(h: Graph) -> Verdict:
     if not is_connected(h):
         raise GraphError("verdict is defined for connected targets")
     if is_tree(h) or all(total_degree(h, v) <= 2 for v in h.vertices()):
-        return Verdict(POLYNOMIAL, "target is a tree, path or cycle")
+        return Verdict(POLYNOMIAL, "target is a tree, path or cycle", graph=h)
     hr, _ = degree_adjust(h)
     if all(total_degree(hr, v) <= 2 for v in hr.vertices()):
-        return Verdict(POLYNOMIAL, "reduced target is a path or cycle")
+        return Verdict(POLYNOMIAL, "reduced target is a path or cycle", graph=hr)
     part, _ = degree_partition(hr)
     oversized = [i for i, b in enumerate(part.blocks) if len(b) > 2]
     if oversized:
         sizes = [len(part.blocks[i]) for i in oversized]
-        return Verdict(UNSUPPORTED, f"degree partition has blocks of sizes {sizes}; only blocks of at most 2 are characterized")
+        return Verdict(UNSUPPORTED, f"degree partition has blocks of sizes {sizes}; only blocks of at most 2 are characterized",
+                       graph=hr)
     hn = normalize_colours(hr, part)
     shapes = block_shapes(hn, part)
     dangerous = None
     for bg in shapes:
         cls = classify_shape(bg.shape)
         if cls == HARMFUL:
-            return Verdict(NP_COMPLETE, f"harmful block graph {bg.shape} on blocks {bg.blocks}", bg)
+            return Verdict(NP_COMPLETE, f"harmful block graph {bg.shape} on blocks {bg.blocks}", bg, graph=hr)
         if cls == DANGEROUS and dangerous is None:
             dangerous = bg
     if dangerous is not None:
@@ -262,5 +265,6 @@ def verdict(h: Graph) -> Verdict:
             NP_COMPLETE,
             f"dangerous block graph {dangerous.shape} on blocks {dangerous.blocks} with minimum degree above 2",
             dangerous,
+            graph=hr,
         )
-    return Verdict(POLYNOMIAL, "all block graphs are harmless")
+    return Verdict(POLYNOMIAL, "all block graphs are harmless", graph=hr)

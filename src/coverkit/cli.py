@@ -59,19 +59,12 @@ def _budget(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .graphs import is_tree, total_degree
-
-    h = _load(args.target)
-    v = verdict(h)
+    v = verdict(_load(args.target))
     shapes = []
     try:
-        if is_tree(h) or all(total_degree(h, x) <= 2 for x in h.vertices()):
-            hr = h
-        else:
-            hr, _ = degree_adjust(h)
-        part, _ = degree_partition(hr)
+        part, _ = degree_partition(v.graph)
         if all(len(b) <= 2 for b in part.blocks):
-            hn = normalize_colours(hr, part)
+            hn = normalize_colours(v.graph, part)
             for bg in block_shapes(hn, part):
                 shapes.append({
                     "blocks": list(bg.blocks),
@@ -157,14 +150,20 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    def opt(name, default):
+        # an option left unset takes the gadget's default; an explicit 0
+        # goes to the builder, which refuses it
+        value = getattr(args, name)
+        return default if value is None else value
+
     name = args.gadget.lower()
-    seed = args.seed or 0
+    seed = opt("seed", 0)
     if name == "tripod":
         g = gadgets.limping_tripod()
     elif name == "fw2":
         g = gadgets.fw2_target()
     elif name in ("c0", "ck", "dk", "b1"):
-        vg = gadgets.variable_gadget(name, args.k or 1)
+        vg = gadgets.variable_gadget(name, opt("k", 1))
         if args.formula:
             with open(args.formula, encoding="utf-8") as fh:
                 f = gadgets.Formula.from_json(fh.read())
@@ -172,27 +171,27 @@ def cmd_gen(args) -> int:
         else:
             g = vg.graph
     elif name == "target":
-        g = gadgets.gadget_target(args.case or "c0", args.k or 1)
+        g = gadgets.gadget_target(args.case or "c0", opt("k", 1))
     elif name == "gphi":
-        c = args.c or 3
+        c = opt("c", 3)
         if args.formula:
             with open(args.formula, encoding="utf-8") as fh:
                 f = gadgets.Formula.from_json(fh.read())
         else:
-            f = gadgets.random_formula(c, args.clauses or 3, c, seed)
+            f = gadgets.random_formula(c, opt("clauses", 3), c, seed)
         g = gadgets.build_gphi_fw(c, f)
     elif name == "fwtarget":
-        g = gadgets.fw_target(args.c or 3)
+        g = gadgets.fw_target(opt("c", 3))
     elif name == "wdtarget":
-        g = gadgets.wd_target(args.b or 2, args.c or 1)
+        g = gadgets.wd_target(opt("b", 2), opt("c", 1))
     elif name == "wdlift":
-        b, c = args.b or 2, args.c or 1
-        base, _ = gadgets.random_regular("bipartite", b + c, args.m or 4, seed)
+        b, c = opt("b", 2), opt("c", 1)
+        base, _ = gadgets.random_regular("bipartite", b + c, opt("m", 4), seed)
         g = gadgets.directed_lift_wd(base, b, c)
     elif name == "regular":
-        g, _ = gadgets.random_regular(args.case or "even", args.k or 2, args.m or 6, seed)
+        g, _ = gadgets.random_regular(args.case or "even", opt("k", 2), opt("m", 6), seed)
     elif name == "formula":
-        f = gadgets.random_formula(args.c or 2, args.clauses or 4, args.k or 4, seed)
+        f = gadgets.random_formula(opt("c", 2), opt("clauses", 4), opt("k", 4), seed)
         text = f.to_json()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

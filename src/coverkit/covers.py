@@ -104,59 +104,45 @@ class OracleResult:
 # indexes ---------------------------------------------------------------------
 
 
+def _site(e) -> tuple:
+    """The site a target edge is filed under: its kind, its colour and its
+    ends, an edge's in sorted order."""
+    ends = e.ends
+    if e.kind == "edge" and ends[1] < ends[0]:
+        ends = (ends[1], ends[0])
+    return (e.kind, e.colour, ends)
+
+
+def _landing_sites(e, x: str, y: str) -> tuple:
+    """The folding rule: the sites (see ``_site``) a source edge may land
+    on when its first end maps to x and its last to y.  Between two
+    fibres an edge or arc lands on an edge or arc joining the images.
+    Inside a fibre an edge lands on a loop or a semi-edge and an arc on a
+    directed loop, while a loop, semi-edge or directed loop lands only on
+    its own kind."""
+    kind = e.kind
+    if x != y:
+        return ((kind, e.colour, (x, y) if kind == "arc" or x < y else (y, x)),)
+    if kind == "edge":
+        return (("loop", e.colour, (x,)), ("semi", e.colour, (x,)))
+    return (("dloop" if kind == "arc" else kind, e.colour, (x,)),)
+
+
 def _h_edge_index(h: Graph) -> dict:
+    """The target's edge ids filed by site, each list sorted."""
     by: dict = {}
     for e in h.edges():
-        if e.kind == "edge":
-            key = ("edge", e.colour, tuple(sorted(e.ends)))
-        elif e.kind == "arc":
-            key = ("arc", e.colour, (e.tail, e.head))
-        else:
-            key = (e.kind, e.colour, e.u)
-        by.setdefault(key, []).append(e.id)
+        by.setdefault(_site(e), []).append(e.id)
     for ids in by.values():
         ids.sort()
     return by
 
 
 def _candidates_for(e, fv, by) -> list[str]:
-    """Target edges an edge may map to: colour-preserving and compatible
-    with the vertex images.  Encodes which kinds may fold onto which:
-    edges may land on loops or semi-edges of the same fibre, arcs on
-    directed loops, loops only on loops, semi-edges only on semi-edges."""
-    a = e.colour
-    x = fv[e.ends[0]]
-    if e.kind == "edge":
-        y = fv[e.ends[1]]
-        if x != y:
-            return by.get(("edge", a, (x, y) if x < y else (y, x)), [])
-        return by.get(("loop", a, x), []) + by.get(("semi", a, x), [])
-    if e.kind == "arc":
-        y = fv[e.head]
-        if x != y:
-            return by.get(("arc", a, (x, y)), [])
-        return by.get(("dloop", a, x), [])
-    return by.get((e.kind, a, x), [])
-
-
-def _lands_on(e, he, fv) -> bool:
-    """Whether target edge ``he`` is among ``_candidates_for(e, fv, ·)``,
-    read off ``he`` itself: same colour, and a kind and ends that fit the
-    images of e's ends under the same folding rules."""
-    if he.colour != e.colour:
-        return False
-    x = fv[e.ends[0]]
-    if e.kind == "edge":
-        y = fv[e.ends[1]]
-        if x != y:
-            return he.kind == "edge" and (he.ends == (x, y) or he.ends == (y, x))
-        return (he.kind == "loop" or he.kind == "semi") and he.ends[0] == x
-    if e.kind == "arc":
-        y = fv[e.ends[1]]
-        if x != y:
-            return he.kind == "arc" and he.ends == (x, y)
-        return he.kind == "dloop" and he.ends[0] == x
-    return he.kind == e.kind and he.ends[0] == x
+    """Target edges an edge may map to under the vertex map fv: those
+    filed in ``by`` at its landing sites."""
+    return [he for site in _landing_sites(e, fv[e.ends[0]], fv[e.ends[-1]])
+            for he in by.get(site, ())]
 
 
 def _dart_tally(g: Graph, v: str, fe: dict[str, str] | None = None) -> dict:
@@ -242,12 +228,13 @@ def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
     if g.n == 0 and h.n > 0:
         return VerifyResult(False, ["empty graph does not cover a non-empty graph"])
     fv, fe = f.fv, f.fe
+    site = {he.id: _site(he) for he in h.edges()}
     for e in g.edges():
         if e.id not in fe:
             violations.append(f"edge {e.id} has no image")
-        elif not h.has_edge(fe[e.id]):
+        elif fe[e.id] not in site:
             violations.append(f"edge {e.id} maps to unknown edge {fe[e.id]}")
-        elif not _lands_on(e, h.edge(fe[e.id]), fv):
+        elif site[fe[e.id]] not in _landing_sites(e, fv[e.ends[0]], fv[e.ends[-1]]):
             violations.append(f"edge {e.id} -> {fe[e.id]} breaks colour or incidence")
     violations += [f"edge map names {e}, which is not an edge of the source" for e in fe
                    if not g.has_edge(e)]
@@ -1145,18 +1132,21 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
     fibres: dict[str, list[str]] = {}
     for w, x in sorted(fv.items()):
         fibres.setdefault(x, []).append(w)
+    # by landing sites: a group between two fibres per site, and one group
+    # per colour and fibre of those landing on directed loops, and of those
+    # landing on loops or semi-edges
     pairs: dict = {}
     intra_und: dict = {}
     intra_dir: dict = {}
     for e in g.edges():
-        x, y = fv[e.ends[0]], fv[e.ends[-1]]
-        if x != y:
-            loc = (y, x) if e.kind == "edge" and y < x else (x, y)
-            pairs.setdefault((e.kind, e.colour, loc), []).append(e)
-        elif e.directed:
-            intra_dir.setdefault((e.colour, x), []).append(e)
+        sites = _landing_sites(e, fv[e.ends[0]], fv[e.ends[-1]])
+        if sites[0] not in by and sites[-1] not in by:
+            raise NotExtendable(f"{e.kind} {e.id} has no target edge to land on")
+        kind, colour, at = sites[0]
+        if len(at) == 2:
+            pairs.setdefault(sites[0], []).append(e)
         else:
-            intra_und.setdefault((e.colour, x), []).append(e)
+            (intra_dir if kind == "dloop" else intra_und).setdefault((colour, at[0]), []).append(e)
     fe: dict[str, str] = {}
 
     def spread(h_ids, split, edges, what):
@@ -1170,9 +1160,7 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
 
     for key in sorted(pairs):
         kind, colour, loc = key
-        group, h_ids = pairs[key], by.get(key, [])
-        if not h_ids:
-            raise NotExtendable(f"no target edge for group {key}")
+        group, h_ids = pairs[key], by[key]
         if len(h_ids) == 1:
             for e in group:
                 fe[e.id] = h_ids[0]
@@ -1188,17 +1176,15 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
         log(f"factorized {len(group)} edges into {len(h_ids)} bundles at {key}")
 
     for (colour, x), group in sorted(intra_dir.items()):
-        h_ids = by.get(("dloop", colour, x), [])
-        if not h_ids:
-            raise NotExtendable(f"no directed loop target at {x} for colour {colour}")
+        h_ids = by[("dloop", colour, (x,))]
         if len({e.tail for e in group}) != len(fibres[x]):
             raise NotExtendable(f"directed fibre at {x} has a vertex without out-darts")
         spread(h_ids, mt.peel_cycle_covers, group, f"directed fibre at {x} not decomposable")
         log(f"directed decomposition of {len(group)} arcs at fibre {x}")
 
     for (colour, x), group in sorted(intra_und.items()):
-        semi_ids = by.get(("semi", colour, x), [])
-        loop_ids = by.get(("loop", colour, x), [])
+        semi_ids = by.get(("semi", colour, (x,)), [])
+        loop_ids = by.get(("loop", colour, (x,)), [])
         verts = fibres[x]
         free = loop_ids
         if semi_ids:
@@ -1208,8 +1194,6 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
             fe.update(placed)
             used = set(placed.values())
             free = [he for he in loop_ids if he not in used]
-        elif any(e.kind == "semi" for e in group):
-            raise NotExtendable(f"semi-edge over a semi-free fibre {x}")
         residual = [e for e in group if e.id not in fe]
         if residual or free:
             sub = Graph._derive("fibre", dict.fromkeys(verts, "f"))
@@ -1294,17 +1278,15 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
 
 
 def partial_covers(g: Graph, h: Graph, fix: dict[str, str] | None = None,
-                   budget: int = DEFAULT_BUDGET, vertex_maps_only: bool = False):
+                   budget: int = DEFAULT_BUDGET):
     """Enumerate partial covering projections: total colour-preserving maps
     whose edge assignment is locally injective around every vertex.
 
     Returns an iterator of CoveringProjection objects (one witness edge
-    map per vertex map).  ``fix`` pins chosen vertex images.  With
-    ``vertex_maps_only`` the edge map search is still run, but only the
-    vertex map dict is yielded.  Raises ValueError at once for a budget
-    that is not an int of at least 1, or a ``fix`` that names a vertex
-    outside g or an image outside h; the iterator raises BudgetExhausted
-    when the node budget runs out.
+    map per vertex map).  ``fix`` pins chosen vertex images.  Raises
+    ValueError at once for a budget that is not an int of at least 1, or
+    a ``fix`` that names a vertex outside g or an image outside h; the
+    iterator raises BudgetExhausted when the node budget runs out.
     """
     _check_budget(budget)
     fix = fix or {}
@@ -1313,10 +1295,10 @@ def partial_covers(g: Graph, h: Graph, fix: dict[str, str] | None = None,
             raise ValueError(f"fix names {u!r}, which is not a vertex of the source")
         if not h.has_vertex(x):
             raise ValueError(f"fix maps {u!r} to {x!r}, which is not a vertex of the target")
-    return _partial_covers(g, h, fix, budget, vertex_maps_only)
+    return _partial_covers(g, h, fix, budget)
 
 
-def _partial_covers(g: Graph, h: Graph, fix: dict[str, str], budget: int, vertex_maps_only: bool):
+def _partial_covers(g: Graph, h: Graph, fix: dict[str, str], budget: int):
     tables = _DartTables(g, h)
     domains = {}
     for u in g.vertices():
@@ -1339,9 +1321,5 @@ def _partial_covers(g: Graph, h: Graph, fix: dict[str, str], budget: int, vertex
     search = _VertexSearch(tables, domains, budget_box, exact=False)
     for fv in search.solutions():
         fe = _edge_map_search(g, h, fv, budget_box)
-        if fe is None:
-            continue
-        if vertex_maps_only:
-            yield dict(fv)
-        else:
+        if fe is not None:
             yield CoveringProjection(dict(fv), fe)

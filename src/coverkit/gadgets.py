@@ -16,6 +16,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from .classify import recognize_shape
 from .graphs import Graph, GraphError, bipartition, degree, is_connected, total_degree
 from .partition import degree_partition, is_balanced
 
@@ -53,6 +54,8 @@ class Formula:
     clauses: list[tuple[str, ...]]
 
     def __post_init__(self):
+        if isinstance(self.c, bool) or not isinstance(self.c, int) or self.c < 1:
+            raise GadgetError(f"c must be an int of at least 1, got {self.c!r}")
         self.clauses = [tuple(cl) for cl in self.clauses]
         for cl in self.clauses:
             if len(cl) != 2 * self.c or len(set(cl)) != 2 * self.c:
@@ -88,7 +91,12 @@ class Formula:
     @classmethod
     def from_json(cls, text: str) -> "Formula":
         data = json.loads(text)
-        return cls(int(data["c"]), [tuple(cl) for cl in data["clauses"]])
+        clauses = data.get("clauses") if isinstance(data, dict) else None
+        if not (isinstance(clauses, list) and "c" in data and all(
+                isinstance(cl, list) and all(isinstance(x, str) for x in cl) for cl in clauses)):
+            raise GadgetError('a formula is a JSON object with an int "c" and "clauses", '
+                              'a list of lists of variable names')
+        return cls(data["c"], clauses)
 
 
 def brute_force_formula(f: Formula) -> dict[str, bool] | None:
@@ -107,6 +115,8 @@ def brute_force_formula(f: Formula) -> dict[str, bool] | None:
 def random_formula(c: int, n_clauses: int, occurrences: int, seed: int) -> Formula:
     """An all-positive formula with 2c-variable clauses in which every
     variable occurs exactly ``occurrences`` times."""
+    if occurrences < 1:
+        raise GadgetError(f"every variable must occur at least once, got {occurrences}")
     if (2 * c * n_clauses) % occurrences != 0:
         raise GadgetError("clause slots not divisible by the occurrence count")
     n_vars = 2 * c * n_clauses // occurrences
@@ -578,26 +588,6 @@ def _orient_two_factors(pairs_a, pairs_b):
     return arcs
 
 
-class _Pool:
-    """Lazily materialized disjoint perfect matchings between two vertex
-    rows, used by the garbage-collection lift."""
-
-    def __init__(self, kind: str, m: int):
-        self.m = m
-        if kind == "complete":
-            self.factors = [[(a, b) for a, b in rnd] for rnd in one_factorization(m)]
-        else:
-            self.factors = [[(j, (j + t) % m) for j in range(m)] for t in range(m)]
-        self.next = 0
-
-    def take(self, count: int):
-        if self.next + count > len(self.factors):
-            raise GadgetError("matching pool exhausted; was the degree bound computed right?")
-        out = self.factors[self.next:self.next + count]
-        self.next += count
-        return out
-
-
 def garbage_lift(g_prime: Graph, h: Graph, h_prime: Graph) -> Graph:
     """Complete an instance of a balanced spanning block graph to an
     instance of the full target.
@@ -607,7 +597,9 @@ def garbage_lift(g_prime: Graph, h: Graph, h_prime: Graph) -> Graph:
     matchings, so that a covering projection of the block graph (plus its
     vertex-swapped companion on the second row) extends to the whole
     target.  m is computed: the least even number above the maximum total
-    degree of the target.
+    degree of the target.  Each missing colour's block graph is read by
+    ``recognize_shape``, which raises ShapeError (a GraphError) for one
+    outside the F/FD/W/WD/FF/FW/WW families.
 
     A missing WW(b,c) colour with b != c is refused (GadgetError).  Its
     wiring pairs the two doublet blocks' instance vertices in sorted
@@ -662,123 +654,85 @@ def garbage_lift(g_prime: Graph, h: Graph, h_prime: Graph) -> Graph:
                 out.add_edge(e.kind, f"{row}.{j}.{e.id}", e.colour,
                              *[vid(row, j, w) for w in e.ends])
 
-    pools: dict = {}
+    taken: dict = {}  # how many matchings each pool has handed out
+    eid = itertools.count(1)
 
-    def pool(kind: str, key) -> _Pool:
-        if (kind, key) not in pools:
-            pools[(kind, key)] = _Pool("complete" if kind in ("A", "B") else "bip", m)
-        return pools[(kind, key)]
-
-    eid = [0]
-
-    def add_edges(colour, factors, left, right):
-        # left/right are (row, vertex-name) pairs
-        for factor in factors:
-            for a, b in factor:
-                eid[0] += 1
-                out.add_edge("edge", f"g{eid[0]}", colour,
-                             vid(left[0], a, left[1]), vid(right[0], b, right[1]))
-
-    def add_arcs(colour, factors, left, right, forward):
-        for factor in factors:
-            for a, b in factor:
-                eid[0] += 1
-                ta, tb = (vid(left[0], a, left[1]), vid(right[0], b, right[1]))
-                if not forward:
-                    ta, tb = tb, ta
-                out.add_edge("arc", f"g{eid[0]}", colour, ta, tb)
-
-    def add_row_arcs(colour, pairs_list, row, x):
-        for arcs in pairs_list:
-            for a, b in arcs:
-                eid[0] += 1
-                out.add_edge("arc", f"g{eid[0]}", colour, vid(row, a, x), vid(row, b, x))
+    def wire(colour, pool, key, count, left, right, arcs=False):
+        """Join copy a of ``left`` to copy b of ``right``, both (row,
+        instance vertex), for each pair (a, b) of the next ``count``
+        matchings of the pool (pool, key): the perfect matchings of the
+        complete graph on the m copies for pools A and B, the m shifts
+        j -> j + t for the others.  Arcs between the rows run forward
+        along the first half of the matchings and backward along the
+        rest; arcs within a row take the matchings in twos, each two
+        oriented into directed cycles."""
+        start = taken.get((pool, key), 0)
+        if pool in ("A", "B"):
+            factors = one_factorization(m)
+        else:
+            factors = [[(j, (j + t) % m) for j in range(m)] for t in range(m)]
+        if start + count > len(factors):
+            raise GadgetError("matching pool exhausted; was the degree bound computed right?")
+        taken[(pool, key)] = start + count
+        factors = factors[start:start + count]
+        if not arcs:
+            runs = [(pairs, False) for pairs in factors]
+        elif left == right:
+            runs = [(_orient_two_factors(a, b), False) for a, b in zip(factors[::2], factors[1::2])]
+        else:
+            runs = [(pairs, t >= count // 2) for t, pairs in enumerate(factors)]
+        for pairs, backward in runs:
+            for a, b in pairs:
+                ends = (vid(left[0], a, left[1]), vid(right[0], b, right[1]))
+                out.add_edge("arc" if arcs else "edge", f"g{next(eid)}", colour,
+                             *(ends[::-1] if backward else ends))
 
     for colour in missing:
-        edges = [e for e in h.edges() if e.colour == colour]
-        touched = tuple(sorted({part.block_of[w] for e in edges for w in e.ends}))
-        if len(touched) == 1:
-            i = touched[0]
-            block = part.blocks[i]
-            members = sorted(by_colour[colour_of_block[i]])
-            if len(block) == 1:
-                semis = sum(1 for e in edges if e.kind == "semi")
-                loops = sum(1 for e in edges if e.kind == "loop")
-                dloops = sum(1 for e in edges if e.kind == "dloop")
-                for x in members:
-                    if semis + loops:
-                        add_edges(colour, pool("A", x).take(semis + 2 * loops), (1, x), (1, x))
-                        add_edges(colour, pool("B", x).take(semis + 2 * loops), (2, x), (2, x))
-                    if dloops:
-                        fs = pool("C", x).take(2 * dloops)
-                        for t, factor in enumerate(fs):
-                            add_arcs(colour, [factor], (1, x), (2, x), forward=t < dloops)
-            else:
-                hb, hc = block
-                directed = any(e.kind in ("arc", "dloop") for e in edges)
-                for x in members:
-                    if not directed:
-                        kb = sum(1 for e in edges if e.kind == "semi" and e.u == hb)
-                        mb = sum(1 for e in edges if e.kind == "loop" and e.u == hb)
-                        cross = sum(1 for e in edges if e.kind == "edge")
-                        deg = kb + 2 * mb
-                        if deg:
-                            add_edges(colour, pool("A", x).take(deg), (1, x), (1, x))
-                            add_edges(colour, pool("B", x).take(deg), (2, x), (2, x))
-                        if cross:
-                            add_edges(colour, pool("C", x).take(cross), (1, x), (2, x))
-                    else:
-                        b_loops = sum(1 for e in edges if e.kind == "dloop" and e.u == hb)
-                        ell = sum(1 for e in edges if e.kind == "arc" and e.tail == hb)
-                        if b_loops:
-                            fs = pool("A", x).take(2 * b_loops)
-                            for t in range(b_loops):
-                                add_row_arcs(colour, [_orient_two_factors(fs[2 * t], fs[2 * t + 1])], 1, x)
-                            fs = pool("B", x).take(2 * b_loops)
-                            for t in range(b_loops):
-                                add_row_arcs(colour, [_orient_two_factors(fs[2 * t], fs[2 * t + 1])], 2, x)
-                        if ell:
-                            fs = pool("C", x).take(2 * ell)
-                            for t, factor in enumerate(fs):
-                                add_arcs(colour, [factor], (1, x), (2, x), forward=t < ell)
-        elif len(touched) == 2:
-            i, j = touched
-            bi, bj = part.blocks[i], part.blocks[j]
-            mi = sorted(by_colour[colour_of_block[i]])
-            mj = sorted(by_colour[colour_of_block[j]])
-            if any(e.kind != "edge" for e in edges):
-                raise GadgetError("interblock colours must be undirected normal edges")
-            if len(bi) == 1 and len(bj) == 1:
-                b = len(edges)
-                for x, y in zip(mi, mj):
-                    add_edges(colour, pool("D", frozenset((x, y))).take(b), (1, x), (1, y))
-                    add_edges(colour, pool("E", frozenset((x, y))).take(b), (2, x), (2, y))
-            elif len(bi) == 1 or len(bj) == 1:
-                if len(bj) == 1:
-                    i, j, bi, bj, mi, mj = j, i, bj, bi, mj, mi
-                b = sum(1 for e in edges if bj[0] in e.ends)
-                for t, x in enumerate(mi):
-                    y1, y2 = mj[2 * t], mj[2 * t + 1]
-                    add_edges(colour, pool("D", frozenset((x, y1))).take(b), (1, x), (1, y1))
-                    add_edges(colour, pool("E", frozenset((x, y2))).take(b), (2, x), (2, y2))
-                    add_edges(colour, pool("F", (x, y1)).take(b), (1, x), (2, y1))
-                    add_edges(colour, pool("F", (y2, x)).take(b), (1, y2), (2, x))
-            else:
-                b = sum(1 for e in edges if set(e.ends) == {bi[0], bj[0]})
-                c = sum(1 for e in edges if set(e.ends) == {bi[0], bj[1]})
-                if b != c:
-                    raise GadgetError(f"missing colour {colour} is WW({max(b, c)},{min(b, c)}); "
-                                      "pairing instance vertices in sorted order keeps the "
-                                      "cover equivalence only for WW(b,b)")
-                for x, y in zip(mi, mj):
-                    if b:
-                        add_edges(colour, pool("D", frozenset((x, y))).take(b), (1, x), (1, y))
-                        add_edges(colour, pool("E", frozenset((x, y))).take(b), (2, x), (2, y))
-                    if c:
-                        add_edges(colour, pool("F", (x, y)).take(c), (1, x), (2, y))
-                        add_edges(colour, pool("F", (y, x)).take(c), (1, y), (2, x))
-        else:
+        touched = sorted({part.block_of[w] for e in h.edges() if e.colour == colour for w in e.ends},
+                         key=lambda i: (len(part.blocks[i]), i))
+        if len(touched) > 2:
             raise GadgetError(f"colour {colour} spans more than two blocks")
+        shape = recognize_shape(h, [part.blocks[i] for i in touched], colour)
+        family, params = shape.family, shape.params
+        # instance vertices per touched block, a hub's before a doublet's
+        rows = [sorted(by_colour[colour_of_block[i]]) for i in touched]
+        if len(touched) == 1:
+            # matchings within each copy row, and across the two rows: F(b,c)
+            # and W(k,m,l,p,q) take one per semi-edge end and two per loop
+            # within, W one per bundle edge across; FD(c) takes two per
+            # directed loop across, WD(d,l,d) two per directed loop within
+            # and two per arc pair across
+            if family == "F":
+                inner, across = params[0] + 2 * params[1], 0
+            elif family == "W":
+                inner, across = params[0] + 2 * params[1], params[2]
+            elif family == "FD":
+                inner, across = 0, 2 * params[0]
+            else:
+                inner, across = 2 * params[0], 2 * params[1]
+            arcs = family in ("FD", "WD")
+            for x in rows[0]:
+                wire(colour, "A", x, inner, (1, x), (1, x), arcs)
+                wire(colour, "B", x, inner, (2, x), (2, x), arcs)
+                wire(colour, "C", x, across, (1, x), (2, x), arcs)
+            continue
+        if family == "WW" and params[0] != params[1]:
+            raise GadgetError(f"missing colour {colour} is {shape}; pairing instance vertices in "
+                              "sorted order keeps the cover equivalence only for WW(b,b)")
+        b = params[0]
+        # each instance vertex x of the first block with the vertices y1
+        # and y2 of the second that it is wired to in the first and the
+        # second row: FW gives a hub two doublet vertices, the others one
+        if family == "FW":
+            triples = [(x, rows[1][2 * t], rows[1][2 * t + 1]) for t, x in enumerate(rows[0])]
+        else:
+            triples = [(x, y, y) for x, y in zip(*rows)]
+        for x, y1, y2 in triples:
+            wire(colour, "D", frozenset((x, y1)), b, (1, x), (1, y1))
+            wire(colour, "E", frozenset((x, y2)), b, (2, x), (2, y2))
+            if family != "FF":
+                wire(colour, "F", (x, y1), b, (1, x), (2, y1))
+                wire(colour, "F", (y2, x), b, (1, y2), (2, x))
     assert_simple(out)
     return out
 

@@ -324,12 +324,6 @@ def vertex_darts(g: Graph, v: str) -> Darts:
     return Darts(ends, per_kind["semi"], per_kind["loop"], per_kind["dloop"])
 
 
-def dart_counts(g: Graph, v: str) -> dict[tuple[str, str], dict[str, int]]:
-    """Per (colour, direction) counts of darts at ``v`` keyed by the vertex
-    they lead to; loops lead back to ``v`` twice, semi-edges once."""
-    return vertex_darts(g, v).ends
-
-
 def degree(g: Graph, v: str, colour: str, direction: str = UND) -> int:
     """The colour-degree of ``v``: semi-edges add 1, loops add 2, a directed
     loop adds 1 to both the in- and out-degree."""

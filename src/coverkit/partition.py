@@ -24,7 +24,6 @@ from .graphs import (
     IN,
     OUT,
     UND,
-    dart_counts,
     darts,
     is_connected,
     is_tree,
@@ -190,7 +189,7 @@ def degree_partition(g: Graph) -> tuple[Partition, RefinementMatrix]:
     entries: dict[tuple[int, int, str, str], int] = {}
     for i, block in enumerate(blocks):
         rep = block[0]
-        for (colour, dtag), targets in dart_counts(g, rep).items():
+        for (colour, dtag), targets in vertex_darts(g, rep).ends.items():
             for w, cnt in targets.items():
                 key = (i, block_of[w], colour, dtag)
                 entries[key] = entries.get(key, 0) + cnt

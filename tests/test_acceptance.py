@@ -256,7 +256,7 @@ def test_criterion_6_limping_tripod():
     h = fw2_target()
     count = 0
     images = set()
-    for fv in partial_covers(lt, h, vertex_maps_only=True):
+    for fv in (p.fv for p in partial_covers(lt, h)):
         count += 1
         assert fv["u"] == fv["v"], fv
         images.add(fv["u"])

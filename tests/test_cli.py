@@ -173,6 +173,22 @@ def test_gen_formula_reads_back_and_feeds_gadgets(capsys, tmp_path):
     assert code == 0 and Formula.from_json(json.dumps(out)).c == 2
 
 
+@pytest.mark.parametrize("argv", [["target", "--case", "ck", "--k", "0"], ["formula", "--k", "0"],
+                                  ["gphi", "--c", "0"]], ids=["target-k0", "formula-k0", "gphi-c0"])
+def test_gen_explicit_zero_reaches_the_builder(argv, capsys):
+    # an explicit 0 is not the default: the builder refuses it as input
+    assert main(["gen", *argv]) == 3
+    assert "error" in json.loads(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text", ["{}", '{"c": 3, "clauses": 5}'], ids=["empty", "clauses-not-a-list"])
+def test_gen_gphi_malformed_formula_is_an_input_error(text, capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    assert main(["gen", "gphi", "--formula", str(path)]) == 3
+    assert "internal error" not in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_dot_every_edge_kind(files, capsys):
     _, write = files
     g = Graph("kinds")

@@ -179,7 +179,7 @@ def test_oracle_search_deeper_than_the_recursion_limit():
 def test_partial_covers_deeper_than_the_recursion_limit():
     g, h = path(1500), cycle(3)
     assert sys.getrecursionlimit() < g.n
-    fv = next(partial_covers(g, h, vertex_maps_only=True))
+    fv = next(partial_covers(g, h)).fv
     # locally injective into a triangle: neighbours land on distinct
     # images, and so do the two neighbours of a vertex
     images = [fv[u] for u in g.vertices()]
@@ -376,7 +376,7 @@ def test_partial_covers_tripod():
     h = fw2_target()
     seen_uv = set()
     count = 0
-    for fv in partial_covers(lt, h, vertex_maps_only=True):
+    for fv in (p.fv for p in partial_covers(lt, h)):
         count += 1
         assert fv["p1"] == fv["p2"] == "p"
         seen_uv.add((fv["u"], fv["v"]))
@@ -390,9 +390,9 @@ def test_partial_cover_fix():
 
     lt = limping_tripod()
     h = fw2_target()
-    found = list(partial_covers(lt, h, fix={"u": "r", "v": "g"}, vertex_maps_only=True))
+    found = list(partial_covers(lt, h, fix={"u": "r", "v": "g"}))
     assert found == []
-    found_rr = list(partial_covers(lt, h, fix={"u": "r", "v": "r"}, vertex_maps_only=True))
+    found_rr = list(partial_covers(lt, h, fix={"u": "r", "v": "r"}))
     assert found_rr
 
 
@@ -565,6 +565,56 @@ def test_verify_tampered_certificates_like_the_candidate_index():
             assert res.violations == reference_verify(g, h, bad), what
             seen[what] += 1
     assert len(seen) == 6 and min(seen.values()) >= 5, seen
+
+
+# the folding rule as a table: (source kind, ends in one fibre) -> the target
+# kinds the edge may land on
+LANDINGS = {
+    ("edge", False): {"edge"},
+    ("edge", True): {"loop", "semi"},
+    ("arc", False): {"arc"},
+    ("arc", True): {"dloop"},
+    ("loop", True): {"loop"},
+    ("semi", True): {"semi"},
+    ("dloop", True): {"dloop"},
+}
+
+
+def test_landing_rule_table():
+    # a target with every kind of edge at and between x and y, in two
+    # undirected colours and two directed ones
+    h = Graph("every-kind")
+    for x in ("x", "y"):
+        h.add_vertex(x, "n")
+    for colours, (binary, single) in ((("e", "f"), ("edge", ("loop", "semi"))),
+                                      (("d", "c"), ("arc", ("dloop",)))):
+        for a in colours:
+            for ends in (("x", "y"), ("y", "x")):
+                if binary == "arc" or ends == ("x", "y"):
+                    h.add_edge(binary, f"{binary}.{a}.{''.join(ends)}", a, *ends)
+            for kind in single:
+                for x in ("x", "y"):
+                    h.add_edge(kind, f"{kind}.{a}.{x}", a, x)
+    by = _h_edge_index(h)
+    seen = set()
+    for (kind, inside), kinds in LANDINGS.items():
+        g = Graph("one-edge")
+        g.add_vertex("u", "n")
+        g.add_vertex("w", "n")
+        colour = "d" if kind in ("arc", "dloop") else "e"
+        g.add_edge(kind, "s", colour, *(("u", "w") if kind in ("edge", "arc") else ("u",)))
+        for images in (("x", "x"), ("y", "y")) if inside else (("x", "y"), ("y", "x")):
+            fv = dict(zip(("u", "w"), images))
+            ends = (fv["u"], fv["w"]) if kind in ("edge", "arc") else (fv["u"],)
+            want = {he.id for he in h.edges() if he.kind in kinds and he.colour == colour
+                    and (set(he.ends) == set(ends) if he.kind == "edge" else he.ends == ends[:len(he.ends)])}
+            assert set(_candidates_for(g.edge("s"), fv, by)) == want, (kind, images)
+            lands = {he.id for he in h.edges()
+                     if not any("breaks colour or incidence" in v
+                                for v in verify_cover(g, h, CoveringProjection(fv, {"s": he.id})).violations)}
+            assert lands == want, (kind, images)
+            seen.update(h.edge(he).kind for he in want)
+    assert seen == {"edge", "arc", "loop", "semi", "dloop"}
 
 
 def test_partial_covers_budget():
@@ -804,15 +854,15 @@ def small_partial_pairs():
 def test_partial_covers_the_edge_into_the_triangle():
     # the deficit and forcing rules of covers would prune all of these:
     # a partial cover may leave target darts unused
-    assert len(list(partial_covers(path(2), cycle(3), vertex_maps_only=True))) == 6
-    assert len(list(partial_covers(path(3), cycle(4), vertex_maps_only=True))) == 8
+    assert len(list(partial_covers(path(2), cycle(3)))) == 6
+    assert len(list(partial_covers(path(3), cycle(4)))) == 8
 
 
 def test_partial_covers_match_brute_force():
     answers = Counter()
     for g, h in small_partial_pairs():
         names = g.vertices()
-        got = [tuple(fv[u] for u in names) for fv in partial_covers(g, h, vertex_maps_only=True)]
+        got = [tuple(p.fv[u] for u in names) for p in partial_covers(g, h)]
         want = brute_partial_vertex_maps(g, h)
         # every map once
         assert Counter(got) == Counter(want), (g.name, h.name)

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from coverkit import Graph, oracle_cover, partial_covers, total_degree, verify_cover
+from coverkit import Graph, GraphError, oracle_cover, partial_covers, serialize_graph, total_degree, verify_cover
 from coverkit.gadgets import (
     Formula,
     GadgetError,
@@ -41,7 +42,7 @@ def test_tripod_forcing_is_exhaustive():
     lt = limping_tripod()
     h = fw2_target()
     images = set()
-    for fv in partial_covers(lt, h, vertex_maps_only=True):
+    for fv in (p.fv for p in partial_covers(lt, h)):
         assert fv["u"] == fv["v"]
         images.add(fv["u"])
     assert images == {"r", "g"}
@@ -133,7 +134,7 @@ def test_directed_lift_equivalence():
 def test_variable_gadget_c0_forcing():
     vg = variable_gadget("c0")
     seen = set()
-    for fv in partial_covers(vg.graph, vg.target, vertex_maps_only=True):
+    for fv in (p.fv for p in partial_covers(vg.graph, vg.target)):
         vals = {fv[p] for p in vg.ports_a}
         assert len(vals) == 1
         seen.add(vals.pop())
@@ -143,7 +144,7 @@ def test_variable_gadget_c0_forcing():
 def test_variable_gadget_b1_split():
     vg = variable_gadget("b1")
     seen = set()
-    for fv in partial_covers(vg.graph, vg.target, vertex_maps_only=True):
+    for fv in (p.fv for p in partial_covers(vg.graph, vg.target)):
         a_vals = {fv[p] for p in vg.ports_a}
         b_vals = {fv[p] for p in vg.ports_b}
         assert len(a_vals) == 1 and len(b_vals) == 1
@@ -440,6 +441,38 @@ def test_garbage_lift_structure_and_equivalence(missing):
             assert verify_cover(out, h, got.projection).ok
         seen.add(want.yes)
     assert seen == {True, False}
+
+
+# sha256 of every lift below and of the refusal's message: any change to a
+# lift's wiring, edge ids or order moves it; it holds under every
+# PYTHONHASHSEED
+GARBAGE_LIFT_DIGEST = "ddace5366a77b7bc69887f28a8a3767df9692c158005904029f4b5e71ca1d5d4"
+
+
+def test_garbage_lift_outputs_pinned():
+    # the toy host, each missing colour and the refused WW(1,0), at seeds 0-5
+    digest = hashlib.sha256()
+    for missing in [None, *MISSING_COLOURS, "WW(1,0)"]:
+        h, hp = toy_host_pair(missing)
+        for seed in range(6):
+            g = random_blockgraph_instance(3, seed=seed, split=seed % 2 == 0,
+                                           missing="WW" if missing == "WW(1,0)" else missing)
+            try:
+                text = serialize_graph(garbage_lift(g, h, hp))
+            except GadgetError as exc:
+                text = f"{type(exc).__name__}: {exc}"
+            digest.update(f"{missing}|{seed}|{text}\n".encode())
+    assert digest.hexdigest() == GARBAGE_LIFT_DIGEST
+
+
+def test_garbage_lift_refuses_a_directed_interblock_colour():
+    # arcs from the hub to the doublet form no interblock block graph
+    h, hp = toy_host_pair()
+    h.add_edge("arc", "m0", "m", "a", "x")
+    h.add_edge("arc", "m1", "m", "a", "y")
+    g = random_blockgraph_instance(3, seed=0, split=True)
+    with pytest.raises(GraphError, match="interblock"):
+        garbage_lift(g, h, hp)
 
 
 def test_garbage_lift_rejects_disconnected_blockgraph():

@@ -18,7 +18,7 @@ from coverkit import (
     serialize_graph,
 )
 from coverkit.gadgets import limping_tripod
-from coverkit.graphs import dart_counts, darts
+from coverkit.graphs import darts, vertex_darts
 from coverkit.partition import _signature, is_equitable
 
 from conftest import (
@@ -399,7 +399,7 @@ def reference_partition(g):
 
     def signature(v, block_of):
         sig = []
-        for (colour, dtag), targets in dart_counts(g, v).items():
+        for (colour, dtag), targets in vertex_darts(g, v).ends.items():
             per_block = {}
             for w, cnt in targets.items():
                 per_block[block_of[w]] = per_block.get(block_of[w], 0) + cnt
@@ -422,7 +422,7 @@ def reference_partition(g):
         block_of = {v: i for i, b in enumerate(blocks) for v in b}
     entries = {}
     for i, block in enumerate(blocks):
-        for (colour, dtag), targets in dart_counts(g, block[0]).items():
+        for (colour, dtag), targets in vertex_darts(g, block[0]).ends.items():
             for w, cnt in targets.items():
                 key = (i, block_of[w], colour, dtag)
                 entries[key] = entries.get(key, 0) + cnt
@@ -524,9 +524,9 @@ def test_reduce_deep_pending_trees(tails):
 
 
 def signature_reference(g, v, block_of, pos):
-    """``_signature`` as it read ``dart_counts``."""
+    """``_signature`` as it read the grouped darts of ``vertex_darts``."""
     sig = []
-    for (colour, dtag), targets in dart_counts(g, v).items():
+    for (colour, dtag), targets in vertex_darts(g, v).ends.items():
         per_block = {}
         for w, cnt in targets.items():
             b = pos[block_of[w]]
@@ -550,7 +550,7 @@ def test_signature_and_darts_match_the_dart_counts(g, rng):
         for e, dtag, w, cnt in darts(g, v):
             to = grouped.setdefault((e.colour, dtag), {})
             to[w] = to.get(w, 0) + cnt
-        assert grouped == dart_counts(g, v)
+        assert grouped == vertex_darts(g, v).ends
 
 
 def test_signature_counts_every_edge_kind():
