@@ -156,6 +156,10 @@ def cmd_gen(args) -> int:
         value = getattr(args, name)
         return default if value is None else value
 
+    def formula():
+        with open(args.formula, encoding="utf-8") as fh:
+            return gadgets.Formula.from_json(fh.read())
+
     name = args.gadget.lower()
     seed = opt("seed", 0)
     if name == "tripod":
@@ -164,20 +168,16 @@ def cmd_gen(args) -> int:
         g = gadgets.fw2_target()
     elif name in ("c0", "ck", "dk", "b1"):
         vg = gadgets.variable_gadget(name, opt("k", 1))
-        if args.formula:
-            with open(args.formula, encoding="utf-8") as fh:
-                f = gadgets.Formula.from_json(fh.read())
-            g = gadgets.compose_claimA(vg, f)
-        else:
-            g = vg.graph
+        g = gadgets.compose_claimA(vg, formula()) if args.formula else vg.graph
     elif name == "target":
         g = gadgets.gadget_target(args.case or "c0", opt("k", 1))
     elif name == "gphi":
-        c = opt("c", 3)
         if args.formula:
-            with open(args.formula, encoding="utf-8") as fh:
-                f = gadgets.Formula.from_json(fh.read())
+            # c comes from the file; a --c that disagrees is refused
+            f = formula()
+            c = opt("c", f.c)
         else:
+            c = opt("c", 3)
             f = gadgets.random_formula(c, opt("clauses", 3), c, seed)
         g = gadgets.build_gphi_fw(c, f)
     elif name == "fwtarget":

@@ -258,50 +258,28 @@ def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
 
 
 def is_degree_obedient(g: Graph, h: Graph, fv: dict[str, str]) -> bool:
-    """Counting conditions a vertex map must satisfy to possibly extend:
-    cross-fibre edge counts match the target multiplicities exactly, and
-    within a fibre the semi-edge/loop budget t <= s, 2k + n + t = 2l + s
-    holds per colour (analogously for directed colours)."""
-    tables = _DartTables(g, h)
-    # the darts at each target vertex keyed (colour, direction, other end)
-    caps_of = {
-        x: {(a, d, y): c for (a, d), to in t.ends.items() for y, c in to.items()}
-        for x, t in tables.h.items()
-    }
+    """The dart counts a vertex map must keep to possibly extend to a
+    cover: every u keeps its colour, has no more semi-edges of any colour
+    than x = fv[u], and sends as many darts of every colour and direction
+    towards each fibre, its own included, as x has towards that fibre's
+    image.  Inside a fibre that equates 2k + n + t with 2l + s (loops,
+    normal edges and semi-edges at u against loops and semi-edges at x),
+    and likewise for directed colours."""
     for u in g.vertices():
         x = fv[u]
         if g.vertex_colour(u) != h.vertex_colour(x):
             return False
-        gu, hx, caps = tables.g[u], tables.h[x], caps_of[x]
-        per_target: dict = {}
-        for (a, d), to in tables.cross[u].items():
-            for w, cnt in to.items():
-                key = (a, d, fv[w])
-                per_target[key] = per_target.get(key, 0) + cnt
-        keys = set(per_target) | set(caps)
-        for a, d, y in keys:
-            n_cnt = per_target.get((a, d, y), 0)
-            if y != x:
-                if n_cnt != caps.get((a, d, y), 0):
-                    return False
-                continue
-            if d == UND:
-                t, k = gu.semis.get(a, 0), gu.loops.get(a, 0)
-                s, l = hx.semis.get(a, 0), hx.loops.get(a, 0)
-                if t > s or 2 * k + n_cnt + t != 2 * l + s:
-                    return False
-            elif gu.dloops.get(a, 0) + n_cnt != hx.dloops.get(a, 0):
-                return False
-        for a in set(gu.semis) | set(gu.loops) | set(gu.dloops):
-            if (a, UND, x) in keys or (a, OUT, x) in keys or (a, IN, x) in keys:
-                continue
-            t, k, dl = gu.semis.get(a, 0), gu.loops.get(a, 0), gu.dloops.get(a, 0)
-            s, l, hd = hx.semis.get(a, 0), hx.loops.get(a, 0), hx.dloops.get(a, 0)
-            if t or k:
-                if t > s or 2 * k + t != 2 * l + s:
-                    return False
-            if dl != hd:
-                return False
+        gu, hx = vertex_darts(g, u), vertex_darts(h, x)
+        if any(c > hx.semis.get(a, 0) for a, c in gu.semis.items()):
+            return False
+        images: dict = {}
+        for key, to in gu.ends.items():
+            per_image = images[key] = {}
+            for w, c in to.items():
+                y = fv[w]
+                per_image[y] = per_image.get(y, 0) + c
+        if images != hx.ends:
+            return False
     return True
 
 

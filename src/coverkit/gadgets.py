@@ -115,6 +115,8 @@ def brute_force_formula(f: Formula) -> dict[str, bool] | None:
 def random_formula(c: int, n_clauses: int, occurrences: int, seed: int) -> Formula:
     """An all-positive formula with 2c-variable clauses in which every
     variable occurs exactly ``occurrences`` times."""
+    if n_clauses < 1:
+        raise GadgetError(f"a formula needs at least one clause, got {n_clauses}")
     if occurrences < 1:
         raise GadgetError(f"every variable must occur at least once, got {occurrences}")
     if (2 * c * n_clauses) % occurrences != 0:
@@ -312,6 +314,8 @@ def compose_claimA(vg: VariableGadget, f: Formula) -> Graph:
     result has full degree."""
     if f.c != 2:
         raise GadgetError("the composer expects 2-in-4 formulas")
+    if not f.clauses:
+        raise GadgetError("the formula has no clauses")
     f.require_occurrences(vg.occurrences)
     g = Graph(f"{vg.case}-instance")
     by_var: dict[str, list[int]] = {}
@@ -347,6 +351,8 @@ def compose_claimA(vg: VariableGadget, f: Formula) -> Graph:
 def fw_target(c: int) -> Graph:
     """Hub joined to each of two other vertices by c parallel edges; one
     vertex colour, so the blocks emerge from the degrees."""
+    if c < 1:
+        raise GadgetError(f"fw target needs c >= 1, got {c}")
     h = Graph(f"fw{c}")
     for name in ("p", "r", "g"):
         h.add_vertex(name, "n")
@@ -369,6 +375,8 @@ def build_gphi_fw(c: int, f: Formula) -> Graph:
         raise GadgetError("the construction needs c >= 3")
     if f.c != c:
         raise GadgetError("formula arity does not match c")
+    if not f.clauses:
+        raise GadgetError("the formula has no clauses")
     f.require_occurrences(c)
     g = Graph(f"gphi-fw{c}")
     clause_index = {j: cl for j, cl in enumerate(f.clauses)}
@@ -405,6 +413,8 @@ def build_gphi_fw(c: int, f: Formula) -> Graph:
 
 def wd_target(b: int, c: int) -> Graph:
     """Two vertices with b directed loops each and c arcs in each direction."""
+    if b < 0 or c < 0 or b + c == 0:
+        raise GadgetError(f"wd target needs b, c >= 0 with b + c >= 1, got b={b}, c={c}")
     h = Graph(f"wd-{b}-{c}")
     h.add_vertex("r", "n")
     h.add_vertex("g", "n")

@@ -103,18 +103,6 @@ class Edge:
     def head(self) -> str:
         return self.ends[-1]
 
-    def other_end(self, w: str) -> str:
-        if self.kind in _BINARY_KINDS:
-            a, b = self.ends
-            if w == a:
-                return b
-            if w == b:
-                return a
-            raise GraphError(f"vertex {w!r} not an endpoint of edge {self.id!r}")
-        if w != self.ends[0]:
-            raise GraphError(f"vertex {w!r} not an endpoint of edge {self.id!r}")
-        return w
-
 
 class Graph:
     """A coloured mixed multigraph.
@@ -224,9 +212,6 @@ class Graph:
 
     def has_edge(self, eid: str) -> bool:
         return eid in self._edges
-
-    def incident(self, v: str) -> list[Edge]:
-        return list(self._inc[v])
 
     def vertex_colours(self) -> set[str]:
         return set(self._vcolour.values())

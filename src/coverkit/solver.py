@@ -28,7 +28,7 @@ from .classify import (
 )
 from .covers import CoveringProjection, InternalCoverError, NotExtendable, _realize_edges, verify_cover
 from .graphs import Edge, Graph, GraphError, component_shapes, components, is_connected, project
-from .graphs import EVEN_CYCLE, IN, ODD_CYCLE, OPEN_PATH, OUT, UND, darts
+from .graphs import EVEN_CYCLE, IN, ODD_CYCLE, OPEN_PATH, OUT, UND, darts, vertex_darts
 from .partition import Partition, degree_partition, normalize_colours
 from .twosat import TwoSat
 
@@ -311,7 +311,7 @@ def build_2sat(fibres, hn: Graph, pg: Partition, ph: Partition,
         elif fam == "WW" and params[1] == 0:
             i, j = bg.blocks
             bi, bj = ph.blocks[i][0], ph.blocks[j][0]
-            parallel = any(e.colour == colour and set(e.ends) == {bi, bj} for e in hn.edges())
+            parallel = bj in vertex_darts(hn, bi).ends.get((colour, UND), {})
             subcase, detail = "5G", {"parallel": parallel}
             _bundle_parity(sat, (sorted(e.ends, key=pg.block_of.__getitem__) for e in g.edges()),
                            not parallel)

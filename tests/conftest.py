@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from coverkit import Graph
+from coverkit.graphs import darts
 
 
 def cycle(n, colour="e", vc="n", name=None):
@@ -254,4 +255,4 @@ def assert_same_graph(got, want):
         [(v, want.vertex_colour(v)) for v in want.vertices()]
     assert list(got.edges()) == list(want.edges())
     for v in want.vertices():
-        assert got.incident(v) == want.incident(v), v
+        assert darts(got, v) == darts(want, v), v

@@ -189,6 +189,33 @@ def test_gen_gphi_malformed_formula_is_an_input_error(text, capsys, tmp_path):
     assert "internal error" not in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_gen_gphi_takes_c_from_the_formula(capsys, tmp_path):
+    # c = 4, every variable 4 times; a --c that disagrees is refused
+    path = tmp_path / "f4.json"
+    path.write_text(Formula(4, [[f"x{i}" for i in range(8)]] * 4).to_json())
+    code, out = run(capsys, "gen", "gphi", "--formula", str(path))
+    assert code == 0 and out.startswith("graph gphi-fw4\n")
+    assert main(["gen", "gphi", "--c", "3", "--formula", str(path)]) == 3
+    assert "arity" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("argv,formula", [
+    (["gphi", "--clauses", "0"], None), (["formula", "--clauses", "0"], None),
+    (["fwtarget", "--c", "0"], None), (["fwtarget", "--c", "-2"], None),
+    (["wdtarget", "--b", "0", "--c", "0"], None), (["wdtarget", "--b", "-1", "--c", "2"], None),
+    (["gphi"], '{"c": 3, "clauses": []}'), (["c0"], '{"c": 2, "clauses": []}'), (["nonsense"], None),
+], ids=["gphi-0-clauses", "formula-0-clauses", "fwtarget-c0", "fwtarget-c-2", "wdtarget-b0-c0",
+        "wdtarget-b-1", "gphi-empty-formula", "c0-empty-formula", "unknown-gadget"])
+def test_gen_refuses_empty_and_unknown_instances(argv, formula, capsys, tmp_path):
+    # an empty G_phi covers no target, yet the empty formula is satisfiable
+    if formula is not None:
+        path = tmp_path / "f.json"
+        path.write_text(formula)
+        argv = [*argv, "--formula", str(path)]
+    assert main(["gen", *argv]) == 3
+    assert "internal error" not in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_dot_every_edge_kind(files, capsys):
     _, write = files
     g = Graph("kinds")

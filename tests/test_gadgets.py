@@ -114,8 +114,8 @@ def test_directed_lift_counts():
     lift = directed_lift_wd(g, 1, 1)
     assert lift.n == 8 and lift.m == 16
     for v in lift.vertices():
-        outs = sum(1 for e in lift.incident(v) if e.kind == "arc" and e.tail == v)
-        ins = sum(1 for e in lift.incident(v) if e.kind == "arc" and e.head == v)
+        outs = sum(1 for e in lift.edges() if e.kind == "arc" and e.tail == v)
+        ins = sum(1 for e in lift.edges() if e.kind == "arc" and e.head == v)
         assert outs == 2 and ins == 2
 
 
@@ -519,8 +519,8 @@ def test_random_regular_kinds():
     assert g2.n == 4 and g2.m == 6  # K_4
     g3, col3 = random_regular("directed", 1, 6, seed=0)
     for v in g3.vertices():
-        outs = sum(1 for e in g3.incident(v) if e.tail == v)
-        ins = sum(1 for e in g3.incident(v) if e.head == v)
+        outs = sum(1 for e in g3.edges() if e.tail == v)
+        ins = sum(1 for e in g3.edges() if e.head == v)
         assert outs == ins == 1
     # the colouring certifies per-class regularity
     for gg, cc, k in ((g, colouring, 3), (g2, col2, 3)):

@@ -1,0 +1,83 @@
+"""Public checks and generators that refuse their input, each with its
+documented error."""
+
+import pytest
+
+from coverkit import (
+    Graph,
+    GraphError,
+    MatchingError,
+    SmallShape,
+    bipartite_k_factorization,
+    classify_shape,
+    degree,
+    directed_cycle_cover_decomposition,
+    general_perfect_matching,
+    two_factorization,
+    verdict,
+)
+from coverkit.classify import ShapeError
+from coverkit.gadgets import (Formula, GadgetError, build_gphi_fw, compose_claimA, fw_target,
+                              random_formula, variable_gadget, wd_target)
+from coverkit.graphs import OUT
+from coverkit.matching import euler_orientation
+
+from conftest import cycle, one_vertex
+
+
+def _with(g, kind, *ends, colour="e"):
+    g.add_edge(kind, f"extra{g.m}", colour, *ends)
+    return g
+
+
+def _two_out_one_in():
+    # v0 -> v1 -> v2 -> v0 plus v0 -> v2: v0 has two out-darts, one in-dart
+    g = Graph("dir")
+    for i in range(3):
+        g.add_vertex(f"v{i}", "n")
+    for i, (u, v) in enumerate((("v0", "v1"), ("v1", "v2"), ("v2", "v0"), ("v0", "v2"))):
+        g.add_edge("arc", f"a{i}", "d", u, v)
+    return g
+
+
+def _two_triangles():
+    return [(f"{p}{i}", f"{p}{i}", f"{p}{(i + 1) % 3}") for p in "ab" for i in range(3)]
+
+
+REFUSALS = [
+    ("W-unbalanced", lambda: classify_shape(SmallShape("W", (1, 0, 0, 0, 0))),
+     ShapeError, "invalid W parameters"),
+    ("unknown-family", lambda: classify_shape(SmallShape("ZZ", (1,))), ShapeError, "unknown family"),
+    ("verdict-empty", lambda: verdict(Graph("empty")), GraphError, "empty target"),
+    ("degree-bad-direction", lambda: degree(cycle(3), "v0", "e", "sideways"),
+     GraphError, "bad direction"),
+    ("degree-undirected-as-out", lambda: degree(cycle(3), "v0", "e", OUT),
+     GraphError, "is undirected"),
+    ("matching-with-arc", lambda: general_perfect_matching(_with(cycle(4), "arc", "v0", "v2", colour="d")),
+     MatchingError, "undirected graphs"),
+    ("k-factorization-with-loop", lambda: bipartite_k_factorization(_with(cycle(4), "loop", "v0"), 2),
+     MatchingError, "undirected normal edges only"),
+    ("euler-two-triangles", lambda: euler_orientation(_two_triangles()), MatchingError, "no Euler circuit"),
+    ("2-factorization-with-semi", lambda: two_factorization(one_vertex(semis=2), 1),
+     MatchingError, "semi-edges not allowed"),
+    ("2-factorization-with-arc", lambda: two_factorization(_with(cycle(4), "arc", "v0", "v2", colour="d"), 1),
+     MatchingError, "directed edges not allowed"),
+    ("cycle-covers-with-edge", lambda: directed_cycle_cover_decomposition(cycle(3), 1),
+     MatchingError, "needs arcs and dloops only"),
+    ("cycle-covers-2-out-1-in", lambda: directed_cycle_cover_decomposition(_two_out_one_in(), 1),
+     MatchingError, "not 1-in-1-out-regular"),
+    # an empty G_phi covers no target, yet the empty formula is satisfiable
+    ("formula-no-clauses", lambda: random_formula(3, 0, 3, 0), GadgetError, "at least one clause"),
+    ("gphi-no-clauses", lambda: build_gphi_fw(3, Formula(3, [])), GadgetError, "no clauses"),
+    ("claimA-no-clauses", lambda: compose_claimA(variable_gadget("c0"), Formula(2, [])),
+     GadgetError, "no clauses"),
+    ("fw-target-c0", lambda: fw_target(0), GadgetError, "c >= 1"),
+    ("wd-target-b0-c0", lambda: wd_target(0, 0), GadgetError, r"b \+ c >= 1"),
+    ("wd-target-negative", lambda: wd_target(-1, 2), GadgetError, "b, c >= 0"),
+]
+
+
+@pytest.mark.parametrize("call,error,match", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_public_check_refuses(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
