@@ -39,6 +39,7 @@ from .covers import (
     oracle_cover,
     partial_covers,
     verify_cover,
+    verify_parity,
 )
 from .matching import (
     MatchingError,

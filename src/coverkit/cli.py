@@ -107,6 +107,8 @@ def cmd_oracle(args) -> int:
     g, h = _load(args.graph), _load(args.target)
     res = oracle_cover(g, h, budget=_budget(args))
     out = {"status": res.status, "reason": res.reason, "nodes": res.nodes}
+    if res.witness is not None:
+        out["witness"] = res.witness
     if res.yes:
         out["certificate"] = {"fv": res.projection.fv, "fe": res.projection.fe}
         if args.certificate:

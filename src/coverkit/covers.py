@@ -84,13 +84,17 @@ class OracleResult:
     (the vertex counts admit no whole fold of at least 1), ``block sizes``
     (a block's size is not the fold times its target block's), ``self
     darts`` (some vertex fits no image's loops, semi-edges and directed
-    loops), ``search`` (the search tree holds no cover), ``budget`` (the
-    node budget ran out: "unknown") or ``cover`` (a verified "yes")."""
+    loops), ``parity`` (the degree rows have no solution mod 2;
+    ``witness`` lists the ids of rows summing to 0 = 1, which
+    ``verify_parity`` re-checks), ``search`` (the search tree holds no
+    cover), ``budget`` (the node budget ran out: "unknown") or ``cover``
+    (a verified "yes")."""
 
     status: str  # "yes" | "no" | "unknown"
     projection: CoveringProjection | None = None
     nodes: int = 0
     reason: str = ""
+    witness: list | None = None
 
     @property
     def yes(self) -> bool:
@@ -476,12 +480,15 @@ class _VertexSearch:
     assigned neighbour), so when the residual constraint graph falls into
     independent components each is solved on its own and the solutions
     are combined, instead of rediscovering one component's failures once
-    per assignment of the others.  Each component's solution propagated
-    as it was found, so combining only binds the images (``_bind``).  A
-    node carries the fact that its scope is connected down to its
-    children and, after assigning u, re-proves it locally
-    (``_stays_connected``); only where that proof fails does a later
-    branch point walk the scope (``_components``).
+    per assignment of the others.  A solved component stays bound: the
+    trails of its search pass to its _Split, which undoes them when it
+    is resumed or when a later component has no solution, so combining
+    the solutions re-binds nothing.  Components share no constraint, so
+    one component's images, narrowed domains and recency entries change
+    nothing that the search of another reads.  A node carries the fact
+    that its scope is connected down to its children and, after assigning
+    u, re-proves it locally (``_stays_connected``); only where that proof
+    fails does a later branch point walk the scope (``_components``).
 
     Scopes hold only unassigned vertices.  Between a node and its child
     only the branching vertex is assigned (propagation narrows domains
@@ -496,8 +503,9 @@ class _VertexSearch:
     reads them instead of scanning the scope.  Only the component walk,
     and the rare choice that neither a one-image vertex nor the recency
     stack settles, go over the scope's member list.  A component is a
-    scope of its own while it is searched alone, and its vertices go back
-    to the enclosing scope when that search ends.
+    scope of its own while it is searched alone: opening it takes its
+    vertices out of the enclosing scope's counts, and closing it gives
+    back those still unassigned, none once it is solved.
 
     The depth of the search needs no call stack: ``solutions`` keeps a
     _Node per branch point, holding the vertex, the images it has left to
@@ -515,11 +523,15 @@ class _VertexSearch:
     the same rule (least domain; then the first one-image vertex in id
     order, or the recency stack's vertex when its domain is least, or
     else the most touched and then least id), components come in the same
-    order with their vertices ascending, and every budget charge, trail
-    entry and recency entry is made at the same step.  Undoing an
-    assignment cuts the recency stack back to its length before it, so the
-    stack holds at most the entries of the assignments on the current
-    path.
+    order with their vertices ascending, and every budget charge and
+    every trail entry of a node's image is made at the same step.  The
+    reference re-assigns a combined solution vertex by vertex, with trails
+    and recency entries of its own, while here the solved components keep
+    theirs; so the recency stacks differ only in entries of vertices that
+    stay assigned while the entries lie there, which ``_choose`` pops
+    unread.  Undoing an assignment cuts the recency stack back to its
+    length before it, so the stack holds at most the entries of the
+    assignments on the current path.
     """
 
     DECOMPOSE_MIN = 9
@@ -594,19 +606,32 @@ class _VertexSearch:
         self.sizes: list[list[int]] = []
         self.ones: list[set[int]] = []
         self._open(list(range(len(names))))
+        # the component walk's marks: a vertex is seen when it holds the
+        # walk's stamp
+        self.mark = [0] * len(names)
+        self.stamp = 0
 
     def _open(self, members) -> int:
-        """Make the unassigned vertices ``members`` a scope of their own."""
+        """Make the unassigned vertices ``members`` a scope of their own,
+        and take them out of the counts of the scope that held them."""
         s = len(self.members)
         scope, domains = self.scope, self.domains
         sizes = [0] * (len(self.images) + 1)
         ones = set()
         for v in members:
-            scope[v] = s
             size = domains[v].bit_count()
             sizes[size] += 1
             if size == 1:
                 ones.add(v)
+        if s:
+            outer = scope[members[0]]
+            self.left[outer] -= len(members)
+            outer_sizes = self.sizes[outer]
+            for size, count in enumerate(sizes):
+                outer_sizes[size] -= count
+            self.ones[outer] -= ones
+        for v in members:
+            scope[v] = s
         self.members.append(members)
         self.left.append(len(members))
         self.sizes.append(sizes)
@@ -614,13 +639,16 @@ class _VertexSearch:
         return s
 
     def _close(self, outer) -> None:
-        """Give the innermost scope's vertices back to scope ``outer``."""
+        """Hand the innermost scope's vertices back to scope ``outer``,
+        which counts those of them still unassigned again."""
         scope = self.scope
         for v in self.members.pop():
             scope[v] = outer
-        self.left.pop()
-        self.sizes.pop()
-        self.ones.pop()
+        self.left[outer] += self.left.pop()
+        outer_sizes = self.sizes[outer]
+        for size, count in enumerate(self.sizes.pop()):
+            outer_sizes[size] += count
+        self.ones[outer] |= self.ones.pop()
 
     def _resize(self, w, old, new) -> None:
         """Count the unassigned vertex w's domain under its new size."""
@@ -688,27 +716,9 @@ class _VertexSearch:
         return None
 
     def _assign(self, u, x, ops) -> bool:
-        """Bind u to x, order u's twins around x, and propagate."""
-        dirty = self._bind(u, x, ops)
-        if dirty is None:
-            return False
-        assign, domains, remove = self.assign, self.domains, self._remove
-        # twins after u lose the images below x, twins before u those above
-        # it, up to the next assigned twin either way
-        bit = 1 << x
-        for chain, drop in ((self.after, bit - 1), (self.before, -(bit << 1))):
-            w = chain[u]
-            while w >= 0 and assign[w] < 0:
-                lose = domains[w] & drop
-                if lose and not remove(w, lose, ops, dirty):
-                    return False
-                w = chain[w]
-        return self._propagate(dirty, ops)
-
-    def _bind(self, u, x, ops):
-        """Give u the image x and count its darts: the vertices to
-        propagate from, or None when a fibre or a capacity overflows or a
-        full fibre empties a domain."""
+        """Give u the image x, count its darts, order u's twins around x
+        and propagate; False when a fibre or a capacity overflows or a
+        domain runs empty."""
         assign, domains, used, caps = self.assign, self.domains, self.used, self.caps
         # insertion-ordered, and popped last-in first-out
         dirty: dict[int, None] = {}
@@ -720,23 +730,23 @@ class _VertexSearch:
         self.sizes[s][size] -= 1
         if size == 1:
             self.ones[s].discard(u)
+        bit = 1 << x
         if self.fibre_cap is not None:
             self.fibre[x] += 1
             ops.append((_FIBRE, x))
             if self.fibre[x] > self.fibre_cap:
-                return None
+                return False
             if self.fibre[x] == self.fibre_cap:
-                bit = 1 << x
                 for w in self.blockmates[u]:
                     if assign[w] < 0 and domains[w] & bit and not self._remove(w, bit, ops, dirty):
-                        return None
+                        return False
         used_u, cap_x = used[u], caps[x]
         # self darts (loops, semi-edges, directed loops)
         for base, own in self.self_rows[u]:
             slot = base + x
             now = used_u[slot] + own
             if now > cap_x[slot]:
-                return None
+                return False
             used_u[slot] = now
             ops.append((_USED, u, slot, own))
         # darts towards assigned neighbours, both directions of bookkeeping
@@ -748,13 +758,13 @@ class _VertexSearch:
                 slot, rslot = base + y, rbase + x
                 now = used_u[slot] + m
                 if now > cap_x[slot]:
-                    return None
+                    return False
                 used_u[slot] = now
                 ops.append((_USED, u, slot, m))
                 used_w = used[w]
                 now = used_w[rslot] + m
                 if now > caps[y][rslot]:
-                    return None
+                    return False
                 used_w[rslot] = now
                 ops.append((_USED, w, rslot, m))
                 dirty[w] = None
@@ -767,7 +777,17 @@ class _VertexSearch:
             touch[w] += 1
         ops.append((_TOUCH, touched, len(recent)))
         recent += touched
-        return dirty
+        # twins after u lose the images below x, twins before u those above
+        # it, up to the next assigned twin either way
+        remove = self._remove
+        for chain, drop in ((self.after, bit - 1), (self.before, -(bit << 1))):
+            w = chain[u]
+            while w >= 0 and assign[w] < 0:
+                lose = domains[w] & drop
+                if lose and not remove(w, lose, ops, dirty):
+                    return False
+                w = chain[w]
+        return self._propagate(dirty, ops)
 
     def _propagate(self, dirty, ops) -> bool:
         """Counting propagation: for an assigned vertex and every image y,
@@ -846,35 +866,40 @@ class _VertexSearch:
         constraint between them: direct edges and shared assigned
         neighbours couple.  Groups come in order of their least id, each
         in ascending order."""
-        assign, nbrs, scope = self.assign, self.nbrs, self.scope
+        assign, nbrs, scope, mark = self.assign, self.nbrs, self.scope, self.mark
         # scope vertices already in a group, and assigned neighbours whose
-        # own neighbours were added
-        seen = set()
+        # own neighbours were added, carry this walk's stamp
+        self.stamp = stamp = self.stamp + 1
         comps = []
+        # the scan stops once the groups hold every unassigned vertex
+        unplaced = self.left[s]
         for start in self.members[s]:
-            if assign[start] >= 0 or start in seen:
+            if not unplaced:
+                break
+            if assign[start] >= 0 or mark[start] == stamp:
                 continue
-            seen.add(start)
+            mark[start] = stamp
             comp, stack = [start], [start]
             while stack:
                 for w in nbrs[stack.pop()]:
-                    if w in seen:
+                    if mark[w] == stamp:
                         continue
                     if assign[w] < 0:
                         if scope[w] == s:
-                            seen.add(w)
+                            mark[w] = stamp
                             comp.append(w)
                             stack.append(w)
                         continue
                     # an assigned neighbour couples all of its own
-                    seen.add(w)
+                    mark[w] = stamp
                     for z in nbrs[w]:
-                        if z not in seen and assign[z] < 0 and scope[z] == s:
-                            seen.add(z)
+                        if mark[z] != stamp and assign[z] < 0 and scope[z] == s:
+                            mark[z] = stamp
                             comp.append(z)
                             stack.append(z)
             comp.sort()
             comps.append(comp)
+            unplaced -= len(comp)
         return comps
 
     def _stays_connected(self, u) -> bool:
@@ -894,33 +919,29 @@ class _VertexSearch:
                 group = [w for w in nbrs[z] if assign[w] < 0]
                 if group:
                     groups.append(group)
-        if len(groups) < 2:
+        apart = len(groups) - 1
+        if apart < 1:
             return True
+        # a union-find over the groups, each root its least group
         root = list(range(len(groups)))
-        joins = 0
-
-        def join(i, j):
-            nonlocal joins
-            while root[i] != i:
-                i = root[i]
-            while root[j] != j:
-                j = root[j]
-            if i != j:
-                root[max(i, j)] = min(i, j)
-                joins += 1
-
         owner: dict[int, int] = {}
         for i, group in enumerate(groups):
             for w in group:
-                j = owner.setdefault(w, i)
-                if j != i:
-                    join(i, j)
-        for w, i in owner.items():
-            for z in nbrs[w]:
-                j = owner.get(z)
-                if j is not None:
-                    join(i, j)
-        return joins == len(groups) - 1
+                # the group already holding w, then those of w's neighbours
+                for j in (owner.setdefault(w, i), *map(owner.get, nbrs[w])):
+                    if j is None or j == i:
+                        continue
+                    a = i
+                    while root[a] != a:
+                        a = root[a]
+                    while root[j] != j:
+                        j = root[j]
+                    if a != j:
+                        root[max(a, j)] = min(a, j)
+                        apart -= 1
+                        if not apart:
+                            return True
+        return False
 
     def solutions(self):
         """Yield every solution as a map of source to target names.
@@ -976,13 +997,14 @@ class _VertexSearch:
             frame = stack[-1]
             if type(frame) is _Split:
                 stack.pop()
-                if frame.trail is None:
+                if frame.index < len(frame.comps):
                     # a component without a solution: its node has none
                     self._close(frame.scope)
                     stack.pop()
                 else:
-                    undo(frame.trail)
-                    stack[-1].combined = [vx for sol in frame.first for vx in sol]
+                    # the combined solution is still bound
+                    stack[-1].combined = [(v, assign[v]) for comp in frame.comps for v in comp]
+                self._unbind(frame)
                 continue
             if frame.trail is not None:
                 undo(frame.trail)
@@ -1021,33 +1043,31 @@ class _VertexSearch:
                 return i
         return -1
 
+    def _unbind(self, split) -> None:
+        """Undo the trails of the components ``split`` solved, last-in
+        first-out."""
+        for trail in reversed(split.trails):
+            self._undo(trail)
+
     def _collect(self, stack, at):
         """The _Split ``stack[at]`` takes the solution of its current
-        component: everything above it is undone, and the next component
-        is opened, whose (scope, fact) is returned.  After the last one
-        the first solutions are applied together, in vertex-name order per
-        component, and None is returned: the combined solution is then
-        carried down from the split itself."""
+        component: the trails of the frames above it join its own, in
+        stack order, and stay bound, and the next component is opened,
+        whose (scope, fact) is returned.  After the last one, None is
+        returned: the combined solution is then carried down from the
+        split itself."""
         split = stack[at]
-        comps = split.comps
-        split.first.append([(v, self.assign[v]) for v in comps[split.index]])
-        for frame in reversed(stack[at + 1:]):
-            if frame.trail is not None:
-                self._undo(frame.trail)
+        trails = split.trails
+        for frame in stack[at + 1:]:
+            if type(frame) is _Split:
+                trails += frame.trails
+            elif frame.trail is not None:
+                trails.append(frame.trail)
         del stack[at + 1:]
         self._close(split.scope)
         split.index += 1
-        if split.index < len(comps):
-            return self._open(comps[split.index]), True
-        names = self.names
-        # each component's solution propagated when it was found, so the
-        # images are only bound: the state is undone, or read through
-        # ``assign`` alone, before the search looks at it again
-        split.trail = ops = []
-        for sol in split.first:
-            for v, x in sorted(sol, key=lambda vx: names[vx[0]]):
-                if self._bind(v, x, ops) is None:
-                    raise InternalCoverError("independent component solutions failed to recombine")
+        if split.index < len(split.comps):
+            return self._open(split.comps[split.index]), True
         return None
 
 
@@ -1074,18 +1094,137 @@ class _Node:
 class _Split:
     """The split of the scope ``scope`` of the _Node below it into
     components ``comps``: each is searched in a scope of its own up to a
-    first solution (``first``), ``index`` the one being searched; then
-    the first solutions are bound together (``trail``, None until then)
-    and emitted as the node's."""
+    first solution, ``index`` the one being searched.  ``trails`` holds
+    the trails of the solved components, undone last-in first-out when
+    the split is resumed or a later component has no solution; once all
+    are solved, their solutions together are emitted as the node's."""
 
-    __slots__ = ("comps", "index", "first", "trail", "scope")
+    __slots__ = ("comps", "index", "trails", "scope")
 
     def __init__(self, comps, scope):
         self.comps = comps
         self.index = 0
-        self.first = []
-        self.trail = None
+        self.trails = []
         self.scope = scope
+
+
+# parity refutation -------------------------------------------------------------
+
+
+def _degree_rows(tables: _DartTables, domains) -> tuple[list, list[int], int]:
+    """The degree rows mod 2, over the variables z[u, x], 1 when source
+    vertex u maps to the image x in its domain.  Row ("one-hot", u) reads
+    sum_x z[u, x] = 1; row (u, key, y) reads sum_w mult(u, w) z[w, y] =
+    sum_x z[u, x] cap(x, key, y), where mult counts the darts of u of that
+    (colour, direction) key towards w, u itself included, and cap those
+    of x towards y.  Every cover's vertex map satisfies them.
+
+    The one-hot rows are solved for each vertex's least image at once:
+    z[u, least] is 1 plus u's other variables.  A row is an int whose
+    low ``n`` bits are those other variables, whose bit n is its
+    right-hand side and whose bit n + 1 + i says it sums row ``ids[i]``.
+    Rows that read 0 = 0 are left out.  Returns ids, rows and n."""
+    n = sum(len(dom) - 1 for dom in domains.values())
+    rhs = 1 << n
+    # terms[u][x]: what z[u, x] stands for, as a row
+    terms = {}
+    ids = []
+    bit = 1
+    for u, dom in domains.items():
+        least, *rest = sorted(dom)
+        own = terms[u] = {}
+        for x in rest:
+            own[x] = bit
+            bit <<= 1
+        own[least] = sum(own.values()) | rhs | rhs << (1 + len(ids))
+        ids.append(("one-hot", u))
+    # the images y towards which x has an odd number of darts, per key
+    odd = {x: {key: [y for y, c in to.items() if c & 1] for key, to in t.ends.items()}
+           for x, t in tables.h.items()}
+    rows = []
+    for u, own in terms.items():
+        ends = tables.g[u].ends
+        for key in sorted(set(ends).union(*(odd[x] for x in own))):
+            by_image: dict = {}
+            for w, c in ends.get(key, {}).items():
+                if c & 1:
+                    for y, t in terms[w].items():
+                        by_image[y] = by_image.get(y, 0) ^ t
+            for x, t in own.items():
+                for y in odd[x].get(key, ()):
+                    by_image[y] = by_image.get(y, 0) ^ t
+            for y in sorted(by_image):
+                row = by_image[y]
+                if row & (rhs << 1) - 1:
+                    rows.append(row | rhs << (1 + len(ids)))
+                    ids.append((u, key, y))
+    return ids, rows, n
+
+
+def _parity_witness(ids: list, rows: list[int], n: int) -> list | None:
+    """Gaussian elimination over GF(2) on rows from ``_degree_rows``: the
+    ids of rows whose sum reads 0 = 1, or None when the rows have a
+    solution mod 2.  The basis is keyed by each row's lowest variable."""
+    rhs = 1 << n
+    basis: dict[int, int] = {}
+    for row in rows:
+        while True:
+            low = row & -row
+            if low >= rhs:
+                if low == rhs:  # no variable is left, and the row reads 0 = 1
+                    summed = row >> (n + 1)
+                    return [rid for i, rid in enumerate(ids) if summed >> i & 1]
+                break
+            pivot = basis.get(low)
+            if pivot is None:
+                basis[low] = row
+                break
+            row ^= pivot
+    return None
+
+
+def verify_parity(g: Graph, h: Graph, witness) -> VerifyResult:
+    """Re-check a parity refutation: rebuild every row ``witness`` names
+    from the darts of g and h, over the domains the oracle's pre-checks
+    give, and sum them mod 2.  The sum must read 0 = 1: every variable
+    cancels and the right-hand sides add up to 1.  Violations are data."""
+    pre = _pre_checks(g, h)
+    if isinstance(pre, OracleResult):
+        return VerifyResult(False, [f"the pre-checks settle the pair ({pre.reason}) before parity"])
+    _, domains, _, _ = pre
+    violations: list[str] = []
+    odd: set = set()  # the variables (u, x) with an odd coefficient so far
+    rhs = 0
+    named = set()
+    for rid in witness:
+        # a key read back from JSON is a list
+        rid = tuple(tuple(part) if isinstance(part, list) else part for part in rid)
+        if rid in named:
+            violations.append(f"row {rid} is named twice")
+            continue
+        named.add(rid)
+        if len(rid) == 2 and rid[0] == "one-hot" and rid[1] in domains:
+            coeffs = [((rid[1], x), 1) for x in domains[rid[1]]]
+            rhs ^= 1
+        elif len(rid) == 3 and rid[0] in domains and h.has_vertex(rid[2]):
+            u, key, y = rid
+            coeffs = [((w, y), c) for w, c in vertex_darts(g, u).ends.get(key, {}).items()
+                      if y in domains[w]]
+            coeffs += [((u, x), vertex_darts(h, x).ends.get(key, {}).get(y, 0)) for x in domains[u]]
+        else:
+            violations.append(f"row {rid} names no degree row of the pair")
+            continue
+        for v, c in coeffs:
+            if c % 2:
+                odd ^= {v}
+    if violations:
+        return VerifyResult(False, violations)
+    if odd:
+        u, x = min(odd)
+        violations.append(f"{len(odd)} variables keep an odd coefficient, z[{u}, {x}] among them")
+    if not rhs:
+        violations.append("the right-hand sides sum to 0")
+    return VerifyResult(not violations, violations)
 
 
 # the oracle -------------------------------------------------------------------
@@ -1199,11 +1338,11 @@ def _check_budget(budget) -> None:
         raise ValueError(f"the node budget must be an int of at least 1, got {budget!r}")
 
 
-def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
-    """Complete within budget: 'yes' with a verified certificate, 'no', or
-    'unknown' when the node budget ran out.  The budget must be an int of
-    at least 1 (ValueError otherwise)."""
-    _check_budget(budget)
+def _pre_checks(g: Graph, h: Graph):
+    """The checks before the search: the OracleResult of the first that
+    settles the pair, or else the dart tables, the domains (a source
+    vertex's images are the vertices of its target block whose self darts
+    it fits), the source blocks and the fold."""
     if g.n == 0 or h.n == 0:
         if g.n == h.n:
             return OracleResult("yes", CoveringProjection({}, {}), reason="cover")
@@ -1226,6 +1365,13 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
             if not dom:
                 return OracleResult("no", reason="self darts")
             domains[u] = dom
+    return tables, domains, pg.blocks, r
+
+
+def _search_cover(g: Graph, h: Graph, tables: _DartTables, domains, blocks, r,
+                  budget: int) -> OracleResult:
+    """The search behind the pre-checks: vertex maps from ``domains``,
+    each extended to an edge map and verified, within the node budget."""
     budget_box = [budget]
     twins = _twin_classes(g, tables)
     if is_connected(h):
@@ -1234,7 +1380,7 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
         # components
         search = _VertexSearch(tables, domains, budget_box, exact=True, twins=twins)
     else:
-        search = _VertexSearch(tables, domains, budget_box, exact=True, fibre_cap=r, blocks=pg.blocks,
+        search = _VertexSearch(tables, domains, budget_box, exact=True, fibre_cap=r, blocks=blocks,
                                twins=twins)
     try:
         for fv in search.solutions():
@@ -1250,6 +1396,22 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
         return OracleResult("no", None, budget - budget_box[0], "search")
     except BudgetExhausted:
         return OracleResult("unknown", None, budget, "budget")
+
+
+def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
+    """Complete within budget: 'yes' with a verified certificate, 'no', or
+    'unknown' when the node budget ran out.  The pre-checks run first,
+    then the parity check, then the search.  The budget must be an int of
+    at least 1 (ValueError otherwise)."""
+    _check_budget(budget)
+    pre = _pre_checks(g, h)
+    if isinstance(pre, OracleResult):
+        return pre
+    tables, domains, blocks, r = pre
+    witness = _parity_witness(*_degree_rows(tables, domains))
+    if witness is not None:
+        return OracleResult("no", reason="parity", witness=witness)
+    return _search_cover(g, h, tables, domains, blocks, r, budget)
 
 
 # partial covering projections --------------------------------------------------

@@ -115,6 +115,8 @@ def brute_force_formula(f: Formula) -> dict[str, bool] | None:
 def random_formula(c: int, n_clauses: int, occurrences: int, seed: int) -> Formula:
     """An all-positive formula with 2c-variable clauses in which every
     variable occurs exactly ``occurrences`` times."""
+    if c < 1:
+        raise GadgetError(f"c must be an int of at least 1, got {c!r}")
     if n_clauses < 1:
         raise GadgetError(f"a formula needs at least one clause, got {n_clauses}")
     if occurrences < 1:
@@ -411,10 +413,14 @@ def build_gphi_fw(c: int, f: Formula) -> Graph:
 # directed lift for two-vertex directed targets ---------------------------------
 
 
-def wd_target(b: int, c: int) -> Graph:
-    """Two vertices with b directed loops each and c arcs in each direction."""
+def _check_wd_counts(b: int, c: int) -> None:
     if b < 0 or c < 0 or b + c == 0:
         raise GadgetError(f"wd target needs b, c >= 0 with b + c >= 1, got b={b}, c={c}")
+
+
+def wd_target(b: int, c: int) -> Graph:
+    """Two vertices with b directed loops each and c arcs in each direction."""
+    _check_wd_counts(b, c)
     h = Graph(f"wd-{b}-{c}")
     h.add_vertex("r", "n")
     h.add_vertex("g", "n")
@@ -431,7 +437,8 @@ def directed_lift_wd(g: Graph, b: int, c: int) -> Graph:
     """Four-layer directed lift of a simple (b+c)-regular bipartite graph;
     the lift covers the two-vertex directed target exactly when the input
     has a colouring with b same-coloured and c cross-coloured neighbours
-    per vertex."""
+    per vertex.  It refuses the (b, c) that ``wd_target`` refuses."""
+    _check_wd_counts(b, c)
     assert_simple(g)
     side = bipartition(g)
     if side is None:

@@ -281,12 +281,13 @@ def test_criterion_7_hardness_gadgets():
         assert res.status != "unknown", (n_clauses, seed)
         assert res.yes == want, (n_clauses, seed)
         gphi_checked += 1
-    # unsatisfiable formulas, refuted by the search itself
-    for n_clauses, seed in [(8, 31), (8, 36), (7, 68)]:
+    # unsatisfiable formulas: parity refutes two, the search the third,
+    # whose degree rows have a solution mod 2
+    for n_clauses, seed, reason in [(8, 31, "parity"), (8, 36, "parity"), (7, 68, "search")]:
         f = random_formula(3, n_clauses, 3, seed=seed)
         assert brute_force_formula(f) is None
         res = oracle_cover(build_gphi_fw(3, f), h3, budget=200_000)
-        assert res.no, (n_clauses, seed, res.status)
+        assert (res.status, res.reason) == ("no", reason), (n_clauses, seed, res.status)
         gphi_checked += 1
     lifts_checked = 0
     for seed in range(5):

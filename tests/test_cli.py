@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coverkit import Graph, parse_graph, reduce_pair, serialize_graph
+from coverkit import Graph, parse_graph, reduce_pair, serialize_graph, verify_parity
 from coverkit.cli import main
 from coverkit.gadgets import Formula
 
@@ -122,6 +122,18 @@ def test_oracle_json_names_its_reason(files, capsys):
     assert (code, out["status"], out["reason"], out["nodes"]) == (2, "unknown", "budget", 2)
 
 
+def test_oracle_prints_the_parity_witness(capsys, tmp_path):
+    # the unsatisfiable 8-clause formula of seed 31, refuted before the search
+    g, h = str(tmp_path / "u.graph"), str(tmp_path / "fw3.graph")
+    assert main(["gen", "gphi", "--c", "3", "--clauses", "8", "--seed", "31", "-o", g]) == 0
+    assert main(["gen", "fwtarget", "--c", "3", "-o", h]) == 0
+    capsys.readouterr()
+    code, out = run(capsys, "oracle", g, h, "--budget", "2000")
+    assert (code, out["status"], out["reason"], out["nodes"]) == (1, "no", "parity", 0)
+    with open(g, encoding="utf-8") as fg, open(h, encoding="utf-8") as fh:
+        assert verify_parity(parse_graph(fg.read()), parse_graph(fh.read()), out["witness"]).ok
+
+
 def test_partition_and_reduce(files, capsys):
     from coverkit.gadgets import fw2_target
 
@@ -204,8 +216,11 @@ def test_gen_gphi_takes_c_from_the_formula(capsys, tmp_path):
     (["fwtarget", "--c", "0"], None), (["fwtarget", "--c", "-2"], None),
     (["wdtarget", "--b", "0", "--c", "0"], None), (["wdtarget", "--b", "-1", "--c", "2"], None),
     (["gphi"], '{"c": 3, "clauses": []}'), (["c0"], '{"c": 2, "clauses": []}'), (["nonsense"], None),
+    (["wdlift", "--b", "-1", "--c", "2"], None), (["wdlift", "--b", "2", "--c", "-1"], None),
+    (["formula", "--c", "-1", "--clauses", "2", "--k", "1"], None),
 ], ids=["gphi-0-clauses", "formula-0-clauses", "fwtarget-c0", "fwtarget-c-2", "wdtarget-b0-c0",
-        "wdtarget-b-1", "gphi-empty-formula", "c0-empty-formula", "unknown-gadget"])
+        "wdtarget-b-1", "gphi-empty-formula", "c0-empty-formula", "unknown-gadget", "wdlift-b-1",
+        "wdlift-c-1", "formula-c-1"])
 def test_gen_refuses_empty_and_unknown_instances(argv, formula, capsys, tmp_path):
     # an empty G_phi covers no target, yet the empty formula is satisfiable
     if formula is not None:

@@ -19,6 +19,7 @@ from coverkit import (
     partial_covers,
     solve_cover,
     verify_cover,
+    verify_parity,
 )
 
 from coverkit.covers import _candidates_for, _h_edge_index
@@ -31,6 +32,7 @@ from conftest import (
     one_vertex,
     path,
     random_multigraph,
+    searched,
     two_vertex_w,
 )
 from hosts import harmless_hosts
@@ -742,12 +744,27 @@ PINNED_SEARCHES = [
 ]
 
 
+# parity refutes these before the search: a "no" in no search node
+PINNED_PARITY = {"gphi beside unsat 6/251", "gphi beside unsat 8/31"}
+
+
 @pytest.mark.parametrize("build,budget,want", [case[1:] for case in PINNED_SEARCHES],
                          ids=[case[0] for case in PINNED_SEARCHES])
 def test_oracle_search_tree_is_pinned(build, budget, want):
     g, h = build()
-    res = oracle_cover(g, h, budget=budget)
+    res = searched(g, h, budget)
     assert (res.status, res.nodes) == want
+
+
+@pytest.mark.parametrize("name,build,budget,want", PINNED_SEARCHES, ids=[case[0] for case in PINNED_SEARCHES])
+def test_oracle_answer_is_pinned(name, build, budget, want):
+    g, h = build()
+    res = oracle_cover(g, h, budget=budget)
+    if name in PINNED_PARITY:
+        assert (res.status, res.nodes, res.reason) == ("no", 0, "parity")
+        assert verify_parity(g, h, res.witness).ok
+    else:
+        assert (res.status, res.nodes, res.reason) == (*want, "cover" if want[0] == "yes" else "search")
 
 
 def test_partial_covers_count_is_pinned():

@@ -72,6 +72,15 @@ def test_random_formula_discipline():
     f2.require_occurrences(4)
 
 
+def test_random_formula_draws_are_pinned():
+    # the benchmark's gadget instances are built from these draws, so the
+    # argument checks must leave every valid draw as it was
+    pins = [((3, 8, 3, 31), "abf6943c00676ba7480c2028bf453e795c4a5234f5a999609e53466d129c117a"),
+            ((3, 4, 3, 0), "90254cc9e2a501977ee4c0325a18efc70c4eb6680368a27e1e33d321e216edb3")]
+    for args, digest in pins:
+        assert hashlib.sha256(random_formula(*args).to_json().encode()).hexdigest() == digest, args
+
+
 def test_gphi_counts():
     # |C|=3 and 6 variables with 3 occurrences each: 39 vertices and 78
     # edges per clause (sum of the family sizes)

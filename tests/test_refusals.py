@@ -17,8 +17,8 @@ from coverkit import (
     verdict,
 )
 from coverkit.classify import ShapeError
-from coverkit.gadgets import (Formula, GadgetError, build_gphi_fw, compose_claimA, fw_target,
-                              random_formula, variable_gadget, wd_target)
+from coverkit.gadgets import (Formula, GadgetError, build_gphi_fw, compose_claimA, directed_lift_wd,
+                              fw_target, random_formula, variable_gadget, wd_target)
 from coverkit.graphs import OUT
 from coverkit.matching import euler_orientation
 
@@ -68,12 +68,18 @@ REFUSALS = [
      MatchingError, "not 1-in-1-out-regular"),
     # an empty G_phi covers no target, yet the empty formula is satisfiable
     ("formula-no-clauses", lambda: random_formula(3, 0, 3, 0), GadgetError, "at least one clause"),
+    # refused up front, not after the sampler's retries
+    ("formula-c0", lambda: random_formula(0, 2, 1, 0), GadgetError, "c must be an int of at least 1"),
+    ("formula-c-negative", lambda: random_formula(-1, 2, 1, 0), GadgetError, "c must be an int of at least 1"),
     ("gphi-no-clauses", lambda: build_gphi_fw(3, Formula(3, [])), GadgetError, "no clauses"),
     ("claimA-no-clauses", lambda: compose_claimA(variable_gadget("c0"), Formula(2, [])),
      GadgetError, "no clauses"),
     ("fw-target-c0", lambda: fw_target(0), GadgetError, "c >= 1"),
     ("wd-target-b0-c0", lambda: wd_target(0, 0), GadgetError, r"b \+ c >= 1"),
     ("wd-target-negative", lambda: wd_target(-1, 2), GadgetError, "b, c >= 0"),
+    # the lift refuses what its target refuses, whatever the base's degree
+    ("wd-lift-negative", lambda: directed_lift_wd(cycle(2), -1, 2), GadgetError, "b, c >= 0"),
+    ("wd-lift-b0-c0", lambda: directed_lift_wd(cycle(4), 0, 0), GadgetError, r"b \+ c >= 1"),
 ]
 
 

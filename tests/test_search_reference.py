@@ -2,9 +2,10 @@
 
 ``ReferenceVertexSearch`` is that form: one nested generator per branch
 point, rebuilding and rescanning its scope at every node.  Both must
-explore the same tree, so on every pair ``oracle_cover`` must give the
-same status, node count, reason and certificate, and ``partial_covers``
-must yield the same projections in the same order.
+explore the same tree, so on every pair the oracle's search (its
+pre-checks and search, without the parity check) must give the same
+status, node count, reason and certificate, and ``partial_covers`` must
+yield the same projections in the same order.
 """
 
 import itertools
@@ -12,10 +13,10 @@ import random
 from bisect import bisect_left
 from contextlib import closing
 
-from coverkit import Graph, covers, oracle_cover, partial_covers, verify_cover
+from coverkit import Graph, covers, partial_covers, verify_cover
 from coverkit.covers import _REVERSED, BudgetExhausted, InternalCoverError, _DartTables
 
-from conftest import complete_bipartite, complete_graph, cycle, disjoint_union, petersen
+from conftest import complete_bipartite, complete_graph, cycle, disjoint_union, petersen, searched
 from hosts import harmless_hosts, random_compatible_input, random_lift, switched
 
 
@@ -610,7 +611,8 @@ def reference_pairs():
 
 
 def observe(g, h):
-    res = oracle_cover(g, h, budget=BUDGET)
+    # the search itself: parity would refute some pairs before it
+    res = searched(g, h, BUDGET)
     cert = res.projection.to_json() if res.yes else None
     maps = []
     try:
@@ -641,10 +643,10 @@ def scope_counts(search):
 
 def test_search_matches_its_recursive_reference(monkeypatch):
     seen = {"split": 0, "fibre cap": 0, "twins": 0, "kinds": set(), "forced": 0,
-            "forced then emptied": 0}
+            "forced then emptied": 0, "failed beside a kept sibling": 0}
     search = covers._VertexSearch
     components, init = search._components, search.__init__
-    remove, try_assign = search._remove, search._try_assign
+    remove, try_assign, unbind = search._remove, search._try_assign, search._unbind
 
     def counting_components(self, s):
         comps = components(self, s)
@@ -670,7 +672,17 @@ def test_search_matches_its_recursive_reference(monkeypatch):
         assert kept == recount, (u, x, ops is not None)
         return ops
 
+    def checked_unbind(self, split):
+        # the solved components' trails are undone: after the split is
+        # resumed, or when a component had no solution after a solved
+        # sibling was kept bound
+        unbind(self, split)
+        seen["failed beside a kept sibling"] += 0 < split.index < len(split.comps)
+        kept, recount = scope_counts(self)
+        assert kept == recount, split.comps
+
     monkeypatch.setattr(search, "_components", counting_components)
+    monkeypatch.setattr(search, "_unbind", checked_unbind)
     monkeypatch.setattr(search, "__init__", counting_init)
     monkeypatch.setattr(search, "_remove", counting_remove)
     monkeypatch.setattr(search, "_try_assign", checked_try_assign)
@@ -697,6 +709,8 @@ def test_search_matches_its_recursive_reference(monkeypatch):
     # forcing took several images at once, and a forced domain then ran
     # empty in the same propagation, whose trail was undone
     assert seen["forced"] >= 4000 and seen["forced then emptied"] >= 15, seen
+    # and the counts held where kept siblings went back
+    assert seen["failed beside a kept sibling"] >= 20, seen
 
 
 def test_scope_counts_hold_whatever_order_a_trail_is_undone():

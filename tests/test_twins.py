@@ -15,7 +15,7 @@ from coverkit import Graph, covers, naive_cover, oracle_cover, verify_cover
 from coverkit.covers import _DartTables, _twin_classes
 from coverkit.gadgets import brute_force_formula, build_gphi_fw, fw_target, random_formula
 
-from conftest import complete_bipartite, complete_graph, disjoint_union, random_multigraph
+from conftest import complete_bipartite, complete_graph, disjoint_union, random_multigraph, searched
 from hosts import random_lift, switched
 
 
@@ -178,16 +178,22 @@ def test_twin_ordered_oracle_agrees_with_brute_force():
     for g, h in cycle_pairs(10):
         assert classes(g)
         want = naive_cover(g, h)
-        got = oracle_cover(g, h, budget=100_000)
+        # the search itself, which parity would spare some refutations
+        got = searched(g, h, 100_000)
         assert got.status in ("yes", "no")
         assert got.yes == (want is not None), (g.name, h.name)
         if got.yes:
             assert verify_cover(g, h, got.projection).ok
         key = (h.name, got.status if got.yes else got.reason)
         answers[key] = answers.get(key, 0) + 1
+        # the oracle, parity first, answers alike
+        res = oracle_cover(g, h, budget=100_000)
+        assert res.status == got.status, (g.name, h.name)
+        answers["parity"] = answers.get("parity", 0) + (res.reason == "parity")
     # both answers over every target, and refutations the search found
     for shape in TARGET_EDGES:
         assert answers.get((shape, "yes")) and answers.get((shape, "search")), answers
+    assert answers["parity"] >= 10, answers
 
 
 # the same statuses as the search without twins ----------------------------------
@@ -283,6 +289,7 @@ def test_recency_stack_stays_within_the_current_path(monkeypatch):
         return choose(self, s)
 
     monkeypatch.setattr(covers._VertexSearch, "_choose", checked_choose)
-    res = oracle_cover(build_gphi_fw(3, f), fw_target(3), budget=100_000)
+    # parity refutes f before the search, so the search is run alone
+    res = searched(build_gphi_fw(3, f), fw_target(3), 100_000)
     assert (res.status, res.nodes) == ("unknown", 100_000)
     assert seen["checks"] >= 50_000 and seen["longest"] < 20_000, seen
