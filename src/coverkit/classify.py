@@ -87,10 +87,14 @@ def recognize_shape(g: Graph, blocks, colour: str) -> SmallShape:
     cannot arise from a genuine degree partition.
     """
     blocks = [sorted(map(str, b)) for b in blocks]
+    return _recognize(blocks, _mono_edges(g, {v for b in blocks for v in b}, colour))
+
+
+def _recognize(blocks: list[list[str]], edges) -> SmallShape:
+    """The shape of the block graph on ``blocks``, each a sorted vertex
+    list, whose edges are exactly ``edges``; see ``recognize_shape``."""
     if not 1 <= len(blocks) <= 2 or any(not 1 <= len(b) <= 2 for b in blocks):
         raise ShapeError("recognition needs one or two blocks of at most 2 vertices")
-    verts = {v for b in blocks for v in b}
-    edges = _mono_edges(g, verts, colour)
     if len(blocks) == 1:
         b = blocks[0]
         if len(b) == 1:
@@ -211,19 +215,22 @@ def classify_shape(s: SmallShape) -> str:
 
 def block_shapes(h: Graph, part: Partition) -> list[BlockGraph]:
     """All monochromatic uniblock and interblock graphs of a normalized
-    graph, one entry per (block set, colour) with edges."""
-    groups: dict[tuple[tuple[int, ...], str], None] = {}
+    graph, one entry per (block set, colour) with edges.  Each edge is
+    filed once under its group, and a colour whose block sets share a
+    block (an un-normalized graph) is refused."""
+    groups: dict[tuple[tuple[int, ...], str], list] = {}
     for e in h.edges():
         touched = tuple(sorted({part.block_of[w] for w in e.ends}))
-        key = (touched, e.colour)
-        groups[key] = None
+        groups.setdefault((touched, e.colour), []).append(e)
+    owner: dict[tuple[str, int], tuple[int, ...]] = {}
+    for touched, colour in groups:
+        for i in touched:
+            if owner.setdefault((colour, i), touched) != touched:
+                raise ShapeError(f"colour {colour} lies in two block sets with block {i}; normalize first")
     out = []
-    for (touched, colour) in sorted(groups):
-        if len(touched) > 2:
-            raise ShapeError(f"colour {colour} spans more than two blocks; normalize first")
-        blocks = [part.blocks[i] for i in touched]
-        shape = recognize_shape(h, blocks, colour)
-        out.append(BlockGraph(touched, colour, shape))
+    for touched, colour in sorted(groups):
+        blocks = [sorted(part.blocks[i]) for i in touched]
+        out.append(BlockGraph(touched, colour, _recognize(blocks, groups[touched, colour])))
     return out
 
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / covers, 1 negative answer, 2 unsupported or
 refused or unknown (an internal error included), 3 input error (a usage
-error included).  All results are JSON on stdout, errors JSON on stderr;
-``--pretty`` indents results.
+error or an unreadable file included).  All results are JSON on stdout,
+errors JSON on stderr; ``--pretty`` indents results.
 """
 
 from __future__ import annotations
@@ -298,7 +298,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (GraphError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

@@ -1192,13 +1192,20 @@ def verify_parity(g: Graph, h: Graph, witness) -> VerifyResult:
     if isinstance(pre, OracleResult):
         return VerifyResult(False, [f"the pre-checks settle the pair ({pre.reason}) before parity"])
     _, domains, _, _ = pre
+    if not isinstance(witness, (list, tuple)):
+        return VerifyResult(False, [f"the witness {witness!r} is not a list of row ids"])
     violations: list[str] = []
     odd: set = set()  # the variables (u, x) with an odd coefficient so far
     rhs = 0
     named = set()
     for rid in witness:
-        # a key read back from JSON is a list
-        rid = tuple(tuple(part) if isinstance(part, list) else part for part in rid)
+        try:
+            # a key read back from JSON is a list
+            rid = tuple(tuple(part) if isinstance(part, list) else part for part in rid)
+            hash(rid)
+        except TypeError:
+            violations.append(f"row {rid!r} is not a row id")
+            continue
         if rid in named:
             violations.append(f"row {rid} is named twice")
             continue

@@ -17,8 +17,8 @@ Darts: a covering projection is a local bijection on darts, and
 ``darts(g, v)`` is the one place that turns the edges at a vertex into
 their darts; every degree, dart count, dart tally and walk of the package
 reads it, and only this module reads a graph's incidence lists.  The
-component split (``components``) and the 2-colouring (``bipartition``)
-live here too, once each.
+component split (``components``), the 2-colouring (``bipartition``) and
+the component shapes live here too, and all read one dart walk.
 
 Colour discipline: vertex colours, directed edge colours and undirected
 edge colours come from pairwise disjoint namespaces.  Arcs and directed
@@ -413,40 +413,42 @@ def project(g: Graph, vertices: Iterable[str] | None = None, colours: Iterable[s
     return out
 
 
+def _walks(g: Graph) -> Iterator[Iterator[tuple[str, list]]]:
+    """The one component walk: per component, from the first unseen vertex
+    in vertex order, each vertex with its ``darts`` as the walk leaves it.
+    Every dart leads on to its other end, so semi-edges, loops and directed
+    loops reach nothing new and arcs join regardless of direction.  Read
+    each component's walk to its end before taking the next."""
+    seen: set[str] = set()
+
+    def walk(start: str) -> Iterator[tuple[str, list]]:
+        seen.add(start)
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            ds = darts(g, v)
+            yield v, ds
+            for _, _, w, _ in ds:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+
+    for start in g.vertices():
+        if start not in seen:
+            yield walk(start)
+
+
 def components(g: Graph) -> list[list[str]]:
     """Connected components under all edges regardless of direction.
 
     Semi-edges do not connect anything.  Components are returned sorted,
     each as a sorted vertex list.
     """
-    seen: set[str] = set()
-    comps = []
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices()}
-    for e in g.edges():
-        if len(e.ends) == 2:
-            a, b = e.ends
-            adj[a].add(b)
-            adj[b].add(a)
-    for start in g.vertices():
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    comps.sort()
-    return comps
+    return sorted(sorted(v for v, _ in walk) for walk in _walks(g))
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
+    return g.n <= 1 or sum(1 for _ in next(_walks(g))) == g.n
 
 
 def is_tree(g: Graph) -> bool:
@@ -466,22 +468,15 @@ def bipartition(g: Graph) -> dict[str, int] | None:
     when an odd cycle (a loop included) joins two vertices of one side.
     Semi-edges join nothing."""
     side: dict[str, int] = {}
-    for start in g.vertices():
-        if start in side:
-            continue
-        side[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            other = 1 - side[v]
-            for e, _, w, _ in darts(g, v):
+    for walk in _walks(g):
+        for v, ds in walk:
+            # a component's first vertex is the only one the walk leaves unsided
+            other = 1 - side.setdefault(v, 0)
+            for e, _, w, _ in ds:
                 if e.kind == "semi":
                     continue
-                s = side.get(w)
-                if s is None:
-                    side[w] = other
-                    stack.append(w)
-                elif s != other:
+                s = side.setdefault(w, other)
+                if s != other:
                     return None
     return side
 
@@ -495,37 +490,25 @@ OTHER = "other"
 def component_shapes(g: Graph) -> list[tuple[list[str], str]]:
     """The shape of every component of a monochromatic undirected graph.
 
-    One walk over the darts finds the components, in the order and form
-    of ``components``, and the dart counts that classify them.  Loops
-    count as cycles of length 1 and a pair of parallel edges as a cycle of
-    length 2.  An open path may end in semi-edge stubs, so a lone vertex
-    with two semi-edges is an open path of length zero.
+    The walk that ``components`` reads finds the components, in its order
+    and form, and the dart counts that classify them.  Loops count as
+    cycles of length 1 and a pair of parallel edges as a cycle of length
+    2.  An open path may end in semi-edge stubs, so a lone vertex with two
+    semi-edges is an open path of length zero.
     """
     if len(g.edge_colours()) > 1:
         raise GraphError("component shape needs a monochromatic graph")
     if any(e.directed for e in g.edges()):
         raise GraphError("component shape is defined for undirected graphs")
-    seen: set[str] = set()
     out = []
-    for start in g.vertices():
-        if start in seen:
-            continue
-        seen.add(start)
-        comp, stack = [start], [start]
+    for walk in _walks(g):
+        comp = []
         normals = 0  # normal darts: twice the edges and loops
         fits, path_end = True, False
-        while stack:
-            v = stack.pop()
-            normal = semis = 0
-            for e, _, w, c in darts(g, v):
-                if e.kind == "semi":
-                    semis += 1
-                    continue
-                normal += c
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
+        for v, ds in walk:
+            comp.append(v)
+            semis = sum(1 for e, _, _, _ in ds if e.kind == "semi")
+            normal = sum(c for _, _, _, c in ds) - semis
             normals += normal
             fits = fits and normal + semis <= 2
             path_end = path_end or normal <= 1

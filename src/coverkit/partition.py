@@ -511,11 +511,10 @@ def reduce_pair(g: Graph, h: Graph) -> tuple[Graph, Graph, ReductionRecord]:
     return gr, hr, record
 
 
-def is_balanced(h: Graph, part: Partition | None = None) -> bool:
-    """Both vertices of every doublet block carry the same number of
-    semi-edges of each colour."""
-    if part is None:
-        part, _ = degree_partition(h)
+def is_balanced(h: Graph) -> bool:
+    """Both vertices of every doublet block of h's degree partition carry
+    the same number of semi-edges of each colour."""
+    part, _ = degree_partition(h)
     for i in part.doublets():
         a, b = part.blocks[i]
         if vertex_darts(h, a).semis != vertex_darts(h, b).semis:

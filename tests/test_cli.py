@@ -269,6 +269,21 @@ def test_input_error(files, capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "{dir}"], ["classify", "{bad}"], ["partition", "{bad}"],
+    ["verify", "{good}", "{good}", "{bad}"], ["verify", "{good}", "{good}", "{dir}"],
+    ["gen", "gphi", "--formula", "{bad}"], ["gen", "gphi", "--formula", "{dir}"],
+], ids=["classify-dir", "classify-not-utf8", "partition-not-utf8", "verify-cert-not-utf8",
+        "verify-cert-dir", "formula-not-utf8", "formula-dir"])
+def test_unreadable_file_is_an_input_error(argv, files, capsys, tmp_path):
+    _, write = files
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes(b"graph g\nvertex \xff\xfe n\n")
+    paths = {"dir": str(tmp_path), "bad": str(bad), "good": write("c4.graph", cycle(4))}
+    assert main([arg.format(**paths) for arg in argv]) == 3
+    assert "internal error" not in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_verify_certificate_without_fv(files, capsys, tmp_path):
     _, write = files
     g = write("c4.graph", cycle(4))

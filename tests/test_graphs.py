@@ -13,6 +13,7 @@ from coverkit import (
     component_shapes,
     components,
     degree,
+    is_connected,
     parse_graph,
     project,
     serialize_graph,
@@ -278,6 +279,46 @@ def test_components():
     assert len(components(two)) == 2
     # semi-edges do not connect
     assert len(components(one_vertex(semis=2))) == 1
+
+
+def _random_mixed_multigraph(n, m, seed):
+    # every edge kind between random ends, so the graph is often disconnected
+    rng = random.Random(seed)
+    g = Graph(f"mixed{seed}")
+    for i in range(n):
+        g.add_vertex(f"v{i}", "n")
+    for i in range(m):
+        kind = rng.choice(("edge", "edge", "arc", "loop", "dloop", "semi")[0 if n > 1 else 3:])
+        ends = rng.sample(g.vertices(), 2 if kind in ("edge", "arc") else 1)
+        g.add_edge(kind, f"e{i}", "d" if kind in ("arc", "dloop") else "e", *ends)
+    return g
+
+
+def _union_find_components(g):
+    parent = {v: v for v in g.vertices()}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for e in g.edges():
+        parent[find(e.ends[0])] = find(e.ends[-1])
+    comps = {}
+    for v in g.vertices():
+        comps.setdefault(find(v), []).append(v)
+    return sorted(sorted(comp) for comp in comps.values())
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_components_match_union_find(seed):
+    g = _random_mixed_multigraph(1 + seed % 9, seed % 11, seed)
+    if seed % 3 == 0:
+        g = disjoint_union(g, _random_mixed_multigraph(4, 3, seed + 100))
+    expected = _union_find_components(g)
+    assert components(g) == expected
+    assert is_connected(g) == (len(expected) <= 1)
 
 
 def test_bipartition():

@@ -109,3 +109,10 @@ def test_verify_parity_rejects_what_names_no_row_or_refutes_nothing():
     # a pair the pre-checks refute never reaches parity
     res = verify_parity(cycle(5), cycle(3), [])
     assert not res.ok and "fold" in res.violations[0]
+
+
+@pytest.mark.parametrize("witness", [[5], 7, None, [[1, [2], {}]]],
+                         ids=["row-not-a-list", "int", "none", "row-unhashable"])
+def test_verify_parity_reports_a_malformed_witness(witness):
+    res = verify_parity(gphi(8, 31), H3, witness)
+    assert not res.ok and res.violations

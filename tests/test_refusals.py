@@ -7,8 +7,10 @@ from coverkit import (
     Graph,
     GraphError,
     MatchingError,
+    Partition,
     SmallShape,
     bipartite_k_factorization,
+    block_shapes,
     classify_shape,
     degree,
     directed_cycle_cover_decomposition,
@@ -40,6 +42,16 @@ def _two_out_one_in():
     return g
 
 
+def _colour_in_nested_block_sets():
+    # colour e lies in blocks {0} (a loop at x) and {0, 1} (the edge x-y)
+    g = Graph("nested")
+    for v in "xy":
+        g.add_vertex(v, "n")
+    g.add_edge("loop", "l", "e", "x")
+    g.add_edge("edge", "xy", "e", "x", "y")
+    return block_shapes(g, Partition([["x"], ["y"]], {"x": 0, "y": 1}))
+
+
 def _two_triangles():
     return [(f"{p}{i}", f"{p}{i}", f"{p}{(i + 1) % 3}") for p in "ab" for i in range(3)]
 
@@ -48,6 +60,7 @@ REFUSALS = [
     ("W-unbalanced", lambda: classify_shape(SmallShape("W", (1, 0, 0, 0, 0))),
      ShapeError, "invalid W parameters"),
     ("unknown-family", lambda: classify_shape(SmallShape("ZZ", (1,))), ShapeError, "unknown family"),
+    ("block-shapes-unnormalized", _colour_in_nested_block_sets, ShapeError, "normalize first"),
     ("verdict-empty", lambda: verdict(Graph("empty")), GraphError, "empty target"),
     ("degree-bad-direction", lambda: degree(cycle(3), "v0", "e", "sideways"),
      GraphError, "bad direction"),
