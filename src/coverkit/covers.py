@@ -417,7 +417,7 @@ def naive_cover(g: Graph, h: Graph) -> CoveringProjection | None:
 # made since the same mark (a scope's counts move each domain from the size
 # it has to the size it gets, empty included), so a trail can be undone in
 # any order
-_DOM, _USED, _TOUCH, _FIBRE, _ASSIGN = range(5)
+_DOM, _USED, _RECENT, _FIBRE, _ASSIGN = range(5)
 
 
 class _VertexSearch:
@@ -457,10 +457,11 @@ class _VertexSearch:
     from any smaller one (or fails there), so the removals reach the same
     fixpoint in any order.  The deficit test looks at the images some
     unassigned neighbour held when its row's scan began, so an image all
-    neighbours lose during that scan fails the node at once, while one
-    lost before it is caught further down; for exact domains both are
-    dead ends.  Images are visited in bit order and dirty vertices
-    last-in first-out, so the tree is the same under every hash seed.
+    neighbours lose during that scan fails the node at once, while the
+    need of one that no neighbour held then stays in the row's owed
+    count, which fails it as well.  Images are visited in bit order and
+    dirty vertices last-in first-out, so the tree is the same under every
+    hash seed.
 
     Twins.  ``twins`` holds classes of source vertices with the same
     colour, self darts and cross darts (``_twin_classes``).  Swapping two
@@ -525,13 +526,17 @@ class _VertexSearch:
     else the most touched and then least id), components come in the same
     order with their vertices ascending, and every budget charge and
     every trail entry of a node's image is made at the same step.  The
-    reference re-assigns a combined solution vertex by vertex, with trails
-    and recency entries of its own, while here the solved components keep
-    theirs; so the recency stacks differ only in entries of vertices that
-    stay assigned while the entries lie there, which ``_choose`` pops
-    unread.  Undoing an assignment cuts the recency stack back to its
-    length before it, so the stack holds at most the entries of the
-    assignments on the current path.
+    reference keeps touch counts at every assignment, where ``_choose``
+    counts them from the assigned vertices when it reads them; both
+    counts are a function of which vertices are assigned.  The reference
+    re-assigns a combined solution vertex by vertex, with trails and
+    recency entries of its own, while here the solved components keep
+    theirs, and it pushes only unassigned vertices; so the recency stacks
+    differ only in entries of vertices that stay assigned while the
+    entries lie there, which ``_choose`` pops unread.  Undoing an
+    assignment cuts the recency stack back to its length before it, so
+    the stack holds at most the near lists of the assignments on the
+    current path.
     """
 
     DECOMPOSE_MIN = 9
@@ -582,10 +587,9 @@ class _VertexSearch:
             chain = sorted(index[u] for u in members)
             for a, b in zip(chain, chain[1:]):
                 self.after[a], self.before[b] = b, a
-        # locality bookkeeping: a recency stack plus touch counts keep the
-        # search inside one gadget region until it is finished, which is
-        # what makes clause/variable instances tractable
-        self.touch = [0] * len(names)
+        # locality bookkeeping: a recency stack keeps the search inside one
+        # gadget region until it is finished, which is what makes
+        # clause/variable instances tractable
         self.recent: list[int] = []
         # descending names: on the hardness gadgets this order decides
         # more instances within a budget than ascending or incidence order
@@ -662,7 +666,7 @@ class _VertexSearch:
             self.ones[s].add(w)
 
     def _undo(self, ops):
-        domains, used, touch = self.domains, self.used, self.touch
+        domains, used = self.domains, self.used
         for op in ops:
             tag = op[0]
             # in order of frequency
@@ -682,11 +686,9 @@ class _VertexSearch:
                 self.sizes[s][size] += 1
                 if size == 1:
                     self.ones[s].add(u)
-            elif tag == _TOUCH:
-                for w in op[1]:
-                    touch[w] -= 1
+            elif tag == _RECENT:
                 # what the assignment pushed, and whatever came after it
-                del self.recent[op[2]:]
+                del self.recent[op[1]:]
             else:
                 self.fibre[op[1]] -= 1
 
@@ -769,14 +771,11 @@ class _VertexSearch:
                 ops.append((_USED, w, rslot, m))
                 dirty[w] = None
         dirty[u] = None
-        # locality bookkeeping for the branching heuristic; propagation
-        # assigns nothing, so it does not change who is touched
-        touched = [z for z in self.near[u] if assign[z] < 0]
-        touch, recent = self.touch, self.recent
-        for w in touched:
-            touch[w] += 1
-        ops.append((_TOUCH, touched, len(recent)))
-        recent += touched
+        # locality bookkeeping for the branching heuristic: every vertex
+        # near u, assigned or not, since _choose pops assigned entries
+        recent = self.recent
+        ops.append((_RECENT, len(recent)))
+        recent += self.near[u]
         # twins after u lose the images below x, twins before u those above
         # it, up to the next assigned twin either way
         remove = self._remove
@@ -794,9 +793,13 @@ class _VertexSearch:
         a neighbour whose multiplicity overshoots the outstanding need
         loses y.  With exact domains the need must also fit the unassigned
         neighbours that can still take y: equality forces them and
-        deficits fail.  Rows are scanned where they lie; no assignment
-        changes during propagation, so the unassigned entries of a row
-        are the same on every scan."""
+        deficits fail, for every image.  A vertex and its image have equal
+        degrees per colour and direction, so a row's needs add up to its
+        unassigned multiplicity; what is left of it after the needs of the
+        images its unassigned neighbours hold is owed to images that none
+        of them can take, and fails the node.  Rows are scanned where they
+        lie; no assignment changes during propagation, so the unassigned
+        entries of a row are the same on every scan."""
         assign, domains, exact = self.assign, self.domains, self.exact
         caps, used, cross_rows = self.caps, self.used, self.cross_rows
         remove = self._remove
@@ -805,15 +808,17 @@ class _VertexSearch:
             cap_a, used_a = caps[assign[a]], used[a]
             for base, _, row in cross_rows[a]:
                 # an unassigned vertex never has an empty domain here
-                targets = 0
-                for w, _ in row:
+                targets = owed = 0
+                for w, m in row:
                     if assign[w] < 0:
                         targets |= domains[w]
+                        owed += m
                 while targets:
                     bit = targets & -targets
                     targets ^= bit
                     slot = base + bit.bit_length() - 1
                     needed = cap_a[slot] - used_a[slot]
+                    owed -= needed
                     avail = 0
                     for w, m in row:
                         if assign[w] < 0 and domains[w] & bit:
@@ -831,12 +836,19 @@ class _VertexSearch:
                         for w, _ in row:
                             if assign[w] < 0 and domains[w] & bit and domains[w] != bit:
                                 remove(w, domains[w] ^ bit, ops, dirty)
+                if owed and exact:
+                    return False
         return True
 
     def _choose(self, s):
         """The branching vertex of scope s: least domain; the first
         one-image vertex, or the vertex the search touched last when its
-        domain is least, or else the most touched, then the first."""
+        domain is least, or else the most touched, then the first.  A
+        vertex is touched once by each assignment whose ``near`` list
+        holds it, counted here when read: per neighbour w, w itself if it
+        is assigned and each assigned neighbour of w.  Trails are undone
+        last-in first-out, so an unassigned vertex was unassigned when
+        each of those assignments was made."""
         ones = self.ones[s]
         if ones:
             return min(ones)
@@ -854,11 +866,15 @@ class _VertexSearch:
             if domains[w].bit_count() == least:
                 return w
             break
-        touch = self.touch
+        nbrs = self.nbrs
         best, best_touch = -1, -1
         for v in self.members[s]:
-            if assign[v] < 0 and touch[v] > best_touch and domains[v].bit_count() == least:
-                best, best_touch = v, touch[v]
+            if assign[v] < 0 and domains[v].bit_count() == least:
+                touch = 0
+                for w in nbrs[v]:
+                    touch += (assign[w] >= 0) + sum(assign[z] >= 0 for z in nbrs[w])
+                if touch > best_touch:
+                    best, best_touch = v, touch
         return best
 
     def _components(self, s):

@@ -107,14 +107,15 @@ class Edge:
 class Graph:
     """A coloured mixed multigraph.
 
-    There is one checked way in: ``add_vertex``/``add_edge`` (and
-    ``parse_graph``, which calls them) check every id, endpoint and kind,
-    and ``validate`` checks the colour namespaces.  Graphs derived from a
-    graph that passed those checks (``copy``, ``project``, colour
-    normalization, the solver's fibres) skip them: they start from
-    ``_derive`` with vertices of the source and insert the source's edges,
-    or recoloured copies with the same ids and ends, through ``_put``, in
-    the source's edge order, so incidence order is kept too.
+    There is one checked way in: ``add_vertex`` and ``_add_edges``, the
+    edge check behind ``add_edge`` and ``parse_graph``, check every id,
+    endpoint and kind, and ``validate`` checks the colour namespaces.
+    Graphs derived from a graph that passed those checks (``copy``,
+    ``project``, colour normalization, the solver's fibres) skip them:
+    they start from ``_derive`` with vertices of the source and insert the
+    source's edges, or recoloured copies with the same ids and ends,
+    through ``_put``, in the source's edge order, so incidence order is
+    kept too.
 
     Treat a graph as immutable once built; every algorithm in the package
     assumes graphs do not change under its feet, which makes concurrent
@@ -159,31 +160,59 @@ class Graph:
         self._inc[v] = []
 
     def add_edge(self, kind: str, eid: str, colour: str, u: str, v: str | None = None) -> Edge:
-        eid, colour, u = str(eid), str(colour), str(u)
-        if kind not in EDGE_KINDS:
-            raise GraphError(f"unknown edge kind {kind!r}")
-        if eid in self._edges:
-            raise GraphError(f"duplicate edge id {eid!r}")
-        if kind in _BINARY_KINDS:
-            if v is None:
-                raise GraphError(f"{kind} needs two endpoints")
-            v = str(v)
-            if u == v:
-                raise GraphError(
-                    f"{kind} {eid!r} must join two distinct vertices"
-                    + (" (directed loop must use dloop)" if kind == "arc" else " (use loop)")
-                )
-            ends = (u, v)
-        else:
-            if v is not None and str(v) != u:
-                raise GraphError(f"{kind} has a single endpoint")
-            ends = (u,)
-        for w in ends:
-            if w not in self._vcolour:
-                raise GraphError(f"edge {eid!r} references unknown vertex {w!r}")
-        e = Edge(eid, kind, colour, ends)
-        self._put((e,))
+        (e,) = self._add_edges(((kind, eid, colour, u, v),)).values()
         return e
+
+    def _add_edges(self, rows, lines=None) -> dict[str, Edge]:
+        """Check the rows (kind, id, colour, u, v), v None for a one-ended
+        kind: a known kind, an id new here, two distinct ends for an edge
+        or arc and one for the other kinds, each a vertex here.  Then
+        insert their edges in order through ``_put`` and return them by
+        id.  Ids, colours and ends that are not strings are made strings.
+        The first row that fails raises GraphError, or ParseError at
+        ``lines[i]`` for row i when ``lines`` is given, and nothing is
+        inserted."""
+        vcolour, known = self._vcolour, self._edges
+        # the rows checked so far, each id once
+        batch: dict[str, Edge] = {}
+        try:
+            for kind, eid, colour, u, v in rows:
+                if eid.__class__ is not str:
+                    eid = str(eid)
+                if colour.__class__ is not str:
+                    colour = str(colour)
+                if u.__class__ is not str:
+                    u = str(u)
+                if kind not in EDGE_KINDS:
+                    raise GraphError(f"unknown edge kind {kind!r}")
+                if eid in known or eid in batch:
+                    raise GraphError(f"duplicate edge id {eid!r}")
+                if kind in _BINARY_KINDS:
+                    if v is None:
+                        raise GraphError(f"{kind} needs two endpoints")
+                    if v.__class__ is not str:
+                        v = str(v)
+                    if u == v:
+                        raise GraphError(
+                            f"{kind} {eid!r} must join two distinct vertices"
+                            + (" (directed loop must use dloop)" if kind == "arc" else " (use loop)")
+                        )
+                    ends = (u, v)
+                else:
+                    if v is not None and str(v) != u:
+                        raise GraphError(f"{kind} has a single endpoint")
+                    ends = (u,)
+                for w in ends:
+                    if w not in vcolour:
+                        raise GraphError(f"edge {eid!r} references unknown vertex {w!r}")
+                batch[eid] = Edge(eid, kind, colour, ends)
+        except GraphError as exc:
+            if lines is None:
+                raise
+            # every row before the failing one is in the batch
+            raise ParseError(str(exc), lines[len(batch)]) from None
+        self._put(batch.values())
+        return batch
 
     # queries ------------------------------------------------------------
 
@@ -334,7 +363,10 @@ def total_degree(g: Graph, v: str) -> int:
 def parse_graph(text: str) -> Graph:
     """Parse the line-based format; see the module docstring for the keywords."""
     g: Graph | None = None
-    pending: list[tuple[int, tuple]] = []
+    # edge rows and their line numbers, checked and inserted once every
+    # vertex is known
+    rows: list[tuple] = []
+    lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tok = raw.split("#", 1)[0].split()
         if not tok:
@@ -356,11 +388,13 @@ def parse_graph(text: str) -> Graph:
             elif kw in ("edge", "arc"):
                 if len(tok) != 5:
                     raise ParseError(f"{kw} <id> <colour> <u> <v>", lineno)
-                pending.append((lineno, (kw, tok[1], tok[2], tok[3], tok[4])))
+                rows.append((kw, tok[1], tok[2], tok[3], tok[4]))
+                lines.append(lineno)
             elif kw in ("loop", "dloop", "semi"):
                 if len(tok) != 4:
                     raise ParseError(f"{kw} <id> <colour> <u>", lineno)
-                pending.append((lineno, (kw, tok[1], tok[2], tok[3], None)))
+                rows.append((kw, tok[1], tok[2], tok[3], None))
+                lines.append(lineno)
             else:
                 raise ParseError(f"unknown directive {kw!r}", lineno)
         except GraphError as exc:
@@ -369,11 +403,7 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(str(exc), lineno) from None
     if g is None:
         raise ParseError("missing graph directive")
-    for lineno, (kind, eid, colour, u, v) in pending:
-        try:
-            g.add_edge(kind, eid, colour, u, v)
-        except GraphError as exc:
-            raise ParseError(str(exc), lineno) from None
+    g._add_edges(rows, lines)
     try:
         g.validate()
     except GraphError as exc:

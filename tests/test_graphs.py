@@ -108,6 +108,25 @@ def test_add_edge_rejections(build, match):
     assert serialize_graph(g) == before
 
 
+def test_edge_rows_are_checked_before_any_is_inserted():
+    g = Graph("g")
+    for v in (1, 2):
+        g.add_vertex(v, "n")
+    # ids, colours and ends that are not strings become strings
+    e = g.add_edge("edge", 7, 0, 1, 2)
+    assert (e.id, e.colour, e.ends) == ("7", "0", ("1", "2"))
+    assert g._add_edges([("semi", "s", "c", "1", "1"), ("loop", "l", "c", 2, None)])["l"].ends == ("2",)
+    before = serialize_graph(g)
+    # a later row fails: the rows before it are not inserted either, and
+    # an id is a duplicate of one earlier in the same rows
+    rows = [("edge", "f", "c", "1", "2"), ("loop", "f", "c", "1", None)]
+    with pytest.raises(ParseError, match="line 9: duplicate edge id 'f'"):
+        g._add_edges(rows, [4, 9])
+    with pytest.raises(GraphError, match="duplicate edge id 'f'"):
+        g._add_edges(rows)
+    assert serialize_graph(g) == before and not g.has_edge("f")
+
+
 @pytest.mark.parametrize("text,match", [
     ("vertex a n\n", "line 1: vertex before graph directive"),
     ("graph g\ngraph h\n", "line 2: duplicate graph directive"),

@@ -5,7 +5,13 @@ point, rebuilding and rescanning its scope at every node.  Both must
 explore the same tree, so on every pair the oracle's search (its
 pre-checks and search, without the parity check) must give the same
 status, node count, reason and certificate, and ``partial_covers`` must
-yield the same projections in the same order.
+yield the same projections in the same order.  The reference keeps touch
+counts up to date at every assignment, where the search counts them when
+it reads them, so the agreement also checks that this changes no choice.
+
+The propagation before it failed rows owing darts to images that no
+unassigned neighbour holds is kept here too: the rule must fail such a
+node, and must change no status that both propagations decide.
 """
 
 import itertools
@@ -13,11 +19,13 @@ import random
 from bisect import bisect_left
 from contextlib import closing
 
-from coverkit import Graph, covers, partial_covers, verify_cover
+from coverkit import Graph, covers, oracle_cover, partial_covers, verify_cover
 from coverkit.covers import _REVERSED, BudgetExhausted, InternalCoverError, _DartTables
+from coverkit.graphs import darts
 
 from conftest import complete_bipartite, complete_graph, cycle, disjoint_union, petersen, searched
 from hosts import harmless_hosts, random_compatible_input, random_lift, switched
+from test_twins import twin_pairs
 
 
 # undo trail tags; every change the trail records commutes with the others
@@ -261,7 +269,9 @@ class ReferenceVertexSearch:
         a neighbour whose multiplicity overshoots the outstanding need
         loses y.  With exact domains the need must also fit the unassigned
         neighbours that can still take y: equality forces them and
-        deficits fail."""
+        deficits fail, also those of images that no unassigned neighbour
+        holds, which the row's unassigned multiplicity less the needs of
+        the images they hold counts."""
         assign, domains, exact = self.assign, self.domains, self.exact
         remove = self._remove
         while dirty:
@@ -274,11 +284,13 @@ class ReferenceVertexSearch:
                 targets = 0
                 for w, _ in unassigned:
                     targets |= domains[w]
+                owed = sum(m for _, m in unassigned)
                 while targets:
                     bit = targets & -targets
                     targets ^= bit
                     slot = base + bit.bit_length() - 1
                     needed = cap_a[slot] - used_a[slot]
+                    owed -= needed
                     avail = 0
                     holders = []
                     for w, m in unassigned:
@@ -297,6 +309,8 @@ class ReferenceVertexSearch:
                         for w in holders:
                             if domains[w] != bit:
                                 remove(w, domains[w] ^ bit, ops, dirty)
+                if exact and owed:
+                    return False
         return True
 
     def _choose(self, todo):
@@ -727,3 +741,84 @@ def test_scope_counts_hold_whatever_order_a_trail_is_undone():
         search._undo(order(ops))
         kept, recount = scope_counts(search)
         assert kept == recount == before and search.domains[0] == 0b1111
+
+
+# the rule for images no unassigned neighbour holds ------------------------------
+
+
+def propagate_without_owed(self, dirty, ops) -> bool:
+    """``_VertexSearch._propagate`` before it failed a row that owes darts
+    to images none of its unassigned neighbours holds: a deficit counted
+    only for images some of them still hold."""
+    assign, domains, exact = self.assign, self.domains, self.exact
+    caps, used, cross_rows = self.caps, self.used, self.cross_rows
+    remove = self._remove
+    while dirty:
+        a = dirty.popitem()[0]
+        cap_a, used_a = caps[assign[a]], used[a]
+        for base, _, row in cross_rows[a]:
+            targets = 0
+            for w, _ in row:
+                if assign[w] < 0:
+                    targets |= domains[w]
+            while targets:
+                bit = targets & -targets
+                targets ^= bit
+                slot = base + bit.bit_length() - 1
+                needed = cap_a[slot] - used_a[slot]
+                avail = 0
+                for w, m in row:
+                    if assign[w] < 0 and domains[w] & bit:
+                        if m > needed:
+                            if not remove(w, bit, ops, dirty):
+                                return False
+                        else:
+                            avail += m
+                if not exact:
+                    continue
+                if needed > avail:
+                    return False
+                if needed and needed == avail:
+                    for w, _ in row:
+                        if assign[w] < 0 and domains[w] & bit and domains[w] != bit:
+                            remove(w, domains[w] ^ bit, ops, dirty)
+    return True
+
+
+def test_an_image_no_neighbour_holds_fails_the_node(monkeypatch):
+    # a 2-lift of K4 over K4: vertex 0 at v0 owes one dart to each of v1,
+    # v2 and v3, but its three neighbours can only take v1 or v2
+    g, h = random_lift(complete_graph(4), 2, 0), complete_graph(4)
+    names = g.vertices()
+    near = {w for _, _, w, _ in darts(g, names[0])}
+    assert len(near) == 3
+    domains = {u: {"v1", "v2"} if u in near else set(h.vertices()) for u in names}
+
+    def first_assignment():
+        search = covers._VertexSearch(_DartTables(g, h), domains, [10], exact=True)
+        return search, search._try_assign(0, 0)
+
+    search, ops = first_assignment()
+    assert ops is None and search.assign[0] == -1
+    # the deficit test alone, image by image, lets the assignment stand
+    monkeypatch.setattr(covers._VertexSearch, "_propagate", propagate_without_owed)
+    search, ops = first_assignment()
+    assert ops is not None and search.assign[0] == 0
+
+
+def test_owed_image_rule_keeps_every_status(monkeypatch):
+    compared, nodes = 0, [0, 0]
+    for g, h in twin_pairs():
+        got = oracle_cover(g, h, budget=2000)
+        with monkeypatch.context() as m:
+            m.setattr(covers._VertexSearch, "_propagate", propagate_without_owed)
+            want = oracle_cover(g, h, budget=2000)
+        if "unknown" in (got.status, want.status):
+            continue
+        assert got.status == want.status, (g.name, h.name)
+        compared += 1
+        nodes[0] += got.nodes
+        nodes[1] += want.nodes
+    assert compared >= 1000, compared
+    # the rule prunes: the pairs both decide take fewer nodes in all
+    assert nodes[0] < nodes[1], nodes

@@ -273,8 +273,10 @@ def test_twin_order_keeps_every_status(monkeypatch):
 
 
 def test_recency_stack_stays_within_the_current_path(monkeypatch):
-    # each assigned vertex holds one touch entry, of at most its near list,
-    # so that bounds the stack; untrimmed it grew by about 3.3 per node
+    # each assignment on the current path pushed its vertex's near list
+    # once, unfiltered, and undoing it cuts the stack back, so the near
+    # lists of the assigned vertices bound the stack; untrimmed it would
+    # grow by a near list at every node
     f = random_formula(3, 10, 3, seed=101)
     assert brute_force_formula(f) is None
     choose = covers._VertexSearch._choose
