@@ -1261,7 +1261,9 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
     one perfect matching per parallel target edge (Konig); the directed
     edges inside a fibre peel into one cycle cover per directed loop; the
     undirected edges inside a fibre over a vertex without semi-edges split
-    into one 2-factor per loop (Petersen).  A fibre over semi-edges goes to
+    into one 2-factor per loop (Petersen), read as (id, u, v) triples
+    oriented along closed trails, so no fibre graph is built and no
+    component walked.  A fibre over semi-edges goes to
     ``semi_step(x, colour, verts, group, semi_ids, loop_ids)``, which
     returns the images of the edges it places, or None; the edges it
     leaves are 2-factorized over the loops it leaves free.  ``log``
@@ -1289,9 +1291,9 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
             (intra_dir if kind == "dloop" else intra_und).setdefault((colour, at[0]), []).append(e)
     fe: dict[str, str] = {}
 
-    def spread(h_ids, split, edges, what):
+    def spread(h_ids, what, split, *args):
         try:
-            parts = split(edges, len(h_ids))
+            parts = split(*args, len(h_ids))
         except mt.MatchingError as exc:
             raise NotExtendable(f"{what}: {exc}") from exc
         for he, part in zip(h_ids, parts):
@@ -1308,18 +1310,17 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
             continue
         if kind == "edge":
             x = loc[0]
-            items = [(e.id, ("L", e.u if fv[e.u] == x else e.v), ("R", e.v if fv[e.u] == x else e.u))
-                     for e in group]
+            items = [(e.id, *((e.u, e.v) if fv[e.u] == x else (e.v, e.u))) for e in group]
         else:
-            items = [(e.id, ("L", e.tail), ("R", e.head)) for e in group]
-        spread(h_ids, mt.bipartite_peel, items, f"fibre-pair group {key} not factorizable")
+            items = [(e.id, e.tail, e.head) for e in group]
+        spread(h_ids, f"fibre-pair group {key} not factorizable", mt.bipartite_peel, items)
         log(f"factorized {len(group)} edges into {len(h_ids)} bundles at {key}")
 
     for (colour, x), group in sorted(intra_dir.items()):
         h_ids = by[("dloop", colour, (x,))]
         if len({e.tail for e in group}) != len(fibres[x]):
             raise NotExtendable(f"directed fibre at {x} has a vertex without out-darts")
-        spread(h_ids, mt.peel_cycle_covers, group, f"directed fibre at {x} not decomposable")
+        spread(h_ids, f"directed fibre at {x} not decomposable", mt.peel_cycle_covers, group)
         log(f"directed decomposition of {len(group)} arcs at fibre {x}")
 
     for (colour, x), group in sorted(intra_und.items()):
@@ -1334,11 +1335,9 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
             fe.update(placed)
             used = set(placed.values())
             free = [he for he in loop_ids if he not in used]
-        residual = [e for e in group if e.id not in fe]
+        residual = [(e.id, e.u, e.v) for e in group if e.id not in fe]
         if residual or free:
-            sub = Graph._derive("fibre", dict.fromkeys(verts, "f"))
-            sub._put(residual)
-            spread(free, mt.two_factorization, sub, f"fibre at {x} not 2-factorizable")
+            spread(free, f"fibre at {x} not 2-factorizable", mt.peel_two_factors, verts, residual)
         log(f"fibre {x} colour {colour}: {len(group)} edges distributed")
     return fe
 

@@ -443,7 +443,7 @@ def project(g: Graph, vertices: Iterable[str] | None = None, colours: Iterable[s
     return out
 
 
-def _walks(g: Graph) -> Iterator[Iterator[tuple[str, list]]]:
+def walks(g: Graph) -> Iterator[Iterator[tuple[str, list]]]:
     """The one component walk: per component, from the first unseen vertex
     in vertex order, each vertex with its ``darts`` as the walk leaves it.
     Every dart leads on to its other end, so semi-edges, loops and directed
@@ -474,11 +474,11 @@ def components(g: Graph) -> list[list[str]]:
     Semi-edges do not connect anything.  Components are returned sorted,
     each as a sorted vertex list.
     """
-    return sorted(sorted(v for v, _ in walk) for walk in _walks(g))
+    return sorted(sorted(v for v, _ in walk) for walk in walks(g))
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or sum(1 for _ in next(_walks(g))) == g.n
+    return g.n <= 1 or sum(1 for _ in next(walks(g))) == g.n
 
 
 def is_tree(g: Graph) -> bool:
@@ -498,7 +498,7 @@ def bipartition(g: Graph) -> dict[str, int] | None:
     when an odd cycle (a loop included) joins two vertices of one side.
     Semi-edges join nothing."""
     side: dict[str, int] = {}
-    for walk in _walks(g):
+    for walk in walks(g):
         for v, ds in walk:
             # a component's first vertex is the only one the walk leaves unsided
             other = 1 - side.setdefault(v, 0)
@@ -531,7 +531,7 @@ def component_shapes(g: Graph) -> list[tuple[list[str], str]]:
     if any(e.directed for e in g.edges()):
         raise GraphError("component shape is defined for undirected graphs")
     out = []
-    for walk in _walks(g):
+    for walk in walks(g):
         comp = []
         normals = 0  # normal darts: twice the edges and loops
         fits, path_end = True, False

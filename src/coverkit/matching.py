@@ -2,17 +2,23 @@
 
 The solver leans on three classical facts: a k-regular bipartite multigraph
 splits into k perfect matchings (Konig), a 2k-regular multigraph without
-semi-edges splits into k spanning 2-factors (Petersen, realized here by
-orienting an Euler circuit and splitting the resulting bipartite graph),
-and a k-in-k-out-regular digraph splits into k spanning cycle covers.
-General (non-bipartite) perfect matchings use a blossom search.
+semi-edges splits into k spanning 2-factors (Petersen), and a
+k-in-k-out-regular digraph splits into k spanning cycle covers.  One peel
+realizes all three.  An even k halves along closed trails: a trail enters
+every vertex as often as it leaves it, so the edges it walks from their
+left ends and those it walks from their right ends give every vertex half
+its degree (Gabow 1976, Euler partitions).  An odd k of 3 or more first
+takes one perfect matching by augmenting paths.  A 2k-regular multigraph
+is oriented along closed trails, k out and k in at every vertex, and its
+out/in split is peeled.  General (non-bipartite) perfect matchings use a
+blossom search that starts from a greedy matching.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .graphs import IN, OUT, UND, Graph, GraphError, bipartition, components, darts, total_degree
+from .graphs import IN, OUT, UND, Graph, GraphError, bipartition, darts, total_degree
 
 
 class MatchingError(GraphError):
@@ -58,16 +64,17 @@ def _augment(match, p, to):
         v = ppv
 
 
-def _find_path(n, adj, match, root):
-    used = [False] * n
-    p = [-1] * n
-    base = list(range(n))
+def _find_path(adj, match, root, used, p, base) -> bool:
+    """One augmenting-path search from ``root``.  ``used``, ``p`` and
+    ``base`` come in clear and are cleared again at the vertices the
+    search reached, so a call costs what it reaches."""
     used[root] = True
     q = deque([root])
     # the tree's vertices: a blossom holds only these, so shrinking one
     # relabels them alone, in ascending order as a scan over all n would
     reached = [root]
-    while q:
+    found = False
+    while q and not found:
         v = q.popleft()
         for to in adj[v]:
             if base[v] == base[to] or match[v] == to:
@@ -86,20 +93,35 @@ def _find_path(n, adj, match, root):
                 p[to] = v
                 if match[to] == -1:
                     _augment(match, p, to)
-                    return True
+                    reached.append(to)
+                    found = True
+                    break
                 used[match[to]] = True
                 q.append(match[to])
                 reached += (to, match[to])
-    return False
+    for i in reached:
+        used[i] = False
+        p[i] = -1
+        base[i] = i
+    return found
 
 
 def maximum_matching(n: int, adj: list[set[int]]) -> list[int]:
     """Blossom search; ``adj`` is a simple adjacency structure on 0..n-1.
-    Returns the mate array with -1 for exposed vertices."""
+    Returns the mate array with -1 for exposed vertices.  A greedy pass
+    matches each exposed vertex, in order, to its first exposed
+    neighbour; the search then runs from each vertex still exposed."""
     match = [-1] * n
     for v in range(n):
         if match[v] == -1:
-            _find_path(n, adj, match, v)
+            for to in adj[v]:
+                if match[to] == -1:
+                    match[v], match[to] = to, v
+                    break
+    used, p, base = [False] * n, [-1] * n, list(range(n))
+    for v in range(n):
+        if match[v] == -1:
+            _find_path(adj, match, v, used, p, base)
     return match
 
 
@@ -176,61 +198,91 @@ def _kuhn(left, adj):
 
 
 def bipartite_peel(items: list[tuple[str, object, object]], k: int) -> list[list[str]]:
-    """Split edges (eid, left, right) into k perfect matchings.
+    """Split edges (eid, left, right) into k perfect matchings, each a
+    sorted id list.
 
-    Every left and right vertex must be covered by each matching; raises
-    MatchingError when some round has no perfect matching.  A last round
-    whose edges already form one perfect matching takes them as they are,
-    which is the matching the augmenting-path search would return.
+    Left and right names are two sides, so one name may stand on both.
+    The matchings exist exactly when every vertex has k edges (Konig);
+    raises MatchingError otherwise.
     """
-    remaining: dict[tuple[object, object], list[str]] = {}
-    lefts, rights = set(), set()
+    left: dict = {}
+    right: dict = {}
+    ids, tails, heads = [], [], []
     for eid, l, r in items:
-        remaining.setdefault((l, r), []).append(eid)
-        lefts.add(l)
-        rights.add(r)
-    order = sorted(lefts, key=str)
+        ids.append(eid)
+        tails.append(left.setdefault(l, len(left)))
+        heads.append(right.setdefault(r, len(right)))
+    for name, side, ends in (("left", left, tails), ("right", right, heads)):
+        count = [0] * len(side)
+        for i in ends:
+            count[i] += 1
+        for v, i in side.items():
+            if count[i] != k:
+                raise MatchingError(f"{name} vertex {v!r} has degree {count[i]}, expected {k}")
+    return _peel(ids, tails, heads, len(left), k)
+
+
+def _peel(ids: list[str], tails: list[int], heads: list[int], n: int, k: int) -> list[list[str]]:
+    """The k perfect matchings of a k-regular bipartite multigraph whose
+    edge e joins left vertex tails[e] to right vertex heads[e], both in
+    range(n).  An even degree halves along closed trails: the edges
+    walked from their left ends make one half, those walked from their
+    right ends the other.  An odd one gives up one matching first."""
+    if k == 0:
+        return []
+    other = [t ^ (n + h) for t, h in zip(tails, heads)]  # right vertex j is node n + j
     out = []
-    for rnd in range(k):
-        if rnd == k - 1:
-            last = _perfect_remainder(remaining, len(lefts), len(rights))
-            if last is not None:
-                out.append(last)
-                return out
-        adj = {l: [] for l in lefts}
-        for (l, r), ids in remaining.items():
-            if ids:
-                adj[l].append(r)
-        match = _kuhn(order, adj)
-        if match is None or len(match) != len(lefts) or len(set(match.values())) != len(rights):
-            raise MatchingError(f"no perfect matching in peeling round {rnd}")
-        chosen = []
-        for l, r in match.items():
-            ids = remaining[(l, r)]
-            chosen.append(ids.pop())
-        out.append(sorted(chosen))
-    if any(ids for ids in remaining.values()):
-        raise MatchingError("edges left over after peeling; graph was not k-regular")
+    groups = [(list(range(len(ids))), k)]
+    while groups:
+        edges, d = groups.pop()
+        if d % 2:
+            matching, edges = _one_matching(edges, tails, heads, n) if d > 1 else (edges, [])
+            out.append(sorted([ids[e] for e in matching]))
+            d -= 1
+        if d:
+            at: list[list[int]] = [[] for _ in range(2 * n)]
+            for e in edges:
+                at[tails[e]].append(e)
+                at[n + heads[e]].append(e)
+            origin = _trails(at, other)
+            groups.append(([e for e in edges if origin[e] >= n], d // 2))
+            groups.append(([e for e in edges if origin[e] < n], d // 2))
     return out
 
 
-def _perfect_remainder(remaining, n_left: int, n_right: int) -> list[str] | None:
-    """The sorted ids of the edges left in ``remaining`` when they meet
-    every left and every right vertex exactly once, else None."""
-    seen_l, seen_r = set(), set()
-    ids_left = []
-    for (l, r), ids in remaining.items():
-        if not ids:
-            continue
-        if len(ids) > 1 or l in seen_l or r in seen_r:
-            return None
-        seen_l.add(l)
-        seen_r.add(r)
-        ids_left.append(ids[0])
-    if len(seen_l) != n_left or len(seen_r) != n_right:
-        return None
-    ids_left.sort()
-    return ids_left
+def _trails(at: list[list[int]], other: list[int]) -> list[int]:
+    """Walk a multigraph of even degrees along closed trails, which need
+    no connectivity.  ``at[v]`` lists the edges at node v, a loop twice,
+    and e's other end is v ^ other[e].  Returns for each edge the node it
+    was walked from, -1 for an edge in no list; a trail leaves every node
+    as often as it enters it."""
+    origin = [-1] * len(other)
+    for start, first in enumerate(at):
+        while first:
+            v = start
+            while True:
+                lst = at[v]
+                while lst and origin[lst[-1]] >= 0:
+                    lst.pop()
+                if not lst:
+                    break
+                e = lst.pop()
+                origin[e] = v
+                v ^= other[e]
+    return origin
+
+
+def _one_matching(edges: list[int], tails: list[int], heads: list[int], n: int) -> tuple[list[int], list[int]]:
+    """One perfect matching of a regular bipartite multigraph, which has
+    one (Konig), by Kuhn's augmenting paths, and the edges it leaves."""
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for e in edges:
+        by_pair.setdefault((tails[e], heads[e]), []).append(e)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for l, r in by_pair:
+        adj[l].append(r)
+    chosen = {by_pair[pair].pop() for pair in _kuhn(range(n), adj).items()}
+    return [e for e in edges if e in chosen], [e for e in edges if e not in chosen]
 
 
 def bipartite_k_factorization(g: Graph, k: int) -> list[list[str]]:
@@ -244,89 +296,51 @@ def bipartite_k_factorization(g: Graph, k: int) -> list[list[str]]:
         d = total_degree(g, v)
         if d != k:
             raise MatchingError(f"vertex {v!r} has degree {d}, expected {k}")
-    items = []
-    for e in g.edges():
-        l, r = (e.u, e.v) if side[e.u] == 0 else (e.v, e.u)
-        items.append((e.id, ("L", l), ("R", r)))
-    return bipartite_peel(items, k)
+    return bipartite_peel([(e.id, *((e.u, e.v) if side[e.u] == 0 else (e.v, e.u))) for e in g.edges()], k)
 
 
-# Euler circuits and 2-factorization ------------------------------------------
+# 2-factorization --------------------------------------------------------------
 
 
-def euler_orientation(edges: list[tuple[str, str, str]]) -> list[tuple[str, str, str]]:
-    """Orient a connected even-degree multigraph along an Euler circuit.
+def peel_two_factors(verts: list[str], edges: list[tuple[str, str, str]], k: int) -> list[list[str]]:
+    """Split undirected edges (eid, u, v), a loop as (eid, u, u), into k
+    2-factors spanning ``verts``, each a sorted id list.
 
-    ``edges`` are (eid, u, v) with loops as (eid, u, u).  Returns the same
-    edges as (eid, tail, head) in traversal order.
+    Every vertex must have degree 2k, a loop counting twice; raises
+    MatchingError otherwise.  Closed trails, which need no connectivity,
+    orient the edges k out and k in at every vertex, and the out/in split
+    is peeled: a perfect matching of it is one out- and one in-dart per
+    vertex, a 2-factor.
     """
-    if not edges:
-        return []
-    adj: dict[str, list[tuple[str, str]]] = {}
+    index = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    at: list[list[int]] = [[] for _ in range(n)]
+    ids, other = [], []  # other[e]: the xor of its end numbers
     for eid, u, v in edges:
-        adj.setdefault(u, []).append((eid, v))
-        if u != v:
-            adj.setdefault(v, []).append((eid, u))
-    ptr = {v: 0 for v in adj}
-    used: set[str] = set()
-    start = edges[0][1]
-    stack: list[tuple[str, str | None]] = [(start, None)]
-    out: list[tuple[str, str, str]] = []
-    while stack:
-        v, via = stack[-1]
-        lst = adj[v]
-        advanced = False
-        while ptr[v] < len(lst):
-            eid, w = lst[ptr[v]]
-            ptr[v] += 1
-            if eid in used:
-                continue
-            used.add(eid)
-            stack.append((w, eid))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            if via is not None:
-                out.append((via, stack[-1][0], v))
-    out.reverse()
-    if len(out) != len(edges):
-        raise MatchingError("graph has no Euler circuit (odd degree or disconnected)")
-    return out
-
-
-def _undirected_degree(g: Graph, v: str) -> int:
-    at = darts(g, v)
-    if any(e.kind == "semi" for e, _, _, _ in at):
-        raise MatchingError("semi-edges not allowed in factorization input")
-    if any(d != UND for _, d, _, _ in at):
-        raise MatchingError("directed edges not allowed in 2-factorization input")
-    return sum(c for _, _, _, c in at)
+        a, b = index[u], index[v]
+        at[a].append(len(ids))
+        at[b].append(len(ids))
+        ids.append(eid)
+        other.append(a ^ b)
+    for v, i in index.items():
+        if len(at[i]) != 2 * k:
+            raise MatchingError(f"vertex {v!r} has degree {len(at[i])}, expected {2 * k}")
+    if k <= 1:
+        # a 2-regular graph is its own 2-factor
+        return [sorted(ids)] if k else []
+    tails = _trails(at, other)
+    return _peel(ids, tails, [t ^ o for t, o in zip(tails, other)], n, k)
 
 
 def two_factorization(g: Graph, k: int) -> list[list[str]]:
     """Split a 2k-regular multigraph (loops allowed, no semi-edges) into k
     spanning 2-factors, each a disjoint union of cycles."""
-    for v in g.vertices():
-        if _undirected_degree(g, v) != 2 * k:
-            raise MatchingError(f"vertex {v!r} is not {2 * k}-regular")
-    if k == 0:
-        return []
-    if k == 1:
-        # a 2-regular graph is its own 2-factor
-        return [sorted(e.id for e in g.edges())]
-    factors: list[list[str]] = [[] for _ in range(k)]
-    parts = components(g)
-    comp_of = {v: i for i, comp in enumerate(parts) for v in comp}
-    comps: list[list[tuple[str, str, str]]] = [[] for _ in parts]
     for e in g.edges():
-        comps[comp_of[e.u]].append((e.id, e.u, e.v))
-    for comp_edges in comps:
-        oriented = euler_orientation(comp_edges)
-        items = [(eid, ("out", t), ("in", h)) for eid, t, h in oriented]
-        for i, matching in enumerate(bipartite_peel(items, k)):
-            factors[i].extend(matching)
-    return [sorted(f) for f in factors]
+        if e.kind == "semi":
+            raise MatchingError("semi-edges not allowed in factorization input")
+        if e.directed:
+            raise MatchingError("directed edges not allowed in 2-factorization input")
+    return peel_two_factors(g.vertices(), [(e.id, e.u, e.v) for e in g.edges()], k)
 
 
 def directed_cycle_cover_decomposition(g: Graph, k: int) -> list[list[str]]:
@@ -347,4 +361,4 @@ def directed_cycle_cover_decomposition(g: Graph, k: int) -> list[list[str]]:
 def peel_cycle_covers(edges, k: int) -> list[list[str]]:
     """Split arcs and directed loops, k out and k in at every vertex they
     touch, into k cycle covers of those vertices."""
-    return bipartite_peel([(e.id, ("out", e.tail), ("in", e.head)) for e in edges], k)
+    return bipartite_peel([(e.id, e.tail, e.head) for e in edges], k)

@@ -27,7 +27,7 @@ from .classify import (
     classify_shape,
 )
 from .covers import CoveringProjection, InternalCoverError, NotExtendable, _realize_edges, verify_cover
-from .graphs import Edge, Graph, GraphError, component_shapes, components, is_connected, project
+from .graphs import Edge, Graph, GraphError, component_shapes, is_connected, project, walks
 from .graphs import EVEN_CYCLE, IN, ODD_CYCLE, OPEN_PATH, OUT, UND, darts, vertex_darts
 from .partition import Partition, degree_partition, normalize_colours
 from .twosat import TwoSat
@@ -329,15 +329,17 @@ def _alternation_assignment(verts: list[str], group, semi_ids: list[str]) -> dic
     for any other shape."""
     fibre = Graph._derive("fibre", dict.fromkeys(verts, "f"))
     fibre._put(group)
-    at = {v: darts(fibre, v) for v in verts}
+    # each component with its vertices' darts, from the one walk
+    comps = [list(walk) for walk in walks(fibre)]
+    at = {v: ds for comp in comps for v, ds in comp}
     if any(e.kind == "loop" for e in group) or any(len(ds) != 2 for ds in at.values()):
         return None
     s0, s1 = semi_ids
     fe: dict[str, str] = {}
-    for comp in components(fibre):
-        # a path starts at a semi-edge end; a cycle anywhere
-        start = next((v for v in comp if any(e.kind == "semi" for e, _, _, _ in at[v])), None)
-        v, toggle = (comp[0], 0) if start is None else (start, 1)
+    for comp in comps:
+        # a path starts at its least semi-edge end; a cycle at its least vertex
+        start = min((v for v, ds in comp if any(e.kind == "semi" for e, _, _, _ in ds)), default=None)
+        v, toggle = (min(v for v, _ in comp), 0) if start is None else (start, 1)
         if start is not None:
             fe[next(e for e, _, _, _ in at[v] if e.kind == "semi").id] = s0
         while True:

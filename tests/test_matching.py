@@ -12,17 +12,16 @@ from coverkit import (
     general_perfect_matching,
     two_factorization,
 )
-from coverkit.graphs import components
+from coverkit.graphs import components, darts
 from coverkit.matching import (
     _augment,
     _kuhn,
     _lca,
     _mark_path,
-    _undirected_degree,
     bipartite_peel,
-    euler_orientation,
     maximum_matching,
     peel_cycle_covers,
+    peel_two_factors,
 )
 
 from conftest import complete_bipartite, complete_graph, cycle, one_vertex, petersen
@@ -124,15 +123,15 @@ def test_factorize_rejects():
 
 
 def test_euler_loop_and_cycle():
-    edges = [("l", "u", "u"), ("e1", "u", "v"), ("e2", "v", "u")]
-    oriented = euler_orientation(edges)
-    assert len(oriented) == 3
-    outs = {}
-    ins = {}
-    for _, t, h in oriented:
-        outs[t] = outs.get(t, 0) + 1
-        ins[h] = ins.get(h, 0) + 1
-    assert outs == ins
+    # a loop at each end of a double edge: the closed trails walk each
+    # loop out and in at once, and the only split into 2-factors puts the
+    # two loops in one and the double edge in the other
+    g = one_vertex(loops=1)
+    g.add_vertex("w", "n")
+    g.add_edge("loop", "l2", "e", "w")
+    g.add_edge("edge", "e1", "e", "x", "w")
+    g.add_edge("edge", "e2", "e", "w", "x")
+    assert sorted(two_factorization(g, 2)) == [["e1", "e2"], ["l0", "l2"]]
 
 
 def check_two_factor(g, factor):
@@ -302,8 +301,21 @@ def find_path_reference(n, adj, match, root):
     return False, shrunk
 
 
+def greedy_start(n, adj):
+    """Each exposed vertex, in order, matched to its first exposed neighbour."""
+    match = [-1] * n
+    for v in range(n):
+        if match[v] == -1:
+            for to in adj[v]:
+                if match[to] == -1:
+                    match[v], match[to] = to, v
+                    break
+    return match
+
+
 def test_maximum_matching_matches_full_relabelling():
-    # same mate array as the search that relabels every vertex per blossom
+    # same mate array as the search that allocates its arrays per root and
+    # relabels every vertex per blossom, run from the same greedy start
     rng = random.Random(11)
     shrunk = 0
     for _ in range(1500):
@@ -313,12 +325,15 @@ def test_maximum_matching_matches_full_relabelling():
             i, j = rng.sample(range(n), 2)
             adj[i].add(j)
             adj[j].add(i)
-        want = [-1] * n
+        want = greedy_start(n, adj)
         for v in range(n):
             if want[v] == -1:
                 shrunk += find_path_reference(n, adj, want, v)[1]
         assert maximum_matching(n, adj) == want
     assert shrunk > 1000
+
+
+# the Euler-split peels against the round-by-round routines they replace -------
 
 
 def peel_reference(items, k):
@@ -343,10 +358,43 @@ def peel_reference(items, k):
     return out
 
 
+def euler_orientation_reference(edges):
+    """Orient a connected even-degree multigraph, edges (eid, u, v) with
+    loops as (eid, u, u), along an Euler circuit."""
+    adj = {}
+    for eid, u, v in edges:
+        adj.setdefault(u, []).append((eid, v))
+        if u != v:
+            adj.setdefault(v, []).append((eid, u))
+    ptr = {v: 0 for v in adj}
+    used = set()
+    stack = [(edges[0][1], None)]
+    out = []
+    while stack:
+        v, via = stack[-1]
+        while ptr[v] < len(adj[v]) and adj[v][ptr[v]][0] in used:
+            ptr[v] += 1
+        if ptr[v] < len(adj[v]):
+            eid, w = adj[v][ptr[v]]
+            used.add(eid)
+            stack.append((w, eid))
+        else:
+            stack.pop()
+            if via is not None:
+                out.append((via, stack[-1][0], v))
+    if len(out) != len(edges):
+        raise MatchingError("graph has no Euler circuit (odd degree or disconnected)")
+    return out
+
+
 def two_factorization_reference(g, k):
-    """``two_factorization`` orienting and peeling for every k."""
+    """``two_factorization`` orienting each component along an Euler
+    circuit and peeling it round by round."""
     for v in g.vertices():
-        if _undirected_degree(g, v) != 2 * k:
+        at = darts(g, v)
+        if any(e.kind == "semi" or e.directed for e, _, _, _ in at):
+            raise MatchingError("semi-edges or directed edges in 2-factorization input")
+        if sum(c for _, _, _, c in at) != 2 * k:
             raise MatchingError(f"vertex {v!r} is not {2 * k}-regular")
     if k == 0:
         return []
@@ -355,47 +403,70 @@ def two_factorization_reference(g, k):
         inside = set(comp)
         edges = [(e.id, e.u, e.v) for e in g.edges() if e.u in inside]
         if edges:
-            items = [(eid, ("out", t), ("in", h)) for eid, t, h in euler_orientation(edges)]
+            items = [(eid, ("out", t), ("in", h)) for eid, t, h in euler_orientation_reference(edges)]
             for i, matching in enumerate(peel_reference(items, k)):
                 factors[i].extend(matching)
     return [sorted(f) for f in factors]
 
 
-def outcome(split, *args):
+def refused(split, *args):
     try:
-        return split(*args)
+        split(*args)
     except MatchingError as exc:
         return str(exc)
+    return None
 
 
-def regular_bipartite_items(rng, n, k):
-    # k random perfect matchings on n + n vertices, parallel edges allowed
+def check_peel(items, k, parts):
+    """k disjoint perfect matchings, together every edge."""
+    assert len(parts) == k
+    ends = {eid: (l, r) for eid, l, r in items}
+    lefts, rights = {l for l, _ in ends.values()}, {r for _, r in ends.values()}
+    for part in parts:
+        assert part == sorted(part)
+        assert Counter(ends[eid][0] for eid in part) == Counter(lefts)
+        assert Counter(ends[eid][1] for eid in part) == Counter(rights)
+    assert sorted(sum(parts, [])) == sorted(ends)
+
+
+def regular_bipartite_items(rng, n, k, shared):
+    # k random perfect matchings on n + n vertices, parallel edges allowed;
+    # with ``shared`` the two sides use the same names, like the tails and
+    # heads of a cycle-cover item
+    rname = "L" if shared else "R"
     items = []
     for rnd in range(k):
         perm = list(range(n))
         rng.shuffle(perm)
-        items += [(f"e{rnd}.{i}", f"L{i}", f"R{perm[i]}") for i in range(n)]
+        items += [(f"e{rnd}.{i}", f"L{i}", f"{rname}{perm[i]}") for i in range(n)]
     rng.shuffle(items)
     return items
 
 
 def test_peels_match_the_general_routines():
     rng = random.Random(13)
-    errors = Counter()
-    for trial in range(600):
-        k, n = rng.randrange(1, 5), rng.randrange(1, 7)
-        items = regular_bipartite_items(rng, n, k)
-        # break regularity three ways: the remainder then is not 1-regular
-        if trial % 4 == 1:
-            eid, l, _ = items.pop(rng.randrange(len(items)))
-            items.append((eid, l, f"R{rng.randrange(n)}"))
-        elif trial % 4 == 2:
+    errors, odd_accepted = Counter(), 0
+    for trial in range(900):
+        k, n = rng.randrange(1, 8), rng.randrange(1, 7)
+        items = regular_bipartite_items(rng, n, k, shared=trial % 2 == 0)
+        # break regularity four ways
+        variant = trial % 5
+        if variant == 1:
+            eid, l, r = items.pop(rng.randrange(len(items)))
+            items.append((eid, l, f"{r[0]}{rng.randrange(n)}"))
+        elif variant == 2:
             items.pop(rng.randrange(len(items)))
-        elif trial % 4 == 3:
-            items.append(("extra", f"L{rng.randrange(n)}", f"R{rng.randrange(n)}"))
-        want = outcome(peel_reference, items, k)
-        assert outcome(bipartite_peel, items, k) == want
-        if isinstance(want, str):
+        elif variant == 3:
+            items.append(("extra", f"L{rng.randrange(n)}", f"{items[0][2][0]}{rng.randrange(n)}"))
+        elif variant == 4:
+            k += rng.choice((-1, 1))
+        want = refused(peel_reference, items, k)
+        got = refused(bipartite_peel, items, k)
+        assert (got is None) == (want is None), (items, k, got, want)
+        if want is None:
+            check_peel(items, k, bipartite_peel(items, k))
+            odd_accepted += k % 2 == 1 and k > 1
+        else:
             errors[want.split(" round")[0].split(";")[0]] += 1
         # arcs and directed loops of a k-in-k-out digraph on the same pairs
         arcs = Graph("arcs")
@@ -407,39 +478,77 @@ def test_peels_match_the_general_routines():
                 arcs.add_edge("dloop", eid, "d", tail)
             else:
                 arcs.add_edge("arc", eid, "d", tail, head)
-        cycle_items = [(e.id, ("out", e.tail), ("in", e.head)) for e in arcs.edges()]
-        assert outcome(peel_cycle_covers, list(arcs.edges()), k) == \
-            outcome(peel_reference, cycle_items, k)
-    # both errors occur, the leftover one only past the fast last round
+        cycle_items = [(e.id, e.tail, e.head) for e in arcs.edges()]
+        want = refused(peel_reference, cycle_items, k)
+        assert (refused(peel_cycle_covers, list(arcs.edges()), k) is None) == (want is None)
+        if want is None:
+            check_peel(cycle_items, k, peel_cycle_covers(list(arcs.edges()), k))
+    # the reference refuses both ways, and odd k of 3 or more is peeled
     assert errors["no perfect matching in peeling"] > 20
     assert errors["edges left over after peeling"] > 20
+    assert odd_accepted > 50
 
 
 def test_peel_raises_where_the_last_round_is_not_one_regular():
     # L0 has two edges and R0 one: the search matches and leaves e2 over
     items = [("e1", "L0", "R0"), ("e2", "L0", "R1"), ("e3", "L1", "R1")]
-    with pytest.raises(MatchingError, match="edges left over after peeling"):
+    assert refused(peel_reference, items, 1)
+    with pytest.raises(MatchingError, match="left vertex 'L0' has degree 2, expected 1"):
         bipartite_peel(items, 1)
-    with pytest.raises(MatchingError, match="no perfect matching in peeling round 1"):
-        bipartite_peel([("e1", "L0", "R0"), ("e2", "L1", "R0"), ("e3", "L0", "R1")], 2)
+    items = [("e1", "L0", "R0"), ("e2", "L1", "R0"), ("e3", "L0", "R1")]
+    assert refused(peel_reference, items, 2)
+    with pytest.raises(MatchingError, match="left vertex 'L1' has degree 1, expected 2"):
+        bipartite_peel(items, 2)
     assert bipartite_peel([], 1) == [[]] == peel_reference([], 1)
+    assert bipartite_peel([], 0) == [] == peel_reference([], 0)
+    # one name on both sides: a directed loop's tail and head
+    assert bipartite_peel([("a", "x", "x")], 1) == [["a"]] == peel_reference([("a", "x", "x")], 1)
+    with pytest.raises(MatchingError, match="expected 0"):
+        bipartite_peel([("a", "x", "x")], 0)
+
+
+def random_two_k_regular(rng, g, prefix, n, k, short=False):
+    # a configuration-model 2k-regular multigraph, loops allowed
+    for i in range(n):
+        g.add_vertex(f"{prefix}{i}", "n")
+    stubs = [f"{prefix}{i}" for i in range(n) for _ in range(2 * k)]
+    if short:
+        stubs = stubs[2:]  # one vertex short of 2k
+    rng.shuffle(stubs)
+    for idx in range(0, len(stubs), 2):
+        a, b = stubs[idx], stubs[idx + 1]
+        if a == b:
+            g.add_edge("loop", f"{prefix}e{idx}", "e", a)
+        else:
+            g.add_edge("edge", f"{prefix}e{idx}", "e", a, b)
 
 
 def test_two_factorization_matches_the_general_routine():
     rng = random.Random(17)
-    for trial in range(300):
-        k, n = rng.randrange(1, 5), rng.randrange(1, 8)
+    accepted = {"odd k": 0, "even k": 0, "two components": 0, "loops": 0}
+    for trial in range(400):
+        k, n = rng.randrange(1, 6), rng.randrange(1, 8)
         g = Graph("cfg")
-        for i in range(n):
-            g.add_vertex(f"v{i}", "n")
-        stubs = [v for v in g.vertices() for _ in range(2 * k)]
-        if trial % 4 == 3:
-            stubs = stubs[2:]  # one vertex short of 2k
-        rng.shuffle(stubs)
-        for idx in range(0, len(stubs), 2):
-            a, b = stubs[idx], stubs[idx + 1]
-            if a == b:
-                g.add_edge("loop", f"e{idx}", "e", a)
-            else:
-                g.add_edge("edge", f"e{idx}", "e", a, b)
-        assert outcome(two_factorization, g, k) == outcome(two_factorization_reference, g, k)
+        random_two_k_regular(rng, g, "v", n, k, short=trial % 4 == 3)
+        if trial % 3 == 0:
+            # a second component, so no Euler circuit walks the whole graph
+            random_two_k_regular(rng, g, "w", rng.randrange(1, 5), k)
+        if trial % 7 == 6:
+            k += 1
+        want = refused(two_factorization_reference, g, k)
+        assert (refused(two_factorization, g, k) is None) == (want is None), (trial, want)
+        if want is None:
+            factors = two_factorization(g, k)
+            assert len(factors) == k
+            assert sorted(sum(factors, [])) == sorted(e.id for e in g.edges())
+            for f in factors:
+                assert f == sorted(f)
+                check_two_factor(g, f)
+            accepted["odd k" if k % 2 else "even k"] += 1
+            accepted["two components"] += len(components(g)) > 1
+            accepted["loops"] += any(e.kind == "loop" for e in g.edges())
+    assert min(accepted.values()) > 40, accepted
+    # the fibre form takes the same triples and spans every listed vertex
+    assert peel_two_factors(["a", "b"], [("l", "a", "a"), ("m", "b", "b")], 1) == [["l", "m"]]
+    with pytest.raises(MatchingError, match="'b' has degree 0, expected 2"):
+        peel_two_factors(["a", "b"], [("l", "a", "a")], 1)

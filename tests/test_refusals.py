@@ -22,7 +22,6 @@ from coverkit.classify import ShapeError
 from coverkit.gadgets import (Formula, GadgetError, build_gphi_fw, compose_claimA, directed_lift_wd,
                               fw_target, random_formula, variable_gadget, wd_target)
 from coverkit.graphs import OUT
-from coverkit.matching import euler_orientation
 
 from conftest import cycle, one_vertex
 
@@ -52,8 +51,16 @@ def _colour_in_nested_block_sets():
     return block_shapes(g, Partition([["x"], ["y"]], {"x": 0, "y": 1}))
 
 
-def _two_triangles():
-    return [(f"{p}{i}", f"{p}{i}", f"{p}{(i + 1) % 3}") for p in "ab" for i in range(3)]
+def _two_triangles_joined():
+    # a0 and b0 have degree 3, which no 2-factorization splits
+    g = Graph("triangles")
+    for p in "ab":
+        for i in range(3):
+            g.add_vertex(f"{p}{i}", "n")
+        for i in range(3):
+            g.add_edge("edge", f"e{p}{i}", "e", f"{p}{i}", f"{p}{(i + 1) % 3}")
+    g.add_edge("edge", "ab", "e", "a0", "b0")
+    return g
 
 
 REFUSALS = [
@@ -70,7 +77,8 @@ REFUSALS = [
      MatchingError, "undirected graphs"),
     ("k-factorization-with-loop", lambda: bipartite_k_factorization(_with(cycle(4), "loop", "v0"), 2),
      MatchingError, "undirected normal edges only"),
-    ("euler-two-triangles", lambda: euler_orientation(_two_triangles()), MatchingError, "no Euler circuit"),
+    ("2-factorization-odd-degree", lambda: two_factorization(_two_triangles_joined(), 1),
+     MatchingError, "'a0' has degree 3, expected 2"),
     ("2-factorization-with-semi", lambda: two_factorization(one_vertex(semis=2), 1),
      MatchingError, "semi-edges not allowed"),
     ("2-factorization-with-arc", lambda: two_factorization(_with(cycle(4), "arc", "v0", "v2", colour="d"), 1),
