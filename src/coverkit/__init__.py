@@ -53,6 +53,7 @@ from .classify import (
     BlockGraph,
     SmallShape,
     Verdict,
+    analyze_target,
     block_shapes,
     classify_shape,
     recognize_shape,

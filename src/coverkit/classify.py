@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, is_connected, is_tree, total_degree
-from .partition import Partition, degree_adjust, degree_partition, normalize_colours
+from .partition import Partition, RefinementMatrix, degree_adjust, degree_partition, normalize_colours
 
 HARMLESS = "harmless"
 DANGEROUS = "dangerous"
@@ -234,12 +234,26 @@ def block_shapes(h: Graph, part: Partition) -> list[BlockGraph]:
     return out
 
 
+def analyze_target(h: Graph) -> tuple[Partition, RefinementMatrix, Graph | None, list[tuple[BlockGraph, str]]]:
+    """The one analysis of a target that the dichotomy reads: its degree
+    partition and refinement matrix, its colour-normalized graph, and each
+    block graph with its class, in ``block_shapes`` order.  When a block
+    has more than two vertices no shape is characterized, so the
+    normalized graph is None and the list is empty."""
+    part, matrix = degree_partition(h)
+    if any(len(b) > 2 for b in part.blocks):
+        return part, matrix, None, []
+    hn = normalize_colours(h, part)
+    return part, matrix, hn, [(bg, classify_shape(bg.shape)) for bg in block_shapes(hn, part)]
+
+
 def verdict(h: Graph) -> Verdict:
     """The P/NP-complete verdict for a connected target graph.
 
     Trees, paths and cycles are polynomial outright.  Otherwise the
     degree-adjusting reduction is applied; a reduced path or cycle is
-    polynomial, a block of more than two vertices is unsupported, and
+    polynomial, and the rest is read from ``analyze_target`` of the
+    reduced graph: a block of more than two vertices is unsupported, and
     otherwise the block-graph classes decide.  A dangerous block graph is
     conclusive here because the reduced graph has minimum degree above 2.
     """
@@ -252,17 +266,13 @@ def verdict(h: Graph) -> Verdict:
     hr, _ = degree_adjust(h)
     if all(total_degree(hr, v) <= 2 for v in hr.vertices()):
         return Verdict(POLYNOMIAL, "reduced target is a path or cycle", graph=hr)
-    part, _ = degree_partition(hr)
-    oversized = [i for i, b in enumerate(part.blocks) if len(b) > 2]
-    if oversized:
-        sizes = [len(part.blocks[i]) for i in oversized]
+    part, _, hn, classified = analyze_target(hr)
+    if hn is None:
+        sizes = [len(b) for b in part.blocks if len(b) > 2]
         return Verdict(UNSUPPORTED, f"degree partition has blocks of sizes {sizes}; only blocks of at most 2 are characterized",
                        graph=hr)
-    hn = normalize_colours(hr, part)
-    shapes = block_shapes(hn, part)
     dangerous = None
-    for bg in shapes:
-        cls = classify_shape(bg.shape)
+    for bg, cls in classified:
         if cls == HARMFUL:
             return Verdict(NP_COMPLETE, f"harmful block graph {bg.shape} on blocks {bg.blocks}", bg, graph=hr)
         if cls == DANGEROUS and dangerous is None:

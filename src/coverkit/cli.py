@@ -15,10 +15,10 @@ import sys
 import traceback
 
 from . import gadgets
-from .classify import block_shapes, classify_shape, verdict
+from .classify import analyze_target, verdict
 from .covers import CoveringProjection, DEFAULT_BUDGET, oracle_cover, verify_cover
 from .graphs import Graph, GraphError, parse_graph, serialize_graph
-from .partition import degree_adjust, degree_partition, normalize_colours, reduce_pair
+from .partition import degree_adjust, degree_partition, reduce_pair
 from .solver import UnsupportedTarget, solve_cover
 
 EXIT_OK = 0
@@ -60,20 +60,14 @@ def _budget(args) -> int:
 
 def cmd_classify(args) -> int:
     v = verdict(_load(args.target))
-    shapes = []
     try:
-        part, _ = degree_partition(v.graph)
-        if all(len(b) <= 2 for b in part.blocks):
-            hn = normalize_colours(v.graph, part)
-            for bg in block_shapes(hn, part):
-                shapes.append({
-                    "blocks": list(bg.blocks),
-                    "colour": bg.colour,
-                    "shape": str(bg.shape),
-                    "class": classify_shape(bg.shape),
-                })
+        _, _, _, classified = analyze_target(v.graph)
     except GraphError:
-        pass
+        classified = []
+    shapes = [
+        {"blocks": list(bg.blocks), "colour": bg.colour, "shape": str(bg.shape), "class": cls}
+        for bg, cls in classified
+    ]
     out = {"verdict": v.kind, "reason": v.reason, "shapes": shapes}
     if v.witness is not None:
         out["witness"] = {"blocks": list(v.witness.blocks), "shape": str(v.witness.shape)}

@@ -9,8 +9,9 @@ union-find, whose odd cycle of constraints explains a "no"; a solution is
 then completed to an explicit edge mapping by matching and factorization.
 
 The solver refuses targets it is not specified for: disconnected ones,
-blocks of more than two vertices, and targets containing a dangerous or
-harmful block graph (use the oracle for those).
+and, as ``classify.analyze_target`` reads the target, blocks of more than
+two vertices and targets containing a dangerous or harmful block graph
+(use the oracle for those).
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import matching as mt
-from .classify import (
-    DANGEROUS,
-    HARMLESS,
-    BlockGraph,
-    SmallShape,
-    block_shapes,
-    classify_shape,
-)
+from .classify import DANGEROUS, HARMLESS, BlockGraph, SmallShape, analyze_target
 from .covers import CoveringProjection, InternalCoverError, NotExtendable, _realize_edges, verify_cover
 from .graphs import Edge, Graph, GraphError, component_shapes, is_connected, project, walks
 from .graphs import EVEN_CYCLE, IN, ODD_CYCLE, OPEN_PATH, OUT, UND, darts, vertex_darts
@@ -420,16 +414,14 @@ def solve_cover(g: Graph, h: Graph) -> SolveResult:
     trace = SolveTrace()
     if h.n == 0 or not is_connected(h):
         raise UnsupportedTarget("target must be non-empty and connected")
-    ph, mh = degree_partition(h)
-    if any(len(b) > 2 for b in ph.blocks):
+    ph, mh, hn, classified = analyze_target(h)
+    if hn is None:
         raise UnsupportedTarget("target has a degree-partition block of more than 2 vertices")
-    hn = normalize_colours(h, ph)
-    shapes = block_shapes(hn, ph)
-    for bg in shapes:
-        cls = classify_shape(bg.shape)
+    for bg, cls in classified:
         if cls != HARMLESS:
             hint = " (use the oracle)" if cls == DANGEROUS else " (NP-complete target; use the oracle)"
             raise UnsupportedTarget(f"target contains a {cls} block graph {bg.shape}{hint}")
+    shapes = [bg for bg, _ in classified]
     pg, mg = degree_partition(g)
     if pg.k != ph.k or mg != mh:
         trace.matrix_ok = False

@@ -8,7 +8,9 @@ from coverkit import (
     recognize_shape,
     verdict,
 )
-from coverkit.classify import DANGEROUS, HARMFUL, HARMLESS, NP_COMPLETE, POLYNOMIAL, UNSUPPORTED, ShapeError
+from coverkit.classify import (
+    DANGEROUS, HARMFUL, HARMLESS, NP_COMPLETE, POLYNOMIAL, UNSUPPORTED, ShapeError, analyze_target,
+)
 from coverkit.gadgets import fw2_target, fw_target, wd_target
 
 from conftest import complete_graph, cycle, looped_triangle_with_tails, one_vertex, two_vertex_w, two_vertex_wd
@@ -210,3 +212,42 @@ def test_verdict_deep_pending_trees(tails):
     # pending trees deeper than the recursion limit prune like shallow ones
     v = verdict(looped_triangle_with_tails(*tails))
     assert v.kind == POLYNOMIAL
+
+
+def test_solver_refuses_exactly_what_the_target_analysis_rules_out():
+    # solve_cover reads the target through analyze_target: it must refuse a
+    # target exactly when some block has more than two vertices or some
+    # block graph is not harmless, naming the first such block graph, and
+    # cover every other target by itself with a certificate that verifies
+    import random
+
+    from coverkit import UnsupportedTarget, solve_cover, verify_cover
+    from conftest import random_multigraph
+    from hosts import crossed_ww_host, harmless_hosts
+
+    rng = random.Random(23)
+    targets = [h for _, h in harmless_hosts()] + [crossed_ww_host()]
+    for _ in range(600):
+        colours = ("e", "f")[:rng.randrange(1, 3)]
+        targets.append(random_multigraph(rng.randrange(1, 9), rng.randrange(0, 6), rng.randrange(10**6),
+                                         colours=colours, allow_arc=rng.random() < 0.4))
+    seen = set()
+    for h in targets:
+        _, _, hn, classified = analyze_target(h)
+        culprits = [(bg, cls) for bg, cls in classified if cls != HARMLESS]
+        if hn is None:
+            seen.add("oversized")
+            with pytest.raises(UnsupportedTarget, match="block of more than 2 vertices"):
+                solve_cover(h, h)
+        elif culprits:
+            bg, cls = culprits[0]
+            seen.add(cls)
+            with pytest.raises(UnsupportedTarget) as exc:
+                solve_cover(h, h)
+            assert f"a {cls} block graph {bg.shape} " in str(exc.value), h.name
+        else:
+            seen.add(HARMLESS)
+            res = solve_cover(h, h)
+            assert res.yes, h.name
+            assert verify_cover(h, h, res.projection).ok, h.name
+    assert seen == {"oversized", DANGEROUS, HARMFUL, HARMLESS}

@@ -4,9 +4,9 @@ import pytest
 
 from coverkit import Graph, parse_graph, reduce_pair, serialize_graph, verify_parity
 from coverkit.cli import main
-from coverkit.gadgets import Formula
+from coverkit.gadgets import Formula, fw2_target, fw_target
 
-from conftest import cycle, looped_triangle_with_tails, one_vertex, two_vertex_w
+from conftest import complete_graph, cycle, looped_triangle_with_tails, one_vertex, two_vertex_w
 
 
 @pytest.fixture()
@@ -350,3 +350,52 @@ def test_classify_deep_pending_tree(files, capsys):
     code, out = run(capsys, "classify", h)
     assert code == 0
     assert out["verdict"] == "polynomial" and out["shapes"]
+
+
+def _graph(name, edges):
+    g = Graph(name)
+    for v in dict.fromkeys(v for e in edges for v in e):
+        g.add_vertex(v, "n")
+    for i, (u, v) in enumerate(edges):
+        g.add_edge("edge", f"t{i}", "e", u, v)
+    return g
+
+
+@pytest.mark.parametrize("target, reason", [
+    (lambda: fw_target(3), "target contains a harmful block graph FW(3) (NP-complete target; use the oracle)"),
+    (fw2_target, "target contains a dangerous block graph FW(2) (use the oracle)"),
+    (lambda: complete_graph(4), "target has a degree-partition block of more than 2 vertices"),
+], ids=["fw3", "fw2", "k4"])
+def test_solve_prints_the_refusal_reason(target, reason, files, capsys):
+    _, write = files
+    path = write("h.graph", target())
+    code, out = run(capsys, "solve", path, path)
+    assert code == 2
+    assert out == {"status": "refused", "reason": reason}
+
+
+def test_classify_prints_the_classified_block_graphs(files, capsys):
+    _, write = files
+    # the 4-cycle a-b-c-d plus the path a-e-c: reduced, one doublet with a triple bundle
+    theta = write("theta.graph", _graph("theta", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                                                   ("a", "e"), ("e", "c")]))
+    code, out = run(capsys, "classify", theta)
+    assert code == 0
+    assert out == {
+        "verdict": "polynomial",
+        "reason": "all block graphs are harmless",
+        "shapes": [{"blocks": [0], "colour": "c0.0.p0", "shape": "W(0,0,3,0,0)", "class": "harmless"}],
+    }
+    # a spider with legs of lengths 1, 2 and 3: every block is a singleton
+    spider = write("spider.graph", _graph("spider", [("x", "l1"), ("x", "m1"), ("m1", "m2"),
+                                                     ("x", "n1"), ("n1", "n2"), ("n2", "n3")]))
+    code, out = run(capsys, "classify", spider)
+    assert code == 0
+    assert out == {
+        "verdict": "polynomial",
+        "reason": "target is a tree, path or cycle",
+        "shapes": [
+            {"blocks": [i, j], "colour": f"c{i}.{j}.e", "shape": "FF(1)", "class": "harmless"}
+            for i, j in [(0, 3), (1, 4), (2, 6), (3, 5), (4, 6), (5, 6)]
+        ],
+    }
