@@ -35,7 +35,6 @@ from .covers import (
     OracleResult,
     VerifyResult,
     is_degree_obedient,
-    naive_cover,
     oracle_cover,
     partial_covers,
     verify_cover,
@@ -43,7 +42,6 @@ from .covers import (
 )
 from .matching import (
     MatchingError,
-    bipartite_k_factorization,
     directed_cycle_cover_decomposition,
     general_perfect_matching,
     two_factorization,

@@ -58,6 +58,8 @@ class Verdict:
     witness: BlockGraph | None = None
     # the graph the verdict read: the target, or its degree-adjusted reduction
     graph: Graph | None = None
+    # analyze_target's classified block graphs of that graph; None if not run
+    classified: list[tuple[BlockGraph, str]] | None = None
 
 
 class ShapeError(GraphError):
@@ -270,11 +272,12 @@ def verdict(h: Graph) -> Verdict:
     if hn is None:
         sizes = [len(b) for b in part.blocks if len(b) > 2]
         return Verdict(UNSUPPORTED, f"degree partition has blocks of sizes {sizes}; only blocks of at most 2 are characterized",
-                       graph=hr)
+                       graph=hr, classified=classified)
     dangerous = None
     for bg, cls in classified:
         if cls == HARMFUL:
-            return Verdict(NP_COMPLETE, f"harmful block graph {bg.shape} on blocks {bg.blocks}", bg, graph=hr)
+            return Verdict(NP_COMPLETE, f"harmful block graph {bg.shape} on blocks {bg.blocks}", bg,
+                           graph=hr, classified=classified)
         if cls == DANGEROUS and dangerous is None:
             dangerous = bg
     if dangerous is not None:
@@ -283,5 +286,6 @@ def verdict(h: Graph) -> Verdict:
             f"dangerous block graph {dangerous.shape} on blocks {dangerous.blocks} with minimum degree above 2",
             dangerous,
             graph=hr,
+            classified=classified,
         )
-    return Verdict(POLYNOMIAL, "all block graphs are harmless", graph=hr)
+    return Verdict(POLYNOMIAL, "all block graphs are harmless", graph=hr, classified=classified)

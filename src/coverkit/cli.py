@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 
@@ -45,25 +44,20 @@ def _emit(data, pretty: bool) -> None:
 
 
 def _budget(args) -> int:
-    """--budget, else COVERKIT_BUDGET, else the default; at least 1."""
-    raw = args.budget if args.budget is not None else os.environ.get("COVERKIT_BUDGET")
-    if raw is None or raw == "":
-        return DEFAULT_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise GraphError(f"the node budget must be a positive integer, got {raw!r}")
-    return budget
+    """--budget, which defaults to DEFAULT_BUDGET; at least 1."""
+    if args.budget < 1:
+        raise GraphError(f"the node budget must be a positive integer, got {args.budget!r}")
+    return args.budget
 
 
 def cmd_classify(args) -> int:
     v = verdict(_load(args.target))
-    try:
-        _, _, _, classified = analyze_target(v.graph)
-    except GraphError:
-        classified = []
+    classified = v.classified
+    if classified is None:
+        try:
+            _, _, _, classified = analyze_target(v.graph)
+        except GraphError:
+            classified = []
     shapes = [
         {"blocks": list(bg.blocks), "colour": bg.colour, "shape": str(bg.shape), "class": cls}
         for bg, cls in classified
@@ -253,7 +247,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("oracle", help="exhaustive search, any target")
     p.add_argument("graph")
     p.add_argument("target")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--certificate")
     p.set_defaults(func=cmd_oracle)
 

@@ -359,57 +359,6 @@ def _edge_map_search(g: Graph, h: Graph, fv: dict[str, str], budget_box) -> dict
     return dict(assignment)
 
 
-# naive exhaustive search (test oracle for the oracle) -------------------------
-
-
-# edge maps naive_cover tries before it gives up with BudgetExhausted
-NAIVE_NODE_LIMIT = 5_000_000
-
-
-def naive_cover(g: Graph, h: Graph) -> CoveringProjection | None:
-    """Brute force over all colour-preserving vertex maps and all
-    compatible edge maps, filtered by verify_cover.  Deliberately free of
-    any pruning cleverness; only usable for very small graphs."""
-    import itertools
-
-    gv = g.vertices()
-    domains = []
-    for v in gv:
-        dom = [x for x in h.vertices() if h.vertex_colour(x) == g.vertex_colour(v)]
-        if not dom:
-            return None
-        domains.append(dom)
-    if g.n == 0:
-        if h.n == 0:
-            return CoveringProjection({}, {})
-        return None
-    by = _h_edge_index(h)
-    eids = [e.id for e in g.edges()]
-    work = 0
-    for combo in itertools.product(*domains):
-        fv = dict(zip(gv, combo))
-        if len(set(fibre_sizes(h, fv).values())) > 1:
-            continue
-        cand_lists = []
-        ok = True
-        for e in g.edges():
-            c = _candidates_for(e, fv, by)
-            if not c:
-                ok = False
-                break
-            cand_lists.append(c)
-        if not ok:
-            continue
-        for fe_combo in itertools.product(*cand_lists):
-            work += 1
-            if work > NAIVE_NODE_LIMIT:
-                raise BudgetExhausted("naive search too large")
-            f = CoveringProjection(fv, dict(zip(eids, fe_combo)))
-            if verify_cover(g, h, f).ok:
-                return f
-    return None
-
-
 # backtracking vertex-map search ----------------------------------------------
 
 

@@ -138,24 +138,24 @@ def random_formula(c: int, n_clauses: int, occurrences: int, seed: int) -> Formu
 # the limping tripod and its targets ------------------------------------------
 
 
-def limping_tripod(prefix: str = "") -> Graph:
+def limping_tripod() -> Graph:
     """K_{2,3} plus two pendant vertices hung on the degree-3 side.
 
     Vertices p1, p2 belong to the hub block, u, v, m1, m2, m3 to the
     doublet block; 8 edges of the bundle colour.
     """
-    g = Graph(f"{prefix}tripod" if prefix else "tripod")
+    g = Graph("tripod")
     for name in ("p1", "p2"):
-        g.add_vertex(prefix + name, VC_HUB)
+        g.add_vertex(name, VC_HUB)
     for name in ("u", "v", "m1", "m2", "m3"):
-        g.add_vertex(prefix + name, VC_DOUBLET)
+        g.add_vertex(name, VC_DOUBLET)
     n = 0
     for p in ("p1", "p2"):
         for mname in ("m1", "m2", "m3"):
             n += 1
-            g.add_edge("edge", f"{prefix}e{n}", ALPHA, prefix + p, prefix + mname)
-    g.add_edge("edge", f"{prefix}e7", ALPHA, prefix + "p1", prefix + "u")
-    g.add_edge("edge", f"{prefix}e8", ALPHA, prefix + "p2", prefix + "v")
+            g.add_edge("edge", f"e{n}", ALPHA, p, mname)
+    g.add_edge("edge", "e7", ALPHA, "p1", "u")
+    g.add_edge("edge", "e8", ALPHA, "p2", "v")
     return g
 
 
@@ -219,14 +219,18 @@ class VariableGadget:
         return len(self.ports_a)
 
 
+def _paste(out: Graph, g: Graph, prefix: str) -> None:
+    """Add g's vertices, then its edges, to ``out``, each id after ``prefix``."""
+    for v in g.vertices():
+        out.add_vertex(prefix + v, g.vertex_colour(v))
+    for e in g.edges():
+        out.add_edge(e.kind, prefix + e.id, e.colour, *[prefix + w for w in e.ends])
+
+
 def _tripod_union(n_copies: int, name: str) -> Graph:
     g = Graph(name)
     for i in range(1, n_copies + 1):
-        t = limping_tripod(prefix=f"{i}.")
-        for v in t.vertices():
-            g.add_vertex(v, t.vertex_colour(v))
-        for e in t.edges():
-            g.add_edge(e.kind, e.id, e.colour, *e.ends)
+        _paste(g, limping_tripod(), f"{i}.")
     return g
 
 
@@ -332,10 +336,7 @@ def compose_claimA(vg: VariableGadget, f: Formula) -> Graph:
         else:
             g.add_vertex(f"z.{j}", VC_HUB)
     for x in f.variables:
-        for v in vg.graph.vertices():
-            g.add_vertex(f"{x}|{v}", vg.graph.vertex_colour(v))
-        for e in vg.graph.edges():
-            g.add_edge(e.kind, f"{x}|{e.id}", e.colour, *[f"{x}|{w}" for w in e.ends])
+        _paste(g, vg.graph, f"{x}|")
         slots = by_var[x]
         for i, j in enumerate(slots):
             if two_sided:
@@ -665,11 +666,7 @@ def garbage_lift(g_prime: Graph, h: Graph, h_prime: Graph) -> Graph:
     out = Graph(f"garbage-{g_prime.name}")
     for row in (1, 2):
         for j in range(m):
-            for v in g_prime.vertices():
-                out.add_vertex(vid(row, j, v), g_prime.vertex_colour(v))
-            for e in g_prime.edges():
-                out.add_edge(e.kind, f"{row}.{j}.{e.id}", e.colour,
-                             *[vid(row, j, w) for w in e.ends])
+            _paste(out, g_prime, vid(row, j, ""))
 
     taken: dict = {}  # how many matchings each pool has handed out
     eid = itertools.count(1)

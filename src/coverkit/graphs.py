@@ -248,12 +248,6 @@ class Graph:
     def edge_colours(self) -> set[str]:
         return {e.colour for e in self._edges.values()}
 
-    def directed_colours(self) -> set[str]:
-        return {e.colour for e in self._edges.values() if e.directed}
-
-    def undirected_colours(self) -> set[str]:
-        return {e.colour for e in self._edges.values() if not e.directed}
-
     def validate(self) -> None:
         """Check the colour-namespace discipline; construction checks the rest."""
         vcols = set(self._vcolour.values())

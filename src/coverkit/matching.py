@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import IN, OUT, UND, Graph, GraphError, bipartition, darts, total_degree
+from .graphs import IN, OUT, UND, Graph, GraphError, darts
 
 
 class MatchingError(GraphError):
@@ -283,20 +283,6 @@ def _one_matching(edges: list[int], tails: list[int], heads: list[int], n: int) 
         adj[l].append(r)
     chosen = {by_pair[pair].pop() for pair in _kuhn(range(n), adj).items()}
     return [e for e in edges if e in chosen], [e for e in edges if e not in chosen]
-
-
-def bipartite_k_factorization(g: Graph, k: int) -> list[list[str]]:
-    """Decompose a k-regular bipartite multigraph into k perfect matchings."""
-    if any(e.kind != "edge" for e in g.edges()):
-        raise MatchingError("k-factorization needs undirected normal edges only")
-    side = bipartition(g)
-    if side is None:
-        raise MatchingError("graph is not bipartite")
-    for v in g.vertices():
-        d = total_degree(g, v)
-        if d != k:
-            raise MatchingError(f"vertex {v!r} has degree {d}, expected {k}")
-    return bipartite_peel([(e.id, *((e.u, e.v) if side[e.u] == 0 else (e.v, e.u))) for e in g.edges()], k)
 
 
 # 2-factorization --------------------------------------------------------------

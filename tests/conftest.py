@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from coverkit import Graph, covers
@@ -14,6 +15,53 @@ def searched(g, h, budget):
     refutes before it."""
     pre = covers._pre_checks(g, h)
     return pre if isinstance(pre, covers.OracleResult) else covers._search_cover(g, h, *pre, budget)
+
+
+# edge maps naive_cover tries before it gives up with BudgetExhausted
+NAIVE_NODE_LIMIT = 5_000_000
+
+
+def naive_cover(g, h):
+    """The brute-force reference decider: every colour-preserving vertex
+    map and every compatible edge map, filtered by verify_cover.
+    Deliberately free of any pruning cleverness; only usable for very
+    small graphs."""
+    gv = g.vertices()
+    domains = []
+    for v in gv:
+        dom = [x for x in h.vertices() if h.vertex_colour(x) == g.vertex_colour(v)]
+        if not dom:
+            return None
+        domains.append(dom)
+    if g.n == 0:
+        if h.n == 0:
+            return covers.CoveringProjection({}, {})
+        return None
+    by = covers._h_edge_index(h)
+    eids = [e.id for e in g.edges()]
+    work = 0
+    for combo in itertools.product(*domains):
+        fv = dict(zip(gv, combo))
+        if len(set(covers.fibre_sizes(h, fv).values())) > 1:
+            continue
+        cand_lists = []
+        ok = True
+        for e in g.edges():
+            c = covers._candidates_for(e, fv, by)
+            if not c:
+                ok = False
+                break
+            cand_lists.append(c)
+        if not ok:
+            continue
+        for fe_combo in itertools.product(*cand_lists):
+            work += 1
+            if work > NAIVE_NODE_LIMIT:
+                raise covers.BudgetExhausted("naive search too large")
+            f = covers.CoveringProjection(fv, dict(zip(eids, fe_combo)))
+            if covers.verify_cover(g, h, f).ok:
+                return f
+    return None
 
 
 def cycle(n, colour="e", vc="n", name=None):

@@ -40,7 +40,7 @@ from coverkit.gadgets import (
     variable_gadget,
     wd_target,
 )
-from coverkit.matching import bipartite_k_factorization, two_factorization
+from coverkit.matching import bipartite_peel, two_factorization
 from coverkit.solver import complete_edge_mapping
 
 from conftest import cycle, one_vertex, random_multigraph
@@ -204,13 +204,15 @@ def test_criterion_5_factorization_lemmas():
             g.add_vertex(f"l{j}", "n")
             g.add_vertex(f"r{j}", "n")
         eid = 0
+        items = []
         for cls in range(k):
             perm = list(range(m))
             rng.shuffle(perm)
             for j in range(m):
                 eid += 1
                 g.add_edge("edge", f"e{eid}", "e", f"l{j}", f"r{perm[j]}")
-        parts = bipartite_k_factorization(g, k)
+                items.append((f"e{eid}", f"l{j}", f"r{perm[j]}"))
+        parts = bipartite_peel(items, k)
         assert len(parts) == k
         assert sorted(sum(parts, [])) == sorted(e.id for e in g.edges())
         for p in parts:

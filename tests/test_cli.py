@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coverkit import Graph, parse_graph, reduce_pair, serialize_graph, verify_parity
+from coverkit import Graph, classify, parse_graph, reduce_pair, serialize_graph, verify_parity
 from coverkit.cli import main
 from coverkit.gadgets import Formula, fw2_target, fw_target
 
@@ -94,7 +94,7 @@ def test_classify_fw2(files, capsys):
     assert out["verdict"] == "polynomial"
 
 
-def test_oracle_exit_codes(files, capsys, tmp_path, monkeypatch):
+def test_oracle_exit_codes(files, capsys, tmp_path):
     _, write = files
     c3 = write("c3.graph", cycle(3))
     c4 = write("c4.graph", cycle(4))
@@ -106,8 +106,7 @@ def test_oracle_exit_codes(files, capsys, tmp_path, monkeypatch):
     code, out = run(capsys, "verify", c4, f20, cert)
     assert code == 0 and out["valid"]
     assert run(capsys, "oracle", c3, f20)[0] == 1
-    monkeypatch.setenv("COVERKIT_BUDGET", "1")
-    code, _ = run(capsys, "oracle", write("c12.graph", cycle(12)), write("c3b.graph", cycle(3)))
+    code, _ = run(capsys, "oracle", write("c12.graph", cycle(12)), write("c3b.graph", cycle(3)), "--budget", "1")
     assert code == 2  # unknown under a starvation budget
 
 
@@ -324,14 +323,6 @@ def test_oracle_rejects_negative_budget_flag(files, capsys):
     assert "budget" in json.loads(capsys.readouterr().err)["error"]
 
 
-def test_oracle_rejects_non_integer_budget_env(files, capsys, monkeypatch):
-    _, write = files
-    c4, f20 = write("c4.graph", cycle(4)), write("f20.graph", one_vertex(semis=2))
-    monkeypatch.setenv("COVERKIT_BUDGET", "lots")
-    assert main(["oracle", c4, f20]) == 3
-    assert "budget" in json.loads(capsys.readouterr().err)["error"]
-
-
 def test_usage_error_is_an_input_error(files, capsys):
     _, write = files
     c4, f20 = write("c4.graph", cycle(4)), write("f20.graph", one_vertex(semis=2))
@@ -342,6 +333,20 @@ def test_usage_error_is_an_input_error(files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_classify_analyzes_the_target_once(files, capsys, monkeypatch):
+    # the 4-cycle a-b-c-d plus the path a-e-c: the verdict's analysis of
+    # the reduced target is the one the output prints
+    _, write = files
+    theta = write("theta.graph", _graph("theta", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                                                   ("a", "e"), ("e", "c")]))
+    calls = []
+    real = classify.degree_partition
+    monkeypatch.setattr(classify, "degree_partition", lambda h: calls.append(h.name) or real(h))
+    code, out = run(capsys, "classify", theta)
+    assert (code, out["verdict"]) == (0, "polynomial")
+    assert len(calls) == 1
 
 
 def test_classify_deep_pending_tree(files, capsys):

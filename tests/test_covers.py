@@ -14,7 +14,6 @@ from coverkit import (
     CoveringProjection,
     Graph,
     is_degree_obedient,
-    naive_cover,
     oracle_cover,
     partial_covers,
     solve_cover,
@@ -29,6 +28,7 @@ from conftest import (
     complete_graph,
     cycle,
     disjoint_union,
+    naive_cover,
     one_vertex,
     path,
     random_multigraph,

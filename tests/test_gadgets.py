@@ -508,6 +508,37 @@ def test_garbage_lift_refuses_unequal_ww():
         garbage_lift(g, h, hp)
 
 
+# sha256 of serialize_graph of each variable gadget, of one composed
+# instance and of one garbage lift: each pastes prefixed copies of a
+# graph, and any change to the pasted ids or their order moves its digest
+PASTED_DIGESTS = {
+    "c0": "2d785fef5f8981bae1dff488917ddbefae2257207df0998acda2506e1ca7a0fe",
+    "ck1": "5a6bc1324d7fafd1638e70dea506dec551dadec4d7796134d80b7cca29e7a864",
+    "ck2": "27d1d394270ac49db8c7e9d679a0020f17861fbadfada62b9e4873cdcc7ddb3c",
+    "dk1": "73c3071960de5cb8d15d97faa2d9d4b31e6b40ace888dee2c29e556758c1e828",
+    "dk2": "39249d1c58e12f00e34e7d03c5b1fb85d50d428cb6201be9c0aec8a33798114f",
+    "b1": "497b0b5fc1fd7134e5ce5c28fc016a3f0621bbef676fababa70065d9741a158a",
+    "claimA-c0": "b73a7f4ca41e7ac579c09529dd1012c80e2ef1d85b9581d077012b4cd9923789",
+    "garbage-toy": "a01930f78f3c6df3639fe4000425a99f14a7e56cfbf45eb43bb8dd85f5864f32",
+}
+
+
+def pasted_graphs():
+    yield "c0", variable_gadget("c0").graph
+    for case in ("ck", "dk"):
+        for k in (1, 2):
+            yield f"{case}{k}", variable_gadget(case, k).graph
+    yield "b1", variable_gadget("b1").graph
+    yield "claimA-c0", compose_claimA(variable_gadget("c0"), random_formula(2, 4, 4, seed=9))
+    h, hp = toy_host_pair()
+    yield "garbage-toy", garbage_lift(random_blockgraph_instance(3, seed=0, split=True), h, hp)
+
+
+def test_pasted_graphs_pinned():
+    got = {name: hashlib.sha256(serialize_graph(g).encode()).hexdigest() for name, g in pasted_graphs()}
+    assert got == PASTED_DIGESTS
+
+
 def test_one_factorization():
     for m in (2, 4, 6, 8):
         rounds = one_factorization(m)

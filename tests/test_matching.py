@@ -7,7 +7,7 @@ import pytest
 from coverkit import (
     Graph,
     MatchingError,
-    bipartite_k_factorization,
+    bipartition,
     directed_cycle_cover_decomposition,
     general_perfect_matching,
     two_factorization,
@@ -87,9 +87,15 @@ def test_max_matching_vs_networkx():
         assert size == best, (pairs, mine)
 
 
+def sided(g):
+    """The edges of a bipartite graph as (id, side-0 end, side-1 end)."""
+    side = bipartition(g)
+    return [(e.id, *((e.u, e.v) if side[e.u] == 0 else (e.v, e.u))) for e in g.edges()]
+
+
 def test_factorize_k22():
     g = complete_bipartite(2, 2)
-    parts = bipartite_k_factorization(g, 2)
+    parts = bipartite_peel(sided(g), 2)
     assert len(parts) == 2
     assert sorted(parts[0] + parts[1]) == sorted(e.id for e in g.edges())
     for p in parts:
@@ -98,7 +104,7 @@ def test_factorize_k22():
 
 def test_factorize_c6():
     g = cycle(6)
-    parts = bipartite_k_factorization(g, 2)
+    parts = bipartite_peel(sided(g), 2)
     for p in parts:
         assert len(p) == 3
         check_matching_edges(g, p)
@@ -106,7 +112,7 @@ def test_factorize_c6():
 
 def test_factorize_k33():
     g = complete_bipartite(3, 3)
-    parts = bipartite_k_factorization(g, 3)
+    parts = bipartite_peel(sided(g), 3)
     seen = set()
     for p in parts:
         cov = check_matching_edges(g, p)
@@ -117,9 +123,7 @@ def test_factorize_k33():
 
 def test_factorize_rejects():
     with pytest.raises(MatchingError):
-        bipartite_k_factorization(cycle(5), 2)
-    with pytest.raises(MatchingError):
-        bipartite_k_factorization(complete_bipartite(2, 3), 2)
+        bipartite_peel(sided(complete_bipartite(2, 3)), 2)
 
 
 def test_euler_loop_and_cycle():

@@ -9,7 +9,6 @@ from coverkit import (
     MatchingError,
     Partition,
     SmallShape,
-    bipartite_k_factorization,
     block_shapes,
     classify_shape,
     degree,
@@ -75,8 +74,6 @@ REFUSALS = [
      GraphError, "is undirected"),
     ("matching-with-arc", lambda: general_perfect_matching(_with(cycle(4), "arc", "v0", "v2", colour="d")),
      MatchingError, "undirected graphs"),
-    ("k-factorization-with-loop", lambda: bipartite_k_factorization(_with(cycle(4), "loop", "v0"), 2),
-     MatchingError, "undirected normal edges only"),
     ("2-factorization-odd-degree", lambda: two_factorization(_two_triangles_joined(), 1),
      MatchingError, "'a0' has degree 3, expected 2"),
     ("2-factorization-with-semi", lambda: two_factorization(one_vertex(semis=2), 1),

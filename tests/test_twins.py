@@ -11,11 +11,11 @@ recency stack stays within the current path's entries on a long search.
 import itertools
 import random
 
-from coverkit import Graph, covers, naive_cover, oracle_cover, verify_cover
+from coverkit import Graph, covers, oracle_cover, verify_cover
 from coverkit.covers import _DartTables, _twin_classes
 from coverkit.gadgets import brute_force_formula, build_gphi_fw, fw_target, random_formula
 
-from conftest import complete_bipartite, complete_graph, disjoint_union, random_multigraph, searched
+from conftest import complete_bipartite, complete_graph, disjoint_union, naive_cover, random_multigraph, searched
 from hosts import random_lift, switched
 
 
