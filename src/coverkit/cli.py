@@ -43,13 +43,6 @@ def _emit(data, pretty: bool) -> None:
     print(json.dumps(data, indent=2 if pretty else None, sort_keys=True))
 
 
-def _budget(args) -> int:
-    """--budget, which defaults to DEFAULT_BUDGET; at least 1."""
-    if args.budget < 1:
-        raise GraphError(f"the node budget must be a positive integer, got {args.budget!r}")
-    return args.budget
-
-
 def cmd_classify(args) -> int:
     v = verdict(_load(args.target))
     classified = v.classified
@@ -93,7 +86,7 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     g, h = _load(args.graph), _load(args.target)
-    res = oracle_cover(g, h, budget=_budget(args))
+    res = oracle_cover(g, h, budget=args.budget)
     out = {"status": res.status, "reason": res.reason, "nodes": res.nodes}
     if res.witness is not None:
         out["witness"] = res.witness

@@ -1306,7 +1306,7 @@ def _exact_semi_step(h: Graph, budget_box):
 
 def _check_budget(budget) -> None:
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-        raise ValueError(f"the node budget must be an int of at least 1, got {budget!r}")
+        raise GraphError(f"the node budget must be an int of at least 1, got {budget!r}")
 
 
 def _pre_checks(g: Graph, h: Graph):
@@ -1373,7 +1373,7 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
     """Complete within budget: 'yes' with a verified certificate, 'no', or
     'unknown' when the node budget ran out.  The pre-checks run first,
     then the parity check, then the search.  The budget must be an int of
-    at least 1 (ValueError otherwise)."""
+    at least 1 (GraphError, a ValueError, otherwise)."""
     _check_budget(budget)
     pre = _pre_checks(g, h)
     if isinstance(pre, OracleResult):
@@ -1388,28 +1388,20 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
 # partial covering projections --------------------------------------------------
 
 
-def partial_covers(g: Graph, h: Graph, fix: dict[str, str] | None = None,
-                   budget: int = DEFAULT_BUDGET):
+def partial_covers(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET):
     """Enumerate partial covering projections: total colour-preserving maps
     whose edge assignment is locally injective around every vertex.
 
     Returns an iterator of CoveringProjection objects (one witness edge
-    map per vertex map).  ``fix`` pins chosen vertex images.  Raises
-    ValueError at once for a budget that is not an int of at least 1, or
-    a ``fix`` that names a vertex outside g or an image outside h; the
-    iterator raises BudgetExhausted when the node budget runs out.
+    map per vertex map).  Raises GraphError, a ValueError, at once for a
+    budget that is not an int of at least 1; the iterator raises
+    BudgetExhausted when the node budget runs out.
     """
     _check_budget(budget)
-    fix = fix or {}
-    for u, x in fix.items():
-        if not g.has_vertex(u):
-            raise ValueError(f"fix names {u!r}, which is not a vertex of the source")
-        if not h.has_vertex(x):
-            raise ValueError(f"fix maps {u!r} to {x!r}, which is not a vertex of the target")
-    return _partial_covers(g, h, fix, budget)
+    return _partial_covers(g, h, budget)
 
 
-def _partial_covers(g: Graph, h: Graph, fix: dict[str, str], budget: int):
+def _partial_covers(g: Graph, h: Graph, budget: int):
     tables = _DartTables(g, h)
     domains = {}
     for u in g.vertices():
@@ -1422,8 +1414,6 @@ def _partial_covers(g: Graph, h: Graph, fix: dict[str, str], budget: int):
             and all(sum(to.values()) <= sum(tables.h[x].ends.get(key, {}).values())
                     for key, to in gu.ends.items())
         }
-        if u in fix:
-            dom &= {fix[u]}
         if not dom:
             return
         domains[u] = dom

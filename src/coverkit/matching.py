@@ -8,10 +8,10 @@ realizes all three.  An even k halves along closed trails: a trail enters
 every vertex as often as it leaves it, so the edges it walks from their
 left ends and those it walks from their right ends give every vertex half
 its degree (Gabow 1976, Euler partitions).  An odd k of 3 or more first
-takes one perfect matching by augmenting paths.  A 2k-regular multigraph
-is oriented along closed trails, k out and k in at every vertex, and its
-out/in split is peeled.  General (non-bipartite) perfect matchings use a
-blossom search that starts from a greedy matching.
+takes one perfect matching from the blossom search.  A 2k-regular
+multigraph is oriented along closed trails, k out and k in at every
+vertex, and its out/in split is peeled.  Every perfect matching, bipartite
+or not, comes from one blossom search that starts from a greedy matching.
 """
 
 from __future__ import annotations
@@ -125,12 +125,29 @@ def maximum_matching(n: int, adj: list[set[int]]) -> list[int]:
     return match
 
 
+def _perfect(n: int, ends: list[tuple[int, int]]) -> list[int] | None:
+    """A perfect matching of nodes 0..n-1 joined by edges ``ends[e] =
+    (a, b)``, or None.  Parallel edges are collapsed into the simple
+    adjacency the blossom search takes; returns the first edge of each
+    matched pair, in order of the pair's smaller node."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    first: dict[tuple[int, int], int] = {}
+    for e, (a, b) in enumerate(ends):
+        adj[a].add(b)
+        adj[b].add(a)
+        first.setdefault((min(a, b), max(a, b)), e)
+    match = maximum_matching(n, adj)
+    if any(m == -1 for m in match):
+        return None
+    return [first[a, b] for a, b in enumerate(match) if a < b]
+
+
 def general_perfect_matching(g: Graph):
     """A perfect matching of an undirected multigraph, or None.
 
     Loops and semi-edges are ignored (they cannot match anything); parallel
-    edges are collapsed for the search and an arbitrary representative id
-    is reported per matched pair.
+    edges are collapsed for the search, and the first edge of each matched
+    pair in the graph's edge order is reported.
     """
     verts = g.vertices()
     if any(e.directed for e in g.edges()):
@@ -138,63 +155,12 @@ def general_perfect_matching(g: Graph):
     if len(verts) % 2 == 1:
         return None
     idx = {v: i for i, v in enumerate(verts)}
-    adj: list[set[int]] = [set() for _ in verts]
-    rep: dict[tuple[int, int], str] = {}
-    for e in g.edges():
-        if e.kind != "edge":
-            continue
-        a, b = idx[e.u], idx[e.v]
-        adj[a].add(b)
-        adj[b].add(a)
-        rep.setdefault((min(a, b), max(a, b)), e.id)
-    match = maximum_matching(len(verts), adj)
-    if any(m == -1 for m in match):
-        return None
-    out = []
-    for a, b in enumerate(match):
-        if a < b:
-            out.append(rep[(a, b)])
-    return out
+    edges = [e for e in g.edges() if e.kind == "edge"]
+    matched = _perfect(len(verts), [(idx[e.u], idx[e.v]) for e in edges])
+    return None if matched is None else [edges[e].id for e in matched]
 
 
 # bipartite peeling -----------------------------------------------------------
-
-
-def _kuhn(left, adj):
-    """A matching of every vertex of ``left``, or None: Kuhn's augmenting
-    paths, by a depth-first search that keeps its path on a list, so long
-    alternating paths need no recursion.  Visits ``adj[u]`` in order."""
-    match_r: dict = {}
-    match_l: dict = {}
-
-    def try_augment(root):
-        seen = set()
-        stack = [(root, iter(adj[root]))]
-        path: list = []  # path[i]: the right vertex stack[i] tries
-        while stack:
-            for v in stack[-1][1]:
-                if v in seen:
-                    continue
-                seen.add(v)
-                path.append(v)
-                if v not in match_r:
-                    for (u, _), w in zip(reversed(stack), reversed(path)):
-                        match_r[w] = u
-                        match_l[u] = w
-                    return True
-                stack.append((match_r[v], iter(adj[match_r[v]])))
-                break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-        return False
-
-    for u in left:
-        if u not in match_l:
-            if not try_augment(u):
-                return None
-    return match_l
 
 
 def bipartite_peel(items: list[tuple[str, object, object]], k: int) -> list[list[str]]:
@@ -274,14 +240,9 @@ def _trails(at: list[list[int]], other: list[int]) -> list[int]:
 
 def _one_matching(edges: list[int], tails: list[int], heads: list[int], n: int) -> tuple[list[int], list[int]]:
     """One perfect matching of a regular bipartite multigraph, which has
-    one (Konig), by Kuhn's augmenting paths, and the edges it leaves."""
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for e in edges:
-        by_pair.setdefault((tails[e], heads[e]), []).append(e)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for l, r in by_pair:
-        adj[l].append(r)
-    chosen = {by_pair[pair].pop() for pair in _kuhn(range(n), adj).items()}
+    one (Konig), by the blossom search, and the edges it leaves.  Right
+    vertex j is node n + j."""
+    chosen = {edges[i] for i in _perfect(2 * n, [(tails[e], n + heads[e]) for e in edges])}
     return [e for e in edges if e in chosen], [e for e in edges if e not in chosen]
 
 

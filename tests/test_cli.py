@@ -319,8 +319,9 @@ def test_internal_error_is_not_a_negative_answer(files, capsys, monkeypatch):
 def test_oracle_rejects_negative_budget_flag(files, capsys):
     _, write = files
     c4, f20 = write("c4.graph", cycle(4)), write("f20.graph", one_vertex(semis=2))
-    assert main(["oracle", c4, f20, "--budget", "-5"]) == 3
-    assert "budget" in json.loads(capsys.readouterr().err)["error"]
+    for budget in ("-5", "0"):
+        assert main(["oracle", c4, f20, "--budget", budget]) == 3
+        assert "budget" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_usage_error_is_an_input_error(files, capsys):

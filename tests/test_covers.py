@@ -387,17 +387,6 @@ def test_partial_covers_tripod():
     assert seen_uv == {("r", "r"), ("g", "g")}
 
 
-def test_partial_cover_fix():
-    from coverkit.gadgets import fw2_target, limping_tripod
-
-    lt = limping_tripod()
-    h = fw2_target()
-    found = list(partial_covers(lt, h, fix={"u": "r", "v": "g"}))
-    assert found == []
-    found_rr = list(partial_covers(lt, h, fix={"u": "r", "v": "r"}))
-    assert found_rr
-
-
 def test_verify_catches_corrupted_certificates():
     # mutate valid certificates in ways that must break them
     from coverkit.covers import _candidates_for, _h_edge_index
@@ -803,7 +792,7 @@ def test_oracle_nodes_and_certificates_ignore_hash_seed():
     assert all(run == runs[0] for run in runs)
 
 
-# budgets and pinned images ------------------------------------------------------
+# budgets and images -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("budget", [0, -5, 2.5, 1.0, True, False, "10", None])
@@ -816,12 +805,10 @@ def test_budgets_must_be_positive_ints(budget):
         partial_covers(limping_tripod(), fw2_target(), budget=budget)
 
 
-def test_partial_covers_fix_must_name_vertices():
-    with pytest.raises(ValueError, match="zz"):
-        partial_covers(cycle(6), cycle(3), fix={"zz": "v0"})
-    with pytest.raises(ValueError, match="nowhere"):
-        partial_covers(cycle(6), cycle(3), fix={"v0": "nowhere"})
-    assert len(list(partial_covers(cycle(6), cycle(3), fix={"v0": "v1"}))) == 2
+def test_partial_covers_send_v0_to_each_image_twice():
+    maps = [p.fv for p in partial_covers(cycle(6), cycle(3))]
+    assert len(maps) == 6
+    assert Counter(fv["v0"] for fv in maps) == {"v0": 2, "v1": 2, "v2": 2}
 
 
 # partial covers against brute force ------------------------------------------

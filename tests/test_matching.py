@@ -15,7 +15,6 @@ from coverkit import (
 from coverkit.graphs import components, darts
 from coverkit.matching import (
     _augment,
-    _kuhn,
     _lca,
     _mark_path,
     bipartite_peel,
@@ -235,39 +234,6 @@ def test_directed_loops():
     assert sorted(len(c) for c in covers) == [1, 1, 1]
 
 
-def kuhn_reference(left, adj):
-    """The recursive form of Kuhn's augmenting-path search."""
-    match_r, match_l = {}, {}
-
-    def try_augment(u, seen):
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                if v not in match_r or try_augment(match_r[v], seen):
-                    match_r[v] = u
-                    match_l[u] = v
-                    return True
-        return False
-
-    for u in left:
-        if u not in match_l and not try_augment(u, set()):
-            return None
-    return match_l
-
-
-def test_kuhn_matches_recursive_reference():
-    # the peels must pick the same matchings as the recursive search did
-    rng = random.Random(5)
-    for _ in range(2000):
-        nl, nr = rng.randrange(1, 7), rng.randrange(1, 7)
-        adj = {u: rng.sample(range(nr), rng.randrange(nr + 1)) for u in range(nl)}
-        want = kuhn_reference(list(range(nl)), adj)
-        got = _kuhn(list(range(nl)), adj)
-        assert got == want
-        if want is not None:
-            assert list(got.items()) == list(want.items())
-
-
 # the fast paths against the general routines they skip ------------------------
 
 
@@ -340,6 +306,26 @@ def test_maximum_matching_matches_full_relabelling():
 # the Euler-split peels against the round-by-round routines they replace -------
 
 
+def kuhn_reference(left, adj):
+    """The recursive form of Kuhn's augmenting-path search."""
+    match_r, match_l = {}, {}
+
+    def try_augment(u, seen):
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                if v not in match_r or try_augment(match_r[v], seen):
+                    match_r[v] = u
+                    match_l[u] = v
+                    return True
+        return False
+
+    for u in left:
+        if u not in match_l and not try_augment(u, set()):
+            return None
+    return match_l
+
+
 def peel_reference(items, k):
     """``bipartite_peel`` running the augmenting-path search in every round."""
     remaining, lefts, rights = {}, set(), set()
@@ -353,7 +339,7 @@ def peel_reference(items, k):
         for (l, r), ids in remaining.items():
             if ids:
                 adj[l].append(r)
-        match = _kuhn(sorted(lefts, key=str), adj)
+        match = kuhn_reference(sorted(lefts, key=str), adj)
         if match is None or len(match) != len(lefts) or len(set(match.values())) != len(rights):
             raise MatchingError(f"no perfect matching in peeling round {rnd}")
         out.append(sorted(remaining[(l, r)].pop() for l, r in match.items()))

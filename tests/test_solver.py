@@ -301,6 +301,37 @@ def test_solver_oracle_agreement_deep():
                 assert verify_cover(g, h, res.projection).ok
 
 
+def test_solver_oracle_agreement_at_multiplicity_three(monkeypatch):
+    # the hosts of parameter 3 hold three parallel edges, loops or directed
+    # loops of one colour, so their completions peel an odd k and take one
+    # matching from the blossom search, which no solve over the hosts of
+    # parameter 2 reaches
+    from coverkit import matching
+
+    lower = {name for name, _ in harmless_hosts(max_param=2)}
+    hosts = [(name, h) for name, h in harmless_hosts(max_param=3) if name not in lower]
+    assert len(hosts) == 10
+    calls = []
+    one_matching = matching._one_matching
+    monkeypatch.setattr(matching, "_one_matching", lambda *args: calls.append(1) or one_matching(*args))
+    rng = random.Random(3)
+    answers, odd_rounds = Counter(), 0
+    for name, h in hosts:
+        for trial in range(4):
+            g = random_compatible_input(h, rng.randint(1, max(1, 10 // h.n)), seed=rng.randrange(10**9))
+            before = len(calls)
+            res = solve_cover(g, h)
+            odd_rounds += len(calls) - before
+            check = oracle_cover(g, h, budget=400_000)
+            assert check.status in ("yes", "no"), (name, trial)
+            assert res.yes == check.yes, (name, trial, g.n)
+            if res.yes:
+                assert verify_cover(g, h, res.projection).ok
+            answers[check.status] += 1
+    assert answers["yes"] and answers["no"], answers
+    assert odd_rounds > 0
+
+
 def test_self_cover_with_more_than_999_blocks():
     # 1001 singleton blocks: the normalized target must keep the block
     # order of its partition, or completion finds no target edge
