@@ -163,7 +163,8 @@ class _DartTables:
     """The dart tables of a source g and a target h, walked once per call.
 
     ``cross[u]`` holds the darts at source vertex u along normal edges,
-    keyed (colour, direction) and then by the other end.
+    keyed (colour, direction) and then by the other end: for a vertex
+    without self darts, its ``ends`` themselves.
     """
 
     def __init__(self, g: Graph, h: Graph):
@@ -172,8 +173,11 @@ class _DartTables:
         self.h = {x: vertex_darts(h, x) for x in h.vertices()}
         self.cross = {}
         for u, t in self.g.items():
-            normal = ((key, {w: c for w, c in to.items() if w != u}) for key, to in t.ends.items())
-            self.cross[u] = {key: to for key, to in normal if to}
+            if t.semis or t.loops or t.dloops:
+                normal = ((key, {w: c for w, c in to.items() if w != u}) for key, to in t.ends.items())
+                self.cross[u] = {key: to for key, to in normal if to}
+            else:
+                self.cross[u] = t.ends
 
 
 def _twin_classes(g: Graph, tables: _DartTables) -> list[list[str]]:
@@ -185,14 +189,49 @@ def _twin_classes(g: Graph, tables: _DartTables) -> list[list[str]]:
     without cross darts joins no class: nothing would keep it in its
     twins' component when the search splits."""
     classes: dict = {}
+    colour = g.vertex_colour
     for u, t in tables.g.items():
         cross = tables.cross[u]
         if cross:
-            key = (g.vertex_colour(u),
-                   *(frozenset(counts.items()) for counts in (t.semis, t.loops, t.dloops)),
-                   frozenset((k, frozenset(to.items())) for k, to in cross.items()))
+            # per (colour, direction) one tuple of it and its (end, count)
+            # pairs, then the self darts behind None, if there are any
+            key = (colour(u), *[(k, *sorted(to.items())) for k, to in sorted(cross.items())])
+            if t.semis or t.loops or t.dloops:
+                key += (None, *[tuple(sorted(counts.items())) for counts in (t.semis, t.loops, t.dloops)])
             classes.setdefault(key, []).append(u)
     return [members for members in classes.values() if len(members) > 1]
+
+
+def _target_twin_classes(tables: _DartTables, blocks) -> list[list[str]]:
+    """The target vertices x and y for which swapping x and y is an
+    automorphism of h, in classes of two or more: those with the same
+    colour and self darts, the same darts of every colour and direction
+    towards every third vertex, and as many darts of each towards the
+    other as the other has towards them.  Each class lies in one of
+    ``blocks``, h's degree partition, whose blocks share a colour and
+    which every automorphism keeps.  The relation is an equivalence, as
+    (x y)(y z)(x y) = (x z), so each vertex is compared with the first
+    member of each class so far."""
+    th = tables.h
+    found = []
+    for block in blocks:
+        classes: list[list[str]] = []
+        for y in block:
+            ty = th[y]
+            for members in classes:
+                x = members[0]
+                tx = th[x]
+                swap = {x: y, y: x}
+                if ((tx.semis, tx.loops, tx.dloops) == (ty.semis, ty.loops, ty.dloops)
+                        and tx.ends.keys() == ty.ends.keys()
+                        and all({swap.get(w, w): c for w, c in to.items()} == ty.ends[key]
+                                for key, to in tx.ends.items())):
+                    members.append(y)
+                    break
+            else:
+                classes.append([y])
+        found += [members for members in classes if len(members) > 1]
+    return found
 
 
 def _self_darts_fit(gu: Darts, hx: Darts) -> bool:
@@ -426,6 +465,31 @@ class _VertexSearch:
     cover exists, while ``partial_covers`` enumerates vertex maps and must
     see each of them.
 
+    Target twins.  ``target_twins`` holds classes of target vertices any
+    two of which swap by an automorphism of the target
+    (``_target_twin_classes``), so any permutation of a class is one too.
+    At a branch point where no assigned vertex is a source twin and every
+    assigned image is alone in its class, a branching vertex u that is
+    not a source twin tries only the least image of each class in its
+    domain (the root always qualifies).  Why that is sound: let f be a
+    cover in the subtree where u takes y, and σ the permutation of y's
+    class that swaps y and the least member x of that class in u's
+    domain.  σ fixes every assigned image, so σ∘f is a cover that extends
+    the same partial assignment with u at x, and re-sorting the source
+    twins along their classes moves neither u nor any assigned vertex,
+    since none of them is a twin.  Every constraint of the search is kept
+    by σ and by that re-sorting, and so is whether an edge map completes
+    a vertex map; so whatever the search would accept below y, a
+    component's solution or a cover, it accepts a mirror of below x,
+    which it tries first, and y is reached only once x's subtree has
+    failed.  The split check still reads the whole domain, so the tree is
+    the one without the rule less mirrored subtrees: the first cover found
+    and every status the budget allows stay the same, and no node count
+    rises.  While a component is searched alone, the vertices of the
+    components solved beside it do not count as assigned: it shares no
+    constraint with them, so σ need not fix their images.  Only the
+    oracle passes classes, as with twins.
+
     Without fibre caps all constraints are local (an edge, or a shared
     assigned neighbour), so when the residual constraint graph falls into
     independent components each is solved on its own and the solutions
@@ -491,7 +555,7 @@ class _VertexSearch:
     DECOMPOSE_MIN = 9
 
     def __init__(self, tables: _DartTables, domains, budget_box, exact, fibre_cap=None, blocks=(),
-                 twins=()):
+                 twins=(), target_twins=()):
         self.budget = budget_box
         self.exact = exact
         self.fibre_cap = fibre_cap
@@ -513,16 +577,25 @@ class _VertexSearch:
                     row[keys[key] * nh + image[y]] = c
         self.used = [[0] * (len(keys) * nh) for _ in names]
         self.self_rows = [
-            [(keys[key] * nh, to[u]) for key, to in tables.g[u].ends.items() if to.get(u)]
-            for u in names
+            [(keys[key] * nh, to[u]) for key, to in t.ends.items() if to.get(u)]
+            if t.semis or t.loops or t.dloops else [] for u, t in tables.g.items()
         ]
+        # each key's slot base and its reverse's
+        slots = {(a, d): (keys[a, d] * nh, keys[a, _REVERSED[d]] * nh) for a, d in keys}
         self.cross_rows = [
-            [(keys[(a, d)] * nh, keys[(a, _REVERSED[d])] * nh,
-              tuple((index[w], m) for w, m in to.items()))
-             for (a, d), to in tables.cross[u].items()]
+            [(*slots[key], tuple([(index[w], m) for w, m in to.items()]))
+             for key, to in tables.cross[u].items()]
             for u in names
         ]
-        self.domains = [sum(1 << image[x] for x in domains[u]) for u in names]
+        # a domain shared by several vertices is made a mask once
+        masks: dict = {}
+        self.domains = []
+        for u in names:
+            dom = domains[u]
+            mask = masks.get(id(dom))
+            if mask is None:
+                mask = masks[id(dom)] = sum(1 << image[x] for x in dom)
+            self.domains.append(mask)
         self.assign = [-1] * len(names)
         self.fibre = [0] * nh
         self.blockmates = [[] for _ in names]
@@ -536,20 +609,39 @@ class _VertexSearch:
             chain = sorted(index[u] for u in members)
             for a, b in zip(chain, chain[1:]):
                 self.after[a], self.before[b] = b, a
+        self.twinned = [a >= 0 or b >= 0 for a, b in zip(self.before, self.after)]
+        # each image's class of target twins as a mask, 0 for an image
+        # without twins; the assigned vertices that are source twins or
+        # hold an image with twins, and those of them that solved
+        # components keep bound
+        self.mirrored = bool(target_twins)
+        self.mates = [0] * nh
+        for members in target_twins:
+            mask = sum(1 << image[x] for x in members)
+            for x in members:
+                self.mates[image[x]] = mask
+        self.spoilers = 0
+        self.bound = 0
         # locality bookkeeping: a recency stack keeps the search inside one
         # gadget region until it is finished, which is what makes
         # clause/variable instances tractable
         self.recent: list[int] = []
         # descending names: on the hardness gadgets this order decides
         # more instances within a budget than ascending or incidence order
-        self.nbrs = [
-            [index[w] for w in sorted({w for to in tables.cross[u].values() for w in to},
-                                      reverse=True)]
-            for u in names
-        ]
+        self.nbrs = nbrs = []
+        for u in names:
+            ends = list(tables.cross[u].values())
+            others = ends[0] if len(ends) == 1 else set().union(*ends)
+            nbrs.append([index[w] for w in sorted(others, reverse=True)])
         # the vertices an assignment touches: each neighbour, then that
         # neighbour's own neighbours
-        self.near = [[z for w in nbrs for z in (w, *self.nbrs[w])] for nbrs in self.nbrs]
+        self.near = []
+        for around in nbrs:
+            near = []
+            for w in around:
+                near.append(w)
+                near += nbrs[w]
+            self.near.append(near)
         # scopes, innermost last: each vertex's scope, and per scope its
         # members in ascending order, its unassigned count, its unassigned
         # count per domain size and its unassigned one-image vertices
@@ -628,6 +720,8 @@ class _VertexSearch:
                 self._resize(w, dom.bit_count(), full.bit_count())
             elif tag == _ASSIGN:
                 u = op[1]
+                if self.twinned[u] or self.mates[self.assign[u]]:
+                    self.spoilers -= 1
                 self.assign[u] = -1
                 s = self.scope[u]
                 self.left[s] += 1
@@ -675,6 +769,8 @@ class _VertexSearch:
         dirty: dict[int, None] = {}
         assign[u] = x
         ops.append((_ASSIGN, u))
+        if self.twinned[u] or self.mates[x]:
+            self.spoilers += 1
         s = self.scope[u]
         self.left[s] -= 1
         size = domains[u].bit_count()
@@ -943,7 +1039,10 @@ class _VertexSearch:
                 else:
                     u = self._choose(s)
                     dom = domains[u]
-                    node = _Node(u, dom, connected, size, s)
+                    tries = dom
+                    if self.mirrored and self.spoilers == self.bound and not self.twinned[u]:
+                        tries = self._least_of_classes(dom)
+                    node = _Node(u, tries, connected, size, s)
                     stack.append(node)
                     # only genuine branch points pay for the component
                     # check; unit propagation chains fall straight through
@@ -994,6 +1093,18 @@ class _VertexSearch:
             else:
                 stack.pop()
 
+    def _least_of_classes(self, dom) -> int:
+        """The images of ``dom`` less those above another member of their
+        target-twin class in it."""
+        mates = self.mates
+        keep = rest = dom
+        while rest:
+            bit = rest & -rest
+            # the members of the class above this one
+            keep &= ~(mates[bit.bit_length() - 1] & -(bit << 1))
+            rest = (rest ^ bit) & keep
+        return keep
+
     def _deliver(self, stack, at) -> int:
         """Carry a solution emitted above ``stack[at - 1]`` down the stack:
         the index of the frame that takes it, a _Split or a _Node that
@@ -1013,6 +1124,7 @@ class _VertexSearch:
         first-out."""
         for trail in reversed(split.trails):
             self._undo(trail)
+        self.bound -= split.bound
 
     def _collect(self, stack, at):
         """The _Split ``stack[at]`` takes the solution of its current
@@ -1026,9 +1138,14 @@ class _VertexSearch:
         for frame in stack[at + 1:]:
             if type(frame) is _Split:
                 trails += frame.trails
+                self.bound -= frame.bound
             elif frame.trail is not None:
                 trails.append(frame.trail)
         del stack[at + 1:]
+        assign, mates, twinned = self.assign, self.mates, self.twinned
+        bound = sum(twinned[v] or mates[assign[v]] > 0 for v in split.comps[split.index])
+        split.bound += bound
+        self.bound += bound
         self._close(split.scope)
         split.index += 1
         if split.index < len(split.comps):
@@ -1064,13 +1181,14 @@ class _Split:
     the split is resumed or a later component has no solution; once all
     are solved, their solutions together are emitted as the node's."""
 
-    __slots__ = ("comps", "index", "trails", "scope")
+    __slots__ = ("comps", "index", "trails", "scope", "bound")
 
     def __init__(self, comps, scope):
         self.comps = comps
         self.index = 0
         self.trails = []
         self.scope = scope
+        self.bound = 0
 
 
 # parity refutation -------------------------------------------------------------
@@ -1106,10 +1224,18 @@ def _degree_rows(tables: _DartTables, domains) -> tuple[list, list[int], int]:
     # the images y towards which x has an odd number of darts, per key
     odd = {x: {key: [y for y, c in to.items() if c & 1] for key, to in t.ends.items()}
            for x, t in tables.h.items()}
+    # the keys of the images of each domain, shared as the domain is
+    image_keys: dict = {}
+    # a row's variables and right-hand side: a row without any reads 0 = 0
+    both_sides = (rhs << 1) - 1
     rows = []
     for u, own in terms.items():
         ends = tables.g[u].ends
-        for key in sorted(set(ends).union(*(odd[x] for x in own))):
+        dom = domains[u]
+        keys = image_keys.get(id(dom))
+        if keys is None:
+            keys = image_keys[id(dom)] = set().union(*(odd[x] for x in own))
+        for key in sorted(keys.union(ends)):
             by_image: dict = {}
             for w, c in ends.get(key, {}).items():
                 if c & 1:
@@ -1120,7 +1246,7 @@ def _degree_rows(tables: _DartTables, domains) -> tuple[list, list[int], int]:
                     by_image[y] = by_image.get(y, 0) ^ t
             for y in sorted(by_image):
                 row = by_image[y]
-                if row & (rhs << 1) - 1:
+                if row & both_sides:
                     rows.append(row | rhs << (1 + len(ids)))
                     ids.append((u, key, y))
     return ids, rows, n
@@ -1156,7 +1282,7 @@ def verify_parity(g: Graph, h: Graph, witness) -> VerifyResult:
     pre = _pre_checks(g, h)
     if isinstance(pre, OracleResult):
         return VerifyResult(False, [f"the pre-checks settle the pair ({pre.reason}) before parity"])
-    _, domains, _, _ = pre
+    _, domains, *_ = pre
     if not isinstance(witness, (list, tuple)):
         return VerifyResult(False, [f"the witness {witness!r} is not a list of row ids"])
     violations: list[str] = []
@@ -1313,7 +1439,7 @@ def _pre_checks(g: Graph, h: Graph):
     """The checks before the search: the OracleResult of the first that
     settles the pair, or else the dart tables, the domains (a source
     vertex's images are the vertices of its target block whose self darts
-    it fits), the source blocks and the fold."""
+    it fits), the source and target blocks and the fold."""
     if g.n == 0 or h.n == 0:
         if g.n == h.n:
             return OracleResult("yes", CoveringProjection({}, {}), reason="cover")
@@ -1330,29 +1456,37 @@ def _pre_checks(g: Graph, h: Graph):
             return OracleResult("no", reason="block sizes")
     tables = _DartTables(g, h)
     domains = {}
-    for i, block in enumerate(pg.blocks):
+    for block, images in zip(pg.blocks, ph.blocks):
+        # shared by the vertices without self darts, which fit every image
+        whole = set(images)
         for u in block:
-            dom = {x for x in ph.blocks[i] if _self_darts_fit(tables.g[u], tables.h[x])}
-            if not dom:
-                return OracleResult("no", reason="self darts")
-            domains[u] = dom
-    return tables, domains, pg.blocks, r
+            gu = tables.g[u]
+            if gu.semis or gu.loops or gu.dloops:
+                dom = {x for x in images if _self_darts_fit(gu, tables.h[x])}
+                if not dom:
+                    return OracleResult("no", reason="self darts")
+                domains[u] = dom
+            else:
+                domains[u] = whole
+    return tables, domains, pg.blocks, ph.blocks, r
 
 
-def _search_cover(g: Graph, h: Graph, tables: _DartTables, domains, blocks, r,
+def _search_cover(g: Graph, h: Graph, tables: _DartTables, domains, blocks, target_blocks, r,
                   budget: int) -> OracleResult:
     """The search behind the pre-checks: vertex maps from ``domains``,
     each extended to an edge map and verified, within the node budget."""
     budget_box = [budget]
     twins = _twin_classes(g, tables)
+    target_twins = _target_twin_classes(tables, target_blocks)
     if is_connected(h):
         # fibre equality is implied for connected targets, so the caps can
         # go, which in turn lets the search decompose into independent
         # components
-        search = _VertexSearch(tables, domains, budget_box, exact=True, twins=twins)
+        search = _VertexSearch(tables, domains, budget_box, exact=True, twins=twins,
+                               target_twins=target_twins)
     else:
         search = _VertexSearch(tables, domains, budget_box, exact=True, fibre_cap=r, blocks=blocks,
-                               twins=twins)
+                               twins=twins, target_twins=target_twins)
     try:
         for fv in search.solutions():
             try:
@@ -1378,11 +1512,11 @@ def oracle_cover(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> OracleResu
     pre = _pre_checks(g, h)
     if isinstance(pre, OracleResult):
         return pre
-    tables, domains, blocks, r = pre
+    tables, domains, *_ = pre
     witness = _parity_witness(*_degree_rows(tables, domains))
     if witness is not None:
         return OracleResult("no", reason="parity", witness=witness)
-    return _search_cover(g, h, tables, domains, blocks, r, budget)
+    return _search_cover(g, h, *pre, budget)
 
 
 # partial covering projections --------------------------------------------------

@@ -43,16 +43,20 @@ class SolveTrace:
     # for a 2-SAT "no": an odd cycle of parity constraints (a, b, a != b),
     # where True is the constant a forced image is a constraint against
     conflict: list[tuple] | None = None
+    # the entry of ``steps`` for each (block tuple, colour)
+    _entries: dict = field(default_factory=dict, compare=False, repr=False)
 
     def step(self, blocks, colour, subcase, **detail):
         """One entry per (block set, colour); a colour handled by both a
         preprocessing and a clause subcase accumulates its tags."""
-        for entry in self.steps:
-            if entry["blocks"] == list(blocks) and entry["colour"] == colour:
-                entry["subcase"] = f"{entry['subcase']}+{subcase}"
-                entry.update(detail)
-                return
-        self.steps.append({"blocks": list(blocks), "colour": colour, "subcase": subcase, **detail})
+        key = (tuple(blocks), colour)
+        entry = self._entries.get(key)
+        if entry is not None:
+            entry["subcase"] = f"{entry['subcase']}+{subcase}"
+            entry.update(detail)
+            return
+        entry = self._entries[key] = {"blocks": list(blocks), "colour": colour, "subcase": subcase, **detail}
+        self.steps.append(entry)
 
     def to_dict(self) -> dict:
         return {

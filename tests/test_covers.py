@@ -707,30 +707,31 @@ def _wd_lift(seed, m):
 
 
 # (status, nodes) recorded before the search moved to integer ids and
-# bitmask domains, and re-recorded where ordering the images of twins, and
-# then failing rows that owe darts to images no neighbour holds, moved
-# them; any change to branching, propagation, the twin rule or the split
-# check shows up here as a different node count
+# bitmask domains, and re-recorded where ordering the images of twins,
+# then failing rows that owe darts to images no neighbour holds, and then
+# trying one image per class of target twins moved them; any change to
+# branching, propagation, either twin rule or the split check shows up here
+# as a different node count
 PINNED_SEARCHES = [
     ("gphi 3 clauses seed 0", lambda: _gphi(3, 0), 2000, ("yes", 117)),
     ("gphi 4 clauses seed 3", lambda: _gphi(4, 3), 2000, ("yes", 156)),
     ("gphi 4 clauses seed 1", lambda: _gphi(4, 1), 2000, ("yes", 186)),
     ("gphi 8 clauses seed 0", lambda: _gphi(8, 0), 2000, ("yes", 328)),
     ("gphi 4 clauses seed 0", lambda: _gphi(4, 0), 2000, ("yes", 348)),
-    ("gphi beside unsat 6/251", lambda: _gphi_beside_unsat_incidence(6, 251), 2000, ("no", 93)),
-    ("gphi beside unsat 8/31", lambda: _gphi_beside_unsat_incidence(8, 31), 2000, ("no", 289)),
+    ("gphi beside unsat 6/251", lambda: _gphi_beside_unsat_incidence(6, 251), 2000, ("no", 70)),
+    ("gphi beside unsat 8/31", lambda: _gphi_beside_unsat_incidence(8, 31), 2000, ("no", 167)),
     ("wd lift seed 0", lambda: _wd_lift(0, 3), 2000, ("no", 77)),
     ("wd lift seed 1", lambda: _wd_lift(1, 4), 2000, ("yes", 50)),
     ("wd lift seed 3", lambda: _wd_lift(3, 4), 2000, ("yes", 121)),
     ("wd lift seed 5", lambda: _wd_lift(5, 4), 2000, ("yes", 129)),
-    ("wd lift seed 439499", lambda: _wd_lift(439499, 7), 2000, ("no", 542)),
+    ("wd lift seed 439499", lambda: _wd_lift(439499, 7), 2000, ("no", 271)),
     # disconnected targets: fibre caps instead of the split check
     ("C6+C3+C3 over 2 C3", lambda: (disjoint_union(cycle(6), cycle(3), cycle(3)),
                                     disjoint_union(cycle(3), cycle(3))), 10_000, ("yes", 12)),
     ("C5+C7 over 2 C3", lambda: (disjoint_union(cycle(5), cycle(7)),
-                                 disjoint_union(cycle(3), cycle(3))), 10_000, ("no", 42)),
+                                 disjoint_union(cycle(3), cycle(3))), 10_000, ("no", 14)),
     ("C12+C6 over 3 C3", lambda: (disjoint_union(cycle(12), cycle(6)),
-                                  disjoint_union(cycle(3), cycle(3), cycle(3))), 10_000, ("no", 99)),
+                                  disjoint_union(cycle(3), cycle(3), cycle(3))), 10_000, ("no", 33)),
 ]
 
 

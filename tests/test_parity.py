@@ -22,7 +22,7 @@ H3 = fw_target(3)
 
 def parity(g, h):
     """The witness of the oracle's parity check, or None."""
-    tables, domains, _, _ = covers._pre_checks(g, h)
+    tables, domains, *_ = covers._pre_checks(g, h)
     return covers._parity_witness(*covers._degree_rows(tables, domains))
 
 

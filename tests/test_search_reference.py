@@ -8,6 +8,8 @@ status, node count, reason and certificate, and ``partial_covers`` must
 yield the same projections in the same order.  The reference keeps touch
 counts up to date at every assignment, where the search counts them when
 it reads them, so the agreement also checks that this changes no choice.
+The search must also agree with the reference when neither has target
+twin classes, the tree it walked before their rule.
 
 The propagation before it failed rows owing darts to images that no
 unassigned neighbour holds is kept here too: the rule must fail such a
@@ -25,7 +27,7 @@ from coverkit.graphs import darts
 
 from conftest import complete_bipartite, complete_graph, cycle, disjoint_union, petersen, searched
 from hosts import harmless_hosts, random_compatible_input, random_lift, switched
-from test_twins import twin_pairs
+from test_twins import target_twin_pairs, twin_pairs
 
 
 # undo trail tags; every change the trail records commutes with the others
@@ -89,12 +91,18 @@ class ReferenceVertexSearch:
     next assigned one, lose the images below x, and those before u the
     images above it.  Undoing an assignment cuts the recency stack back
     to its length before it.
+
+    ``target_twins`` holds classes of target vertices any two of which
+    swap by an automorphism of the target: while no assigned vertex is a
+    source twin and no assigned image has a twin, a branching vertex that
+    is not a source twin tries only the least image of each class in its
+    domain.
     """
 
     DECOMPOSE_MIN = 9
 
     def __init__(self, tables: _DartTables, domains, budget_box, exact, fibre_cap=None, blocks=(),
-                 twins=()):
+                 twins=(), target_twins=()):
         self.budget = budget_box
         self.exact = exact
         self.fibre_cap = fibre_cap
@@ -134,6 +142,8 @@ class ReferenceVertexSearch:
                 self.blockmates[index[u]] = [index[w] for w in block if w != u]
         # each class of twins in ascending id order
         self.twins = [sorted(index[u] for u in members) for members in twins]
+        # each class of target twins in ascending image order
+        self.target_twins = [sorted(image[x] for x in members) for members in target_twins]
         # locality bookkeeping: a recency stack plus touch counts keep the
         # search inside one gadget region until it is finished, which is
         # what makes clause/variable instances tractable
@@ -427,6 +437,12 @@ class ReferenceVertexSearch:
             return
         u = self._choose(todo)
         dom = self.domains[u]
+        tries = dom
+        if not self._breaks_symmetry(u, -1) and not any(
+                x >= 0 and self._breaks_symmetry(v, x) for v, x in enumerate(assign)):
+            for members in self.target_twins:
+                for x in [x for x in members if dom >> x & 1][1:]:
+                    tries &= ~(1 << x)
         # only genuine branch points pay for the component check; unit
         # propagation chains fall straight through
         combined = None
@@ -444,9 +460,9 @@ class ReferenceVertexSearch:
             else:
                 connected = True
         budget = self.budget
-        while dom:
-            bit = dom & -dom
-            dom ^= bit
+        while tries:
+            bit = tries & -tries
+            tries ^= bit
             if budget[0] <= 0:
                 raise BudgetExhausted()
             budget[0] -= 1
@@ -467,6 +483,11 @@ class ReferenceVertexSearch:
                                 yield True
             finally:
                 self._undo(ops)
+
+    def _breaks_symmetry(self, v, x) -> bool:
+        """Whether v, with image x (-1 for none), is a source twin or x is
+        in a class of target twins."""
+        return any(v in chain for chain in self.twins) or any(x in c for c in self.target_twins)
 
     def _branch_components(self, comps):
         """Solve independent components separately.
@@ -592,7 +613,8 @@ def reference_pairs():
     switched, and unions of two lifts, which make the search split), and
     over disconnected targets, which take the fibre-cap path; then
     sources over single-block targets, where domains hold three or more
-    images and forcing can take several at once."""
+    images and forcing can take several at once; then the small pairs
+    over targets with twins that tests/test_twins.py sweeps."""
     rng = random.Random(2026)
     for t in range(60):
         h = random_target(rng, rng.randrange(1, 5), f"h{t}")
@@ -622,12 +644,18 @@ def reference_pairs():
         yield switched(random_lift(h, rng.randrange(2, 5), seed + 1), rng), h
         yield rewired(h, rng.randrange(2, 5), rng), h
         yield rewired(h, rng.randrange(2, 5), rng), h
+    # small sources over the targets with twins of the brute-force sweep
+    yield from target_twin_pairs()
+
+
+def searched_at_budget(g, h):
+    # the search itself: parity would refute some pairs before it
+    res = searched(g, h, BUDGET)
+    return res.status, res.nodes, res.reason, res.projection.to_json() if res.yes else None
 
 
 def observe(g, h):
-    # the search itself: parity would refute some pairs before it
-    res = searched(g, h, BUDGET)
-    cert = res.projection.to_json() if res.yes else None
+    res = searched_at_budget(g, h)
     maps = []
     try:
         for proj in partial_covers(g, h, budget=BUDGET):
@@ -637,7 +665,7 @@ def observe(g, h):
         ended = "end"
     except BudgetExhausted:
         ended = "budget"
-    return (res.status, res.nodes, res.reason, cert), maps, ended
+    return res, maps, ended
 
 
 def scope_counts(search):
@@ -656,10 +684,10 @@ def scope_counts(search):
 
 
 def test_search_matches_its_recursive_reference(monkeypatch):
-    seen = {"split": 0, "fibre cap": 0, "twins": 0, "kinds": set(), "forced": 0,
-            "forced then emptied": 0, "failed beside a kept sibling": 0}
+    seen = {"split": 0, "fibre cap": 0, "twins": 0, "target twins": 0, "mirrored": 0, "kinds": set(),
+            "forced": 0, "forced then emptied": 0, "failed beside a kept sibling": 0}
     search = covers._VertexSearch
-    components, init = search._components, search.__init__
+    components, init, least_of_classes = search._components, search.__init__, search._least_of_classes
     remove, try_assign, unbind = search._remove, search._try_assign, search._unbind
 
     def counting_components(self, s):
@@ -667,10 +695,17 @@ def test_search_matches_its_recursive_reference(monkeypatch):
         seen["split"] += len(comps) > 1
         return comps
 
-    def counting_init(self, tables, domains, budget_box, exact, fibre_cap=None, blocks=(), twins=()):
+    def counting_init(self, tables, domains, budget_box, exact, fibre_cap=None, blocks=(), twins=(),
+                      target_twins=()):
         seen["fibre cap"] += fibre_cap is not None
         seen["twins"] += bool(twins)
-        init(self, tables, domains, budget_box, exact, fibre_cap, blocks, twins)
+        seen["target twins"] += bool(target_twins)
+        init(self, tables, domains, budget_box, exact, fibre_cap, blocks, twins, target_twins)
+
+    def counting_least_of_classes(self, dom):
+        tries = least_of_classes(self, dom)
+        seen["mirrored"] += tries != dom
+        return tries
 
     def counting_remove(self, w, drop, ops, dirty):
         # a removal of two or more images is one the forcing rule made
@@ -698,6 +733,7 @@ def test_search_matches_its_recursive_reference(monkeypatch):
     monkeypatch.setattr(search, "_components", counting_components)
     monkeypatch.setattr(search, "_unbind", checked_unbind)
     monkeypatch.setattr(search, "__init__", counting_init)
+    monkeypatch.setattr(search, "_least_of_classes", counting_least_of_classes)
     monkeypatch.setattr(search, "_remove", counting_remove)
     monkeypatch.setattr(search, "_try_assign", checked_try_assign)
     answers = {}
@@ -708,6 +744,17 @@ def test_search_matches_its_recursive_reference(monkeypatch):
             m.setattr(covers, "_VertexSearch", ReferenceVertexSearch)
             want = observe(g, h)
         assert got == want, (g.name, h.name)
+        # and without target classes, the tree the search had before their
+        # rule, which partial_covers still walks
+        with monkeypatch.context() as m:
+            m.setattr(covers, "_target_twin_classes", lambda tables, blocks: [])
+            plain = searched_at_budget(g, h)
+            m.setattr(covers, "_VertexSearch", ReferenceVertexSearch)
+            assert searched_at_budget(g, h) == plain, (g.name, h.name)
+        # the rule decides what that tree decides, alike, in no more nodes
+        if plain[0] != "unknown":
+            assert (plain[0], plain[2], plain[3]) == (got[0][0], got[0][2], got[0][3]), (g.name, h.name)
+        assert plain[1] >= got[0][1], (g.name, h.name)
         status, _, _, cert = got[0]
         if status == "yes":
             assert verify_cover(g, h, covers.CoveringProjection.from_json(cert)).ok
@@ -717,9 +764,10 @@ def test_search_matches_its_recursive_reference(monkeypatch):
     assert pairs >= 300
     assert seen["kinds"] == {"edge", "arc", "loop", "dloop", "semi"}
     assert set(answers) == {"yes", "no", "unknown"}, answers
-    # the search split into components, ran with fibre caps and ordered
-    # twins
+    # the search split into components, ran with fibre caps, ordered
+    # twins and skipped the mirror images of target twins
     assert seen["split"] >= 50 and seen["fibre cap"] >= 50 and seen["twins"] >= 50, seen
+    assert seen["target twins"] >= 50 and seen["mirrored"] >= 50, seen
     # forcing took several images at once, and a forced domain then ran
     # empty in the same propagation, whose trail was undone
     assert seen["forced"] >= 4000 and seen["forced then emptied"] >= 15, seen

@@ -6,17 +6,26 @@ oracle keeps their images non-decreasing along each class.  These tests
 check which vertices form classes, that the order changes no answer
 (against brute force and against the search without twins), and that the
 recency stack stays within the current path's entries on a long search.
+
+Target twins are target vertices that swap by an automorphism of the
+target.  Where the search branches with no twin assigned, it tries only
+the least image of each class.  The tests at the end check which target
+vertices form classes, and that the rule changes no answer, against
+brute force, and no certificate, against the search without target
+classes, in no more nodes.
 """
 
 import itertools
 import random
 
 from coverkit import Graph, covers, oracle_cover, verify_cover
-from coverkit.covers import _DartTables, _twin_classes
-from coverkit.gadgets import brute_force_formula, build_gphi_fw, fw_target, random_formula
+from coverkit.covers import _DartTables, _target_twin_classes, _twin_classes
+from coverkit.gadgets import brute_force_formula, build_gphi_fw, fw_target, random_formula, wd_target
+from coverkit.partition import degree_partition
 
-from conftest import complete_bipartite, complete_graph, disjoint_union, naive_cover, random_multigraph, searched
-from hosts import random_lift, switched
+from conftest import (complete_bipartite, complete_graph, cycle, disjoint_union, naive_cover, random_multigraph,
+                      searched)
+from hosts import random_compatible_input, random_lift, switched
 
 
 def classes(g):
@@ -295,3 +304,127 @@ def test_recency_stack_stays_within_the_current_path(monkeypatch):
     res = searched(build_gphi_fw(3, f), fw_target(3), 100_000)
     assert (res.status, res.nodes) == ("unknown", 100_000)
     assert seen["checks"] >= 50_000 and seen["longest"] < 20_000, seen
+
+
+# target twins ----------------------------------------------------------------------
+
+
+def target_classes(h, blocks=None):
+    """h's target-twin classes within ``blocks``, by default its degree
+    partition."""
+    return _target_twin_classes(_DartTables(h, h), blocks or degree_partition(h)[0].blocks)
+
+
+def test_target_twin_classes():
+    assert target_classes(fw_target(3)) == [["g", "r"]]
+    assert target_classes(wd_target(2, 1)) == [["g", "r"]]
+    # an edge between them keeps vertices twins, unlike source twins
+    assert target_classes(complete_graph(3)) == [["v0", "v1", "v2"]]
+    assert target_classes(disjoint_union(cycle(3), cycle(3))) == [["0.v0", "0.v1", "0.v2"],
+                                                                  ["1.v0", "1.v1", "1.v2"]]
+    assert target_classes(cycle(4)) == [["v0", "v2"], ["v1", "v3"]]
+    # neither adjacent nor opposite vertices of C6 swap alone
+    assert target_classes(cycle(6)) == []
+
+
+def test_target_near_twins():
+    # a and b are twins here: edges to p and q, and arcs both ways
+    both = [("edge", "e", "a", "p"), ("edge", "e", "b", "p"), ("edge", "e", "a", "q"),
+            ("edge", "e", "b", "q"), ("arc", "d", "a", "b"), ("arc", "d", "b", "a")]
+    assert ["a", "b"] in target_classes(graph(both), [["a", "b"]])
+    near = {
+        "an arc one way": both[:5],
+        "two arcs one way": both + [("arc", "d", "a", "b")],
+        "a loop on one": both + [("loop", "e", "a")],
+        "a loop against two semi-edges": both + [("loop", "f", "a"), ("semi", "f", "b"), ("semi", "f", "b")],
+        "a directed loop on one": both + [("dloop", "d", "a")],
+        "a third vertex's multiplicity": both + [("edge", "e", "a", "p")],
+        "an edge colour": [("edge", "f", "a", "p")] + both[1:],
+    }
+    for what, edges in near.items():
+        assert target_classes(graph(edges), [["a", "b"]]) == [], what
+
+
+def hub_coloured(h):
+    """h with its hub p in a vertex colour of its own, as
+    ``random_compatible_input`` draws a colour class per block."""
+    out = Graph(f"{h.name}-hub")
+    for v in h.vertices():
+        out.add_vertex(v, "hub" if v == "p" else h.vertex_colour(v))
+    for e in h.edges():
+        out.add_edge(e.kind, e.id, e.colour, *e.ends)
+    return out
+
+
+# targets with twins, each with the folds brute force decides in well under
+# a second a pair: C3 + C3 has two classes of three and takes fibre caps
+TWIN_TARGETS = [
+    (hub_coloured(fw_target(2)), (1, 2)),
+    (hub_coloured(fw_target(3)), (1,)),
+    (wd_target(1, 1), (1, 2, 3, 4)),
+    (wd_target(2, 1), (1, 2)),
+    (complete_graph(3), (1, 2, 3)),
+    (disjoint_union(cycle(3), cycle(3)), (1,)),
+]
+
+
+def target_twin_pairs():
+    """Small sources over targets with twins: draws of
+    ``random_compatible_input``, random lifts, and lifts with two edges
+    switched."""
+    rng = random.Random(27)
+    for h, folds in TWIN_TARGETS:
+        for r in folds:
+            for seed in range(3):
+                yield random_compatible_input(h, r, seed), h
+                yield random_lift(h, r, seed), h
+                yield switched(random_lift(h, r, seed + 100), rng), h
+
+
+def without_target_classes(monkeypatch, run):
+    """``run()`` with the search given no target classes, as
+    ``partial_covers`` gives it none."""
+    with monkeypatch.context() as m:
+        m.setattr(covers, "_target_twin_classes", lambda tables, blocks: [])
+        return run()
+
+
+def certificate(res):
+    return res.projection.to_json() if res.yes else None
+
+
+def test_target_twins_agree_with_brute_force(monkeypatch):
+    answers, nodes = {}, [0, 0]
+    for g, h in target_twin_pairs():
+        want = naive_cover(g, h)
+        res = oracle_cover(g, h, budget=100_000)
+        assert res.status in ("yes", "no") and res.yes == (want is not None), (g.name, h.name)
+        # the search itself, which parity would spare some refutations
+        got = searched(g, h, 100_000)
+        plain = without_target_classes(monkeypatch, lambda: searched(g, h, 100_000))
+        assert (got.status, got.reason, certificate(got)) == (plain.status, plain.reason, certificate(plain))
+        assert got.status == res.status and got.nodes <= plain.nodes, (g.name, h.name)
+        answers[got.reason] = answers.get(got.reason, 0) + 1
+        nodes[0] += got.nodes
+        nodes[1] += plain.nodes
+    assert answers.get("cover", 0) >= 50 and answers.get("search", 0) >= 10, answers
+    # the rule pruned
+    assert nodes[0] < nodes[1], nodes
+
+
+def test_target_twins_prune_only_mirrors(monkeypatch):
+    # blow-ups, hardness gadgets and decorated cycles within a small
+    # budget: where the search without target classes decides, the rule
+    # gives the same answer and certificate in no more nodes
+    compared, pruned, gained = 0, 0, 0
+    for g, h in twin_pairs():
+        got = searched(g, h, 2000)
+        plain = without_target_classes(monkeypatch, lambda: searched(g, h, 2000))
+        if plain.status == "unknown":
+            gained += got.status != "unknown"
+            continue
+        assert (got.status, got.reason, certificate(got)) == (plain.status, plain.reason, certificate(plain))
+        assert got.nodes <= plain.nodes, (g.name, h.name)
+        compared += 1
+        pruned += got.nodes < plain.nodes
+    assert compared >= 1000 and pruned >= 80, (compared, pruned, gained)
