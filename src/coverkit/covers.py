@@ -255,23 +255,81 @@ def fibre_sizes(h: Graph, fv: dict[str, str]) -> dict[str, int]:
 
 
 def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
-    """Check all preimage clauses plus equitability; violations are data."""
-    violations: list[str] = []
-    for v in g.vertices():
-        if v not in f.fv:
-            violations.append(f"vertex {v} has no image")
-        elif not h.has_vertex(f.fv[v]):
-            violations.append(f"vertex {v} maps to unknown vertex {f.fv[v]}")
-        elif h.vertex_colour(f.fv[v]) != g.vertex_colour(v):
-            violations.append(f"vertex {v} changes colour")
-    violations += [f"vertex map names {v}, which is not a vertex of the source" for v in f.fv
-                   if not g.has_vertex(v)]
-    if violations:
-        return VerifyResult(False, violations)
+    """Check all preimage clauses plus equitability; violations are data.
+
+    The vertex map and the edge map are each compared whole first: their
+    keys, then the images' colours or landing sites.  Only a map that
+    fails that comparison is scanned, in vertex or edge order, for the
+    violations to report."""
+    fv, fe = f.fv, f.fe
+    vertices = g.vertices()
+    hcolour = {x: h.vertex_colour(x) for x in h.vertices()}
+    if (fv.keys() != set(vertices)
+            or list(map(hcolour.get, map(fv.__getitem__, vertices))) != list(map(g.vertex_colour, vertices))):
+        return VerifyResult(False, _vertex_violations(g, h, fv))
     if g.n == 0 and h.n > 0:
         return VerifyResult(False, ["empty graph does not cover a non-empty graph"])
-    fv, fe = f.fv, f.fe
     site = {he.id: _site(he) for he in h.edges()}
+    # with as many keys as g has edges, fe names no other key once every
+    # edge of g finds its image
+    landed = len(fe) == g.m
+    if landed:
+        # the landing sites of each (kind, colour, end images), found once
+        sites_of: dict = {}
+        for e in g.edges():
+            ends = e.ends
+            key = (e.kind, e.colour, fv[ends[0]], fv[ends[-1]])
+            sites = sites_of.get(key)
+            if sites is None:
+                sites = sites_of[key] = _landing_sites(e, key[2], key[3])
+            if site.get(fe.get(e.id)) not in sites:
+                landed = False
+                break
+    if not landed:
+        return VerifyResult(False, _edge_violations(g, fv, fe, site))
+    violations: list[str] = []
+    wants: dict[str, dict] = {}
+    for u in vertices:
+        x = fv[u]
+        want = wants.get(x)
+        if want is None:
+            want = wants[x] = _dart_tally(h, x)
+        # _dart_tally(g, u, fe) written out, which saves a call per vertex
+        tally: dict = {}
+        for e, d, _, c in darts(g, u):
+            key = (fe[e.id], d)
+            tally[key] = tally.get(key, 0) + c
+        if tally != want:
+            violations.append(f"local bijection broken at vertex {u}")
+    # every key of f.fv is a vertex of g here, so this counts g's vertices
+    sizes = fibre_sizes(h, fv)
+    if len(set(sizes.values())) > 1:
+        violations.append(
+            "fibre sizes differ: " + ", ".join(f"{x}:{c}" for x, c in sorted(sizes.items()))
+        )
+    return VerifyResult(not violations, violations)
+
+
+def _vertex_violations(g: Graph, h: Graph, fv: dict[str, str]) -> list[str]:
+    """Every fault of a vertex map, in vertex order, then the names it
+    maps that are not vertices of g."""
+    violations: list[str] = []
+    for v in g.vertices():
+        if v not in fv:
+            violations.append(f"vertex {v} has no image")
+        elif not h.has_vertex(fv[v]):
+            violations.append(f"vertex {v} maps to unknown vertex {fv[v]}")
+        elif h.vertex_colour(fv[v]) != g.vertex_colour(v):
+            violations.append(f"vertex {v} changes colour")
+    return violations + [f"vertex map names {v}, which is not a vertex of the source" for v in fv
+                         if not g.has_vertex(v)]
+
+
+def _edge_violations(g: Graph, fv: dict[str, str], fe: dict[str, str], site: dict) -> list[str]:
+    """Every fault of an edge map over a sound vertex map, in edge order,
+    then the names it maps that are not edges of g; ``site`` files the
+    target's edge ids by ``_site``."""
+    violations: list[str] = []
     for e in g.edges():
         if e.id not in fe:
             violations.append(f"edge {e.id} has no image")
@@ -279,25 +337,8 @@ def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
             violations.append(f"edge {e.id} maps to unknown edge {fe[e.id]}")
         elif site[fe[e.id]] not in _landing_sites(e, fv[e.ends[0]], fv[e.ends[-1]]):
             violations.append(f"edge {e.id} -> {fe[e.id]} breaks colour or incidence")
-    violations += [f"edge map names {e}, which is not an edge of the source" for e in fe
-                   if not g.has_edge(e)]
-    if violations:
-        return VerifyResult(False, violations)
-    wants: dict[str, dict] = {}
-    for u in g.vertices():
-        x = fv[u]
-        want = wants.get(x)
-        if want is None:
-            want = wants[x] = _dart_tally(h, x)
-        if _dart_tally(g, u, fe) != want:
-            violations.append(f"local bijection broken at vertex {u}")
-    # every key of f.fv is a vertex of g here, so this counts g's vertices
-    sizes = fibre_sizes(h, f.fv)
-    if len(set(sizes.values())) > 1:
-        violations.append(
-            "fibre sizes differ: " + ", ".join(f"{x}:{c}" for x, c in sorted(sizes.items()))
-        )
-    return VerifyResult(not violations, violations)
+    return violations + [f"edge map names {e}, which is not an edge of the source" for e in fe
+                         if not g.has_edge(e)]
 
 
 def is_degree_obedient(g: Graph, h: Graph, fv: dict[str, str]) -> bool:
@@ -1346,24 +1387,33 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
     not extend."""
     by = _h_edge_index(h)
     log = log or (lambda msg: None)
-    fibres: dict[str, list[str]] = {}
-    for w, x in sorted(fv.items()):
-        fibres.setdefault(x, []).append(w)
     # by landing sites: a group between two fibres per site, and one group
     # per colour and fibre of those landing on directed loops, and of those
-    # landing on loops or semi-edges
+    # landing on loops or semi-edges; the sites depend only on an edge's
+    # kind, colour and end images, so each such key is resolved once
     pairs: dict = {}
     intra_und: dict = {}
     intra_dir: dict = {}
+    joins: dict = {}
     for e in g.edges():
-        sites = _landing_sites(e, fv[e.ends[0]], fv[e.ends[-1]])
-        if sites[0] not in by and sites[-1] not in by:
-            raise NotExtendable(f"{e.kind} {e.id} has no target edge to land on")
-        kind, colour, at = sites[0]
-        if len(at) == 2:
-            pairs.setdefault(sites[0], []).append(e)
-        else:
-            (intra_dir if kind == "dloop" else intra_und).setdefault((colour, at[0]), []).append(e)
+        ends = e.ends
+        key = (e.kind, e.colour, fv[ends[0]], fv[ends[-1]])
+        group = joins.get(key)
+        if group is None:
+            sites = _landing_sites(e, key[2], key[3])
+            if sites[0] not in by and sites[-1] not in by:
+                raise NotExtendable(f"{e.kind} {e.id} has no target edge to land on")
+            kind, colour, at = sites[0]
+            if len(at) == 2:
+                group = pairs.setdefault(sites[0], [])
+            else:
+                group = (intra_dir if kind == "dloop" else intra_und).setdefault((colour, at[0]), [])
+            joins[key] = group
+        group.append(e)
+    fibres: dict[str, list[str]] = {}
+    if intra_dir or intra_und:
+        for w, x in sorted(fv.items()):
+            fibres.setdefault(x, []).append(w)
     fe: dict[str, str] = {}
 
     def spread(h_ids, what, split, *args):
@@ -1385,15 +1435,15 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
             continue
         if kind == "edge":
             x = loc[0]
-            items = [(e.id, *((e.u, e.v) if fv[e.u] == x else (e.v, e.u))) for e in group]
+            items = [(e.id, *e.ends) if fv[e.ends[0]] == x else (e.id, e.ends[1], e.ends[0]) for e in group]
         else:
-            items = [(e.id, e.tail, e.head) for e in group]
+            items = [(e.id, *e.ends) for e in group]
         spread(h_ids, f"fibre-pair group {key} not factorizable", mt.bipartite_peel, items)
         log(f"factorized {len(group)} edges into {len(h_ids)} bundles at {key}")
 
     for (colour, x), group in sorted(intra_dir.items()):
         h_ids = by[("dloop", colour, (x,))]
-        if len({e.tail for e in group}) != len(fibres[x]):
+        if len({e.ends[0] for e in group}) != len(fibres[x]):
             raise NotExtendable(f"directed fibre at {x} has a vertex without out-darts")
         spread(h_ids, f"directed fibre at {x} not decomposable", mt.peel_cycle_covers, group)
         log(f"directed decomposition of {len(group)} arcs at fibre {x}")
@@ -1410,7 +1460,7 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
             fe.update(placed)
             used = set(placed.values())
             free = [he for he in loop_ids if he not in used]
-        residual = [(e.id, e.u, e.v) for e in group if e.id not in fe]
+        residual = [(e.id, e.ends[0], e.ends[-1]) for e in group if e.id not in fe]
         if residual or free:
             spread(free, f"fibre at {x} not 2-factorizable", mt.peel_two_factors, verts, residual)
         log(f"fibre {x} colour {colour}: {len(group)} edges distributed")

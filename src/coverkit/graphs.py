@@ -34,9 +34,7 @@ UND = "u"
 OUT = "o"
 IN = "i"
 
-EDGE_KINDS = ("edge", "arc", "loop", "dloop", "semi")
 _DIRECTED_KINDS = frozenset({"arc", "dloop"})
-_BINARY_KINDS = frozenset({"edge", "arc"})
 
 
 class GraphError(ValueError):
@@ -107,9 +105,10 @@ class Edge:
 class Graph:
     """A coloured mixed multigraph.
 
-    There is one checked way in: ``add_vertex`` and ``_add_edges``, the
-    edge check behind ``add_edge`` and ``parse_graph``, check every id,
-    endpoint and kind, and ``validate`` checks the colour namespaces.
+    There is one checked way in: ``_add_vertices``, the bulk vertex
+    insert behind ``add_vertex`` and ``parse_graph``, and ``_add_edges``,
+    the edge check behind ``add_edge`` and ``parse_graph``, check every
+    id, endpoint and kind, and ``validate`` checks the colour namespaces.
     Graphs derived from a graph that passed those checks (``copy``,
     ``project``, colour normalization, the solver's fibres) skip them:
     they start from ``_derive`` with vertices of the source and insert the
@@ -153,11 +152,29 @@ class Graph:
                 inc[ends[1]].append(e)
 
     def add_vertex(self, v: str, colour: str) -> None:
-        v, colour = str(v), str(colour)
-        if v in self._vcolour:
-            raise GraphError(f"duplicate vertex id {v!r}")
-        self._vcolour[v] = colour
-        self._inc[v] = []
+        self._add_vertices(((str(v), str(colour)),))
+
+    def _add_vertices(self, rows, lines=None) -> None:
+        """Insert the vertices of the string rows (id, colour), in order,
+        each id new here.  The first row whose id is taken raises
+        GraphError, or ParseError at ``lines[i]`` for row i when ``lines``
+        is given, and the rows before it are taken out again, so nothing
+        is inserted."""
+        vcolour, inc = self._vcolour, self._inc
+        start = len(vcolour)
+        for v, colour in rows:
+            if v in vcolour:
+                # the rows inserted so far are the last ids here
+                taken = list(vcolour)[start:]
+                for w in taken:
+                    del vcolour[w], inc[w]
+                i = len(taken)
+                message = f"duplicate vertex id {v!r}"
+                # parse_graph may call this while a later line's fault is
+                # raised; this fault replaces that one
+                raise (GraphError(message) if lines is None else ParseError(message, lines[i])) from None
+            vcolour[v] = colour
+            inc[v] = []
 
     def add_edge(self, kind: str, eid: str, colour: str, u: str, v: str | None = None) -> Edge:
         (e,) = self._add_edges(((kind, eid, colour, u, v),)).values()
@@ -183,29 +200,32 @@ class Graph:
                     colour = str(colour)
                 if u.__class__ is not str:
                     u = str(u)
-                if kind not in EDGE_KINDS:
-                    raise GraphError(f"unknown edge kind {kind!r}")
-                if eid in known or eid in batch:
-                    raise GraphError(f"duplicate edge id {eid!r}")
-                if kind in _BINARY_KINDS:
-                    if v is None:
-                        raise GraphError(f"{kind} needs two endpoints")
+                if kind == "edge" or kind == "arc":
+                    if eid in batch or eid in known:
+                        raise GraphError(f"duplicate edge id {eid!r}")
                     if v.__class__ is not str:
+                        if v is None:
+                            raise GraphError(f"{kind} needs two endpoints")
                         v = str(v)
                     if u == v:
                         raise GraphError(
                             f"{kind} {eid!r} must join two distinct vertices"
                             + (" (directed loop must use dloop)" if kind == "arc" else " (use loop)")
                         )
-                    ends = (u, v)
-                else:
+                    if u not in vcolour or v not in vcolour:
+                        w = v if u in vcolour else u
+                        raise GraphError(f"edge {eid!r} references unknown vertex {w!r}")
+                    batch[eid] = Edge(eid, kind, colour, (u, v))
+                elif kind == "loop" or kind == "dloop" or kind == "semi":
+                    if eid in batch or eid in known:
+                        raise GraphError(f"duplicate edge id {eid!r}")
                     if v is not None and str(v) != u:
                         raise GraphError(f"{kind} has a single endpoint")
-                    ends = (u,)
-                for w in ends:
-                    if w not in vcolour:
-                        raise GraphError(f"edge {eid!r} references unknown vertex {w!r}")
-                batch[eid] = Edge(eid, kind, colour, ends)
+                    if u not in vcolour:
+                        raise GraphError(f"edge {eid!r} references unknown vertex {u!r}")
+                    batch[eid] = Edge(eid, kind, colour, (u,))
+                else:
+                    raise GraphError(f"unknown edge kind {kind!r}")
         except GraphError as exc:
             if lines is None:
                 raise
@@ -250,24 +270,30 @@ class Graph:
 
     def validate(self) -> None:
         """Check the colour-namespace discipline; construction checks the rest."""
-        vcols = set(self._vcolour.values())
-        dcols: set[str] = set()
-        ucols: set[str] = set()
-        for e in self._edges.values():
-            (dcols if e.kind in _DIRECTED_KINDS else ucols).add(e.colour)
-        for a, b, what in (
-            (vcols, dcols, "vertex and directed edge"),
-            (vcols, ucols, "vertex and undirected edge"),
-            (dcols, ucols, "directed and undirected edge"),
-        ):
-            clash = a & b
-            if clash:
-                raise GraphError(f"{what} colours must be disjoint, shared: {sorted(clash)}")
+        check_colours(self._vcolour.values(), {(e.kind, e.colour) for e in self._edges.values()})
 
     def copy(self, name: str | None = None) -> "Graph":
         g = Graph._derive(name if name is not None else self.name, dict(self._vcolour))
         g._put(self._edges.values())
         return g
+
+
+def check_colours(vertex_colours: Iterable[str], kind_colours: Iterable[tuple[str, str]]) -> None:
+    """The colour-namespace discipline over a graph's vertex colours and
+    its (edge kind, edge colour) pairs: GraphError on the first clash."""
+    vcols = set(vertex_colours)
+    dcols: set[str] = set()
+    ucols: set[str] = set()
+    for kind, colour in kind_colours:
+        (dcols if kind in _DIRECTED_KINDS else ucols).add(colour)
+    for a, b, what in (
+        (vcols, dcols, "vertex and directed edge"),
+        (vcols, ucols, "vertex and undirected edge"),
+        (dcols, ucols, "directed and undirected edge"),
+    ):
+        clash = a & b
+        if clash:
+            raise GraphError(f"{what} colours must be disjoint, shared: {sorted(clash)}")
 
 
 # degrees and darts ------------------------------------------------------
@@ -357,46 +383,54 @@ def total_degree(g: Graph, v: str) -> int:
 def parse_graph(text: str) -> Graph:
     """Parse the line-based format; see the module docstring for the keywords."""
     g: Graph | None = None
-    # edge rows and their line numbers, checked and inserted once every
-    # vertex is known
+    # vertex rows (id, colour), then edge rows (kind, id, colour, u, v),
+    # each with their line numbers, checked and inserted in bulk after the
+    # last line; a one-ended edge row has None for v
+    vrows: list[tuple[str, str]] = []
+    vlines: list[int] = []
     rows: list[tuple] = []
     lines: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tok = raw.split("#", 1)[0].split()
-        if not tok:
-            continue
-        kw = tok[0]
-        try:
-            if kw == "graph":
-                if g is not None:
-                    raise ParseError("duplicate graph directive", lineno)
-                if len(tok) != 2:
-                    raise ParseError("graph directive takes one name", lineno)
-                g = Graph(tok[1])
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            if "#" in raw:
+                raw = raw[:raw.index("#")]
+            tok = raw.split()
+            if not tok:
+                continue
+            kw = tok[0]
+            if kw == "edge" or kw == "arc":
+                if len(tok) != 5:
+                    raise ParseError(f"{kw} <id> <colour> <u> <v>", lineno)
+                rows.append(tuple(tok))
+                lines.append(lineno)
             elif kw == "vertex":
                 if g is None:
                     raise ParseError("vertex before graph directive", lineno)
                 if len(tok) != 3:
                     raise ParseError("vertex <id> <colour>", lineno)
-                g.add_vertex(tok[1], tok[2])
-            elif kw in ("edge", "arc"):
-                if len(tok) != 5:
-                    raise ParseError(f"{kw} <id> <colour> <u> <v>", lineno)
-                rows.append((kw, tok[1], tok[2], tok[3], tok[4]))
-                lines.append(lineno)
-            elif kw in ("loop", "dloop", "semi"):
+                vrows.append((tok[1], tok[2]))
+                vlines.append(lineno)
+            elif kw == "loop" or kw == "dloop" or kw == "semi":
                 if len(tok) != 4:
                     raise ParseError(f"{kw} <id> <colour> <u>", lineno)
                 rows.append((kw, tok[1], tok[2], tok[3], None))
                 lines.append(lineno)
+            elif kw == "graph":
+                if g is not None:
+                    raise ParseError("duplicate graph directive", lineno)
+                if len(tok) != 2:
+                    raise ParseError("graph directive takes one name", lineno)
+                g = Graph(tok[1])
             else:
                 raise ParseError(f"unknown directive {kw!r}", lineno)
-        except GraphError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(str(exc), lineno) from None
+    except ParseError:
+        # a vertex row on an earlier line may hold the first fault
+        if g is not None:
+            g._add_vertices(vrows, vlines)
+        raise
     if g is None:
         raise ParseError("missing graph directive")
+    g._add_vertices(vrows, vlines)
     g._add_edges(rows, lines)
     try:
         g.validate()

@@ -24,6 +24,7 @@ from .graphs import (
     IN,
     OUT,
     UND,
+    check_colours,
     darts,
     is_connected,
     is_tree,
@@ -81,9 +82,11 @@ def degree_partition(g: Graph) -> tuple[Partition, RefinementMatrix]:
     blocks.  No vertex identity enters a sort key, so relabelling cannot
     change the result.
 
-    The first round signs every vertex.  After it a block can split only
-    if some block it has darts into split in the round before, so later
-    rounds re-sign only around those splits.  For each split block one
+    The first round counts every vertex's darts into the colour classes,
+    groups each class by those counts and, as the later rounds do, signs
+    one member per group to order the groups.  After it a block can split
+    only if some block it has darts into split in the round before, so
+    later rounds re-sign only around those splits.  For each split block one
     largest part is left out: a vertex's darts into it follow from its
     darts into the whole old block, which are equal across the vertex's
     block.  The darts into the other parts are counted by walking their
@@ -93,9 +96,9 @@ def degree_partition(g: Graph) -> tuple[Partition, RefinementMatrix]:
     A vertex lies in a left-in part at most log2(n) times, so counting
     costs O(m log n) dart visits in all; each round also signs one member
     per part it forms and renumbers the blocks from the first split one
-    on, O(k).  A 2000-vertex path (1000 rounds) takes about 0.04 s on a
-    2-core x86 machine under CPython 3.11, against re-signing every
-    vertex in every round (9 s).
+    on, O(k).  A 2000-vertex path (1000 rounds) takes about 0.02 s (best
+    of 5) on a 2-core x86 machine under CPython 3.11.7, against
+    re-signing every vertex in every round (9 s).
     """
     if g.n == 0:
         return Partition([], {}), RefinementMatrix(0, {})
@@ -110,13 +113,28 @@ def degree_partition(g: Graph) -> tuple[Partition, RefinementMatrix]:
     members: list = []
     fresh: list[list[int]] = []
     for c in colours:
-        groups: dict[tuple, list[str]] = {}
+        # group by dart counts per (colour, direction, block), trying the
+        # last vertex's group first; a group's first member is signed to
+        # order the groups
+        groups: dict[frozenset, list[str]] = {}
+        last: dict | None = None
         for v in by_colour[c]:
-            groups.setdefault(_signature(g, v, colour_block, identity), []).append(v)
+            counts: dict[tuple, int] = {}
+            for e, d, w, cnt in darts(g, v):
+                key = (e.colour, d, colour_block[w])
+                counts[key] = counts.get(key, 0) + cnt
+            if counts != last:
+                key = frozenset(counts.items())
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = []
+                last = counts
+            group.append(v)
+        ranked = sorted((_signature(g, group[0], colour_block, identity), group) for group in groups.values())
         ids = []
-        for sig in sorted(groups):
+        for _, group in ranked:
             ids.append(len(members))
-            members.append(groups[sig])
+            members.append(group)
         if len(ids) > 1:
             fresh.append(ids)
     order = list(range(len(members)))
@@ -248,17 +266,22 @@ def normalize_colours(g: Graph, part: Partition) -> Graph:
     width = max(3, len(str(part.k - 1)))
     block_of = part.block_of
     block_colour = [f"b{i:0{width}d}" for i in range(part.k)]
-    out = Graph._derive(g.name, {v: block_colour[block_of[v]] for v in g.vertices()})
+    vertices = g.vertices()
+    colours = map(block_colour.__getitem__, map(block_of.__getitem__, vertices))
+    out = Graph._derive(g.name, dict(zip(vertices, colours)))
+    # the fresh kind and colour of each (kind, colour, end blocks)
     names: dict[tuple, tuple[str, str]] = {}
     recoloured = []
     for e in g.edges():
-        key = (e.kind, e.colour, block_of[e.ends[0]], block_of[e.ends[-1]])
+        ends = e.ends
+        key = (e.kind, e.colour, block_of[ends[0]], block_of[ends[-1]])
         named = names.get(key)
         if named is None:
             named = names[key] = _block_colour(*key)
-        recoloured.append(Edge(e.id, named[0], named[1], e.ends))
+        recoloured.append(Edge(e.id, named[0], named[1], ends))
     out._put(recoloured)
-    out.validate()
+    # the fresh colours are all the output has, so they are checked alone
+    check_colours(block_colour, names.values())
     return out
 
 

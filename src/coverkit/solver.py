@@ -87,36 +87,51 @@ def _semis_at(g: Graph, v: str, colour: str) -> int:
     return sum(1 for e, _, _, _ in darts(g, v) if e.kind == "semi" and e.colour == colour)
 
 
-def _fibre_index(gn: Graph, pg: Partition):
-    """``fibre(blocks, colour)``: the subgraph of a normalized source on
-    the given blocks and the edges of one colour, equal to ``project(gn,
-    vertices=blocks' members, colours=[colour])`` down to vertex and edge
-    order, and built at most once.
+class _Fibres:
+    """The fibres of a normalized source gn over its degree partition pg.
 
     After ``normalize_colours`` every edge colour names its block or block
     pair, so one pass over gn's edges groups every fibre's edges and one
-    pass over its vertices lists every block's members.  The fibres live
-    as long as the returned function.
+    pass over its vertices lists every block's members, and the
+    accessors read those lists.  ``edges(colour)`` lists a colour's edges
+    and ``vertices(blocks)`` the blocks' members, both in gn's order.
+    ``graph(blocks, colour)`` is the subgraph on both, equal to
+    ``project(gn, vertices=vertices(blocks), colours=[colour])`` down to
+    vertex and edge order; it is built at most once, only for the checks
+    that walk a fibre, and lives as long as the index.
     """
-    names = gn.vertices()
-    members: list[list[int]] = [[] for _ in pg.blocks]
-    for k, v in enumerate(names):
-        members[pg.block_of[v]].append(k)
-    edges_of: dict[str, list[Edge]] = {}
-    for e in gn.edges():
-        edges_of.setdefault(e.colour, []).append(e)
-    built: dict = {}
 
-    def fibre(blocks, colour: str) -> Graph:
+    def __init__(self, gn: Graph, pg: Partition):
+        self.gn = gn
+        self._names = names = gn.vertices()
+        block_of = pg.block_of
+        self._members: list[list[int]] = [[] for _ in pg.blocks]
+        for k, v in enumerate(names):
+            self._members[block_of[v]].append(k)
+        self._colour_of = [gn.vertex_colour(names[ks[0]]) for ks in self._members]
+        self._edges_of: dict[str, list[Edge]] = {}
+        for e in gn.edges():
+            self._edges_of.setdefault(e.colour, []).append(e)
+        self._built: dict = {}
+
+    def edges(self, colour: str) -> list[Edge]:
+        return self._edges_of.get(colour, [])
+
+    def vertices(self, blocks) -> list[str]:
+        return [self._names[k] for k in sorted(k for i in blocks for k in self._members[i])]
+
+    def graph(self, blocks, colour: str) -> Graph:
         key = (tuple(blocks), colour)
-        sub = built.get(key)
+        sub = self._built.get(key)
         if sub is None:
-            verts = (names[k] for k in sorted(k for i in key[0] for k in members[i]))
-            sub = built[key] = Graph._derive(gn.name, {v: gn.vertex_colour(v) for v in verts})
-            sub._put(edges_of.get(colour, ()))
+            # the members in gn's order, then each block's colour on its own
+            names = self._names
+            vcolour = dict.fromkeys(self.vertices(blocks))
+            for i in key[0]:
+                vcolour.update(dict.fromkeys(map(names.__getitem__, self._members[i]), self._colour_of[i]))
+            sub = self._built[key] = Graph._derive(self.gn.name, vcolour)
+            sub._put(self.edges(colour))
         return sub
-
-    return fibre
 
 
 def _record_semi_matching(fibre: Graph, bg: BlockGraph, i: int, subcase: str,
@@ -137,7 +152,7 @@ def _record_semi_matching(fibre: Graph, bg: BlockGraph, i: int, subcase: str,
     return True
 
 
-def check_singletons(fibres, ph: Partition, shapes: list[BlockGraph], trace: SolveTrace) -> bool:
+def check_singletons(fibres: _Fibres, ph: Partition, shapes: list[BlockGraph], trace: SolveTrace) -> bool:
     """Singleton target blocks: semi-edge budgets, component shapes for the
     two-semi-edge target, perfect matchings for the one-semi-edge target."""
     for bg in shapes:
@@ -148,17 +163,16 @@ def check_singletons(fibres, ph: Partition, shapes: list[BlockGraph], trace: Sol
             continue
         colour = bg.colour
         fam, params = bg.shape.family, bg.shape.params
-        fibre = fibres(bg.blocks, colour)
         if fam == "FD" or (fam == "F" and params[0] == 0):
-            if any(e.kind == "semi" for e in fibre.edges()):
+            if any(e.kind == "semi" for e in fibres.edges(colour)):
                 trace.step(bg.blocks, colour, "3C", result="stray semi-edge")
                 return False
             trace.step(bg.blocks, colour, "3C", result="ok")
         elif fam == "F" and params[0] == 1:
-            if not _record_semi_matching(fibre, bg, i, "3B", trace):
+            if not _record_semi_matching(fibres.graph(bg.blocks, colour), bg, i, "3B", trace):
                 return False
         elif fam == "F" and params == (2, 0):
-            for _, shape in component_shapes(fibre):
+            for _, shape in component_shapes(fibres.graph(bg.blocks, colour)):
                 if shape not in (OPEN_PATH, EVEN_CYCLE):
                     trace.step(bg.blocks, colour, "3A", result=f"bad component ({shape})")
                     return False
@@ -168,7 +182,7 @@ def check_singletons(fibres, ph: Partition, shapes: list[BlockGraph], trace: Sol
     return True
 
 
-def preprocess_doublets(fibres, hn: Graph, ph: Partition,
+def preprocess_doublets(fibres: _Fibres, hn: Graph, ph: Partition,
                         shapes: list[BlockGraph], trace: SolveTrace) -> bool:
     """Doublet target blocks with semi-edges force vertex images; the
     semi-edge-free doublet shapes reject stray semi-edges outright."""
@@ -181,16 +195,16 @@ def preprocess_doublets(fibres, hn: Graph, ph: Partition,
         colour = bg.colour
         fam = bg.shape.family
         hb, hc = ph.blocks[i]
-        fibre = fibres(bg.blocks, colour)
         if fam == "W":
             k, m, l, p, q = bg.shape.params
             if k == 0:
                 # doublet analogue of Subcase 3C: no semi-edge may appear
                 # (recognize_shape orders the parameters so that k >= q)
-                if any(e.kind == "semi" for e in fibre.edges()):
+                if any(e.kind == "semi" for e in fibres.edges(colour)):
                     trace.step(bg.blocks, colour, "5A" if l == 0 else "5B", result="stray semi-edge")
                     return False
                 continue
+            fibre = fibres.graph(bg.blocks, colour)
             if (k, q) == (2, 2):
                 for _, shape in component_shapes(fibre):
                     if shape == ODD_CYCLE:
@@ -272,7 +286,7 @@ _NEIGHBOURS_APART = {
 }
 
 
-def build_2sat(fibres, hn: Graph, pg: Partition, ph: Partition,
+def build_2sat(fibres: _Fibres, hn: Graph, pg: Partition, ph: Partition,
                shapes: list[BlockGraph], trace: SolveTrace) -> TwoSat:
     """Emit the parity constraints of the harmless block graphs.
 
@@ -295,23 +309,22 @@ def build_2sat(fibres, hn: Graph, pg: Partition, ph: Partition,
         if fam == "FF":
             trace.step(bg.blocks, colour, "6", note="forced at edge completion")
             continue
-        g = fibres(bg.blocks, colour)
         detail = {}
         subcase = _NEIGHBOURS_APART.get(bg.shape)
         if subcase is not None:
             hub = min(bg.blocks, key=lambda i: len(ph.blocks[i]))  # 5E's singleton block
-            verts = pg.blocks[hub] if fam == "FW" else g.vertices()
-            _neighbours_apart(sat, g, verts, colour, (OUT, IN) if fam == "WD" else (UND,), subcase)
+            verts = pg.blocks[hub] if fam == "FW" else fibres.vertices(bg.blocks)
+            _neighbours_apart(sat, fibres.gn, verts, colour, (OUT, IN) if fam == "WD" else (UND,), subcase)
         elif fam in ("W", "WD"):
             bundled = params[2 if fam == "W" else 1] > 0
             subcase = "5B" if bundled else "5A"
-            _bundle_parity(sat, (e.ends for e in g.edges() if e.kind != "semi"), bundled)
+            _bundle_parity(sat, (e.ends for e in fibres.edges(colour) if e.kind != "semi"), bundled)
         elif fam == "WW" and params[1] == 0:
             i, j = bg.blocks
             bi, bj = ph.blocks[i][0], ph.blocks[j][0]
             parallel = bj in vertex_darts(hn, bi).ends.get((colour, UND), {})
             subcase, detail = "5G", {"parallel": parallel}
-            _bundle_parity(sat, (sorted(e.ends, key=pg.block_of.__getitem__) for e in g.edges()),
+            _bundle_parity(sat, (sorted(e.ends, key=pg.block_of.__getitem__) for e in fibres.edges(colour)),
                            not parallel)
         else:
             raise InternalCoverError(f"block graph {bg.shape} is not harmless")
@@ -433,7 +446,7 @@ def solve_cover(g: Graph, h: Graph) -> SolveResult:
         return SolveResult("no", None, trace)
     trace.matrix_ok = True
     gn = normalize_colours(g, pg)
-    fibres = _fibre_index(gn, pg)
+    fibres = _Fibres(gn, pg)
 
     if not check_singletons(fibres, ph, shapes, trace):
         trace.failure = "singleton block check failed"

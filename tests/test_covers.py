@@ -539,6 +539,20 @@ def _tampered(g, h, f):
             if x != fv[u] and h.vertex_colour(x) == h.vertex_colour(fv[u]):
                 yield "vertex moved", CoveringProjection({**fv, u: x}, dict(fe))
                 break
+    # maps that miss a key, name an unknown image or name a key the
+    # source does not have; the last vertex and edge, so that the
+    # violation is not the first one scanned
+    u, eid = g.vertices()[-1], list(fe)[-1]
+    yield "vertex without image", CoveringProjection({v: x for v, x in fv.items() if v != u}, dict(fe))
+    yield "vertex to unknown vertex", CoveringProjection({**fv, u: "no-such-vertex"}, dict(fe))
+    yield "vertex map names a non-vertex", CoveringProjection({**fv, "no-such-vertex": fv[u]}, dict(fe))
+    yield "edge without image", CoveringProjection(dict(fv), {e: he for e, he in fe.items() if e != eid})
+    yield "edge map names a non-edge", CoveringProjection(dict(fv), {**fe, "no-such-edge": fe[eid]})
+    # a key renamed: the counts of keys agree, the keys do not
+    yield "vertex key renamed", CoveringProjection(
+        {("no-such-vertex" if v == u else v): x for v, x in fv.items()}, dict(fe))
+    yield "edge key renamed", CoveringProjection(
+        dict(fv), {("no-such-edge" if e == eid else e): he for e, he in fe.items()})
 
 
 def test_verify_tampered_certificates_like_the_candidate_index():
@@ -561,7 +575,7 @@ def test_verify_tampered_certificates_like_the_candidate_index():
             assert not res.ok and res.violations, what
             assert res.violations == reference_verify(g, h, bad), what
             seen[what] += 1
-    assert len(seen) == 6 and min(seen.values()) >= 5, seen
+    assert len(seen) == 13 and min(seen.values()) >= 5, seen
 
 
 # the folding rule as a table: (source kind, ends in one fibre) -> the target

@@ -153,6 +153,63 @@ def test_parse_rejections(text, match):
         parse_graph(text)
 
 
+def test_edge_lines_may_come_before_their_vertex_lines():
+    g = parse_graph("graph g\nedge e c a b\nloop l c b\nvertex a n\nvertex b n\n")
+    assert (g.n, g.m) == (2, 2)
+    assert serialize_graph(g) == "graph g\nvertex a n\nvertex b n\nedge e c a b\nloop l c b\n"
+
+
+@pytest.mark.parametrize("text,line,match", [
+    # edge rows are checked after the last line, so a later vertex fault
+    # comes first
+    ("graph g\nvertex a n\nvertex b n\nedge e c a b\nedge e c a b\nvertex c c\nvertex a n\n",
+     7, "duplicate vertex id 'a'"),
+    # a vertex fault comes before a later line's fault
+    ("graph g\nvertex a n\nvertex a n\nwobble\n", 3, "duplicate vertex id 'a'"),
+    ("graph g\nvertex a n\nvertex a n\ngraph h\n", 3, "duplicate vertex id 'a'"),
+    ("graph g\nvertex a n\nvertex b n\nvertex\n", 4, "vertex <id> <colour>"),
+    # the first of two edge faults, then the colour clash after every row
+    ("graph g\nvertex a n\nedge e c a z\nloop e c a\n", 3, "edge 'e' references unknown vertex 'z'"),
+    ("graph g\nvertex a n\nvertex b n\narc f c a b\nedge e c a b\n",
+     None, r"directed and undirected edge colours must be disjoint, shared: \['c'\]"),
+], ids=["vertex-after-edges", "vertex-before-directive", "vertex-before-graph", "vertex-then-arity",
+        "edge-order", "clash-last"])
+def test_parse_reports_the_first_fault(text, line, match):
+    with pytest.raises(ParseError, match=match if line is None else f"line {line}: {match}") as info:
+        parse_graph(text)
+    assert info.value.line == line
+
+
+def test_parse_comments_tabs_crlf_and_blank_lines():
+    plain = "graph g\nvertex a n\nvertex b n\narc f d a b\nsemi s e b\n"
+    texts = [
+        "graph g # the name\nvertex a n#colour\nvertex b n\narc f d a b   # an arc\nsemi s e b\n",
+        "graph\tg\nvertex\ta\tn\n\tvertex b\t n\narc f\td a\tb\nsemi s e b\t\n",
+        plain.replace("\n", "\r\n"),
+        "\n# a comment line\ngraph g\n\n   \nvertex a n\n  # another\nvertex b n\n\t\narc f d a b\nsemi s e b",
+    ]
+    for text in texts:
+        g = parse_graph(text)
+        assert serialize_graph(g) == plain, repr(text)
+        assert serialize_graph(parse_graph(serialize_graph(g))) == plain
+    # line numbers count every line, blank, comment-only or CRLF-ended
+    with pytest.raises(ParseError, match="line 5: unknown directive 'wobble'"):
+        parse_graph("graph g\r\n\r\n# note\r\nvertex a n\r\nwobble\r\n")
+
+
+def test_bulk_vertex_rows_are_checked_before_any_is_inserted():
+    g = Graph("g")
+    g.add_vertex("a", "n")
+    with pytest.raises(ParseError, match="line 8: duplicate vertex id 'a'"):
+        g._add_vertices([("b", "n"), ("c", "n"), ("a", "m")], [4, 6, 8])
+    with pytest.raises(GraphError, match="duplicate vertex id 'b'"):
+        g._add_vertices([("b", "n"), ("b", "m")])
+    assert serialize_graph(g) == "graph g\nvertex a n\n"
+    g._add_vertices([("b", "n"), ("c", "m")])
+    g.add_edge("edge", "e", "x", "b", "c")
+    assert g.vertices() == ["a", "b", "c"] and darts(g, "c") == [(g.edge("e"), UND, "b", 1)]
+
+
 def test_validate_reports_the_first_namespace_clash():
     g = Graph("g")
     g.add_vertex("a", "x")

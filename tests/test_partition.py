@@ -187,7 +187,7 @@ def reference_normalize(g, part):
 
 
 def test_normalize_and_fibres_equal_checked_rebuilds():
-    from coverkit.solver import _fibre_index
+    from coverkit.solver import _Fibres
 
     arcs_between_blocks = 0
     for label, g in derived_graph_inputs():
@@ -198,18 +198,21 @@ def test_normalize_and_fibres_equal_checked_rebuilds():
         assert_same_graph(normalize_colours(g, by_hand), norm)
         arcs_between_blocks += sum(e.kind == "arc" and part.block_of[e.u] != part.block_of[e.v]
                                    for e in g.edges())
-        fibre = _fibre_index(norm, part)
+        fibres = _Fibres(norm, part)
         for colour in sorted(norm.edge_colours()):
             edges = [e for e in norm.edges() if e.colour == colour]
             blocks = sorted({part.block_of[w] for e in edges for w in e.ends})
             verts = [(v, norm.vertex_colour(v)) for v in norm.vertices() if part.block_of[v] in blocks]
             want = rebuilt(norm.name, verts, edges)
-            assert_same_graph(fibre(blocks, colour), want)
-            assert fibre(blocks, colour) is fibre(blocks, colour)
+            assert_same_graph(fibres.graph(blocks, colour), want)
+            assert fibres.graph(blocks, colour) is fibres.graph(blocks, colour)
+            assert fibres.edges(colour) == edges
+            assert fibres.vertices(blocks) == [v for v, _ in verts]
         # a block pair with no edges of the colour gives the bare vertices
         if part.k >= 2:
             verts = [(v, norm.vertex_colour(v)) for v in norm.vertices() if part.block_of[v] in (0, 1)]
-            assert_same_graph(fibre((0, 1), "no such colour"), rebuilt(norm.name, verts, []))
+            assert_same_graph(fibres.graph((0, 1), "no such colour"), rebuilt(norm.name, verts, []))
+            assert fibres.edges("no such colour") == []
     assert arcs_between_blocks >= 4
 
 
