@@ -390,6 +390,13 @@ def parse_graph(text: str) -> Graph:
     vlines: list[int] = []
     rows: list[tuple] = []
     lines: list[int] = []
+
+    def edge_first() -> ParseError:
+        # edge rows buffered while g is None came before the graph
+        # directive: the first of them is the first fault, checked where
+        # the directive is read and where a line before it fails
+        return ParseError(f"{rows[0][0]} before graph directive", lines[0])
+
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             if "#" in raw:
@@ -418,12 +425,16 @@ def parse_graph(text: str) -> Graph:
             elif kw == "graph":
                 if g is not None:
                     raise ParseError("duplicate graph directive", lineno)
+                if rows:
+                    raise edge_first()
                 if len(tok) != 2:
                     raise ParseError("graph directive takes one name", lineno)
                 g = Graph(tok[1])
             else:
                 raise ParseError(f"unknown directive {kw!r}", lineno)
     except ParseError:
+        if g is None and rows:
+            raise edge_first() from None
         # a vertex row on an earlier line may hold the first fault
         if g is not None:
             g._add_vertices(vrows, vlines)

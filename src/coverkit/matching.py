@@ -12,6 +12,15 @@ takes one perfect matching from the blossom search.  A 2k-regular
 multigraph is oriented along closed trails, k out and k in at every
 vertex, and its out/in split is peeled.  Every perfect matching, bipartite
 or not, comes from one blossom search that starts from a greedy matching.
+
+The blossom search keeps each vertex's base in a union-find over
+blossoms: ``base`` is a parent array whose roots are the current bases,
+so shrinking a blossom links the bases it merges under the new one and
+costs what it merges, not what the tree holds (Gabow 1976, "An efficient
+implementation of Edmonds' algorithm").  The odd vertices a blossom makes
+even are queued in ascending order, the order in which relabelling every
+vertex of the tree would meet them, so every mate array is the one that
+relabelling gives.
 """
 
 from __future__ import annotations
@@ -28,27 +37,35 @@ class MatchingError(GraphError):
 # blossom maximum matching --------------------------------------------------
 
 
+def _base(base: list[int], v: int) -> int:
+    """The base of v's blossom: the root of v in the union-find ``base``,
+    halving the path on the way."""
+    while base[v] != v:
+        base[v] = v = base[base[v]]
+    return v
+
+
 def _lca(match, base, p, a, b):
     used = set()
     v = a
     while True:
-        v = base[v]
+        v = _base(base, v)
         used.add(v)
         if match[v] == -1:
             break
         v = p[match[v]]
     v = b
     while True:
-        v = base[v]
+        v = _base(base, v)
         if v in used:
             return v
         v = p[match[v]]
 
 
 def _mark_path(match, base, p, blossom, v, b, child):
-    while base[v] != b:
-        blossom.add(base[v])
-        blossom.add(base[match[v]])
+    while (bv := _base(base, v)) != b:
+        blossom.add(bv)
+        blossom.add(_base(base, match[v]))
         p[v] = child
         child = match[v]
         v = p[match[v]]
@@ -67,28 +84,40 @@ def _augment(match, p, to):
 def _find_path(adj, match, root, used, p, base) -> bool:
     """One augmenting-path search from ``root``.  ``used``, ``p`` and
     ``base`` come in clear and are cleared again at the vertices the
-    search reached, so a call costs what it reaches."""
+    search reached, so a call costs what it reaches.
+
+    A vertex's blossom base is its root in the union-find ``base``.
+    Shrinking a blossom links each base it merges under the new base, and
+    queues the odd vertices it makes even: those are exactly its merged
+    bases that were never queued, since a vertex inside a shrunk blossom
+    is even already.  They go on the queue in ascending order, as a scan
+    relabelling the tree's vertices in order would put them."""
     used[root] = True
     q = deque([root])
-    # the tree's vertices: a blossom holds only these, so shrinking one
-    # relabels them alone, in ascending order as a scan over all n would
-    reached = [root]
+    reached = [root]  # the tree's vertices, to clear at the end
     found = False
     while q and not found:
         v = q.popleft()
+        bv = _base(base, v)
         for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
+            if match[v] == to:
+                continue
+            bt = base[to]
+            if base[bt] != bt:
+                bt = _base(base, bt)
+            if bv == bt:
                 continue
             if to == root or (match[to] != -1 and p[match[to]] != -1):
                 curbase = _lca(match, base, p, v, to)
                 blossom: set[int] = set()
                 _mark_path(match, base, p, blossom, v, curbase, to)
                 _mark_path(match, base, p, blossom, to, curbase, v)
-                for i in sorted(i for i in reached if base[i] in blossom):
-                    base[i] = curbase
-                    if not used[i]:
-                        used[i] = True
-                        q.append(i)
+                for b in blossom:
+                    base[b] = curbase
+                for i in sorted(b for b in blossom if not used[b]):
+                    used[i] = True
+                    q.append(i)
+                bv = curbase
             elif p[to] == -1:
                 p[to] = v
                 if match[to] == -1:
@@ -142,22 +171,27 @@ def _perfect(n: int, ends: list[tuple[int, int]]) -> list[int] | None:
     return [first[a, b] for a, b in enumerate(match) if a < b]
 
 
-def general_perfect_matching(g: Graph):
-    """A perfect matching of an undirected multigraph, or None.
-
-    Loops and semi-edges are ignored (they cannot match anything); parallel
-    edges are collapsed for the search, and the first edge of each matched
-    pair in the graph's edge order is reported.
-    """
-    verts = g.vertices()
-    if any(e.directed for e in g.edges()):
-        raise MatchingError("perfect matching is defined for undirected graphs")
+def perfect_matching(verts: list[str], edges: list[tuple[str, str, str]]) -> list[str] | None:
+    """A perfect matching of ``verts`` by undirected edges (eid, u, v)
+    between them, or None.  Parallel edges are collapsed for the search,
+    and the first edge of each matched pair in ``edges`` is reported, in
+    order of the pair's earlier vertex in ``verts``."""
     if len(verts) % 2 == 1:
         return None
     idx = {v: i for i, v in enumerate(verts)}
-    edges = [e for e in g.edges() if e.kind == "edge"]
-    matched = _perfect(len(verts), [(idx[e.u], idx[e.v]) for e in edges])
-    return None if matched is None else [edges[e].id for e in matched]
+    matched = _perfect(len(verts), [(idx[u], idx[v]) for _, u, v in edges])
+    return None if matched is None else [edges[e][0] for e in matched]
+
+
+def general_perfect_matching(g: Graph):
+    """A perfect matching of an undirected multigraph, or None.
+
+    Loops and semi-edges are ignored (they cannot match anything); see
+    ``perfect_matching`` for the rest.
+    """
+    if any(e.directed for e in g.edges()):
+        raise MatchingError("perfect matching is defined for undirected graphs")
+    return perfect_matching(g.vertices(), [(e.id, *e.ends) for e in g.edges() if e.kind == "edge"])
 
 
 # bipartite peeling -----------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import matching as mt
 from .classify import DANGEROUS, HARMLESS, BlockGraph, SmallShape, analyze_target
 from .covers import CoveringProjection, InternalCoverError, NotExtendable, _realize_edges, verify_cover
-from .graphs import Edge, Graph, GraphError, component_shapes, is_connected, project, walks
+from .graphs import Edge, Graph, GraphError, component_shapes, is_connected, walks
 from .graphs import EVEN_CYCLE, IN, ODD_CYCLE, OPEN_PATH, OUT, UND, darts, vertex_darts
 from .partition import Partition, degree_partition, normalize_colours
 from .twosat import TwoSat
@@ -83,10 +83,6 @@ class SolveResult:
         return self.status == "yes"
 
 
-def _semis_at(g: Graph, v: str, colour: str) -> int:
-    return sum(1 for e, _, _, _ in darts(g, v) if e.kind == "semi" and e.colour == colour)
-
-
 class _Fibres:
     """The fibres of a normalized source gn over its degree partition pg.
 
@@ -98,7 +94,7 @@ class _Fibres:
     ``graph(blocks, colour)`` is the subgraph on both, equal to
     ``project(gn, vertices=vertices(blocks), colours=[colour])`` down to
     vertex and edge order; it is built at most once, only for the checks
-    that walk a fibre, and lives as long as the index.
+    that walk a fibre (component shapes), and lives as long as the index.
     """
 
     def __init__(self, gn: Graph, pg: Partition):
@@ -134,16 +130,28 @@ class _Fibres:
         return sub
 
 
-def _record_semi_matching(fibre: Graph, bg: BlockGraph, i: int, subcase: str,
+def _semi_ends(edges) -> set[str] | None:
+    """The ends of the semi-edges among ``edges``, or None when some
+    vertex has two."""
+    ends = [e.ends[0] for e in edges if e.kind == "semi"]
+    once = set(ends)
+    return once if len(once) == len(ends) else None
+
+
+def _record_semi_matching(fibres: _Fibres, bg: BlockGraph, i: int, subcase: str,
                           trace: SolveTrace) -> bool:
     """Over one semi-edge per target vertex: no vertex has two semi-edges,
     and the vertices without one have a perfect matching, which is
-    recorded for edge completion."""
-    semis = {v: _semis_at(fibre, v, bg.colour) for v in fibre.vertices()}
-    if any(c >= 2 for c in semis.values()):
+    recorded for edge completion.  Both are read off the colour's edges,
+    so no fibre graph is built."""
+    edges = fibres.edges(bg.colour)
+    semi = _semi_ends(edges)
+    if semi is None:
         trace.step(bg.blocks, bg.colour, subcase, result="vertex with two semi-edges")
         return False
-    matching = mt.general_perfect_matching(project(fibre, vertices=[v for v in semis if not semis[v]]))
+    matching = mt.perfect_matching([v for v in fibres.vertices(bg.blocks) if v not in semi],
+                                   [(e.id, *e.ends) for e in edges
+                                    if e.kind == "edge" and e.ends[0] not in semi and e.ends[1] not in semi])
     if matching is None:
         trace.step(bg.blocks, bg.colour, subcase, result="no perfect matching")
         return False
@@ -169,7 +177,7 @@ def check_singletons(fibres: _Fibres, ph: Partition, shapes: list[BlockGraph], t
                 return False
             trace.step(bg.blocks, colour, "3C", result="ok")
         elif fam == "F" and params[0] == 1:
-            if not _record_semi_matching(fibres.graph(bg.blocks, colour), bg, i, "3B", trace):
+            if not _record_semi_matching(fibres, bg, i, "3B", trace):
                 return False
         elif fam == "F" and params == (2, 0):
             for _, shape in component_shapes(fibres.graph(bg.blocks, colour)):
@@ -204,17 +212,16 @@ def preprocess_doublets(fibres: _Fibres, hn: Graph, ph: Partition,
                     trace.step(bg.blocks, colour, "5A" if l == 0 else "5B", result="stray semi-edge")
                     return False
                 continue
-            fibre = fibres.graph(bg.blocks, colour)
             if (k, q) == (2, 2):
-                for _, shape in component_shapes(fibre):
+                for _, shape in component_shapes(fibres.graph(bg.blocks, colour)):
                     if shape == ODD_CYCLE:
                         trace.step(bg.blocks, colour, "4A", result="odd cycle component")
                         return False
                 trace.step(bg.blocks, colour, "4A", result="ok")
             elif (k, m, l, p, q) == (2, 0, 0, 1, 0):
-                semi_side = hb if _semis_at(hn, hb, colour) == 2 else hc
+                semi_side = hb if vertex_darts(hn, hb).semis.get(colour, 0) == 2 else hc
                 loop_side = hc if semi_side == hb else hb
-                for comp, shape in component_shapes(fibre):
+                for comp, shape in component_shapes(fibres.graph(bg.blocks, colour)):
                     if shape == OPEN_PATH:
                         side = semi_side
                     elif shape == ODD_CYCLE:
@@ -229,10 +236,10 @@ def preprocess_doublets(fibres: _Fibres, hn: Graph, ph: Partition,
                         trace.units[v] = val
                 trace.step(bg.blocks, colour, "4B", result="ok")
             elif (k, q) == (1, 1) and l == 0:
-                if not _record_semi_matching(fibre, bg, i, "4C", trace):
+                if not _record_semi_matching(fibres, bg, i, "4C", trace):
                     return False
             elif (k, m, l, p, q) == (1, 0, 1, 0, 1):
-                if any(_semis_at(fibre, v, colour) >= 2 for v in fibre.vertices()):
+                if _semi_ends(fibres.edges(colour)) is None:
                     trace.step(bg.blocks, colour, "4D", result="vertex with two semi-edges")
                     return False
                 trace.step(bg.blocks, colour, "4D", result="ok")
@@ -241,40 +248,37 @@ def preprocess_doublets(fibres: _Fibres, hn: Graph, ph: Partition,
     return True
 
 
-def _neighbour_list(g: Graph, v: str, colour: str, direction: str = UND) -> list[str]:
-    """Other ends of the normal edges, loops and directed loops at ``v``,
-    with multiplicity, in incidence order."""
-    out = []
-    for e, d, w, cnt in darts(g, v):
-        if d == direction and e.colour == colour and e.kind != "semi":
-            out.extend([w] * cnt)
-    return out
-
-
 def _bundle_parity(sat: TwoSat, ends, bundled: bool) -> None:
     """The two ends of each edge or arc take the same image, or opposite
     images across a bundle.  A loop or directed loop (one end) across a
     bundle is then a contradiction, x != x."""
-    for pair in ends:
-        if len(pair) == 2:
-            (sat.add_antivalence if bundled else sat.add_equivalence)(*pair)
-        elif bundled:
-            sat.add_antivalence(pair[0], pair[0])
+    if bundled:
+        sat.add_pairs((pair if len(pair) == 2 else pair * 2 for pair in ends), True)
+    else:
+        sat.add_pairs((pair for pair in ends if len(pair) == 2), False)
 
 
 def _neighbours_apart(sat: TwoSat, g: Graph, verts, colour: str, directions, subcase: str) -> None:
     """The two neighbours of each listed vertex in each direction take
-    opposite images.  In 5C a vertex may instead have one neighbour and a
-    semi-edge; it takes the image opposite that neighbour."""
-    for v in verts:
-        for direction in directions:
-            nbrs = _neighbour_list(g, v, colour, direction)
-            if len(nbrs) == 1 and subcase == "5C":
-                sat.add_antivalence(v, nbrs[0])
-            elif len(nbrs) == 2:
-                sat.add_antivalence(nbrs[0], nbrs[1])
-            else:
-                raise InternalCoverError(f"degree drift in subcase {subcase}")
+    opposite images: the other ends of its normal edges, loops and
+    directed loops of the colour, with multiplicity, in incidence order.
+    In 5C a vertex may instead have one neighbour and a semi-edge; it
+    takes the image opposite that neighbour."""
+
+    def pairs():
+        for v in verts:
+            at = darts(g, v)
+            for direction in directions:
+                apart = [w for e, d, w, cnt in at if d == direction and e.colour == colour and e.kind != "semi"
+                         for _ in range(cnt)]
+                if len(apart) == 2:
+                    yield apart
+                elif len(apart) == 1 and subcase == "5C":
+                    yield v, apart[0]
+                else:
+                    raise InternalCoverError(f"degree drift in subcase {subcase}")
+
+    sat.add_pairs(pairs(), True)
 
 
 # the harmless shapes whose subcase emits through the neighbours-apart rule
@@ -384,9 +388,9 @@ def _matching_semi_step(matchings: dict):
         ends = {e.id: e.ends for e in group}
         matching = matchings.get((x, colour))
         if matching is None:
-            rest = Graph._derive("fibre", {w: "f" for w in verts if w not in semi_verts})
-            rest._put(e for e in group if e.kind == "edge" and not semi_verts.intersection(e.ends))
-            matching = mt.general_perfect_matching(rest) or []
+            matching = mt.perfect_matching([w for w in verts if w not in semi_verts],
+                                           [(e.id, *e.ends) for e in group
+                                            if e.kind == "edge" and not semi_verts.intersection(e.ends)]) or []
         else:
             matching = [eid for eid in matching if eid in ends]
         placed = {e.id: semi_ids[0] for e in group if e.kind == "semi"}

@@ -8,6 +8,10 @@ system in near-linear time (Tarjan 1975).  Degenerate emissions such as
 x != x (from a vertex adjacent twice to the same neighbour) are simply
 contradictions.
 
+Equivalences and antivalences enter through one bulk insert, ``add_pairs``,
+which numbers each name on first appearance and appends one constraint per
+pair; ``add_equivalence`` and ``add_antivalence`` hand it one pair.
+
 Certificates follow the assignment, so it is fixed by one rule: the
 constant is always a root, of two joined components the root that
 appeared first stays the root, and a variable is true iff its parity to
@@ -63,13 +67,29 @@ class TwoSat:
             self._nodes.append(name)
         return self._index[name]
 
+    def add_pairs(self, pairs, odd: bool) -> None:
+        """For each pair (a, b) in order, a == b, or a != b when ``odd``."""
+        index, nodes, constraints = self._index, self._nodes, self._constraints
+        before = len(constraints)
+        append = constraints.append
+        n = len(nodes)  # the number a new name takes
+        for a, b in pairs:
+            x = index.setdefault(a, n)
+            if x == n:
+                nodes.append(a)
+                n += 1
+            y = index.setdefault(b, n)
+            if y == n:
+                nodes.append(b)
+                n += 1
+            append((x, y, odd))
+        self.clauses.count += 2 * (len(constraints) - before)
+
     def add_equivalence(self, a: str, b: str) -> None:
-        self._constraints.append((self._node(a), self._node(b), False))
-        self.clauses.count += 2
+        self.add_pairs(((a, b),), False)
 
     def add_antivalence(self, a: str, b: str) -> None:
-        self._constraints.append((self._node(a), self._node(b), True))
-        self.clauses.count += 2
+        self.add_pairs(((a, b),), True)
 
     def add_unit(self, a: str, value: bool) -> None:
         self._constraints.append((self._node(a), 0, not value))
@@ -83,21 +103,23 @@ class TwoSat:
         with the witness in ``conflict``."""
         parent = list(range(len(self._nodes)))
         parity = [False] * len(parent)  # parity to parent
-
-        def find(x: int) -> tuple[int, bool]:
-            p = False
-            while parent[x] != x:  # path halving: skip to the grandparent
-                up = parent[x]
-                parity[x] ^= parity[up]
-                parent[x] = parent[up]
-                p ^= parity[x]
-                x = parent[x]
-            return x, p
-
         forest: list[tuple[int, int, bool]] = []
         self.conflict = None
         for a, b, odd in self._constraints:
-            (ra, pa), (rb, pb) = find(a), find(b)
+            # each end's root and parity to it, halving the path on the
+            # way: every node passed skips to its grandparent
+            ra, pa = a, False
+            while parent[ra] != ra:
+                up = parent[ra]
+                parity[ra] ^= parity[up]
+                pa ^= parity[ra]
+                parent[ra] = ra = parent[up]
+            rb, pb = b, False
+            while parent[rb] != rb:
+                up = parent[rb]
+                parity[rb] ^= parity[up]
+                pb ^= parity[rb]
+                parent[rb] = rb = parent[up]
             if ra == rb:
                 if pa ^ pb != odd:
                     self.conflict = self._cycle(forest, a, b, odd)
@@ -108,7 +130,12 @@ class TwoSat:
             parent[rb] = ra
             parity[rb] = pa ^ pb ^ odd
             forest.append((a, b, odd))
-        return {name: not find(x)[1] for x, name in enumerate(self._nodes) if x}
+        # a node's parent has a lower number (roots link under lower roots,
+        # and halving only skips upwards), so one pass in number order turns
+        # each parity to the parent into the parity to the root
+        for x in range(1, len(parent)):
+            parity[x] ^= parity[parent[x]]
+        return {name: not parity[x] for x, name in enumerate(self._nodes) if x}
 
     def _cycle(self, forest, a: int, b: int, odd: bool) -> list[tuple]:
         """The forest path from a to b, then the constraint (b, a, odd)."""

@@ -129,6 +129,11 @@ def test_edge_rows_are_checked_before_any_is_inserted():
 
 @pytest.mark.parametrize("text,match", [
     ("vertex a n\n", "line 1: vertex before graph directive"),
+    ("edge e c a b\ngraph g\nvertex a n\nvertex b n\n", "line 1: edge before graph directive"),
+    ("\narc e d a b\ngraph g\nvertex a n\nvertex b n\n", "line 2: arc before graph directive"),
+    ("loop l c a\ngraph g\nvertex a n\n", "line 1: loop before graph directive"),
+    ("dloop l d a\ngraph g h\nvertex a n\n", "line 1: dloop before graph directive"),
+    ("semi s c a\nvertex a n\ngraph g\n", "line 1: semi before graph directive"),
     ("graph g\ngraph h\n", "line 2: duplicate graph directive"),
     ("graph g h\n", "line 1: graph directive takes one name"),
     ("graph g\nvertex a\n", "line 2: vertex <id> <colour>"),
@@ -145,9 +150,9 @@ def test_edge_rows_are_checked_before_any_is_inserted():
     ("graph g\nvertex a d\ndloop l d a\n", r"vertex and directed edge colours must be disjoint, shared: \['d'\]"),
     ("graph g\nvertex a n\nvertex b n\nedge e c a b\narc f c a b\n",
      r"directed and undirected edge colours must be disjoint, shared: \['c'\]"),
-], ids=["vertex-first", "two-graphs", "graph-arity", "vertex-arity", "vertex-id", "edge-arity", "semi-arity",
-        "edge-id", "edge-u-u", "arc-u-u", "unknown-end", "directive", "no-graph", "vertex-undirected",
-        "vertex-directed", "directed-undirected"])
+], ids=["vertex-first", "edge-first", "arc-first", "loop-first", "dloop-first", "semi-first", "two-graphs",
+        "graph-arity", "vertex-arity", "vertex-id", "edge-arity", "semi-arity", "edge-id", "edge-u-u", "arc-u-u",
+        "unknown-end", "directive", "no-graph", "vertex-undirected", "vertex-directed", "directed-undirected"])
 def test_parse_rejections(text, match):
     with pytest.raises(ParseError, match=match):
         parse_graph(text)
@@ -172,8 +177,12 @@ def test_edge_lines_may_come_before_their_vertex_lines():
     ("graph g\nvertex a n\nedge e c a z\nloop e c a\n", 3, "edge 'e' references unknown vertex 'z'"),
     ("graph g\nvertex a n\nvertex b n\narc f c a b\nedge e c a b\n",
      None, r"directed and undirected edge colours must be disjoint, shared: \['c'\]"),
+    # an edge line before the graph directive comes before a later fault
+    ("semi s c a\nedge e c a\ngraph g\n", 1, "semi before graph directive"),
+    ("loop l c a\nwobble\n", 1, "loop before graph directive"),
+    ("graph g\nvertex a n\nvertex b n\nedge e c a b\ngraph h\n", 5, "duplicate graph directive"),
 ], ids=["vertex-after-edges", "vertex-before-directive", "vertex-before-graph", "vertex-then-arity",
-        "edge-order", "clash-last"])
+        "edge-order", "clash-last", "edge-before-arity", "edge-before-directive", "edge-after-graph"])
 def test_parse_reports_the_first_fault(text, line, match):
     with pytest.raises(ParseError, match=match if line is None else f"line {line}: {match}") as info:
         parse_graph(text)

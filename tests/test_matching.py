@@ -239,11 +239,12 @@ def test_directed_loops():
 
 def find_path_reference(n, adj, match, root):
     """The blossom search relabelling all n vertices at every shrink;
-    returns whether it augmented and how many blossoms it shrank."""
+    returns whether it augmented, how many blossoms it shrank, and how
+    many of those took in a blossom shrunk before (nested)."""
     used, p, base = [False] * n, [-1] * n, list(range(n))
     used[root] = True
     q = deque([root])
-    shrunk = 0
+    shrunk = nested = 0
     while q:
         v = q.popleft()
         for to in adj[v]:
@@ -255,6 +256,9 @@ def find_path_reference(n, adj, match, root):
                 _mark_path(match, base, p, blossom, v, curbase, to)
                 _mark_path(match, base, p, blossom, to, curbase, v)
                 shrunk += 1
+                # a vertex whose base is not itself lies in an earlier blossom
+                merged = blossom | {curbase}
+                nested += any(base[i] != i and base[i] in merged for i in range(n))
                 for i in range(n):
                     if base[i] in blossom:
                         base[i] = curbase
@@ -265,10 +269,10 @@ def find_path_reference(n, adj, match, root):
                 p[to] = v
                 if match[to] == -1:
                     _augment(match, p, to)
-                    return True, shrunk
+                    return True, shrunk, nested
                 used[match[to]] = True
                 q.append(match[to])
-    return False, shrunk
+    return False, shrunk, nested
 
 
 def greedy_start(n, adj):
@@ -301,6 +305,38 @@ def test_maximum_matching_matches_full_relabelling():
                 shrunk += find_path_reference(n, adj, want, v)[1]
         assert maximum_matching(n, adj) == want
     assert shrunk > 1000
+
+
+def odd_cycles(rng, n):
+    """Adjacency on 0..n-1 from random odd cycles of 3 to 11 vertices,
+    which share vertices, plus a few chords: blossoms inside blossoms."""
+    adj = [set() for _ in range(n)]
+    for _ in range(rng.randrange(n // 3, n)):
+        ring = rng.sample(range(n), min(n, rng.choice((3, 5, 7, 9, 11))))
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            adj[a].add(b)
+            adj[b].add(a)
+    for _ in range(rng.randrange(n // 4 + 1)):
+        a, b = rng.sample(range(n), 2)
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+def test_maximum_matching_matches_full_relabelling_with_nested_blossoms():
+    # graphs of up to 200 vertices, where blossoms shrink inside blossoms
+    rng = random.Random(31)
+    shrunk = nested = 0
+    for _ in range(150):
+        n = rng.randrange(16, 201)
+        adj = odd_cycles(rng, n)
+        want = greedy_start(n, adj)
+        for v in range(n):
+            if want[v] == -1:
+                _, s, t = find_path_reference(n, adj, want, v)
+                shrunk, nested = shrunk + s, nested + t
+        assert maximum_matching(n, adj) == want
+    assert shrunk > 5000 and nested > 3000, (shrunk, nested)
 
 
 # the Euler-split peels against the round-by-round routines they replace -------

@@ -22,9 +22,13 @@ from coverkit import (
     solve_cover,
     verify_cover,
 )
+from coverkit.classify import BlockGraph, SmallShape
 from coverkit.gadgets import fw_target, fw2_target
 from coverkit.covers import InternalCoverError
-from coverkit.solver import complete_edge_mapping
+from coverkit.graphs import darts, project
+from coverkit.matching import general_perfect_matching
+from coverkit.partition import Partition
+from coverkit.solver import SolveTrace, _Fibres, _matching_semi_step, _record_semi_matching, complete_edge_mapping
 
 from conftest import (
     arc_beside_dotted_edge,
@@ -492,3 +496,92 @@ def test_solver_certificates_and_traces_are_pinned():
     assert answers == {"yes": 79, "no": 41}
     assert digest.hexdigest() == _PINNED_SOLVES
     assert decisions.hexdigest() == _PINNED_DECISIONS
+
+
+# semi-edge matchings read off the fibre's edges, against the fibre graph
+
+
+def record_semi_matching_reference(fibre, bg, i, subcase, trace):
+    """The 3B/4C check on a fibre graph: a semi-edge count per vertex from
+    its darts, and the blossom on a projected copy of the vertices
+    without one."""
+    semis = {v: sum(1 for e, _, _, _ in darts(fibre, v) if e.kind == "semi" and e.colour == bg.colour)
+             for v in fibre.vertices()}
+    if any(c >= 2 for c in semis.values()):
+        trace.step(bg.blocks, bg.colour, subcase, result="vertex with two semi-edges")
+        return False
+    matching = general_perfect_matching(project(fibre, vertices=[v for v in semis if not semis[v]]))
+    if matching is None:
+        trace.step(bg.blocks, bg.colour, subcase, result="no perfect matching")
+        return False
+    trace.matchings[(i, bg.colour)] = matching
+    trace.step(bg.blocks, bg.colour, subcase, result="ok", matching_size=len(matching))
+    return True
+
+
+def completion_semi_reference(verts, group, semi_id):
+    """Completion's step over one semi-edge with no recorded matching: the
+    fibre's semi-edges, plus a perfect matching of a graph built on the
+    other vertices, in the order of ``verts``."""
+    semi_verts = {e.u for e in group if e.kind == "semi"}
+    rest = Graph("rest")
+    for w in verts:
+        if w not in semi_verts:
+            rest.add_vertex(w, "f")
+    for e in group:
+        if e.kind == "edge" and not semi_verts.intersection(e.ends):
+            rest.add_edge("edge", e.id, e.colour, *e.ends)
+    placed = {e.id: semi_id for e in group if e.kind == "semi"}
+    covered = set(semi_verts)
+    for eid in general_perfect_matching(rest) or []:
+        placed[eid] = semi_id
+        covered.update(rest.edge(eid).ends)
+    return placed if covered == set(verts) else None
+
+
+def random_semi_fibre(rng):
+    """A one-colour fibre of 1-14 vertices in scrambled order: 0, 1 or 2
+    semi-edges per vertex, loops, and normal edges with parallels."""
+    n = rng.randrange(1, 15)
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    g = Graph("fibre")
+    for v in names:
+        g.add_vertex(v, "n")
+    counts = (0, 0, 1, 2) if rng.random() < 0.3 else (0, 0, 0, 1)
+    rows = [("semi", v) for v in names for _ in range(rng.choice(counts))]
+    rows += [("loop", rng.choice(names)) for _ in range(rng.randrange(3))]
+    if n > 1:
+        rows += [("edge", *rng.sample(names, 2)) for _ in range(rng.randrange(n // 2, 2 * n))]
+    rng.shuffle(rows)
+    for k, (kind, *ends) in enumerate(rows):
+        g.add_edge(kind, f"e{k}", "c", *ends)
+    return g
+
+
+def test_semi_edge_matchings_match_the_fibre_graph_path():
+    rng = random.Random(29)
+    seen = Counter()
+    bg = BlockGraph((0,), "c", SmallShape("F", (1, 0)))
+    for trial in range(1500):
+        g = random_semi_fibre(rng)
+        fibres = _Fibres(g, Partition([g.vertices()], dict.fromkeys(g.vertices(), 0)))
+        got, want = SolveTrace(), SolveTrace()
+        ok = _record_semi_matching(fibres, bg, 0, "3B", got)
+        assert ok == record_semi_matching_reference(fibres.graph((0,), "c"), bg, 0, "3B", want)
+        assert got.steps == want.steps and got.matchings == want.matchings
+        result = got.steps[0]["result"]
+        semis = Counter(e.u for e in g.edges() if e.kind == "semi")
+        if result != "vertex with two semi-edges" and (g.n - len(semis)) % 2:
+            result += " (odd rest)"
+        seen[result] += 1
+        # completion's own search, in fibre order by name as completion lists it
+        if result != "vertex with two semi-edges" and semis:
+            verts = sorted(g.vertices())
+            group = [e for e in g.edges() if e.kind != "loop"]
+            step = _matching_semi_step({})
+            assert step("x", "c", verts, group, ["s0"], []) == \
+                completion_semi_reference(verts, group, "s0")
+            seen["completion"] += 1
+    assert min(seen[k] for k in ("ok", "vertex with two semi-edges", "no perfect matching",
+                                 "no perfect matching (odd rest)", "completion")) > 100, seen

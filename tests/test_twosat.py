@@ -1,5 +1,6 @@
 import itertools
 import random
+from itertools import groupby
 
 from coverkit import TwoSat
 
@@ -30,22 +31,38 @@ def check(sat):
     return got
 
 
-def random_system(rng, names, size):
-    """Equivalences, antivalences and units over ``names``; returns the
-    system and the variables each unit fixes."""
-    sat = TwoSat()
-    fixed = set()
+def random_ops(rng, names, size):
+    """Equivalences (False, a, b), antivalences (True, a, b) and units
+    ("unit", a, value) over ``names``."""
+    ops = []
     for _ in range(size):
         a, b = rng.choice(names), rng.choice(names)
         kind = rng.randrange(3)
-        if kind == 0:
-            sat.add_equivalence(a, b)
-        elif kind == 1:
-            sat.add_antivalence(a, b)
+        ops.append(("unit", a, rng.random() < 0.5) if kind == 2 else (kind == 1, a, b))
+    return ops
+
+
+def emit(ops, bulk=False):
+    """The system of ``ops``, one constraint per call, or with ``bulk``
+    each run of equivalences or of antivalences in one ``add_pairs``."""
+    sat = TwoSat()
+    for kind, run in groupby(ops, key=lambda op: op[0]):
+        if kind == "unit":
+            for _, a, value in run:
+                sat.add_unit(a, value)
+        elif bulk:
+            sat.add_pairs(((a, b) for _, a, b in run), kind)
         else:
-            sat.add_unit(a, rng.random() < 0.5)
-            fixed.add(a)
-    return sat, fixed
+            for _, a, b in run:
+                (sat.add_antivalence if kind else sat.add_equivalence)(a, b)
+    return sat
+
+
+def random_system(rng, names, size):
+    """Equivalences, antivalences and units over ``names``; returns the
+    system and the variables each unit fixes."""
+    ops = random_ops(rng, names, size)
+    return emit(ops), {a for kind, a, _ in ops if kind == "unit"}
 
 
 def test_antivalence():
@@ -88,6 +105,23 @@ def test_random_against_brute_force():
     for trial in range(300):
         sat, _ = random_system(rng, names, rng.randrange(1, 24))
         check(sat)
+
+
+def test_bulk_and_one_pair_emission_agree():
+    # the systems of test_random_against_brute_force, emitted both ways
+    rng = random.Random(42)
+    names = [f"v{i}" for i in range(12)]
+    runs = 0
+    for trial in range(300):
+        ops = random_ops(rng, names, rng.randrange(1, 24))
+        one, bulk = emit(ops), emit(ops, bulk=True)
+        assert len(bulk.clauses) == len(one.clauses)
+        assert list(bulk.clauses) == list(one.clauses)
+        assert bulk.variables() == one.variables()
+        assert bulk.solve() == one.solve()
+        assert bulk.conflict == one.conflict
+        runs += sum(1 for kind, run in groupby(ops, key=lambda op: op[0]) if kind != "unit" and len(list(run)) > 1)
+    assert runs > 300
 
 
 def test_first_variable_of_a_free_component_is_true():
