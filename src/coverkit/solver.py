@@ -138,6 +138,14 @@ def _semi_ends(edges) -> set[str] | None:
     return once if len(once) == len(ends) else None
 
 
+def _rest_matching(verts, edges, semi: set[str]) -> list[str] | None:
+    """A perfect matching of the vertices in ``verts`` outside ``semi``
+    by the normal edges among ``edges``, or None."""
+    return mt.perfect_matching([v for v in verts if v not in semi],
+                               [(e.id, *e.ends) for e in edges
+                                if e.kind == "edge" and e.ends[0] not in semi and e.ends[1] not in semi])
+
+
 def _record_semi_matching(fibres: _Fibres, bg: BlockGraph, i: int, subcase: str,
                           trace: SolveTrace) -> bool:
     """Over one semi-edge per target vertex: no vertex has two semi-edges,
@@ -149,9 +157,7 @@ def _record_semi_matching(fibres: _Fibres, bg: BlockGraph, i: int, subcase: str,
     if semi is None:
         trace.step(bg.blocks, bg.colour, subcase, result="vertex with two semi-edges")
         return False
-    matching = mt.perfect_matching([v for v in fibres.vertices(bg.blocks) if v not in semi],
-                                   [(e.id, *e.ends) for e in edges
-                                    if e.kind == "edge" and e.ends[0] not in semi and e.ends[1] not in semi])
+    matching = _rest_matching(fibres.vertices(bg.blocks), edges, semi)
     if matching is None:
         trace.step(bg.blocks, bg.colour, subcase, result="no perfect matching")
         return False
@@ -374,23 +380,23 @@ def _alternation_assignment(verts: list[str], group, semi_ids: list[str]) -> dic
 
 def _matching_semi_step(matchings: dict):
     """The solver's step for fibres over semi-edges.  Over one semi-edge it
-    takes the fibre's semi-edges plus a perfect matching of the other
-    vertices (recorded under (target vertex, colour), or found here from
-    the fibre's own edges); over two semi-edges and no loop, alternating
-    images."""
+    takes the fibre's semi-edges, at most one per vertex, plus a perfect
+    matching of the other vertices (recorded under (target vertex,
+    colour), or found here from the fibre's own edges); over two
+    semi-edges and no loop, alternating images."""
 
     def step(x, colour, verts, group, semi_ids, loop_ids):
         if len(semi_ids) == 2 and not loop_ids:
             return _alternation_assignment(verts, group, semi_ids)
         if len(semi_ids) != 1:
             return None
-        semi_verts = {e.u for e in group if e.kind == "semi"}
+        semi_verts = _semi_ends(group)
+        if semi_verts is None:
+            return None
         ends = {e.id: e.ends for e in group}
         matching = matchings.get((x, colour))
         if matching is None:
-            matching = mt.perfect_matching([w for w in verts if w not in semi_verts],
-                                           [(e.id, *e.ends) for e in group
-                                            if e.kind == "edge" and not semi_verts.intersection(e.ends)]) or []
+            matching = _rest_matching(verts, group, semi_verts) or []
         else:
             matching = [eid for eid in matching if eid in ends]
         placed = {e.id: semi_ids[0] for e in group if e.kind == "semi"}

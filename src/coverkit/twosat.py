@@ -8,9 +8,10 @@ system in near-linear time (Tarjan 1975).  Degenerate emissions such as
 x != x (from a vertex adjacent twice to the same neighbour) are simply
 contradictions.
 
-Equivalences and antivalences enter through one bulk insert, ``add_pairs``,
-which numbers each name on first appearance and appends one constraint per
-pair; ``add_equivalence`` and ``add_antivalence`` hand it one pair.
+Every constraint enters through one bulk insert, ``add_pairs``, which
+numbers each name on first appearance and appends one constraint per
+pair; ``add_equivalence`` and ``add_antivalence`` hand it one pair, and
+``add_unit`` one pair against the constant.
 
 Certificates follow the assignment, so it is fixed by one rule: the
 constant is always a root, of two joined components the root that
@@ -26,18 +27,19 @@ cycle whose parities sum to odd.
 
 from __future__ import annotations
 
+_CONSTANT = object()  # the index key of node 0, the constant
+
 
 class Clauses:
     """The constraints of a TwoSat as 2-clauses, written out on iteration:
-    two per equivalence or antivalence, one (a, a) per unit.  ``len`` is a
-    counter, so reading the size costs nothing."""
+    two per equivalence or antivalence, one (a, a) per unit.  ``len`` is
+    read off the constraint and unit counts, so it costs nothing."""
 
     def __init__(self, sat: "TwoSat"):
         self._sat = sat
-        self.count = 0
 
     def __len__(self) -> int:
-        return self.count
+        return 2 * len(self._sat._constraints) - self._sat._units
 
     def __iter__(self):
         names = self._sat._nodes
@@ -53,25 +55,21 @@ class Clauses:
 
 class TwoSat:
     def __init__(self):
-        self._index: dict[str, int] = {}
-        self._nodes: list = [True]  # node 0: the constant units constrain
+        # node 0 is the constant that units constrain: conflicts name it
+        # True, and the index keys it by _CONSTANT, which no name equals
+        self._index: dict = {_CONSTANT: 0}
+        self._nodes: list = [True]
         self._constraints: list[tuple[int, int, bool]] = []  # (a, b, a != b)
+        self._units = 0
         # the same constraints as 2-clauses, for size reports and cross-checks
         self.clauses = Clauses(self)
         # after an unsatisfiable solve(): [(a, b, a != b), ...], a closed walk
         self.conflict: list[tuple] | None = None
 
-    def _node(self, name: str) -> int:
-        if name not in self._index:
-            self._index[name] = len(self._nodes)
-            self._nodes.append(name)
-        return self._index[name]
-
     def add_pairs(self, pairs, odd: bool) -> None:
         """For each pair (a, b) in order, a == b, or a != b when ``odd``."""
-        index, nodes, constraints = self._index, self._nodes, self._constraints
-        before = len(constraints)
-        append = constraints.append
+        index, nodes = self._index, self._nodes
+        append = self._constraints.append
         n = len(nodes)  # the number a new name takes
         for a, b in pairs:
             x = index.setdefault(a, n)
@@ -83,7 +81,6 @@ class TwoSat:
                 nodes.append(b)
                 n += 1
             append((x, y, odd))
-        self.clauses.count += 2 * (len(constraints) - before)
 
     def add_equivalence(self, a: str, b: str) -> None:
         self.add_pairs(((a, b),), False)
@@ -92,8 +89,8 @@ class TwoSat:
         self.add_pairs(((a, b),), True)
 
     def add_unit(self, a: str, value: bool) -> None:
-        self._constraints.append((self._node(a), 0, not value))
-        self.clauses.count += 1
+        self.add_pairs(((a, _CONSTANT),), not value)
+        self._units += 1
 
     def variables(self) -> list[str]:
         return self._nodes[1:]
