@@ -117,19 +117,18 @@ def _site(e) -> tuple:
     return (e.kind, e.colour, ends)
 
 
-def _landing_sites(e, x: str, y: str) -> tuple:
-    """The folding rule: the sites (see ``_site``) a source edge may land
-    on when its first end maps to x and its last to y.  Between two
-    fibres an edge or arc lands on an edge or arc joining the images.
-    Inside a fibre an edge lands on a loop or a semi-edge and an arc on a
-    directed loop, while a loop, semi-edge or directed loop lands only on
-    its own kind."""
-    kind = e.kind
+def _landing_sites(kind: str, colour: str, x: str, y: str) -> tuple:
+    """The folding rule: the sites (see ``_site``) a source edge of this
+    kind and colour may land on when its first end maps to x and its last
+    to y.  Between two fibres an edge or arc lands on an edge or arc
+    joining the images.  Inside a fibre an edge lands on a loop or a
+    semi-edge and an arc on a directed loop, while a loop, semi-edge or
+    directed loop lands only on its own kind."""
     if x != y:
-        return ((kind, e.colour, (x, y) if kind == "arc" or x < y else (y, x)),)
+        return ((kind, colour, (x, y) if kind == "arc" or x < y else (y, x)),)
     if kind == "edge":
-        return (("loop", e.colour, (x,)), ("semi", e.colour, (x,)))
-    return (("dloop" if kind == "arc" else kind, e.colour, (x,)),)
+        return (("loop", colour, (x,)), ("semi", colour, (x,)))
+    return (("dloop" if kind == "arc" else kind, colour, (x,)),)
 
 
 def _h_edge_index(h: Graph) -> dict:
@@ -145,7 +144,7 @@ def _h_edge_index(h: Graph) -> dict:
 def _candidates_for(e, fv, by) -> list[str]:
     """Target edges an edge may map to under the vertex map fv: those
     filed in ``by`` at its landing sites."""
-    return [he for site in _landing_sites(e, fv[e.ends[0]], fv[e.ends[-1]])
+    return [he for site in _landing_sites(e.kind, e.colour, fv[e.ends[0]], fv[e.ends[-1]])
             for he in by.get(site, ())]
 
 
@@ -281,7 +280,7 @@ def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
             key = (e.kind, e.colour, fv[ends[0]], fv[ends[-1]])
             sites = sites_of.get(key)
             if sites is None:
-                sites = sites_of[key] = _landing_sites(e, key[2], key[3])
+                sites = sites_of[key] = _landing_sites(*key)
             if site.get(fe.get(e.id)) not in sites:
                 landed = False
                 break
@@ -335,7 +334,7 @@ def _edge_violations(g: Graph, fv: dict[str, str], fe: dict[str, str], site: dic
             violations.append(f"edge {e.id} has no image")
         elif fe[e.id] not in site:
             violations.append(f"edge {e.id} maps to unknown edge {fe[e.id]}")
-        elif site[fe[e.id]] not in _landing_sites(e, fv[e.ends[0]], fv[e.ends[-1]]):
+        elif site[fe[e.id]] not in _landing_sites(e.kind, e.colour, fv[e.ends[0]], fv[e.ends[-1]]):
             violations.append(f"edge {e.id} -> {fe[e.id]} breaks colour or incidence")
     return violations + [f"edge map names {e}, which is not an edge of the source" for e in fe
                          if not g.has_edge(e)]
@@ -1369,7 +1368,7 @@ def verify_parity(g: Graph, h: Graph, witness) -> VerifyResult:
 # the oracle -------------------------------------------------------------------
 
 
-def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) -> dict[str, str]:
+def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None, rename=None) -> dict[str, str]:
     """Extend a degree-obedient vertex map to an edge map.
 
     Edges are grouped by the target edges they may land on.  A group
@@ -1383,8 +1382,11 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
     ``semi_step(x, colour, verts, group, semi_ids, loop_ids)``, which
     returns the images of the edges it places, or None; the edges it
     leaves are 2-factorized over the loops it leaves free.  ``log``
-    receives one line per group.  Raises NotExtendable where the map does
-    not extend."""
+    receives one line per group.  ``rename(kind, colour, x, y)`` gives
+    the kind and colour that g's edges of this kind and colour land as
+    when their ends map to x and y, read from the solver's block-colour
+    table; without it each edge lands as it is.  Raises NotExtendable
+    where the map does not extend."""
     by = _h_edge_index(h)
     log = log or (lambda msg: None)
     # by landing sites: a group between two fibres per site, and one group
@@ -1400,9 +1402,10 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None) 
         key = (e.kind, e.colour, fv[ends[0]], fv[ends[-1]])
         group = joins.get(key)
         if group is None:
-            sites = _landing_sites(e, key[2], key[3])
+            kind, colour = key[:2] if rename is None else rename(*key)
+            sites = _landing_sites(kind, colour, key[2], key[3])
             if sites[0] not in by and sites[-1] not in by:
-                raise NotExtendable(f"{e.kind} {e.id} has no target edge to land on")
+                raise NotExtendable(f"{kind} {e.id} has no target edge to land on")
             kind, colour, at = sites[0]
             if len(at) == 2:
                 group = pairs.setdefault(sites[0], [])

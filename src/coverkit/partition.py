@@ -226,7 +226,9 @@ def is_equitable(g: Graph, part: Partition) -> bool:
 
 
 def _block_colour(kind: str, colour: str, bi: int, bj: int) -> tuple[str, str]:
-    """The kind and fresh colour of an edge from block bi to block bj."""
+    """The kind and fresh colour of an edge from block bi to block bj: the
+    naming rule of ``normalize_colours``, which the solver's fibre index
+    applies to the source without recolouring it."""
     if bi == bj:
         return kind, f"c{bi}.{bi}.{colour}"
     lo, hi = min(bi, bj), max(bi, bj)
@@ -254,6 +256,11 @@ def normalize_colours(g: Graph, part: Partition) -> Graph:
     the result equals ``part``, so callers reuse ``part`` instead of
     refining the result again.  Block colours are zero-padded to one
     width, so they sort in block order.
+
+    Edge colours follow one naming rule, ``_block_colour``, applied once
+    per (kind, colour, end blocks).  ``analyze_target`` recolours the
+    target by it; the solver does not recolour the source, whose
+    ``_Fibres`` index files each edge under the name this rule gives it.
     """
     if part._source is not g:
         members = [v for block in part.blocks for v in block]

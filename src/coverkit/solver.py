@@ -23,7 +23,7 @@ from .classify import DANGEROUS, HARMLESS, BlockGraph, SmallShape, analyze_targe
 from .covers import CoveringProjection, InternalCoverError, NotExtendable, _realize_edges, verify_cover
 from .graphs import Edge, Graph, GraphError, component_shapes, is_connected, walks
 from .graphs import EVEN_CYCLE, IN, ODD_CYCLE, OPEN_PATH, OUT, UND, darts, vertex_darts
-from .partition import Partition, degree_partition, normalize_colours
+from .partition import Partition, _block_colour, degree_partition
 from .twosat import TwoSat
 
 
@@ -84,48 +84,61 @@ class SolveResult:
 
 
 class _Fibres:
-    """The fibres of a normalized source gn over its degree partition pg.
+    """The fibres of a source g over its degree partition pg, read in
+    ``normalize_colours``' block colours without recolouring g.
 
-    After ``normalize_colours`` every edge colour names its block or block
-    pair, so one pass over gn's edges groups every fibre's edges and one
-    pass over its vertices lists every block's members, and the
-    accessors read those lists.  ``edges(colour)`` lists a colour's edges
-    and ``vertices(blocks)`` the blocks' members, both in gn's order.
-    ``graph(blocks, colour)`` is the subgraph on both, equal to
-    ``project(gn, vertices=vertices(blocks), colours=[colour])`` down to
-    vertex and edge order; it is built at most once, only for the checks
-    that walk a fibre (component shapes), and lives as long as the index.
+    One pass over g's edges names each (kind, colour, end blocks) once by
+    ``partition._block_colour``, the rule ``normalize_colours`` applies,
+    and files each edge of g under its block colour; one pass over g's
+    vertices lists every block's members.  ``edges(colour)`` lists a
+    block colour's edges and ``vertices(blocks)`` the blocks' members,
+    both in g's order.  ``names`` maps each (kind, colour, end blocks) to
+    its normalized (kind, colour), and ``deoriented`` holds the block
+    colours of arcs between two blocks: g gives their edges an out- and an
+    in-dart, where the normalized colour is undirected.
+    ``graph(blocks, colour)`` is the subgraph of g on both, equal to
+    ``project(g, vertices=vertices(blocks), colours=[c])`` for the colour
+    c of g that a one-block colour renames, down to vertex and edge
+    order; it is built at most once, only for the checks that walk a
+    fibre (component shapes), and lives as long as the index.
     """
 
-    def __init__(self, gn: Graph, pg: Partition):
-        self.gn = gn
-        self._names = names = gn.vertices()
+    def __init__(self, g: Graph, pg: Partition):
+        self.g = g
+        self._vertices = vertices = g.vertices()
         block_of = pg.block_of
         self._members: list[list[int]] = [[] for _ in pg.blocks]
-        for k, v in enumerate(names):
+        for k, v in enumerate(vertices):
             self._members[block_of[v]].append(k)
-        self._colour_of = [gn.vertex_colour(names[ks[0]]) for ks in self._members]
+        self.names: dict[tuple, tuple[str, str]] = {}
+        self.deoriented: set[str] = set()
         self._edges_of: dict[str, list[Edge]] = {}
-        for e in gn.edges():
-            self._edges_of.setdefault(e.colour, []).append(e)
+        # the list each (kind, colour, end blocks) is filed in
+        filed: dict[tuple, list[Edge]] = {}
+        for e in g.edges():
+            ends = e.ends
+            key = (e.kind, e.colour, block_of[ends[0]], block_of[ends[-1]])
+            group = filed.get(key)
+            if group is None:
+                kind, colour = self.names[key] = _block_colour(*key)
+                if kind != key[0]:
+                    self.deoriented.add(colour)
+                group = filed[key] = self._edges_of.setdefault(colour, [])
+            group.append(e)
         self._built: dict = {}
 
     def edges(self, colour: str) -> list[Edge]:
         return self._edges_of.get(colour, [])
 
     def vertices(self, blocks) -> list[str]:
-        return [self._names[k] for k in sorted(k for i in blocks for k in self._members[i])]
+        return [self._vertices[k] for k in sorted(k for i in blocks for k in self._members[i])]
 
     def graph(self, blocks, colour: str) -> Graph:
         key = (tuple(blocks), colour)
         sub = self._built.get(key)
         if sub is None:
-            # the members in gn's order, then each block's colour on its own
-            names = self._names
-            vcolour = dict.fromkeys(self.vertices(blocks))
-            for i in key[0]:
-                vcolour.update(dict.fromkeys(map(names.__getitem__, self._members[i]), self._colour_of[i]))
-            sub = self._built[key] = Graph._derive(self.gn.name, vcolour)
+            g = self.g
+            sub = self._built[key] = Graph._derive(g.name, {v: g.vertex_colour(v) for v in self.vertices(blocks)})
             sub._put(self.edges(colour))
         return sub
 
@@ -264,19 +277,24 @@ def _bundle_parity(sat: TwoSat, ends, bundled: bool) -> None:
         sat.add_pairs((pair for pair in ends if len(pair) == 2), False)
 
 
-def _neighbours_apart(sat: TwoSat, g: Graph, verts, colour: str, directions, subcase: str) -> None:
+def _neighbours_apart(sat: TwoSat, fibres: _Fibres, verts, colour: str, directions, subcase: str) -> None:
     """The two neighbours of each listed vertex in each direction take
     opposite images: the other ends of its normal edges, loops and
-    directed loops of the colour, with multiplicity, in incidence order.
+    directed loops of the block colour, with multiplicity, in incidence
+    order.  The colour's darts are the source's darts whose edge ids it
+    files; a de-oriented arc's out- and in-darts are read as undirected.
     In 5C a vertex may instead have one neighbour and a semi-edge; it
     takes the image opposite that neighbour."""
+    g = fibres.g
+    ids = {e.id for e in fibres.edges(colour)}
+    deoriented = colour in fibres.deoriented
 
     def pairs():
         for v in verts:
             at = darts(g, v)
             for direction in directions:
-                apart = [w for e, d, w, cnt in at if d == direction and e.colour == colour and e.kind != "semi"
-                         for _ in range(cnt)]
+                apart = [w for e, d, w, cnt in at if (d == direction or deoriented) and e.id in ids
+                         and e.kind != "semi" for _ in range(cnt)]
                 if len(apart) == 2:
                     yield apart
                 elif len(apart) == 1 and subcase == "5C":
@@ -324,7 +342,7 @@ def build_2sat(fibres: _Fibres, hn: Graph, pg: Partition, ph: Partition,
         if subcase is not None:
             hub = min(bg.blocks, key=lambda i: len(ph.blocks[i]))  # 5E's singleton block
             verts = pg.blocks[hub] if fam == "FW" else fibres.vertices(bg.blocks)
-            _neighbours_apart(sat, fibres.gn, verts, colour, (OUT, IN) if fam == "WD" else (UND,), subcase)
+            _neighbours_apart(sat, fibres, verts, colour, (OUT, IN) if fam == "WD" else (UND,), subcase)
         elif fam in ("W", "WD"):
             bundled = params[2 if fam == "W" else 1] > 0
             subcase = "5B" if bundled else "5A"
@@ -409,19 +427,24 @@ def _matching_semi_step(matchings: dict):
     return step
 
 
-def complete_edge_mapping(gn: Graph, hn: Graph, fv: dict[str, str],
+def complete_edge_mapping(g: Graph, hn: Graph, fv: dict[str, str],
                           matchings: dict | None = None,
-                          trace: SolveTrace | None = None) -> dict[str, str]:
-    """Extend a degree-obedient vertex mapping to a full edge mapping.
+                          trace: SolveTrace | None = None, rename=None) -> dict[str, str]:
+    """Extend a degree-obedient vertex mapping of g onto the normalized
+    target hn to a full edge mapping.
 
     Grouping, peeling and 2-factorization are shared with the oracle
     (``covers._realize_edges``); fibres over semi-edges take the solver's
-    own step, with ``matchings`` keyed (target vertex, colour).  A map
-    that does not extend raises InternalCoverError, since it means the
-    earlier phases let something slip."""
+    own step, with ``matchings`` keyed (target vertex, block colour).
+    ``rename(kind, colour, x, y)`` gives the block colour (and kind) of
+    g's edges of a kind and colour whose ends map to x and y, as
+    ``_Fibres.names`` files them, so g is read as parsed; without it g's
+    colours must be hn's, as in a graph that ``normalize_colours`` made.
+    A map that does not extend raises InternalCoverError, since it means
+    the earlier phases let something slip."""
     log = trace.completion.append if trace is not None else None
     try:
-        return _realize_edges(gn, hn, fv, _matching_semi_step(matchings or {}), log)
+        return _realize_edges(g, hn, fv, _matching_semi_step(matchings or {}), log, rename)
     except NotExtendable as exc:
         raise InternalCoverError(str(exc)) from exc
 
@@ -455,8 +478,7 @@ def solve_cover(g: Graph, h: Graph) -> SolveResult:
         trace.failure = "degree refinement matrices differ"
         return SolveResult("no", None, trace)
     trace.matrix_ok = True
-    gn = normalize_colours(g, pg)
-    fibres = _Fibres(gn, pg)
+    fibres = _Fibres(g, pg)
 
     if not check_singletons(fibres, ph, shapes, trace):
         trace.failure = "singleton block check failed"
@@ -465,6 +487,9 @@ def solve_cover(g: Graph, h: Graph) -> SolveResult:
         trace.failure = "doublet preprocessing failed"
         return SolveResult("no", None, trace)
     sat = build_2sat(fibres, hn, pg, ph, shapes, trace)
+    # completion reads g's edges under their block colours: block i of g
+    # maps onto block i of h
+    names, block_of = fibres.names, ph.block_of
     del fibres  # completion needs no fibre; free them before it allocates
     assignment = sat.solve()
     if assignment is None:
@@ -483,7 +508,8 @@ def solve_cover(g: Graph, h: Graph) -> SolveResult:
             for u in block:
                 fv[u] = b_i if assignment.get(u, True) else c_i
     matchings = {(x, c): ids for (i, c), ids in trace.matchings.items() for x in ph.blocks[i]}
-    fe = complete_edge_mapping(gn, hn, fv, matchings, trace)
+    fe = complete_edge_mapping(g, hn, fv, matchings, trace,
+                               lambda kind, colour, x, y: names[kind, colour, block_of[x], block_of[y]])
     projection = CoveringProjection(fv, fe)
     check = verify_cover(g, h, projection)
     if not check.ok:

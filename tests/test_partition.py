@@ -198,20 +198,30 @@ def test_normalize_and_fibres_equal_checked_rebuilds():
         assert_same_graph(normalize_colours(g, by_hand), norm)
         arcs_between_blocks += sum(e.kind == "arc" and part.block_of[e.u] != part.block_of[e.v]
                                    for e in g.edges())
-        fibres = _Fibres(norm, part)
+        # the index reads g itself and files its edges under the block
+        # colours of the normalized graph
+        fibres = _Fibres(g, part)
+        filed = 0
         for colour in sorted(norm.edge_colours()):
-            edges = [e for e in norm.edges() if e.colour == colour]
-            blocks = sorted({part.block_of[w] for e in edges for w in e.ends})
-            verts = [(v, norm.vertex_colour(v)) for v in norm.vertices() if part.block_of[v] in blocks]
-            want = rebuilt(norm.name, verts, edges)
-            assert_same_graph(fibres.graph(blocks, colour), want)
-            assert fibres.graph(blocks, colour) is fibres.graph(blocks, colour)
+            normalized = [e for e in norm.edges() if e.colour == colour]
+            edges = [g.edge(e.id) for e in normalized]
+            assert [(e.id, e.ends) for e in edges] == [(e.id, e.ends) for e in normalized]
             assert fibres.edges(colour) == edges
+            filed += len(edges)
+            blocks = sorted({part.block_of[w] for e in edges for w in e.ends})
+            verts = [(v, g.vertex_colour(v)) for v in g.vertices() if part.block_of[v] in blocks]
+            assert_same_graph(fibres.graph(blocks, colour), rebuilt(g.name, verts, edges))
+            assert fibres.graph(blocks, colour) is fibres.graph(blocks, colour)
             assert fibres.vertices(blocks) == [v for v, _ in verts]
+            deoriented = {e.kind for e in edges} == {"arc"} and {e.kind for e in normalized} == {"edge"}
+            assert (colour in fibres.deoriented) == deoriented
+        assert filed == g.m
+        assert fibres.deoriented <= norm.edge_colours()
+        assert set(fibres.names.values()) == {(e.kind, e.colour) for e in norm.edges()}
         # a block pair with no edges of the colour gives the bare vertices
         if part.k >= 2:
-            verts = [(v, norm.vertex_colour(v)) for v in norm.vertices() if part.block_of[v] in (0, 1)]
-            assert_same_graph(fibres.graph((0, 1), "no such colour"), rebuilt(norm.name, verts, []))
+            verts = [(v, g.vertex_colour(v)) for v in g.vertices() if part.block_of[v] in (0, 1)]
+            assert_same_graph(fibres.graph((0, 1), "no such colour"), rebuilt(g.name, verts, []))
             assert fibres.edges("no such colour") == []
     assert arcs_between_blocks >= 4
 

@@ -502,10 +502,10 @@ def test_solver_certificates_and_traces_are_pinned():
 
 
 def record_semi_matching_reference(fibre, bg, i, subcase, trace):
-    """The 3B/4C check on a fibre graph: a semi-edge count per vertex from
-    its darts, and the blossom on a projected copy of the vertices
-    without one."""
-    semis = {v: sum(1 for e, _, _, _ in darts(fibre, v) if e.kind == "semi" and e.colour == bg.colour)
+    """The 3B/4C check on a fibre graph, which holds the source's edges of
+    ``bg.colour`` alone: a semi-edge count per vertex from its darts, and
+    the blossom on a projected copy of the vertices without one."""
+    semis = {v: sum(1 for e, _, _, _ in darts(fibre, v) if e.kind == "semi")
              for v in fibre.vertices()}
     if any(c >= 2 for c in semis.values()):
         trace.step(bg.blocks, bg.colour, subcase, result="vertex with two semi-edges")
@@ -562,13 +562,15 @@ def random_semi_fibre(rng):
 def test_semi_edge_matchings_match_the_fibre_graph_path():
     rng = random.Random(29)
     seen = Counter()
-    bg = BlockGraph((0,), "c", SmallShape("F", (1, 0)))
+    # the index files g's colour c inside block 0 under its block colour
+    bg = BlockGraph((0,), "c0.0.c", SmallShape("F", (1, 0)))
     for trial in range(1500):
         g = random_semi_fibre(rng)
         fibres = _Fibres(g, Partition([g.vertices()], dict.fromkeys(g.vertices(), 0)))
+        assert fibres.edges(bg.colour) == list(g.edges())
         got, want = SolveTrace(), SolveTrace()
         ok = _record_semi_matching(fibres, bg, 0, "3B", got)
-        assert ok == record_semi_matching_reference(fibres.graph((0,), "c"), bg, 0, "3B", want)
+        assert ok == record_semi_matching_reference(fibres.graph((0,), bg.colour), bg, 0, "3B", want)
         assert got.steps == want.steps and got.matchings == want.matchings
         result = got.steps[0]["result"]
         semis = Counter(e.u for e in g.edges() if e.kind == "semi")
