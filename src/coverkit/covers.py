@@ -442,9 +442,9 @@ def _edge_map_search(g: Graph, h: Graph, fv: dict[str, str], budget_box) -> dict
 
 
 # undo trail tags; every change the trail records commutes with the others
-# made since the same mark (a scope's counts move each domain from the size
-# it has to the size it gets, empty included), so a trail can be undone in
-# any order
+# made since the same mark (a scope's one count, per domain size, moves each
+# domain from the size it has to the size it gets, empty included), so a
+# trail can be undone in any order
 _DOM, _USED, _RECENT, _FIBRE, _ASSIGN = range(5)
 
 
@@ -548,18 +548,20 @@ class _VertexSearch:
     only the branching vertex is assigned (propagation narrows domains
     but assigns nothing), so a child's scope is its parent's less that
     vertex and is handed down, not rebuilt: every vertex is labelled with
-    the innermost scope it belongs to, and a scope counts its unassigned
-    vertices, in total and per domain size, and keeps the set of those
-    with one image left.  Assigning, removing images and undoing keep
-    these up to date where they happen, each moving a domain from the
-    size it has to the size it gets (a domain a failing propagation
-    empties counts under size 0), so choosing the branching vertex
-    reads them instead of scanning the scope.  Only the component walk,
-    and the rare choice that neither a one-image vertex nor the recency
-    stack settles, go over the scope's member list.  A component is a
-    scope of its own while it is searched alone: opening it takes its
-    vertices out of the enclosing scope's counts, and closing it gives
-    back those still unassigned, none once it is solved.
+    the innermost scope it belongs to, and a scope keeps one count, of its
+    unassigned vertices per domain size.  Assigning, removing images and
+    undoing keep it up to date where they happen, each moving a domain
+    from the size it has to the size it gets (a domain a failing
+    propagation empties counts under size 0).  Wherever the search reads
+    the count no domain is empty, so its sum is the number of unassigned
+    vertices, and choosing the branching vertex reads the least size
+    held instead of scanning the scope.  Only the component walk, the
+    choice of a one-image vertex (when the count says there is one) and
+    the rare choice that the recency stack does not settle go over the
+    scope's member list.  A component is a scope of its own while it is
+    searched alone: opening it takes its vertices out of the enclosing
+    scope's count, and closing it gives back those still unassigned,
+    none once it is solved.
 
     The depth of the search needs no call stack: ``solutions`` keeps a
     _Node per branch point, holding the vertex, the images it has left to
@@ -683,13 +685,11 @@ class _VertexSearch:
                 near += nbrs[w]
             self.near.append(near)
         # scopes, innermost last: each vertex's scope, and per scope its
-        # members in ascending order, its unassigned count, its unassigned
-        # count per domain size and its unassigned one-image vertices
+        # members in ascending order and its unassigned count per domain
+        # size
         self.scope = [0] * len(names)
         self.members: list[list[int]] = []
-        self.left: list[int] = []
         self.sizes: list[list[int]] = []
-        self.ones: list[set[int]] = []
         self._open(list(range(len(names))))
         # the component walk's marks: a vertex is seen when it holds the
         # walk's stamp
@@ -702,25 +702,16 @@ class _VertexSearch:
         s = len(self.members)
         scope, domains = self.scope, self.domains
         sizes = [0] * (len(self.images) + 1)
-        ones = set()
         for v in members:
-            size = domains[v].bit_count()
-            sizes[size] += 1
-            if size == 1:
-                ones.add(v)
+            sizes[domains[v].bit_count()] += 1
         if s:
-            outer = scope[members[0]]
-            self.left[outer] -= len(members)
-            outer_sizes = self.sizes[outer]
+            outer_sizes = self.sizes[scope[members[0]]]
             for size, count in enumerate(sizes):
                 outer_sizes[size] -= count
-            self.ones[outer] -= ones
         for v in members:
             scope[v] = s
         self.members.append(members)
-        self.left.append(len(members))
         self.sizes.append(sizes)
-        self.ones.append(ones)
         return s
 
     def _close(self, outer) -> None:
@@ -729,22 +720,15 @@ class _VertexSearch:
         scope = self.scope
         for v in self.members.pop():
             scope[v] = outer
-        self.left[outer] += self.left.pop()
         outer_sizes = self.sizes[outer]
         for size, count in enumerate(self.sizes.pop()):
             outer_sizes[size] += count
-        self.ones[outer] |= self.ones.pop()
 
     def _resize(self, w, old, new) -> None:
         """Count the unassigned vertex w's domain under its new size."""
-        s = self.scope[w]
-        sizes = self.sizes[s]
+        sizes = self.sizes[self.scope[w]]
         sizes[old] -= 1
         sizes[new] += 1
-        if old == 1:
-            self.ones[s].discard(w)
-        if new == 1:
-            self.ones[s].add(w)
 
     def _undo(self, ops):
         domains, used = self.domains, self.used
@@ -763,12 +747,7 @@ class _VertexSearch:
                 if self.twinned[u] or self.mates[self.assign[u]]:
                     self.spoilers -= 1
                 self.assign[u] = -1
-                s = self.scope[u]
-                self.left[s] += 1
-                size = domains[u].bit_count()
-                self.sizes[s][size] += 1
-                if size == 1:
-                    self.ones[s].add(u)
+                self.sizes[self.scope[u]][domains[u].bit_count()] += 1
             elif tag == _RECENT:
                 # what the assignment pushed, and whatever came after it
                 del self.recent[op[1]:]
@@ -811,12 +790,7 @@ class _VertexSearch:
         ops.append((_ASSIGN, u))
         if self.twinned[u] or self.mates[x]:
             self.spoilers += 1
-        s = self.scope[u]
-        self.left[s] -= 1
-        size = domains[u].bit_count()
-        self.sizes[s][size] -= 1
-        if size == 1:
-            self.ones[s].discard(u)
+        self.sizes[self.scope[u]][domains[u].bit_count()] -= 1
         bit = 1 << x
         if self.fibre_cap is not None:
             self.fibre[x] += 1
@@ -934,15 +908,16 @@ class _VertexSearch:
         is assigned and each assigned neighbour of w.  Trails are undone
         last-in first-out, so an unassigned vertex was unassigned when
         each of those assignments was made."""
-        ones = self.ones[s]
-        if ones:
-            return min(ones)
+        assign, domains, scope, recent = self.assign, self.domains, self.scope, self.recent
         sizes = self.sizes[s]
+        if sizes[1]:
+            for v in self.members[s]:
+                if assign[v] < 0 and domains[v].bit_count() == 1:
+                    return v
         least = 2
         while not sizes[least]:
             least += 1
         # prefer finishing the region the search is already inside
-        assign, domains, scope, recent = self.assign, self.domains, self.scope, self.recent
         while recent:
             w = recent[-1]
             if assign[w] >= 0 or scope[w] != s:
@@ -972,8 +947,9 @@ class _VertexSearch:
         # own neighbours were added, carry this walk's stamp
         self.stamp = stamp = self.stamp + 1
         comps = []
-        # the scan stops once the groups hold every unassigned vertex
-        unplaced = self.left[s]
+        # the scan stops once the groups hold every unassigned vertex, no
+        # domain being empty here
+        unplaced = sum(self.sizes[s])
         for start in self.members[s]:
             if not unplaced:
                 break
@@ -1050,7 +1026,7 @@ class _VertexSearch:
         The stack holds a _Node per branch point and a _Split per split
         into components; see those classes."""
         names, images = self.names, self.images
-        assign, domains, left = self.assign, self.domains, self.left
+        assign, domains, sizes = self.assign, self.domains, self.sizes
         budget, undo, try_assign = self.budget, self._undo, self._try_assign
         decompose = self.fibre_cap is None
         stack: list = []
@@ -1059,7 +1035,8 @@ class _VertexSearch:
             if enter is not None:
                 s, connected = enter
                 enter = None
-                size = left[s]
+                # no domain is empty here, so this counts the unassigned
+                size = sum(sizes[s])
                 if not size:
                     # every vertex of the scope is assigned: a solution
                     at = len(stack)

@@ -96,11 +96,9 @@ class _Fibres:
     its normalized (kind, colour), and ``deoriented`` holds the block
     colours of arcs between two blocks: g gives their edges an out- and an
     in-dart, where the normalized colour is undirected.
-    ``graph(blocks, colour)`` is the subgraph of g on both, equal to
-    ``project(g, vertices=vertices(blocks), colours=[c])`` for the colour
-    c of g that a one-block colour renames, down to vertex and edge
-    order; it is built at most once, only for the checks that walk a
-    fibre (component shapes), and lives as long as the index.
+    ``graph(blocks, colour)`` builds the subgraph of g on both, in g's
+    vertex and edge order, for the checks that walk a fibre (component
+    shapes).
     """
 
     def __init__(self, g: Graph, pg: Partition):
@@ -125,7 +123,6 @@ class _Fibres:
                     self.deoriented.add(colour)
                 group = filed[key] = self._edges_of.setdefault(colour, [])
             group.append(e)
-        self._built: dict = {}
 
     def edges(self, colour: str) -> list[Edge]:
         return self._edges_of.get(colour, [])
@@ -134,12 +131,9 @@ class _Fibres:
         return [self._vertices[k] for k in sorted(k for i in blocks for k in self._members[i])]
 
     def graph(self, blocks, colour: str) -> Graph:
-        key = (tuple(blocks), colour)
-        sub = self._built.get(key)
-        if sub is None:
-            g = self.g
-            sub = self._built[key] = Graph._derive(g.name, {v: g.vertex_colour(v) for v in self.vertices(blocks)})
-            sub._put(self.edges(colour))
+        g = self.g
+        sub = Graph._derive(g.name, {v: g.vertex_colour(v) for v in self.vertices(blocks)})
+        sub._put(self.edges(colour))
         return sub
 
 

@@ -271,20 +271,17 @@ def random_compatible_input(h: Graph, r: int, seed: int) -> Graph:
             for u, v in zip(stubs_i, stubs_j):
                 g.add_edge("edge", fresh(), colour, u, v)
         else:
-            a_out = sum(1 for e in edges if e.kind == "arc" and e.tail == xi)
-            a_in = sum(1 for e in edges if e.kind == "arc" and e.head == xi)
-            outs = [u for u in members[col_i] for _ in range(a_out)]
-            ins = [u for u in members[col_j] for _ in range(a_out)]
-            rng.shuffle(outs)
-            rng.shuffle(ins)
-            for u, v in zip(outs, ins):
-                g.add_edge("arc", fresh(), colour, u, v)
-            outs = [u for u in members[col_j] for _ in range(a_in)]
-            ins = [u for u in members[col_i] for _ in range(a_in)]
-            rng.shuffle(outs)
-            rng.shuffle(ins)
-            for u, v in zip(outs, ins):
-                g.add_edge("arc", fresh(), colour, u, v)
+            # per direction, the tail class's out-stubs and the head class's
+            # in-stubs, each counted at a representative vertex
+            for tails, heads, xt, xh in ((col_i, col_j, xi, xj), (col_j, col_i, xj, xi)):
+                d_out = sum(1 for e in edges if e.kind == "arc" and e.tail == xt)
+                d_in = sum(1 for e in edges if e.kind == "arc" and e.head == xh)
+                outs = [u for u in members[tails] for _ in range(d_out)]
+                ins = [u for u in members[heads] for _ in range(d_in)]
+                rng.shuffle(outs)
+                rng.shuffle(ins)
+                for u, v in zip(outs, ins):
+                    g.add_edge("arc", fresh(), colour, u, v)
     return g
 
 

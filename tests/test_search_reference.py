@@ -81,10 +81,10 @@ class ReferenceVertexSearch:
     assigned neighbour), so when the residual constraint graph falls into
     independent components each is solved on its own and the solutions
     are combined, instead of rediscovering one component's failures once
-    per assignment of the others.  ``_branch`` carries the fact that its
-    scope is connected down the recursion and, after assigning u,
-    re-proves it locally (``_stays_connected``); only where that proof
-    fails does a branch point walk the whole scope (``_components``).
+    per assignment of the others.  Every branch point of at least
+    ``DECOMPOSE_MIN`` vertices walks its whole scope (``_components``), so
+    where the search trusts its local proof that a scope stays connected,
+    the comparison checks that proof.
 
     ``twins`` holds classes of interchangeable source vertices: when u
     takes image x, the unassigned twins after u in id order, up to the
@@ -377,59 +377,13 @@ class ReferenceVertexSearch:
             comps.append(comp)
         return comps
 
-    def _stays_connected(self, u) -> bool:
-        """Whether a connected scope is still connected now that u is
-        assigned.  Every coupling lost ran through u, to a vertex of one
-        of these groups: u's unassigned neighbours, which u now couples,
-        and the unassigned neighbours of each assigned neighbour of u.  If
-        shared members and direct edges join the groups, the rest of the
-        scope stays connected.  False means unproven, not split."""
-        assign, nbrs = self.assign, self.nbrs
-        groups = []
-        near = [w for w in nbrs[u] if assign[w] < 0]
-        if near:
-            groups.append(near)
-        for z in nbrs[u]:
-            if assign[z] >= 0:
-                group = [w for w in nbrs[z] if assign[w] < 0]
-                if group:
-                    groups.append(group)
-        if len(groups) < 2:
-            return True
-        root = list(range(len(groups)))
-        joins = 0
-
-        def join(i, j):
-            nonlocal joins
-            while root[i] != i:
-                i = root[i]
-            while root[j] != j:
-                j = root[j]
-            if i != j:
-                root[max(i, j)] = min(i, j)
-                joins += 1
-
-        owner: dict[int, int] = {}
-        for i, group in enumerate(groups):
-            for w in group:
-                j = owner.setdefault(w, i)
-                if j != i:
-                    join(i, j)
-        for w, i in owner.items():
-            for z in nbrs[w]:
-                j = owner.get(z)
-                if j is not None:
-                    join(i, j)
-        return joins == len(groups) - 1
-
     def solutions(self):
         names, images = self.names, self.images
         for _ in self._branch(range(len(names))):
             yield {u: images[x] for u, x in zip(names, self.assign)}
 
-    def _branch(self, scope, connected=False):
-        """Search the unassigned vertices of ``scope``; ``connected`` is
-        the proven fact that they form one component."""
+    def _branch(self, scope):
+        """Search the unassigned vertices of ``scope``."""
         assign = self.assign
         todo = [v for v in scope if assign[v] < 0]
         if not todo:
@@ -446,19 +400,12 @@ class ReferenceVertexSearch:
         # only genuine branch points pay for the component check; unit
         # propagation chains fall straight through
         combined = None
-        if (
-            not connected
-            and self.fibre_cap is None
-            and dom & (dom - 1)
-            and len(todo) >= self.DECOMPOSE_MIN
-        ):
+        if self.fibre_cap is None and dom & (dom - 1) and len(todo) >= self.DECOMPOSE_MIN:
             comps = self._components(todo)
             if len(comps) > 1:
                 combined = yield from self._branch_components(comps)
                 if combined is None:
                     return
-            else:
-                connected = True
         budget = self.budget
         while tries:
             bit = tries & -tries
@@ -469,15 +416,12 @@ class ReferenceVertexSearch:
             ops = self._try_assign(u, bit.bit_length() - 1)
             if ops is None:
                 continue
-            # no component check runs below DECOMPOSE_MIN, so the fact is
-            # not needed there
-            still = connected and (len(todo) <= self.DECOMPOSE_MIN or self._stays_connected(u))
             try:
                 if combined is None:
-                    yield from self._branch(todo, still)
+                    yield from self._branch(todo)
                 else:
                     # the combined assignment was yielded already
-                    with closing(self._branch(todo, still)) as below:
+                    with closing(self._branch(todo)) as below:
                         for _ in below:
                             if any(assign[v] != x for v, x in combined):
                                 yield True
@@ -504,7 +448,7 @@ class ReferenceVertexSearch:
         first: list[list] = []
         for comp in sorted(comps, key=len):
             sol = None
-            gen = self._branch(comp, True)
+            gen = self._branch(comp)
             for _ in gen:
                 sol = [(v, self.assign[v]) for v in comp]
                 break
@@ -669,18 +613,14 @@ def observe(g, h):
 
 
 def scope_counts(search):
-    """The innermost scope's counts as the search keeps them, and as a
-    recount of its unassigned vertices gives them."""
+    """The innermost scope's count per domain size as the search keeps
+    it, and as a recount of its unassigned vertices gives it."""
     s = len(search.members) - 1
-    sizes, ones = [0] * (len(search.images) + 1), set()
+    sizes = [0] * (len(search.images) + 1)
     for v, x in enumerate(search.assign):
         if x < 0 and search.scope[v] == s:
-            size = search.domains[v].bit_count()
-            sizes[size] += 1
-            if size == 1:
-                ones.add(v)
-    kept = (search.left[s], search.sizes[s], search.ones[s])
-    return kept, (sum(sizes), sizes, ones)
+            sizes[search.domains[v].bit_count()] += 1
+    return search.sizes[s], sizes
 
 
 def test_search_matches_its_recursive_reference(monkeypatch):
@@ -784,7 +724,7 @@ def test_scope_counts_hold_whatever_order_a_trail_is_undone():
         _, before = scope_counts(search)
         ops = []
         assert search._remove(0, 0b0111, ops, {})
-        assert 0 in search.ones[0]
+        assert search.sizes[0][1] == 1
         assert not search._remove(0, 0b1000, ops, {})
         search._undo(order(ops))
         kept, recount = scope_counts(search)
