@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from . import matching as mt
-from .graphs import Darts, Graph, GraphError, IN, OUT, UND, darts, is_connected, vertex_darts
+from .graphs import Darts, Graph, GraphError, IN, OUT, UND, darts, derive, is_connected, vertex_darts
 from .partition import degree_partition
 
 DEFAULT_BUDGET = 1_000_000
@@ -108,17 +108,16 @@ class OracleResult:
 # indexes ---------------------------------------------------------------------
 
 
-def _site(e) -> tuple:
-    """The site a target edge is filed under: its kind, its colour and its
-    ends, an edge's in sorted order."""
-    ends = e.ends
-    if e.kind == "edge" and ends[1] < ends[0]:
-        ends = (ends[1], ends[0])
-    return (e.kind, e.colour, ends)
+def _sites(h: Graph) -> dict[str, tuple]:
+    """Each target edge's id with the site it is filed under: its kind,
+    its colour and its ends, an edge's in sorted order."""
+    eids, kinds, colours, first, last = h.columns()
+    return {eid: (kind, colour, (a,) if a == b else (b, a) if kind == "edge" and b < a else (a, b))
+            for eid, kind, colour, a, b in zip(eids, kinds, colours, first, last)}
 
 
 def _landing_sites(kind: str, colour: str, x: str, y: str) -> tuple:
-    """The folding rule: the sites (see ``_site``) a source edge of this
+    """The folding rule: the sites (see ``_sites``) a source edge of this
     kind and colour may land on when its first end maps to x and its last
     to y.  Between two fibres an edge or arc lands on an edge or arc
     joining the images.  Inside a fibre an edge lands on a loop or a
@@ -134,26 +133,26 @@ def _landing_sites(kind: str, colour: str, x: str, y: str) -> tuple:
 def _h_edge_index(h: Graph) -> dict:
     """The target's edge ids filed by site, each list sorted."""
     by: dict = {}
-    for e in h.edges():
-        by.setdefault(_site(e), []).append(e.id)
+    for eid, site in _sites(h).items():
+        by.setdefault(site, []).append(eid)
     for ids in by.values():
         ids.sort()
     return by
 
 
-def _candidates_for(e, fv, by) -> list[str]:
-    """Target edges an edge may map to under the vertex map fv: those
-    filed in ``by`` at its landing sites."""
-    return [he for site in _landing_sites(e.kind, e.colour, fv[e.ends[0]], fv[e.ends[-1]])
-            for he in by.get(site, ())]
+def _candidates_for(kind: str, colour: str, x: str, y: str, by) -> list[str]:
+    """Target edges an edge of this kind and colour may map to when its
+    first end maps to x and its last to y: those filed in ``by`` at its
+    landing sites."""
+    return [he for site in _landing_sites(kind, colour, x, y) for he in by.get(site, ())]
 
 
-def _dart_tally(g: Graph, v: str, fe: dict[str, str] | None = None) -> dict:
-    """The ``darts`` of ``v`` counted per (edge id, direction), each id
-    read through ``fe`` when it is given."""
+def _dart_tally(g: Graph, v: str) -> dict:
+    """The ``darts`` of ``v`` counted per (edge id, direction)."""
+    eids, _, _, _, _ = g.columns()
     tally: dict = {}
-    for e, d, _, c in darts(g, v):
-        key = (e.id if fe is None else fe[e.id], d)
+    for k, d, _, c in darts(g, v):
+        key = (eids[k], d)
         tally[key] = tally.get(key, 0) + c
     return tally
 
@@ -268,20 +267,21 @@ def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
         return VerifyResult(False, _vertex_violations(g, h, fv))
     if g.n == 0 and h.n > 0:
         return VerifyResult(False, ["empty graph does not cover a non-empty graph"])
-    site = {he.id: _site(he) for he in h.edges()}
+    site = _sites(h)
+    eids, kinds, colours, first, last = g.columns()
     # with as many keys as g has edges, fe names no other key once every
     # edge of g finds its image
     landed = len(fe) == g.m
     if landed:
+        # each edge's image, by handle
+        image = list(map(fe.get, eids))
         # the landing sites of each (kind, colour, end images), found once
         sites_of: dict = {}
-        for e in g.edges():
-            ends = e.ends
-            key = (e.kind, e.colour, fv[ends[0]], fv[ends[-1]])
+        for he, key in zip(image, zip(kinds, colours, map(fv.__getitem__, first), map(fv.__getitem__, last))):
             sites = sites_of.get(key)
             if sites is None:
                 sites = sites_of[key] = _landing_sites(*key)
-            if site.get(fe.get(e.id)) not in sites:
+            if site.get(he) not in sites:
                 landed = False
                 break
     if not landed:
@@ -293,10 +293,10 @@ def verify_cover(g: Graph, h: Graph, f: CoveringProjection) -> VerifyResult:
         want = wants.get(x)
         if want is None:
             want = wants[x] = _dart_tally(h, x)
-        # _dart_tally(g, u, fe) written out, which saves a call per vertex
+        # the darts of u counted per (image id, direction)
         tally: dict = {}
-        for e, d, _, c in darts(g, u):
-            key = (fe[e.id], d)
+        for k, d, _, c in darts(g, u):
+            key = (image[k], d)
             tally[key] = tally.get(key, 0) + c
         if tally != want:
             violations.append(f"local bijection broken at vertex {u}")
@@ -326,8 +326,8 @@ def _vertex_violations(g: Graph, h: Graph, fv: dict[str, str]) -> list[str]:
 
 def _edge_violations(g: Graph, fv: dict[str, str], fe: dict[str, str], site: dict) -> list[str]:
     """Every fault of an edge map over a sound vertex map, in edge order,
-    then the names it maps that are not edges of g; ``site`` files the
-    target's edge ids by ``_site``."""
+    then the names it maps that are not edges of g; ``site`` maps the
+    target's edge ids to their sites, as ``_sites`` does."""
     violations: list[str] = []
     for e in g.edges():
         if e.id not in fe:
@@ -374,25 +374,25 @@ def _edge_map_search(g: Graph, h: Graph, fv: dict[str, str], budget_box) -> dict
     injective around every vertex: backtracking over per-vertex dart-slot
     capacities.  Local bijectivity then follows wherever degrees are full."""
     by = _h_edge_index(h)
+    edges, kinds, colours, first, last = g.columns()
     capv: dict = {}
-    need: dict[str, list] = {e.id: [] for e in g.edges()}
+    need: dict[str, list] = {eid: [] for eid in edges}
     for v in g.vertices():
         for (he, tag), cnt in _dart_tally(h, fv[v]).items():
             capv[v, he, tag] = cnt
-        for e, tag, _, cnt in darts(g, v):
-            need[e.id].append((v, tag, cnt))
+        for k, tag, _, cnt in darts(g, v):
+            need[edges[k]].append((v, tag, cnt))
 
-    edges = list(g.edges())
     cand = {}
-    for e in edges:
-        c = _candidates_for(e, fv, by)
+    for eid, kind, colour, a, b in zip(edges, kinds, colours, first, last):
+        c = _candidates_for(kind, colour, fv[a], fv[b], by)
         if not c:
             return None
-        cand[e.id] = c
+        cand[eid] = c
 
-    def feasible(e):
-        return [he for he in cand[e.id]
-                if all(capv.get((v, he, tag), 0) >= cnt for v, tag, cnt in need[e.id])]
+    def feasible(eid):
+        return [he for he in cand[eid]
+                if all(capv.get((v, he, tag), 0) >= cnt for v, tag, cnt in need[eid])]
 
     assignment: dict[str, str] = {}
     todo = set(range(len(edges)))
@@ -417,7 +417,7 @@ def _edge_map_search(g: Graph, h: Graph, fv: dict[str, str], budget_box) -> dict
         while stack:
             frame = stack[-1]
             i, images, at = frame
-            eid = edges[i].id
+            eid = edges[i]
             if at >= 0:
                 del assignment[eid]
                 for v, tag, cnt in need[eid]:
@@ -1356,8 +1356,9 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None, 
     into one 2-factor per loop (Petersen), read as (id, u, v) triples
     oriented along closed trails, so no fibre graph is built and no
     component walked.  A fibre over semi-edges goes to
-    ``semi_step(x, colour, verts, group, semi_ids, loop_ids)``, which
-    returns the images of the edges it places, or None; the edges it
+    ``semi_step(x, colour, verts, group, semi_ids, loop_ids)``, with
+    ``group`` the handles of the fibre's edges in g, which returns the
+    images of the edges it places, or None; the edges it
     leaves are 2-factorized over the loops it leaves free.  ``log``
     receives one line per group.  ``rename(kind, colour, x, y)`` gives
     the kind and colour that g's edges of this kind and colour land as
@@ -1374,22 +1375,22 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None, 
     intra_und: dict = {}
     intra_dir: dict = {}
     joins: dict = {}
-    for e in g.edges():
-        ends = e.ends
-        key = (e.kind, e.colour, fv[ends[0]], fv[ends[-1]])
+    eids, kinds, colours, first, last = g.columns()
+    keys = zip(kinds, colours, map(fv.__getitem__, first), map(fv.__getitem__, last))
+    for k, key in enumerate(keys):
         group = joins.get(key)
         if group is None:
             kind, colour = key[:2] if rename is None else rename(*key)
             sites = _landing_sites(kind, colour, key[2], key[3])
             if sites[0] not in by and sites[-1] not in by:
-                raise NotExtendable(f"{kind} {e.id} has no target edge to land on")
+                raise NotExtendable(f"{kind} {eids[k]} has no target edge to land on")
             kind, colour, at = sites[0]
             if len(at) == 2:
                 group = pairs.setdefault(sites[0], [])
             else:
                 group = (intra_dir if kind == "dloop" else intra_und).setdefault((colour, at[0]), [])
             joins[key] = group
-        group.append(e)
+        group.append(k)
     fibres: dict[str, list[str]] = {}
     if intra_dir or intra_und:
         for w, x in sorted(fv.items()):
@@ -1409,23 +1410,26 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None, 
         kind, colour, loc = key
         group, h_ids = pairs[key], by[key]
         if len(h_ids) == 1:
-            for e in group:
-                fe[e.id] = h_ids[0]
+            for k in group:
+                fe[eids[k]] = h_ids[0]
             log(f"forced {len(group)} edges onto {h_ids[0]}")
             continue
         if kind == "edge":
             x = loc[0]
-            items = [(e.id, *e.ends) if fv[e.ends[0]] == x else (e.id, e.ends[1], e.ends[0]) for e in group]
+            items = [(eids[k], first[k], last[k]) if fv[first[k]] == x else (eids[k], last[k], first[k])
+                     for k in group]
         else:
-            items = [(e.id, *e.ends) for e in group]
+            items = [(eids[k], first[k], last[k]) for k in group]
         spread(h_ids, f"fibre-pair group {key} not factorizable", mt.bipartite_peel, items)
         log(f"factorized {len(group)} edges into {len(h_ids)} bundles at {key}")
 
     for (colour, x), group in sorted(intra_dir.items()):
         h_ids = by[("dloop", colour, (x,))]
-        if len({e.ends[0] for e in group}) != len(fibres[x]):
+        if len({first[k] for k in group}) != len(fibres[x]):
             raise NotExtendable(f"directed fibre at {x} has a vertex without out-darts")
-        spread(h_ids, f"directed fibre at {x} not decomposable", mt.peel_cycle_covers, group)
+        # each arc or directed loop from its tail to its head: k cycle covers
+        spread(h_ids, f"directed fibre at {x} not decomposable", mt.bipartite_peel,
+               [(eids[k], first[k], last[k]) for k in group])
         log(f"directed decomposition of {len(group)} arcs at fibre {x}")
 
     for (colour, x), group in sorted(intra_und.items()):
@@ -1440,21 +1444,20 @@ def _realize_edges(g: Graph, h: Graph, fv: dict[str, str], semi_step, log=None, 
             fe.update(placed)
             used = set(placed.values())
             free = [he for he in loop_ids if he not in used]
-        residual = [(e.id, e.ends[0], e.ends[-1]) for e in group if e.id not in fe]
+        residual = [(eids[k], first[k], last[k]) for k in group if eids[k] not in fe]
         if residual or free:
             spread(free, f"fibre at {x} not 2-factorizable", mt.peel_two_factors, verts, residual)
         log(f"fibre {x} colour {colour}: {len(group)} edges distributed")
     return fe
 
 
-def _exact_semi_step(h: Graph, budget_box):
-    """The oracle's step for fibres over semi-edges: an exact dart
+def _exact_semi_step(g: Graph, h: Graph, budget_box):
+    """The oracle's step for fibres of g over semi-edges: an exact dart
     assignment of the fibre's edges onto the loops and semi-edges at its
     image (these can be genuinely hard)."""
 
     def step(x, colour, verts, group, semi_ids, loop_ids):
-        sub = Graph._derive("fibre", dict.fromkeys(verts, h.vertex_colour(x)))
-        sub._put(group)
+        sub = derive(g, dict.fromkeys(verts, h.vertex_colour(x)), group, name="fibre")
         return _edge_map_search(sub, h, dict.fromkeys(verts, x), budget_box)
 
     return step
@@ -1520,7 +1523,7 @@ def _search_cover(g: Graph, h: Graph, tables: _DartTables, domains, blocks, targ
     try:
         for fv in search.solutions():
             try:
-                fe = _realize_edges(g, h, fv, _exact_semi_step(h, budget_box))
+                fe = _realize_edges(g, h, fv, _exact_semi_step(g, h, budget_box))
             except NotExtendable:
                 continue
             proj = CoveringProjection(fv, fe)

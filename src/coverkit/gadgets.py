@@ -33,10 +33,10 @@ BETA = "b"
 
 def assert_simple(g: Graph) -> None:
     seen: set = set()
-    for e in g.edges():
-        if e.kind in ("loop", "dloop", "semi"):
-            raise GadgetError(f"generator produced a non-simple edge {e.id} ({e.kind})")
-        key = (e.colour, frozenset(e.ends))
+    for eid, kind, colour, u, v in zip(*g.columns()):
+        if kind in ("loop", "dloop", "semi"):
+            raise GadgetError(f"generator produced a non-simple edge {eid} ({kind})")
+        key = (colour, frozenset((u, v)))
         if key in seen:
             raise GadgetError(f"generator produced parallel edges at {key}")
         seen.add(key)

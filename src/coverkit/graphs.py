@@ -1,9 +1,11 @@
 """Coloured mixed multigraphs with loops, directed edges and semi-edges.
 
-The data model underlying the whole package: a graph is a set of coloured
-vertices plus five kinds of coloured edges, each a first-class object with
-its own id so that parallel edges can be told apart and edge mappings can
-be written down explicitly.
+The data model underlying the whole package: a graph is a set of named,
+coloured vertices plus five kinds of coloured edges, each with its own id
+so that parallel edges can be told apart and edge mappings can be written
+down explicitly.  A graph keeps its edges in columns: parallel lists of
+ids, kinds, colours and ends, indexed by an edge's handle, its position in
+insertion order.  ``Edge`` objects are values built on request only.
 
 Edge kinds (also the keywords of the textual format):
 
@@ -16,9 +18,9 @@ Edge kinds (also the keywords of the textual format):
 Darts: a covering projection is a local bijection on darts, and
 ``darts(g, v)`` is the one place that turns the edges at a vertex into
 their darts; every degree, dart count, dart tally and walk of the package
-reads it, and only this module reads a graph's incidence lists.  The
-component split (``components``), the 2-colouring (``bipartition``) and
-the component shapes live here too, and all read one dart walk.
+reads it, and only this module reads a graph's storage.  The component
+split (``components``), the 2-colouring (``bipartition``) and the
+component shapes live here too, and all read one dart walk.
 
 Colour discipline: vertex colours, directed edge colours and undirected
 edge colours come from pairwise disjoint namespaces.  Arcs and directed
@@ -35,6 +37,8 @@ OUT = "o"
 IN = "i"
 
 _DIRECTED_KINDS = frozenset({"arc", "dloop"})
+# each kind keyword to itself, so a graph holds one string per kind
+_KINDS = {kind: kind for kind in ("edge", "arc", "loop", "dloop", "semi")}
 
 
 class GraphError(ValueError):
@@ -53,11 +57,11 @@ class Edge:
     """One edge of any kind; ``ends`` has two entries for edge/arc, one otherwise.
 
     Edges are values: two edges with equal ``(id, kind, colour, ends)`` are
-    equal and hash alike, and nothing in the package changes an edge after
-    it is made.  So a graph derived from another (a copy, a projection, a
-    fibre) holds the very edge objects of the graph it came from, and a
-    recoloured graph holds new edges with the old ids and ends.  The class
-    keeps its fields in slots, which makes an edge cheap to build.
+    equal and hash alike.  A graph does not hold Edge objects;
+    ``Graph.edge`` and ``Graph.edges`` build one from the graph's columns
+    each time they are asked, so the same edge read twice gives two equal
+    objects.  The class keeps its fields in slots, which makes an edge
+    cheap to build.
     """
 
     __slots__ = ("id", "kind", "colour", "ends")
@@ -102,19 +106,35 @@ class Edge:
         return self.ends[-1]
 
 
+def _check_tokens(*tokens: str) -> None:
+    """GraphError unless each string can be written as one token of the
+    text format, ``tok.split() == [tok] and "#" not in tok``: not empty,
+    without whitespace and without ``#``.  A string that ``isalnum`` is
+    one, so callers test that first."""
+    # a printable string holds no whitespace but the space
+    joined = "".join(tokens)
+    if "" not in tokens and joined.isprintable() and " " not in joined and "#" not in joined:
+        return
+    for tok in tokens:
+        if tok.split() != [tok] or "#" in tok:
+            raise GraphError(f"{tok!r} is not a token of the text format: "
+                             "names and colours must be non-empty, without whitespace or '#'")
+
+
 class Graph:
     """A coloured mixed multigraph.
 
-    There is one checked way in: ``_add_vertices``, the bulk vertex
-    insert behind ``add_vertex`` and ``parse_graph``, and ``_add_edges``,
-    the edge check behind ``add_edge`` and ``parse_graph``, check every
-    id, endpoint and kind, and ``validate`` checks the colour namespaces.
+    Vertices are named; per vertex the graph keeps its colour and the
+    handles of its edges in insertion order.  Edges live in the parallel
+    lists of ``columns``, with an index from id to handle.
+
+    There is one checked way in: ``_insert``, the bulk insert behind
+    ``add_vertex``, ``add_edge`` and ``parse_graph``, checks every id,
+    endpoint and kind, and ``validate`` checks the colour namespaces.
     Graphs derived from a graph that passed those checks (``copy``,
     ``project``, colour normalization, the solver's fibres) skip them:
-    they start from ``_derive`` with vertices of the source and insert the
-    source's edges, or recoloured copies with the same ids and ends,
-    through ``_put``, in the source's edge order, so incidence order is
-    kept too.
+    ``derive`` builds them from the source's vertices and edge handles,
+    in the source's edge order, so incidence order is kept too.
 
     Treat a graph as immutable once built; every algorithm in the package
     assumes graphs do not change under its feet, which makes concurrent
@@ -124,115 +144,151 @@ class Graph:
     def __init__(self, name: str = "g"):
         self.name = name
         self._vcolour: dict[str, str] = {}
-        self._edges: dict[str, Edge] = {}
-        # incident edges per vertex, in insertion order; an edge or arc
-        # appears at both ends, any other kind once
-        self._inc: dict[str, list[Edge]] = {}
+        # per vertex the handles of its edges, in insertion order; an edge
+        # or arc appears at both ends, any other kind once
+        self._inc: dict[str, list[int]] = {}
+        # the edge columns of ``columns``
+        self._cols: tuple[list[str], ...] = ([], [], [], [], [])
+        self._handle: dict[str, int] = {}
 
     # construction -----------------------------------------------------
 
-    @classmethod
-    def _derive(cls, name: str, vcolour: dict[str, str]) -> "Graph":
-        """An edgeless graph on vertices already checked elsewhere; the new
-        graph owns ``vcolour``."""
-        g = cls(name)
-        g._vcolour = vcolour
-        g._inc = {v: [] for v in vcolour}
-        return g
-
-    def _put(self, edges: Iterable[Edge]) -> None:
-        """Insert edges whose ids are new here and whose ends are vertices
-        here, in order; the one insert primitive, with no checks of its own."""
-        store, inc = self._edges, self._inc
-        for e in edges:
-            store[e.id] = e
-            ends = e.ends
-            inc[ends[0]].append(e)
-            if len(ends) == 2:
-                inc[ends[1]].append(e)
-
     def add_vertex(self, v: str, colour: str) -> None:
-        self._add_vertices(((str(v), str(colour)),))
+        """Insert vertex ``v``; a name or colour that is not a string is
+        made one."""
+        v, colour = str(v), str(colour)
+        if not (v.isalnum() and colour.isalnum()):
+            _check_tokens(v, colour)
+        self._insert((("vertex", v, colour),))
 
-    def _add_vertices(self, rows, lines=None) -> None:
-        """Insert the vertices of the string rows (id, colour), in order,
-        each id new here.  The first row whose id is taken raises
-        GraphError, or ParseError at ``lines[i]`` for row i when ``lines``
-        is given, and the rows before it are taken out again, so nothing
-        is inserted."""
-        vcolour, inc = self._vcolour, self._inc
-        start = len(vcolour)
-        for v, colour in rows:
-            if v in vcolour:
-                # the rows inserted so far are the last ids here
-                taken = list(vcolour)[start:]
-                for w in taken:
-                    del vcolour[w], inc[w]
-                i = len(taken)
-                message = f"duplicate vertex id {v!r}"
-                # parse_graph may call this while a later line's fault is
-                # raised; this fault replaces that one
-                raise (GraphError(message) if lines is None else ParseError(message, lines[i])) from None
-            vcolour[v] = colour
-            inc[v] = []
+    def add_edge(self, kind: str, eid: str, colour: str, u: str, v: str | None = None) -> None:
+        """Insert an edge; ``v`` is None for a one-ended kind, or equal to
+        ``u``.  Ids, colours and ends that are not strings are made
+        strings.  The ends need no token check: they must be vertices."""
+        known = _KINDS.get(kind)
+        if known is None:
+            raise GraphError(f"unknown edge kind {kind!r}")
+        eid, colour, u = str(eid), str(colour), str(u)
+        if not (eid.isalnum() and colour.isalnum()):
+            _check_tokens(eid, colour)
+        if v is None or (known != "edge" and known != "arc" and str(v) == u):
+            self._insert(((known, eid, colour, u),))
+        else:
+            self._insert(((known, eid, colour, u, str(v)),))
 
-    def add_edge(self, kind: str, eid: str, colour: str, u: str, v: str | None = None) -> Edge:
-        (e,) = self._add_edges(((kind, eid, colour, u, v),)).values()
-        return e
-
-    def _add_edges(self, rows, lines=None) -> dict[str, Edge]:
-        """Check the rows (kind, id, colour, u, v), v None for a one-ended
-        kind: a known kind, an id new here, two distinct ends for an edge
-        or arc and one for the other kinds, each a vertex here.  Then
-        insert their edges in order through ``_put`` and return them by
-        id.  Ids, colours and ends that are not strings are made strings.
-        The first row that fails raises GraphError, or ParseError at
-        ``lines[i]`` for row i when ``lines`` is given, and nothing is
-        inserted."""
-        vcolour, known = self._vcolour, self._edges
-        # the rows checked so far, each id once
-        batch: dict[str, Edge] = {}
+    def _insert(self, rows) -> None:
+        """The one checked insert.  Each row is one line of the text format
+        split into tokens: ("vertex", id, colour), (kind, id, colour, u, v)
+        for an edge or arc, (kind, id, colour, u) for the other kinds; an
+        empty row is skipped.  Every id must be new, the two ends of an edge
+        or arc distinct, and every end a vertex once the last row is in, so
+        an edge may come before its ends' vertex rows.  The first fault
+        raises GraphError and takes every row out again."""
+        vcolour, inc, handle = self._vcolour, self._inc, self._handle
+        ids, kinds, colours, first, last = self._cols
+        n0 = len(vcolour)
+        k = m0 = len(handle)
+        # (end, handle) of each end met before its vertex row
+        ahead: list[tuple[str, int]] = []
         try:
-            for kind, eid, colour, u, v in rows:
-                if eid.__class__ is not str:
-                    eid = str(eid)
-                if colour.__class__ is not str:
-                    colour = str(colour)
-                if u.__class__ is not str:
-                    u = str(u)
-                if kind == "edge" or kind == "arc":
-                    if eid in batch or eid in known:
-                        raise GraphError(f"duplicate edge id {eid!r}")
-                    if v.__class__ is not str:
-                        if v is None:
-                            raise GraphError(f"{kind} needs two endpoints")
-                        v = str(v)
-                    if u == v:
-                        raise GraphError(
-                            f"{kind} {eid!r} must join two distinct vertices"
-                            + (" (directed loop must use dloop)" if kind == "arc" else " (use loop)")
-                        )
-                    if u not in vcolour or v not in vcolour:
-                        w = v if u in vcolour else u
-                        raise GraphError(f"edge {eid!r} references unknown vertex {w!r}")
-                    batch[eid] = Edge(eid, kind, colour, (u, v))
-                elif kind == "loop" or kind == "dloop" or kind == "semi":
-                    if eid in batch or eid in known:
-                        raise GraphError(f"duplicate edge id {eid!r}")
-                    if v is not None and str(v) != u:
-                        raise GraphError(f"{kind} has a single endpoint")
-                    if u not in vcolour:
-                        raise GraphError(f"edge {eid!r} references unknown vertex {u!r}")
-                    batch[eid] = Edge(eid, kind, colour, (u,))
+            for tok in rows:
+                if not tok:
+                    continue
+                kw = tok[0]
+                if kw == "vertex":
+                    if len(tok) != 3 or tok[1] in vcolour:
+                        raise GraphError(self._fault(tok))
+                    vcolour[tok[1]] = tok[2]
+                    inc[tok[1]] = []
+                    continue
+                if kw == "edge" or kw == "arc":
+                    if len(tok) != 5:
+                        raise GraphError(self._fault(tok))
+                    _, eid, colour, u, v = tok
+                    if eid in handle or u == v:
+                        raise GraphError(self._fault(tok))
+                    try:
+                        inc[u].append(k)
+                    except KeyError:
+                        ahead.append((u, k))
+                    try:
+                        inc[v].append(k)
+                    except KeyError:
+                        ahead.append((v, k))
+                    kinds.append("edge" if kw == "edge" else "arc")
+                    last.append(v)
+                elif kw == "loop" or kw == "semi" or kw == "dloop":
+                    if len(tok) != 4:
+                        raise GraphError(self._fault(tok))
+                    _, eid, colour, u = tok
+                    if eid in handle:
+                        raise GraphError(self._fault(tok))
+                    try:
+                        inc[u].append(k)
+                    except KeyError:
+                        ahead.append((u, k))
+                    kinds.append(_KINDS[kw])
+                    last.append(u)
                 else:
-                    raise GraphError(f"unknown edge kind {kind!r}")
-        except GraphError as exc:
-            if lines is None:
-                raise
-            # every row before the failing one is in the batch
-            raise ParseError(str(exc), lines[len(batch)]) from None
-        self._put(batch.values())
-        return batch
+                    raise GraphError(self._fault(tok))
+                handle[eid] = k
+                ids.append(eid)
+                colours.append(colour)
+                first.append(u)
+                k += 1
+            if ahead:
+                self._file_ahead(ahead)
+        except GraphError:
+            self._truncate(n0, m0)
+            raise
+
+    def _fault(self, tok) -> str:
+        """The message for a row that ``_insert`` refuses, its checks in
+        the order ``add_edge`` reports them: id, number of ends, distinct
+        ends."""
+        kw = tok[0]
+        if kw == "vertex":
+            return f"duplicate vertex id {tok[1]!r}" if len(tok) == 3 else "vertex <id> <colour>"
+        if kw not in _KINDS:
+            return f"unknown edge kind {kw!r}"
+        if not 4 <= len(tok) <= 5:
+            return f"{kw} <id> <colour> <u> [<v>]"
+        eid = tok[1]
+        if eid in self._handle:
+            return f"duplicate edge id {eid!r}"
+        if kw == "edge" or kw == "arc":
+            if len(tok) == 4:
+                return f"{kw} needs two endpoints"
+            return (f"{kw} {eid!r} must join two distinct vertices"
+                    + (" (directed loop must use dloop)" if kw == "arc" else " (use loop)"))
+        return f"{kw} has a single endpoint"
+
+    def _file_ahead(self, ahead: list[tuple[str, int]]) -> None:
+        """File each edge at the ends that were not vertices yet when its
+        row came: before every handle filed at the end since its vertex
+        row, as those rows came later.  GraphError for an end that is no
+        vertex even now."""
+        early: dict[str, list[int]] = {}
+        for w, k in ahead:
+            if w not in self._vcolour:
+                raise GraphError(f"edge {self._cols[0][k]!r} references unknown vertex {w!r}")
+            early.setdefault(w, []).append(k)
+        for w, ks in early.items():
+            self._inc[w][:0] = ks
+
+    def _truncate(self, n: int, m: int) -> None:
+        """Take out every vertex after the first n and every edge after
+        the first m."""
+        vcolour, inc = self._vcolour, self._inc
+        for v in list(vcolour)[n:]:
+            del vcolour[v], inc[v]
+        for eid in self._cols[0][m:]:
+            del self._handle[eid]
+        for column in self._cols:
+            del column[m:]
+        for ks in inc.values():
+            while ks and ks[-1] >= m:
+                ks.pop()
 
     # queries ------------------------------------------------------------
 
@@ -242,7 +298,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return len(self._handle)
 
     def vertices(self) -> list[str]:
         return list(self._vcolour)
@@ -253,29 +309,75 @@ class Graph:
     def vertex_colour(self, v: str) -> str:
         return self._vcolour[v]
 
+    def columns(self) -> tuple[list[str], list[str], list[str], list[str], list[str]]:
+        """The edges as parallel lists indexed by edge handle, in insertion
+        order: ids, kinds, colours, first ends and last ends.  An edge or
+        arc has two distinct ends; any other kind has its one end as both
+        its first and its last, so ``first[k] == last[k]`` exactly when
+        edge k has one end.  The lists are the graph's own: read them,
+        never change them."""
+        return self._cols
+
+    def _edge_at(self, k: int) -> Edge:
+        ids, kinds, colours, first, last = self._cols
+        a, b = first[k], last[k]
+        return Edge(ids[k], kinds[k], colours[k], (a,) if a == b else (a, b))
+
     def edges(self) -> Iterator[Edge]:
-        return iter(self._edges.values())
+        """Every edge, as a new Edge, in insertion order."""
+        return map(self._edge_at, range(self.m))
 
     def edge(self, eid: str) -> Edge:
-        return self._edges[eid]
+        """The edge of id ``eid``, as a new Edge; KeyError if there is none."""
+        return self._edge_at(self._handle[eid])
 
     def has_edge(self, eid: str) -> bool:
-        return eid in self._edges
+        return eid in self._handle
 
     def vertex_colours(self) -> set[str]:
         return set(self._vcolour.values())
 
     def edge_colours(self) -> set[str]:
-        return {e.colour for e in self._edges.values()}
+        return set(self._cols[2])
 
     def validate(self) -> None:
         """Check the colour-namespace discipline; construction checks the rest."""
-        check_colours(self._vcolour.values(), {(e.kind, e.colour) for e in self._edges.values()})
+        _, kinds, colours, _, _ = self._cols
+        check_colours(self._vcolour.values(), set(zip(kinds, colours)))
 
     def copy(self, name: str | None = None) -> "Graph":
-        g = Graph._derive(name if name is not None else self.name, dict(self._vcolour))
-        g._put(self._edges.values())
-        return g
+        return derive(self, dict(self._vcolour), name=name)
+
+
+def derive(g: Graph, vcolour: dict[str, str], handles: Iterable[int] | None = None,
+           kinds: list[str] | None = None, colours: list[str] | None = None,
+           name: str | None = None) -> Graph:
+    """A graph derived from g, with no checks of its own: the vertices of
+    ``vcolour``, which the new graph owns, in its order, and g's edges at
+    ``handles`` (every edge when None), in that order, with their ids and
+    ends.  ``kinds`` and ``colours``, when given, hold the new kind and
+    colour of each, in the same order; an edge keeps its ends, so only an
+    arc between two vertices may become an edge.  Every end must be a key
+    of ``vcolour``.  The name is g's unless ``name`` is given."""
+    out = Graph(g.name if name is None else name)
+    out._vcolour = vcolour
+    inc = out._inc = {v: [] for v in vcolour}
+    if handles is None:
+        picked = [column[:] for column in g._cols]
+    else:
+        handles = list(handles)
+        picked = [[column[k] for k in handles] for column in g._cols]
+    if kinds is not None:
+        picked[1] = kinds
+    if colours is not None:
+        picked[2] = colours
+    ids, _, _, first, last = out._cols = tuple(picked)
+    out._handle = dict(zip(ids, range(len(ids))))
+    for k, (a, b) in enumerate(zip(first, last)):
+        inc[a].append(k)
+        if b != a:
+            inc[b].append(k)
+    return out
 
 
 def check_colours(vertex_colours: Iterable[str], kind_colours: Iterable[tuple[str, str]]) -> None:
@@ -314,38 +416,41 @@ class Darts(NamedTuple):
     dloops: dict[str, int]
 
 
-def darts(g: Graph, v: str) -> list[tuple[Edge, str, str, int]]:
-    """The dart rule of the package: one (edge, direction, other end,
-    count) per edge at ``v`` and direction of its darts there, in incidence
-    order.  An edge leads once to its other end and an arc once out to its
-    head or in from its tail; a loop leads back twice, a semi-edge once, a
+def darts(g: Graph, v: str) -> list[tuple[int, str, str, int]]:
+    """The dart rule of the package: one (edge handle, direction, other
+    end, count) per edge at ``v`` and direction of its darts there, in
+    incidence order; ``g.columns()`` reads a handle's id, kind and colour.
+    An edge leads once to its other end and an arc once out to its head or
+    in from its tail; a loop leads back twice, a semi-edge once, a
     directed loop once out and then once in.  Every dart count and degree
     is read from this list."""
+    _, kinds, _, first, last = g._cols
     out = []
-    for e in g._inc[v]:
-        kind = e.kind
+    for k in g._inc[v]:
+        kind = kinds[k]
         if kind == "edge":
-            a, b = e.ends
-            out.append((e, UND, b if a == v else a, 1))
+            a = first[k]
+            out.append((k, UND, last[k] if a == v else a, 1))
         elif kind == "arc":
-            tail, head = e.ends
-            out.append((e, OUT, head, 1) if tail == v else (e, IN, tail, 1))
+            tail = first[k]
+            out.append((k, OUT, last[k], 1) if tail == v else (k, IN, tail, 1))
         elif kind == "loop":
-            out.append((e, UND, v, 2))
+            out.append((k, UND, v, 2))
         elif kind == "semi":
-            out.append((e, UND, v, 1))
+            out.append((k, UND, v, 1))
         else:
-            out.append((e, OUT, v, 1))
-            out.append((e, IN, v, 1))
+            out.append((k, OUT, v, 1))
+            out.append((k, IN, v, 1))
     return out
 
 
 def vertex_darts(g: Graph, v: str) -> Darts:
     """The darts of ``darts`` grouped by colour, direction and other end."""
+    _, kinds, colours, _, _ = g._cols
     ends: dict = {}
     per_kind: dict[str, dict[str, int]] = {"semi": {}, "loop": {}, "dloop": {}}
-    for e, d, w, c in darts(g, v):
-        colour, kind = e.colour, e.kind
+    for k, d, w, c in darts(g, v):
+        colour, kind = colours[k], kinds[k]
         inner = ends.get((colour, d))
         if inner is None:
             ends[colour, d] = {w: c}
@@ -381,68 +486,28 @@ def total_degree(g: Graph, v: str) -> int:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the line-based format; see the module docstring for the keywords."""
-    g: Graph | None = None
-    # vertex rows (id, colour), then edge rows (kind, id, colour, u, v),
-    # each with their line numbers, checked and inserted in bulk after the
-    # last line; a one-ended edge row has None for v
-    vrows: list[tuple[str, str]] = []
-    vlines: list[int] = []
-    rows: list[tuple] = []
-    lines: list[int] = []
+    """Parse the line-based format; see the module docstring for the keywords.
 
-    def edge_first() -> ParseError:
-        # edge rows buffered while g is None came before the graph
-        # directive: the first of them is the first fault, checked where
-        # the directive is read and where a line before it fails
-        return ParseError(f"{rows[0][0]} before graph directive", lines[0])
-
-    try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            if "#" in raw:
-                raw = raw[:raw.index("#")]
-            tok = raw.split()
-            if not tok:
-                continue
-            kw = tok[0]
-            if kw == "edge" or kw == "arc":
-                if len(tok) != 5:
-                    raise ParseError(f"{kw} <id> <colour> <u> <v>", lineno)
-                rows.append(tuple(tok))
-                lines.append(lineno)
-            elif kw == "vertex":
-                if g is None:
-                    raise ParseError("vertex before graph directive", lineno)
-                if len(tok) != 3:
-                    raise ParseError("vertex <id> <colour>", lineno)
-                vrows.append((tok[1], tok[2]))
-                vlines.append(lineno)
-            elif kw == "loop" or kw == "dloop" or kw == "semi":
-                if len(tok) != 4:
-                    raise ParseError(f"{kw} <id> <colour> <u>", lineno)
-                rows.append((kw, tok[1], tok[2], tok[3], None))
-                lines.append(lineno)
-            elif kw == "graph":
-                if g is not None:
-                    raise ParseError("duplicate graph directive", lineno)
-                if rows:
-                    raise edge_first()
-                if len(tok) != 2:
-                    raise ParseError("graph directive takes one name", lineno)
-                g = Graph(tok[1])
-            else:
-                raise ParseError(f"unknown directive {kw!r}", lineno)
-    except ParseError:
-        if g is None and rows:
-            raise edge_first() from None
-        # a vertex row on an earlier line may hold the first fault
-        if g is not None:
-            g._add_vertices(vrows, vlines)
-        raise
-    if g is None:
-        raise ParseError("missing graph directive")
-    g._add_vertices(vrows, vlines)
-    g._add_edges(rows, lines)
+    The first line that is not blank must name the graph; every later
+    line goes through ``Graph._insert`` in one pass, and the colour
+    namespaces are checked at the end.  A text that fails is read again
+    by ``_parse_fault``, which names its first fault and the line of it."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    rows = map(str.split, lines)
+    tok = next(filter(None, rows), [])
+    if len(tok) == 2 and tok[0] == "graph":
+        g = Graph(tok[1])
+        try:
+            g._insert(rows)
+            fault = None
+        except GraphError as exc:
+            fault = str(exc)
+    else:
+        fault = "the first line that is not blank must name the graph"
+    if fault is not None:
+        raise _parse_fault(lines) or ParseError(fault)
     try:
         g.validate()
     except GraphError as exc:
@@ -450,12 +515,85 @@ def parse_graph(text: str) -> Graph:
     return g
 
 
+def _parse_fault(lines: list[str]) -> ParseError | None:
+    """The first fault of a text, as lines with comments cut, or None.
+    Faults of a single line come first, by line: a wrong number of
+    tokens, an unknown directive, a vertex line before the graph line or
+    a second graph line; an edge line before the graph line is the fault
+    of the first such line.  A vertex id met twice before that line comes
+    before it.  Then, for a text without those, a missing graph line, a
+    vertex id met twice, and then per edge line in order an id met
+    before, two equal ends of an edge or arc, and an end that no vertex
+    line names."""
+    named = False
+    vertices: set[str] = set()
+    repeated: ParseError | None = None
+    edges: list[tuple[int, list[str]]] = []
+    for lineno, line in enumerate(lines, start=1):
+        tok = line.split()
+        if not tok:
+            continue
+        kw, fault = tok[0], None
+        if kw == "edge" or kw == "arc":
+            if len(tok) == 5:
+                edges.append((lineno, tok))
+            else:
+                fault = f"{kw} <id> <colour> <u> <v>"
+        elif kw == "vertex":
+            if not named:
+                fault = "vertex before graph directive"
+            elif len(tok) != 3:
+                fault = "vertex <id> <colour>"
+            elif tok[1] not in vertices:
+                vertices.add(tok[1])
+            elif repeated is None:
+                repeated = ParseError(f"duplicate vertex id {tok[1]!r}", lineno)
+        elif kw == "loop" or kw == "dloop" or kw == "semi":
+            if len(tok) == 4:
+                edges.append((lineno, tok))
+            else:
+                fault = f"{kw} <id> <colour> <u>"
+        elif kw == "graph":
+            if named:
+                fault = "duplicate graph directive"
+            elif edges or len(tok) != 2:
+                fault = "graph directive takes one name"
+            else:
+                named = True
+        else:
+            fault = f"unknown directive {kw!r}"
+        if fault is not None:
+            if not named and edges:
+                first_line, first = edges[0]
+                return ParseError(f"{first[0]} before graph directive", first_line)
+            return repeated or ParseError(fault, lineno)
+    if not named:
+        return ParseError("missing graph directive")
+    if repeated is not None:
+        return repeated
+    ids: set[str] = set()
+    for lineno, (kind, eid, _, u, *v) in edges:
+        if eid in ids:
+            return ParseError(f"duplicate edge id {eid!r}", lineno)
+        ids.add(eid)
+        if v and u == v[0]:
+            return ParseError(f"{kind} {eid!r} must join two distinct vertices"
+                              + (" (directed loop must use dloop)" if kind == "arc" else " (use loop)"), lineno)
+        for w in (u, *v):
+            if w not in vertices:
+                return ParseError(f"edge {eid!r} references unknown vertex {w!r}", lineno)
+    return None
+
+
 def serialize_graph(g: Graph) -> str:
+    """The text of g in the line-based format, which ``parse_graph`` reads
+    back.  GraphError for a name that is not one token; ids and colours
+    were checked on the way in."""
+    _check_tokens(str(g.name))
     lines = [f"graph {g.name}"]
-    for v in g.vertices():
-        lines.append(f"vertex {v} {g.vertex_colour(v)}")
-    for e in g.edges():
-        lines.append(f"{e.kind} {e.id} {e.colour} {' '.join(e.ends)}")
+    lines += [f"vertex {v} {colour}" for v, colour in g._vcolour.items()]
+    lines += [f"{kind} {eid} {colour} {a} {b}" if a != b else f"{kind} {eid} {colour} {a}"
+              for eid, kind, colour, a, b in zip(*g._cols)]
     return "\n".join(lines) + "\n"
 
 
@@ -476,10 +614,10 @@ def project(g: Graph, vertices: Iterable[str] | None = None, colours: Iterable[s
         if unknown:
             raise GraphError(f"unknown vertices in subset: {sorted(unknown)}")
     keep_c = None if colours is None else {str(c) for c in colours}
-    out = Graph._derive(g.name, {v: c for v, c in g._vcolour.items() if v in keep_v})
-    out._put(e for e in g._edges.values()
-             if (keep_c is None or e.colour in keep_c) and all(w in keep_v for w in e.ends))
-    return out
+    _, _, ecolours, first, last = g.columns()
+    return derive(g, {v: c for v, c in g._vcolour.items() if v in keep_v},
+                  [k for k, (c, a, b) in enumerate(zip(ecolours, first, last))
+                   if (keep_c is None or c in keep_c) and a in keep_v and b in keep_v])
 
 
 def walks(g: Graph) -> Iterator[Iterator[tuple[str, list]]]:
@@ -526,7 +664,7 @@ def is_tree(g: Graph) -> bool:
     with n - 1 normal edges is walked."""
     if g.n == 0 or g.m != g.n - 1:
         return False
-    if any(e.kind in ("loop", "dloop", "semi") for e in g.edges()):
+    if any(kind in ("loop", "dloop", "semi") for kind in g._cols[1]):
         return False
     return is_connected(g)
 
@@ -536,13 +674,14 @@ def bipartition(g: Graph) -> dict[str, int] | None:
     per vertex, the first vertex of every component on side 0, or None
     when an odd cycle (a loop included) joins two vertices of one side.
     Semi-edges join nothing."""
+    kinds = g._cols[1]
     side: dict[str, int] = {}
     for walk in walks(g):
         for v, ds in walk:
             # a component's first vertex is the only one the walk leaves unsided
             other = 1 - side.setdefault(v, 0)
-            for e, _, w, _ in ds:
-                if e.kind == "semi":
+            for k, _, w, _ in ds:
+                if kinds[k] == "semi":
                     continue
                 s = side.setdefault(w, other)
                 if s != other:
@@ -565,9 +704,10 @@ def component_shapes(g: Graph) -> list[tuple[list[str], str]]:
     2.  An open path may end in semi-edge stubs, so a lone vertex with two
     semi-edges is an open path of length zero.
     """
+    kinds = g._cols[1]
     if len(g.edge_colours()) > 1:
         raise GraphError("component shape needs a monochromatic graph")
-    if any(e.directed for e in g.edges()):
+    if any(kind in _DIRECTED_KINDS for kind in kinds):
         raise GraphError("component shape is defined for undirected graphs")
     out = []
     for walk in walks(g):
@@ -576,7 +716,7 @@ def component_shapes(g: Graph) -> list[tuple[list[str], str]]:
         fits, path_end = True, False
         for v, ds in walk:
             comp.append(v)
-            semis = sum(1 for e, _, _, _ in ds if e.kind == "semi")
+            semis = sum(1 for k, _, _, _ in ds if kinds[k] == "semi")
             normal = sum(c for _, _, _, c in ds) - semis
             normals += normal
             fits = fits and normal + semis <= 2

@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass, field
 
 from .graphs import (
-    Edge,
     Graph,
     GraphError,
     IN,
@@ -26,6 +25,7 @@ from .graphs import (
     UND,
     check_colours,
     darts,
+    derive,
     is_connected,
     is_tree,
     total_degree,
@@ -65,9 +65,10 @@ class RefinementMatrix:
 def _signature(g: Graph, v: str, block_of: dict[str, int], pos) -> tuple:
     # The darts of v counted per (colour, direction, block position); the
     # block of w sits at position pos[block_of[w]].
+    _, _, colours, _, _ = g.columns()
     counts: dict[tuple, int] = {}
-    for e, d, w, c in darts(g, v):
-        key = (e.colour, d, pos[block_of[w]])
+    for k, d, w, c in darts(g, v):
+        key = (colours[k], d, pos[block_of[w]])
         counts[key] = counts.get(key, 0) + c
     return tuple(sorted([(colour, dtag, b, cnt) for (colour, dtag, b), cnt in counts.items()]))
 
@@ -102,6 +103,7 @@ def degree_partition(g: Graph) -> tuple[Partition, RefinementMatrix]:
     """
     if g.n == 0:
         return Partition([], {}), RefinementMatrix(0, {})
+    _, _, ecolours, _, _ = g.columns()
     by_colour: dict[str, list[str]] = {}
     for v in g.vertices():
         by_colour.setdefault(g.vertex_colour(v), []).append(v)
@@ -120,8 +122,8 @@ def degree_partition(g: Graph) -> tuple[Partition, RefinementMatrix]:
         last: dict | None = None
         for v in by_colour[c]:
             counts: dict[tuple, int] = {}
-            for e, d, w, cnt in darts(g, v):
-                key = (e.colour, d, colour_block[w])
+            for k, d, w, cnt in darts(g, v):
+                key = (ecolours[k], d, colour_block[w])
                 counts[key] = counts.get(key, 0) + cnt
             if counts != last:
                 key = frozenset(counts.items())
@@ -153,8 +155,8 @@ def degree_partition(g: Graph) -> tuple[Partition, RefinementMatrix]:
                 if i == largest:
                     continue
                 for u in members[i]:
-                    for e, dtag, v, cnt in darts(g, u):
-                        key = (e.colour, dtag, i)
+                    for k, dtag, v, cnt in darts(g, u):
+                        key = (ecolours[k], dtag, i)
                         acc = counts.get(v)
                         if acc is None:
                             counts[v] = {key: cnt}
@@ -275,18 +277,17 @@ def normalize_colours(g: Graph, part: Partition) -> Graph:
     block_colour = [f"b{i:0{width}d}" for i in range(part.k)]
     vertices = g.vertices()
     colours = map(block_colour.__getitem__, map(block_of.__getitem__, vertices))
-    out = Graph._derive(g.name, dict(zip(vertices, colours)))
     # the fresh kind and colour of each (kind, colour, end blocks)
     names: dict[tuple, tuple[str, str]] = {}
-    recoloured = []
-    for e in g.edges():
-        ends = e.ends
-        key = (e.kind, e.colour, block_of[ends[0]], block_of[ends[-1]])
+    fresh = []
+    _, kinds, ecolours, first, last = g.columns()
+    for key in zip(kinds, ecolours, map(block_of.__getitem__, first), map(block_of.__getitem__, last)):
         named = names.get(key)
         if named is None:
             named = names[key] = _block_colour(*key)
-        recoloured.append(Edge(e.id, named[0], named[1], ends))
-    out._put(recoloured)
+        fresh.append(named)
+    out = derive(g, dict(zip(vertices, colours)), kinds=[kind for kind, _ in fresh],
+                 colours=[colour for _, colour in fresh])
     # the fresh colours are all the output has, so they are checked alone
     check_colours(block_colour, names.values())
     return out
@@ -341,12 +342,13 @@ def _core_vertices(g: Graph) -> set[str]:
     deg: dict[str, int] = {}
     nbrs: dict[str, list[str]] = {}
     semi: set[str] = set()
+    _, kinds, _, _, _ = g.columns()
     for v in g.vertices():
         at = darts(g, v)
         deg[v] = sum(c for _, _, _, c in at)
         # only a normal edge leads to another vertex
         nbrs[v] = [w for _, _, w, _ in at if w != v]
-        if any(e.kind == "semi" for e, _, _, _ in at):
+        if any(kinds[k] == "semi" for k, _, _, _ in at):
             semi.add(v)
     alive = set(deg)
     queue = [v for v in alive if deg[v] <= 1 and v not in semi]
@@ -368,6 +370,7 @@ def _rooted_code(g: Graph, root: str, branch: set[str], record: ReductionRecord)
     # colour, sorted (edge colour, direction, child subtree id) triples),
     # where the children are the pruned branch vertices only.  Subtrees are
     # interned bottom-up, so neither the walk nor the codes nest.
+    _, _, colours, _, _ = g.columns()
     children: dict[str, list[tuple[str, str, str]]] = {}
     stack = [(root, None)]
     preorder = []
@@ -375,12 +378,12 @@ def _rooted_code(g: Graph, root: str, branch: set[str], record: ReductionRecord)
         v, parent = stack.pop()
         preorder.append(v)
         kids = children[v] = []
-        for e, d, w, _ in darts(g, v):
+        for k, d, w, _ in darts(g, v):
             # only the root, which is not in branch, can have a dart that
             # leads back to itself
             if w == parent or w not in branch:
                 continue
-            kids.append((e.colour, d, w))
+            kids.append((colours[k], d, w))
             stack.append((w, v))
     ids: dict[str, int] = {}
     for v in reversed(preorder):
@@ -395,11 +398,9 @@ def _prune_trees(g: Graph, record: ReductionRecord) -> Graph:
     if not core:
         raise ReductionError("graph reduced to nothing; was it a tree?")
     pruned = set(g.vertices()) - core
-    out = Graph._derive(
-        g.name, {v: record.tree_colour(_rooted_code(g, v, pruned, record)) for v in sorted(core)}
-    )
-    out._put(e for e in g.edges() if all(w in core for w in e.ends))
-    return out
+    _, _, _, first, last = g.columns()
+    return derive(g, {v: record.tree_colour(_rooted_code(g, v, pruned, record)) for v in sorted(core)},
+                  [k for k, (a, b) in enumerate(zip(first, last)) if a in core and b in core])
 
 
 _STEP = {OUT: 1, IN: -1, UND: 0}
@@ -417,34 +418,35 @@ def _chain_walks(g: Graph, branch: set[str]):
     above 2, and must not be empty.
     """
     seen: set[frozenset] = set()
+    eids, kinds, colours, _, _ = g.columns()
 
-    def walk(start, e, d, w):
+    def walk(start, k, d, w):
         seq: list[tuple] = []
         ids = []
         while True:
-            ids.append(e.id)
-            seq.append(("e", e.colour, _STEP[d]))
+            ids.append(eids[k])
+            seq.append(("e", colours[k], _STEP[d]))
             if w in branch:
                 return ("closed" if w == start else "open", start, w, seq, ids)
             seq.append(("v", g.vertex_colour(w)))
-            nxt = [dart for dart in darts(g, w) if dart[0].id != e.id]
+            nxt = [dart for dart in darts(g, w) if dart[0] != k]
             if len(nxt) != 1:
                 raise ReductionError(f"vertex {w!r} is not on a clean chain")
-            e, d, x, _ = nxt[0]
-            if e.kind == "semi":
-                ids.append(e.id)
+            k, d, x, _ = nxt[0]
+            if kinds[k] == "semi":
+                ids.append(eids[k])
                 return ("semi", start, w, seq, ids)
             w = x
 
     for u in sorted(branch):
-        for e, d, w, _ in sorted(darts(g, u), key=lambda dart: dart[0].id):
+        for k, d, w, _ in sorted(darts(g, u), key=lambda dart: eids[dart[0]]):
             if w != u:
-                item = walk(u, e, d, w)
-            elif e.kind == "semi":
-                item = ("semi", u, u, [], [e.id])
+                item = walk(u, k, d, w)
+            elif kinds[k] == "semi":
+                item = ("semi", u, u, [], [eids[k]])
             else:
                 # a directed loop's in-dart follows its out-dart, and is seen
-                item = ("closed", u, u, [("e", e.colour, _STEP[d])], [e.id])
+                item = ("closed", u, u, [("e", colours[k], _STEP[d])], [eids[k]])
             key = frozenset(item[4])
             if key not in seen:
                 seen.add(key)

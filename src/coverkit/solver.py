@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from . import matching as mt
 from .classify import DANGEROUS, HARMLESS, BlockGraph, SmallShape, analyze_target
 from .covers import CoveringProjection, InternalCoverError, NotExtendable, _realize_edges, verify_cover
-from .graphs import Edge, Graph, GraphError, component_shapes, is_connected, walks
+from .graphs import Graph, GraphError, component_shapes, derive, is_connected, walks
 from .graphs import EVEN_CYCLE, IN, ODD_CYCLE, OPEN_PATH, OUT, UND, darts, vertex_darts
 from .partition import Partition, _block_colour, degree_partition
 from .twosat import TwoSat
@@ -87,15 +87,17 @@ class _Fibres:
     """The fibres of a source g over its degree partition pg, read in
     ``normalize_colours``' block colours without recolouring g.
 
-    One pass over g's edges names each (kind, colour, end blocks) once by
-    ``partition._block_colour``, the rule ``normalize_colours`` applies,
-    and files each edge of g under its block colour; one pass over g's
-    vertices lists every block's members.  ``edges(colour)`` lists a
-    block colour's edges and ``vertices(blocks)`` the blocks' members,
-    both in g's order.  ``names`` maps each (kind, colour, end blocks) to
-    its normalized (kind, colour), and ``deoriented`` holds the block
-    colours of arcs between two blocks: g gives their edges an out- and an
-    in-dart, where the normalized colour is undirected.
+    One pass over g's edge columns names each (kind, colour, end blocks)
+    once by ``partition._block_colour``, the rule ``normalize_colours``
+    applies, and files the handle of each edge of g under its block
+    colour; one pass over g's vertices lists every block's members.
+    ``edges(colour)`` lists a block colour's edge handles and
+    ``vertices(blocks)`` the blocks' members, both in g's order, and
+    ``columns`` holds g's edge columns, which the handles index.
+    ``names`` maps each (kind, colour, end blocks) to its normalized
+    (kind, colour), and ``deoriented`` holds the block colours of arcs
+    between two blocks: g gives their edges an out- and an in-dart, where
+    the normalized colour is undirected.
     ``graph(blocks, colour)`` builds the subgraph of g on both, in g's
     vertex and edge order, for the checks that walk a fibre (component
     shapes).
@@ -103,6 +105,7 @@ class _Fibres:
 
     def __init__(self, g: Graph, pg: Partition):
         self.g = g
+        self.columns = columns = g.columns()
         self._vertices = vertices = g.vertices()
         block_of = pg.block_of
         self._members: list[list[int]] = [[] for _ in pg.blocks]
@@ -110,47 +113,51 @@ class _Fibres:
             self._members[block_of[v]].append(k)
         self.names: dict[tuple, tuple[str, str]] = {}
         self.deoriented: set[str] = set()
-        self._edges_of: dict[str, list[Edge]] = {}
+        self._edges_of: dict[str, list[int]] = {}
         # the list each (kind, colour, end blocks) is filed in
-        filed: dict[tuple, list[Edge]] = {}
-        for e in g.edges():
-            ends = e.ends
-            key = (e.kind, e.colour, block_of[ends[0]], block_of[ends[-1]])
+        filed: dict[tuple, list[int]] = {}
+        _, kinds, colours, first, last = columns
+        ends = zip(kinds, colours, map(block_of.__getitem__, first), map(block_of.__getitem__, last))
+        for k, key in enumerate(ends):
             group = filed.get(key)
             if group is None:
                 kind, colour = self.names[key] = _block_colour(*key)
                 if kind != key[0]:
                     self.deoriented.add(colour)
                 group = filed[key] = self._edges_of.setdefault(colour, [])
-            group.append(e)
+            group.append(k)
 
-    def edges(self, colour: str) -> list[Edge]:
+    def edges(self, colour: str) -> list[int]:
         return self._edges_of.get(colour, [])
+
+    def has_semis(self, colour: str) -> bool:
+        _, kinds, _, _, _ = self.columns
+        return any(kinds[k] == "semi" for k in self.edges(colour))
 
     def vertices(self, blocks) -> list[str]:
         return [self._vertices[k] for k in sorted(k for i in blocks for k in self._members[i])]
 
     def graph(self, blocks, colour: str) -> Graph:
         g = self.g
-        sub = Graph._derive(g.name, {v: g.vertex_colour(v) for v in self.vertices(blocks)})
-        sub._put(self.edges(colour))
-        return sub
+        return derive(g, {v: g.vertex_colour(v) for v in self.vertices(blocks)}, self.edges(colour))
 
 
-def _semi_ends(edges) -> set[str] | None:
-    """The ends of the semi-edges among ``edges``, or None when some
-    vertex has two."""
-    ends = [e.ends[0] for e in edges if e.kind == "semi"]
+def _semi_ends(g: Graph, handles) -> set[str] | None:
+    """The ends of the semi-edges among g's edges at ``handles``, or None
+    when some vertex has two."""
+    _, kinds, _, first, _ = g.columns()
+    ends = [first[k] for k in handles if kinds[k] == "semi"]
     once = set(ends)
     return once if len(once) == len(ends) else None
 
 
-def _rest_matching(verts, edges, semi: set[str]) -> list[str] | None:
+def _rest_matching(g: Graph, verts, handles, semi: set[str]) -> list[str] | None:
     """A perfect matching of the vertices in ``verts`` outside ``semi``
-    by the normal edges among ``edges``, or None."""
+    by the normal edges among g's edges at ``handles``, or None."""
+    eids, kinds, _, first, last = g.columns()
     return mt.perfect_matching([v for v in verts if v not in semi],
-                               [(e.id, *e.ends) for e in edges
-                                if e.kind == "edge" and e.ends[0] not in semi and e.ends[1] not in semi])
+                               [(eids[k], first[k], last[k]) for k in handles
+                                if kinds[k] == "edge" and first[k] not in semi and last[k] not in semi])
 
 
 def _record_semi_matching(fibres: _Fibres, bg: BlockGraph, i: int, subcase: str,
@@ -160,11 +167,11 @@ def _record_semi_matching(fibres: _Fibres, bg: BlockGraph, i: int, subcase: str,
     recorded for edge completion.  Both are read off the colour's edges,
     so no fibre graph is built."""
     edges = fibres.edges(bg.colour)
-    semi = _semi_ends(edges)
+    semi = _semi_ends(fibres.g, edges)
     if semi is None:
         trace.step(bg.blocks, bg.colour, subcase, result="vertex with two semi-edges")
         return False
-    matching = _rest_matching(fibres.vertices(bg.blocks), edges, semi)
+    matching = _rest_matching(fibres.g, fibres.vertices(bg.blocks), edges, semi)
     if matching is None:
         trace.step(bg.blocks, bg.colour, subcase, result="no perfect matching")
         return False
@@ -185,7 +192,7 @@ def check_singletons(fibres: _Fibres, ph: Partition, shapes: list[BlockGraph], t
         colour = bg.colour
         fam, params = bg.shape.family, bg.shape.params
         if fam == "FD" or (fam == "F" and params[0] == 0):
-            if any(e.kind == "semi" for e in fibres.edges(colour)):
+            if fibres.has_semis(colour):
                 trace.step(bg.blocks, colour, "3C", result="stray semi-edge")
                 return False
             trace.step(bg.blocks, colour, "3C", result="ok")
@@ -221,7 +228,7 @@ def preprocess_doublets(fibres: _Fibres, hn: Graph, ph: Partition,
             if k == 0:
                 # doublet analogue of Subcase 3C: no semi-edge may appear
                 # (recognize_shape orders the parameters so that k >= q)
-                if any(e.kind == "semi" for e in fibres.edges(colour)):
+                if fibres.has_semis(colour):
                     trace.step(bg.blocks, colour, "5A" if l == 0 else "5B", result="stray semi-edge")
                     return False
                 continue
@@ -252,7 +259,7 @@ def preprocess_doublets(fibres: _Fibres, hn: Graph, ph: Partition,
                 if not _record_semi_matching(fibres, bg, i, "4C", trace):
                     return False
             elif (k, m, l, p, q) == (1, 0, 1, 0, 1):
-                if _semi_ends(fibres.edges(colour)) is None:
+                if _semi_ends(fibres.g, fibres.edges(colour)) is None:
                     trace.step(bg.blocks, colour, "4D", result="vertex with two semi-edges")
                     return False
                 trace.step(bg.blocks, colour, "4D", result="ok")
@@ -263,32 +270,37 @@ def preprocess_doublets(fibres: _Fibres, hn: Graph, ph: Partition,
 
 def _bundle_parity(sat: TwoSat, ends, bundled: bool) -> None:
     """The two ends of each edge or arc take the same image, or opposite
-    images across a bundle.  A loop or directed loop (one end) across a
-    bundle is then a contradiction, x != x."""
+    images across a bundle.  ``ends`` holds each edge's first and last
+    end, which are one vertex for a loop or directed loop; across a
+    bundle that is a contradiction, x != x, and without one nothing."""
     if bundled:
-        sat.add_pairs((pair if len(pair) == 2 else pair * 2 for pair in ends), True)
+        sat.add_pairs(ends, True)
     else:
-        sat.add_pairs((pair for pair in ends if len(pair) == 2), False)
+        sat.add_pairs((pair for pair in ends if pair[0] != pair[1]), False)
 
 
 def _neighbours_apart(sat: TwoSat, fibres: _Fibres, verts, colour: str, directions, subcase: str) -> None:
     """The two neighbours of each listed vertex in each direction take
     opposite images: the other ends of its normal edges, loops and
     directed loops of the block colour, with multiplicity, in incidence
-    order.  The colour's darts are the source's darts whose edge ids it
+    order.  The colour's darts are the source's darts whose handles it
     files; a de-oriented arc's out- and in-darts are read as undirected.
     In 5C a vertex may instead have one neighbour and a semi-edge; it
     takes the image opposite that neighbour."""
     g = fibres.g
-    ids = {e.id for e in fibres.edges(colour)}
+    _, kinds, _, _, _ = fibres.columns
+    among = {k for k in fibres.edges(colour) if kinds[k] != "semi"}
     deoriented = colour in fibres.deoriented
 
     def pairs():
         for v in verts:
-            at = darts(g, v)
+            ds = darts(g, v)
             for direction in directions:
-                apart = [w for e, d, w, cnt in at if (d == direction or deoriented) and e.id in ids
-                         and e.kind != "semi" for _ in range(cnt)]
+                apart = [w for k, d, w, _ in ds if (d == direction or deoriented) and k in among]
+                if v in apart:
+                    # only a loop or directed loop leads back; a loop's dart counts twice
+                    apart = [w for k, d, w, cnt in ds if (d == direction or deoriented) and k in among
+                             for _ in range(cnt)]
                 if len(apart) == 2:
                     yield apart
                 elif len(apart) == 1 and subcase == "5C":
@@ -340,14 +352,18 @@ def build_2sat(fibres: _Fibres, hn: Graph, pg: Partition, ph: Partition,
         elif fam in ("W", "WD"):
             bundled = params[2 if fam == "W" else 1] > 0
             subcase = "5B" if bundled else "5A"
-            _bundle_parity(sat, (e.ends for e in fibres.edges(colour) if e.kind != "semi"), bundled)
+            _, kinds, _, first, last = fibres.columns
+            normal = [k for k in fibres.edges(colour) if kinds[k] != "semi"]
+            _bundle_parity(sat, zip(map(first.__getitem__, normal), map(last.__getitem__, normal)), bundled)
         elif fam == "WW" and params[1] == 0:
             i, j = bg.blocks
             bi, bj = ph.blocks[i][0], ph.blocks[j][0]
             parallel = bj in vertex_darts(hn, bi).ends.get((colour, UND), {})
             subcase, detail = "5G", {"parallel": parallel}
-            _bundle_parity(sat, (sorted(e.ends, key=pg.block_of.__getitem__) for e in fibres.edges(colour)),
-                           not parallel)
+            _, _, _, first, last = fibres.columns
+            block_of = pg.block_of
+            _bundle_parity(sat, [(first[k], last[k]) if block_of[first[k]] <= block_of[last[k]]
+                                 else (last[k], first[k]) for k in fibres.edges(colour)], not parallel)
         else:
             raise InternalCoverError(f"block graph {bg.shape} is not harmless")
         trace.step(bg.blocks, colour, subcase, **detail, clauses=len(sat.clauses))
@@ -356,33 +372,33 @@ def build_2sat(fibres: _Fibres, hn: Graph, pg: Partition, ph: Partition,
     return sat
 
 
-def _alternation_assignment(verts: list[str], group, semi_ids: list[str]) -> dict[str, str] | None:
-    """Distribute the edges of a union of open paths and even cycles over
-    the two target semi-edges so images alternate at every vertex; None
-    for any other shape."""
-    fibre = Graph._derive("fibre", dict.fromkeys(verts, "f"))
-    fibre._put(group)
+def _alternation_assignment(g: Graph, verts: list[str], group, semi_ids: list[str]) -> dict[str, str] | None:
+    """Distribute g's edges at the handles of ``group``, a union of open
+    paths and even cycles, over the two target semi-edges so images
+    alternate at every vertex; None for any other shape."""
+    fibre = derive(g, dict.fromkeys(verts, "f"), group, name="fibre")
+    ids, kinds, _, _, _ = fibre.columns()
     # each component with its vertices' darts, from the one walk
     comps = [list(walk) for walk in walks(fibre)]
     at = {v: ds for comp in comps for v, ds in comp}
-    if any(e.kind == "loop" for e in group) or any(len(ds) != 2 for ds in at.values()):
+    if "loop" in kinds or any(len(ds) != 2 for ds in at.values()):
         return None
     s0, s1 = semi_ids
     fe: dict[str, str] = {}
     for comp in comps:
         # a path starts at its least semi-edge end; a cycle at its least vertex
-        start = min((v for v, ds in comp if any(e.kind == "semi" for e, _, _, _ in ds)), default=None)
+        start = min((v for v, ds in comp if any(kinds[k] == "semi" for k, _, _, _ in ds)), default=None)
         v, toggle = (min(v for v, _ in comp), 0) if start is None else (start, 1)
         if start is not None:
-            fe[next(e for e, _, _, _ in at[v] if e.kind == "semi").id] = s0
+            fe[ids[next(k for k, _, _, _ in at[v] if kinds[k] == "semi")]] = s0
         while True:
-            dart = next((dart for dart in at[v] if dart[0].id not in fe), None)
+            dart = next((dart for dart in at[v] if ids[dart[0]] not in fe), None)
             if dart is None:
                 break
-            e, _, w, _ = dart
-            fe[e.id] = s1 if toggle else s0
+            k, _, w, _ = dart
+            fe[ids[k]] = s1 if toggle else s0
             toggle ^= 1
-            if e.kind == "semi":
+            if kinds[k] == "semi":
                 break
             v = w
         if start is None and toggle:
@@ -390,28 +406,29 @@ def _alternation_assignment(verts: list[str], group, semi_ids: list[str]) -> dic
     return fe
 
 
-def _matching_semi_step(matchings: dict):
-    """The solver's step for fibres over semi-edges.  Over one semi-edge it
-    takes the fibre's semi-edges, at most one per vertex, plus a perfect
-    matching of the other vertices (recorded under (target vertex,
-    colour), or found here from the fibre's own edges); over two
+def _matching_semi_step(g: Graph, matchings: dict):
+    """The solver's step for fibres of g over semi-edges.  Over one
+    semi-edge it takes the fibre's semi-edges, at most one per vertex,
+    plus a perfect matching of the other vertices (recorded under (target
+    vertex, colour), or found here from the fibre's own edges); over two
     semi-edges and no loop, alternating images."""
+    eids, kinds, _, first, last = g.columns()
 
     def step(x, colour, verts, group, semi_ids, loop_ids):
         if len(semi_ids) == 2 and not loop_ids:
-            return _alternation_assignment(verts, group, semi_ids)
+            return _alternation_assignment(g, verts, group, semi_ids)
         if len(semi_ids) != 1:
             return None
-        semi_verts = _semi_ends(group)
+        semi_verts = _semi_ends(g, group)
         if semi_verts is None:
             return None
-        ends = {e.id: e.ends for e in group}
+        ends = {eids[k]: (first[k], last[k]) for k in group}
         matching = matchings.get((x, colour))
         if matching is None:
-            matching = _rest_matching(verts, group, semi_verts) or []
+            matching = _rest_matching(g, verts, group, semi_verts) or []
         else:
             matching = [eid for eid in matching if eid in ends]
-        placed = {e.id: semi_ids[0] for e in group if e.kind == "semi"}
+        placed = {eids[k]: semi_ids[0] for k in group if kinds[k] == "semi"}
         covered = set(semi_verts)
         for eid in matching:
             placed[eid] = semi_ids[0]
@@ -438,7 +455,7 @@ def complete_edge_mapping(g: Graph, hn: Graph, fv: dict[str, str],
     the earlier phases let something slip."""
     log = trace.completion.append if trace is not None else None
     try:
-        return _realize_edges(g, hn, fv, _matching_semi_step(matchings or {}), log, rename)
+        return _realize_edges(g, hn, fv, _matching_semi_step(g, matchings or {}), log, rename)
     except NotExtendable as exc:
         raise InternalCoverError(str(exc)) from exc
 

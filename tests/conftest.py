@@ -47,7 +47,7 @@ def naive_cover(g, h):
         cand_lists = []
         ok = True
         for e in g.edges():
-            c = covers._candidates_for(e, fv, by)
+            c = covers._candidates_for(e.kind, e.colour, fv[e.u], fv[e.v], by)
             if not c:
                 ok = False
                 break

@@ -340,9 +340,9 @@ def switched(g, rng):
         out.add_vertex(v, g.vertex_colour(v))
     for e in g.edges():
         ends = e.ends
-        if e is a:
+        if e == a:
             ends = (a.ends[0], b.ends[1])
-        elif e is b:
+        elif e == b:
             ends = (b.ends[0], a.ends[1])
         out.add_edge(e.kind, e.id, e.colour, *ends)
     return out

@@ -407,7 +407,7 @@ def test_verify_catches_corrupted_certificates():
         # redirect one edge image outside its candidate set
         by = _h_edge_index(h)
         for e in g.edges():
-            cands = set(_candidates_for(e, fv, by))
+            cands = set(_candidates_for(e.kind, e.colour, fv[e.u], fv[e.v], by))
             others = [x.id for x in h.edges() if x.id not in cands]
             if others:
                 broken = dict(fe)
@@ -619,7 +619,8 @@ def test_landing_rule_table():
             ends = (fv["u"], fv["w"]) if kind in ("edge", "arc") else (fv["u"],)
             want = {he.id for he in h.edges() if he.kind in kinds and he.colour == colour
                     and (set(he.ends) == set(ends) if he.kind == "edge" else he.ends == ends[:len(he.ends)])}
-            assert set(_candidates_for(g.edge("s"), fv, by)) == want, (kind, images)
+            s = g.edge("s")
+            assert set(_candidates_for(s.kind, s.colour, fv[s.u], fv[s.v], by)) == want, (kind, images)
             lands = {he.id for he in h.edges()
                      if not any("breaks colour or incidence" in v
                                 for v in verify_cover(g, h, CoveringProjection(fv, {"s": he.id})).violations)}
@@ -845,7 +846,7 @@ def brute_partial_vertex_maps(g, h):
     for images in itertools.product(*choices):
         fv = dict(zip(names, images))
         edges = list(g.edges())
-        for fe in itertools.product(*(_candidates_for(e, fv, by) for e in edges)):
+        for fe in itertools.product(*(_candidates_for(e.kind, e.colour, fv[e.u], fv[e.v], by) for e in edges)):
             used = {u: Counter() for u in names}
             for e, he in zip(edges, fe):
                 for u in set(e.ends):

@@ -18,7 +18,7 @@ from coverkit import (
     project,
     serialize_graph,
 )
-from coverkit.graphs import EVEN_CYCLE, ODD_CYCLE, OPEN_PATH, OTHER, UND, IN, OUT, darts, is_tree, vertex_darts
+from coverkit.graphs import Edge, EVEN_CYCLE, ODD_CYCLE, OPEN_PATH, OTHER, UND, IN, OUT, darts, is_tree, vertex_darts
 
 from conftest import (
     assert_same_graph,
@@ -82,7 +82,9 @@ def test_edge_is_a_value():
     assert Edge("d", "dloop", "c", ("u",)).directed
     assert repr(a) == "Edge(id='e1', kind='edge', colour='c', ends=('u', 'v'))"
     g = parse_graph("graph g\nvertex u n\nvertex v n\nedge e1 c u v\n")
-    assert g.edge("e1") == a and darts(g, "u") == [(a, UND, "v", 1)]
+    # a graph builds a new Edge each time it is asked, equal to the last
+    assert g.edge("e1") == a and g.edge("e1") is not g.edge("e1") and list(g.edges()) == [a]
+    assert darts(g, "u") == [(0, UND, "v", 1)] and g.columns()[0][0] == "e1"
 
 
 @pytest.mark.parametrize("build,match", [
@@ -112,19 +114,32 @@ def test_edge_rows_are_checked_before_any_is_inserted():
     g = Graph("g")
     for v in (1, 2):
         g.add_vertex(v, "n")
-    # ids, colours and ends that are not strings become strings
-    e = g.add_edge("edge", 7, 0, 1, 2)
-    assert (e.id, e.colour, e.ends) == ("7", "0", ("1", "2"))
-    assert g._add_edges([("semi", "s", "c", "1", "1"), ("loop", "l", "c", 2, None)])["l"].ends == ("2",)
+    # ids, colours and ends that are not strings become strings, and a
+    # one-ended kind may name its end twice
+    g.add_edge("edge", 7, 0, 1, 2)
+    g.add_edge("semi", "s", "c", "1", "1")
+    g.add_edge("loop", "l", "c", 2, None)
+    e = g.edge("7")
+    assert (e.id, e.colour, e.ends) == ("7", "0", ("1", "2")) and g.edge("l").ends == ("2",)
     before = serialize_graph(g)
     # a later row fails: the rows before it are not inserted either, and
     # an id is a duplicate of one earlier in the same rows
-    rows = [("edge", "f", "c", "1", "2"), ("loop", "f", "c", "1", None)]
-    with pytest.raises(ParseError, match="line 9: duplicate edge id 'f'"):
-        g._add_edges(rows, [4, 9])
+    rows = [("edge", "f", "c", "1", "2"), ("loop", "f", "c", "1")]
     with pytest.raises(GraphError, match="duplicate edge id 'f'"):
-        g._add_edges(rows)
+        g._insert(rows)
+    # and an id the graph holds already
+    with pytest.raises(GraphError, match="duplicate edge id '7'"):
+        g._insert([("vertex", "3", "n"), ("semi", "7", "c", "3")])
     assert serialize_graph(g) == before and not g.has_edge("f")
+    # so does an end that no row names a vertex, found after the last row
+    rows = [("vertex", "3", "n"), ("edge", "f", "c", "3", "1"), ("semi", "t", "c", "4")]
+    with pytest.raises(GraphError, match="edge 't' references unknown vertex '4'"):
+        g._insert(rows)
+    assert serialize_graph(g) == before and not g.has_vertex("3") and darts(g, "1") == darts(g.copy(), "1")
+    # an edge may come before the vertex rows of its ends, and is filed
+    # at them in row order
+    g._insert([("edge", "f", "c", "3", "1"), ("vertex", "3", "n"), ("semi", "t", "c", "3")])
+    assert [g.columns()[0][k] for k, _, _, _ in darts(g, "3")] == ["f", "t"]
 
 
 @pytest.mark.parametrize("text,match", [
@@ -209,14 +224,14 @@ def test_parse_comments_tabs_crlf_and_blank_lines():
 def test_bulk_vertex_rows_are_checked_before_any_is_inserted():
     g = Graph("g")
     g.add_vertex("a", "n")
-    with pytest.raises(ParseError, match="line 8: duplicate vertex id 'a'"):
-        g._add_vertices([("b", "n"), ("c", "n"), ("a", "m")], [4, 6, 8])
+    with pytest.raises(GraphError, match="duplicate vertex id 'a'"):
+        g._insert([("vertex", "b", "n"), ("vertex", "c", "n"), ("vertex", "a", "m")])
     with pytest.raises(GraphError, match="duplicate vertex id 'b'"):
-        g._add_vertices([("b", "n"), ("b", "m")])
+        g._insert([("vertex", "b", "n"), ("vertex", "b", "m")])
     assert serialize_graph(g) == "graph g\nvertex a n\n"
-    g._add_vertices([("b", "n"), ("c", "m")])
+    g._insert([("vertex", "b", "n"), ("vertex", "c", "m")])
     g.add_edge("edge", "e", "x", "b", "c")
-    assert g.vertices() == ["a", "b", "c"] and darts(g, "c") == [(g.edge("e"), UND, "b", 1)]
+    assert g.vertices() == ["a", "b", "c"] and darts(g, "c") == [(0, UND, "b", 1)]
 
 
 def test_validate_reports_the_first_namespace_clash():
@@ -236,6 +251,44 @@ def test_roundtrip_identity():
     again = parse_graph(serialize_graph(g))
     assert serialize_graph(again) == serialize_graph(g)
     assert sorted(e.id for e in again.edges()) == ["s1", "s2"]
+
+
+@pytest.mark.parametrize("bad", ["", "a b", "c#d", "#", "tab\there", "line\nbreak", "nb\u00a0sp", "\u2028"])
+def test_tokens_that_would_not_read_back_are_refused(bad):
+    g = Graph("g")
+    g.add_vertex("a", "n")
+    g.add_vertex("b", "n")
+    before = serialize_graph(g)
+    for build in (lambda: g.add_vertex(bad, "n"), lambda: g.add_vertex("c", bad),
+                  lambda: g.add_edge("edge", bad, "e", "a", "b"), lambda: g.add_edge("semi", "s", bad, "a")):
+        with pytest.raises(GraphError, match="not a token of the text format"):
+            build()
+    assert serialize_graph(g) == before
+    g.name = bad
+    with pytest.raises(GraphError, match="not a token of the text format"):
+        serialize_graph(g)
+
+
+def test_graphs_built_through_the_api_read_back():
+    # the repro: a name and vertex ids that the text format cannot hold
+    g = Graph("my g")
+    with pytest.raises(GraphError):
+        g.add_vertex("a b", "n")
+    with pytest.raises(GraphError):
+        serialize_graph(g)
+    # punctuation, non-ASCII letters, control characters that are not
+    # whitespace and ids that are not strings all read back
+    g = Graph("g-1.x")
+    for v in ("a.b", "\u00e9t\u00e9", "x\x00y", 7):
+        g.add_vertex(v, "n")
+    g.add_edge("edge", "e:1", "c/d", "a.b", "7")
+    g.add_edge("arc", 2, "d", "\u00e9t\u00e9", "x\x00y")
+    g.add_edge("loop", "l", "c/d", "7", "7")
+    g.add_edge("semi", "s", "c/d", "a.b")
+    g.add_edge("dloop", "dl", "d", "x\x00y")
+    again = parse_graph(serialize_graph(g))
+    assert_same_graph(again, g)
+    assert serialize_graph(again) == serialize_graph(g)
 
 
 def test_roundtrip_double():
@@ -283,15 +336,21 @@ def test_darts_of_every_edge_kind():
     g.add_edge("loop", "l", "a", "u")
     g.add_edge("dloop", "dl", "d", "u")
     g.add_edge("semi", "s", "a", "u")
-    got = [(e.id, d, w, c) for e, d, w, c in darts(g, "u")]
+    ids, kinds, colours, first, last = g.columns()
+    got = [(ids[k], d, w, c) for k, d, w, c in darts(g, "u")]
     assert got == [("e", "u", "w", 1), ("out", "o", "w", 1), ("in", "i", "z", 1),
                    ("l", "u", "u", 2), ("dl", "o", "u", 1), ("dl", "i", "u", 1),
                    ("s", "u", "u", 1)]
-    assert [(e.id, d, w, c) for e, d, w, c in darts(g, "w")] == \
+    assert [(ids[k], d, w, c) for k, d, w, c in darts(g, "w")] == \
         [("e", "u", "u", 1), ("out", "i", "u", 1)]
-    assert [(e.id, d, w, c) for e, d, w, c in darts(g, "z")] == [("in", "o", "u", 1)]
-    # every tuple carries the edge itself
-    assert all(e is g.edge(e.id) for e, _, _, _ in darts(g, "u"))
+    assert [(ids[k], d, w, c) for k, d, w, c in darts(g, "z")] == [("in", "o", "u", 1)]
+    # every tuple carries a handle that the columns resolve to the edge of
+    # its id, the same id, kind, colour and ends that g.edge gives
+    for k, _, _, _ in darts(g, "u"):
+        e = g.edge(ids[k])
+        ends = (first[k],) if first[k] == last[k] else (first[k], last[k])
+        assert (e.id, e.kind, e.colour, e.ends) == (ids[k], kinds[k], colours[k], ends)
+        assert e == Edge(ids[k], kinds[k], colours[k], ends)
 
 
 @settings(max_examples=60, deadline=None)

@@ -418,7 +418,8 @@ def two_factorization_reference(g, k):
     circuit and peeling it round by round."""
     for v in g.vertices():
         at = darts(g, v)
-        if any(e.kind == "semi" or e.directed for e, _, _, _ in at):
+        kinds = g.columns()[1]
+        if any(kinds[k] in ("semi", "arc", "dloop") for k, _, _, _ in at):
             raise MatchingError("semi-edges or directed edges in 2-factorization input")
         if sum(c for _, _, _, c in at) != 2 * k:
             raise MatchingError(f"vertex {v!r} is not {2 * k}-regular")

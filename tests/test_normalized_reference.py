@@ -38,17 +38,22 @@ from test_solver import _six_cycle
 
 
 class NormalizedFibres:
-    """The fibre index over a normalized copy gn, grouped by gn's colours."""
+    """The fibre index over a normalized copy gn, its edge handles grouped
+    by gn's colours."""
 
     def __init__(self, gn: Graph, pg: Partition):
-        self.gn = gn
+        self.g = self.gn = gn
         self.pg = pg
+        self.columns = gn.columns()
         self._edges_of: dict = {}
-        for e in gn.edges():
-            self._edges_of.setdefault(e.colour, []).append(e)
+        for k, colour in enumerate(self.columns[2]):
+            self._edges_of.setdefault(colour, []).append(k)
 
     def edges(self, colour):
         return self._edges_of.get(colour, [])
+
+    def has_semis(self, colour):
+        return any(self.gn.edge(self.columns[0][k]).kind == "semi" for k in self.edges(colour))
 
     def vertices(self, blocks):
         return [v for v in self.gn.vertices() if self.pg.block_of[v] in blocks]
@@ -57,7 +62,8 @@ class NormalizedFibres:
         sub = Graph(self.gn.name)
         for v in self.vertices(blocks):
             sub.add_vertex(v, self.gn.vertex_colour(v))
-        for e in self.edges(colour):
+        for k in self.edges(colour):
+            e = self.gn.edge(self.columns[0][k])
             sub.add_edge(e.kind, e.id, e.colour, *e.ends)
         return sub
 
@@ -67,7 +73,7 @@ def neighbours_apart_reference(sat, fibres, verts, colour, directions, subcase):
     dart of an interblock colour is undirected."""
     pairs = []
     for v in verts:
-        at = darts(fibres.gn, v)
+        at = [(fibres.gn.edge(fibres.columns[0][k]), d, w, cnt) for k, d, w, cnt in darts(fibres.gn, v)]
         for direction in directions:
             apart = [w for e, d, w, cnt in at if d == direction and e.colour == colour and e.kind != "semi"
                      for _ in range(cnt)]

@@ -206,7 +206,7 @@ def test_normalize_and_fibres_equal_checked_rebuilds():
             normalized = [e for e in norm.edges() if e.colour == colour]
             edges = [g.edge(e.id) for e in normalized]
             assert [(e.id, e.ends) for e in edges] == [(e.id, e.ends) for e in normalized]
-            assert fibres.edges(colour) == edges
+            assert [g.edge(g.columns()[0][k]) for k in fibres.edges(colour)] == edges
             filed += len(edges)
             blocks = sorted({part.block_of[w] for e in edges for w in e.ends})
             verts = [(v, g.vertex_colour(v)) for v in g.vertices() if part.block_of[v] in blocks]
@@ -559,8 +559,8 @@ def test_signature_and_darts_match_the_dart_counts(g, rng):
     for v in g.vertices():
         assert _signature(g, v, block_of, pos) == signature_reference(g, v, block_of, pos)
         grouped = {}
-        for e, dtag, w, cnt in darts(g, v):
-            to = grouped.setdefault((e.colour, dtag), {})
+        for k, dtag, w, cnt in darts(g, v):
+            to = grouped.setdefault((g.columns()[2][k], dtag), {})
             to[w] = to.get(w, 0) + cnt
         assert grouped == vertex_darts(g, v).ends
 

@@ -505,7 +505,8 @@ def record_semi_matching_reference(fibre, bg, i, subcase, trace):
     """The 3B/4C check on a fibre graph, which holds the source's edges of
     ``bg.colour`` alone: a semi-edge count per vertex from its darts, and
     the blossom on a projected copy of the vertices without one."""
-    semis = {v: sum(1 for e, _, _, _ in darts(fibre, v) if e.kind == "semi")
+    kinds = fibre.columns()[1]
+    semis = {v: sum(1 for k, _, _, _ in darts(fibre, v) if kinds[k] == "semi")
              for v in fibre.vertices()}
     if any(c >= 2 for c in semis.values()):
         trace.step(bg.blocks, bg.colour, subcase, result="vertex with two semi-edges")
@@ -567,7 +568,7 @@ def test_semi_edge_matchings_match_the_fibre_graph_path():
     for trial in range(1500):
         g = random_semi_fibre(rng)
         fibres = _Fibres(g, Partition([g.vertices()], dict.fromkeys(g.vertices(), 0)))
-        assert fibres.edges(bg.colour) == list(g.edges())
+        assert fibres.edges(bg.colour) == list(range(g.m))
         got, want = SolveTrace(), SolveTrace()
         ok = _record_semi_matching(fibres, bg, 0, "3B", got)
         assert ok == record_semi_matching_reference(fibres.graph((0,), bg.colour), bg, 0, "3B", want)
@@ -581,9 +582,33 @@ def test_semi_edge_matchings_match_the_fibre_graph_path():
         if result != "vertex with two semi-edges" and semis:
             verts = sorted(g.vertices())
             group = [e for e in g.edges() if e.kind != "loop"]
-            step = _matching_semi_step({})
-            assert step("x", "c", verts, group, ["s0"], []) == \
+            step = _matching_semi_step(g, {})
+            handles = [k for k, kind in enumerate(g.columns()[1]) if kind != "loop"]
+            assert step("x", "c", verts, handles, ["s0"], []) == \
                 completion_semi_reference(verts, group, "s0")
             seen["completion"] += 1
     assert min(seen[k] for k in ("ok", "vertex with two semi-edges", "no perfect matching",
                                  "no perfect matching (odd rest)", "completion")) > 100, seen
+
+
+def test_solving_builds_no_edge_object_per_source_edge(monkeypatch):
+    # the solver reads the source's edges through darts and the edge
+    # columns; only the target's block graphs are read as Edge objects
+    from coverkit.graphs import Edge
+    from hosts import random_lift
+
+    built = Counter()
+    init = Edge.__init__
+
+    def counted(self, *args):
+        built["edges"] += 1
+        init(self, *args)
+
+    for name, h in harmless_hosts():
+        g = random_lift(h, 64, 7)
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Edge, "__init__", counted)
+            res = solve_cover(g, h)
+        assert res.yes, name
+        assert built["edges"] <= h.m, (name, built["edges"], g.m)
